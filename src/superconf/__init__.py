@@ -15,7 +15,6 @@ from .groebner import (
     hilbert_series,
     ideal_gb,
     krull_dim,
-    normal_form,
     syzygy_module,
 )
 from .resolutions import (

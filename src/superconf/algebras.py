@@ -22,15 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import clifford
-from .linalg import (
-    Matrix,
-    SpanSolver,
-    int_rows_from_fraction_rows,
-    kernel_basis,
-    rank,
-    sparse_kernel,
-    sparse_rank,
-)
+from .linalg import SpanSolver, sparse_kernel, sparse_rank
 from .rings import GradedRing, Polynomial
 
 _F0 = Fraction(0)
@@ -55,6 +47,8 @@ class SupertranslationAlgebra:
                 if g[a][b] != g[b][a]:
                     raise ValueError("gamma must be symmetric in its odd indices")
         self.gamma = g
+        # (dimension, susy tuple) when the algebra is a catalog entry
+        self.catalog_key: tuple | None = None
         self._ring: GradedRing | None = None
         self._quadrics: list[Polynomial] | None = None
 
@@ -103,10 +97,6 @@ class SupertranslationAlgebra:
                 polys.append(Polynomial(ring, terms))
             self._quadrics = polys
         return self._quadrics
-
-
-def nilpotence_ring_and_quadrics(alg: SupertranslationAlgebra):
-    return alg.ring(), alg.quadrics()
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +259,32 @@ def _parse_susy(dimension: int, susy) -> tuple:
 
 
 def build_standard(dimension: int, susy) -> SupertranslationAlgebra:
-    """Catalog lookup; raises ValueError on unsupported keys."""
+    """Catalog lookup; raises ValueError on unsupported keys.
+
+    The result carries `catalog_key` = (dimension, susy tuple), with chiral
+    six- and ten-dimensional keys written as (N, 0).
+    """
     key = _parse_susy(dimension, susy)
+    if dimension in (6, 10) and len(key) == 1:
+        key += (0,)
     if dimension == 1 and len(key) == 1 and key[0] >= 1:
-        return standard_1d(key[0])
-    if dimension == 2 and len(key) == 2:
-        return standard_2d(*key)
-    if dimension == 3 and len(key) == 1 and key[0] >= 1:
-        return standard_3d(key[0])
-    if dimension == 4 and len(key) == 1 and key[0] >= 1:
-        return standard_4d(key[0])
-    if dimension == 6 and key in ((1,), (1, 0), (2,), (2, 0), (3, 0), (3,)):
-        return standard_6d(key[0])
-    if dimension == 10 and key in ((1,), (1, 0), (2,), (2, 0)):
-        return standard_10d(key[0])
-    if dimension == 11 and key in ((1,),):
-        return standard_11d()
-    raise ValueError(f"unsupported catalog key: dimension {dimension}, susy {susy!r}")
+        alg = standard_1d(key[0])
+    elif dimension == 2 and len(key) == 2:
+        alg = standard_2d(*key)
+    elif dimension == 3 and len(key) == 1 and key[0] >= 1:
+        alg = standard_3d(key[0])
+    elif dimension == 4 and len(key) == 1 and key[0] >= 1:
+        alg = standard_4d(key[0])
+    elif dimension == 6 and key in ((1, 0), (2, 0), (3, 0)):
+        alg = standard_6d(key[0])
+    elif dimension == 10 and key in ((1, 0), (2, 0)):
+        alg = standard_10d(key[0])
+    elif dimension == 11 and key == (1,):
+        alg = standard_11d()
+    else:
+        raise ValueError(f"unsupported catalog key: dimension {dimension}, susy {susy!r}")
+    alg.catalog_key = (dimension, key)
+    return alg
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +364,10 @@ class AutomorphismAlgebra:
                     if B[r][c]:
                         row[r * d + c] = B[r][c]
             rows.append(row)
-        return sparse_rank(int_rows_from_fraction_rows(rows))
+        return sparse_rank(rows)
 
     def rho2_kernel_dim(self) -> int:
         return self.dim - self.rho2_image_dim()
-
-    def rho2_kernel_basis(self) -> list[list[Fraction]]:
-        """Coefficient vectors c with sum_i c_i B_i = 0 (the R-symmetry)."""
-        d = self.algebra.d
-        m = Matrix.from_rows(
-            [
-                [self.basis[i][1][r][c] for i in range(self.dim)]
-                for r in range(d)
-                for c in range(d)
-            ]
-            if self.dim
-            else [[]]
-        )
-        if self.dim == 0:
-            return []
-        return kernel_basis(m)
 
     def contains_grading_element(self) -> bool:
         k, d = self.algebra.k, self.algebra.d
@@ -459,7 +442,7 @@ def derivations_deg0(alg: SupertranslationAlgebra) -> AutomorphismAlgebra:
                         row[idx] = row.get(idx, _F0) - v
                 if row:
                     rows.append(row)
-    vecs = sparse_kernel(int_rows_from_fraction_rows(rows), nunk)
+    vecs = sparse_kernel(rows, nunk)
     basis = []
     for v in vecs:
         A = [[_F0] * k for _ in range(k)]
@@ -547,7 +530,7 @@ def check_conformal_type(
                     row[mu] = v
             if row:
                 rows.append(row)
-    surjective = sparse_rank(int_rows_from_fraction_rows(rows)) == d
+    surjective = sparse_rank(rows) == d
     image_dim = g0.rho2_image_dim()
     expected = d * (d - 1) // 2 + 1
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
@@ -581,14 +564,14 @@ def check_conformal_type(
                 if row:
                     h_rows.append(row)
     nunk = d * (d + 1) // 2
-    sols = sparse_kernel(int_rows_from_fraction_rows(h_rows), nunk)
+    sols = sparse_kernel(h_rows, nunk)
     has_metric = False
     for trial in _metric_trials(sols):
-        h = [[_F0] * d for _ in range(d)]
+        h: list[dict[int, Fraction]] = [{} for _ in range(d)]
         for (r, c), i in pair_index.items():
-            h[r][c] = trial.get(i, _F0)
-            h[c][r] = trial.get(i, _F0)
-        if rank(Matrix.from_rows(h)) == d:
+            if trial.get(i):
+                h[r][c] = h[c][r] = trial[i]
+        if sparse_rank(h) == d:
             has_metric = True
             break
     conformal = surjective and image_dim == expected and has_metric

@@ -14,6 +14,8 @@ import os
 import sys
 import tempfile
 
+from . import __version__
+
 ENV_CACHE_DIR = "SUPERCONF_CACHE_DIR"
 
 
@@ -22,7 +24,9 @@ def canonical_bytes(obj) -> bytes:
 
 
 def cache_key(descriptor) -> str:
-    return hashlib.sha256(canonical_bytes(descriptor)).hexdigest()
+    """Digest of the descriptor and the engine version that computes it."""
+    keyed = {"engine": __version__, "descriptor": descriptor}
+    return hashlib.sha256(canonical_bytes(keyed)).hexdigest()
 
 
 def _path(cache_dir: str, key: str) -> str:
@@ -72,7 +76,8 @@ def cached(cache_dir: str | None, descriptor, compute, verify: bool = False):
     """Return compute() through the cache.
 
     With verify=True a hit is recomputed anyway and compared byte for byte; a
-    mismatch warns and the fresh value wins.
+    mismatch warns and the fresh value wins.  A value that cannot be stored
+    (say, the cache directory is a regular file) is returned with a warning.
     """
     if cache_dir is None:
         return compute()
@@ -87,7 +92,10 @@ def cached(cache_dir: str | None, descriptor, compute, verify: bool = False):
                 f"warning: cache entry {key[:12]} disagrees with recomputation; replacing",
                 file=sys.stderr,
             )
-    store(cache_dir, key, value)
+    try:
+        store(cache_dir, key, value)
+    except OSError as exc:
+        print(f"warning: cache entry {key[:12]} not stored: {exc}", file=sys.stderr)
     return value
 
 

@@ -261,9 +261,6 @@ class GroebnerBasis:
         )
         return ModuleElement(self.module, rem), quotients
 
-    def contains(self, f: ModuleElement) -> bool:
-        return self.normal_form(f).is_zero()
-
 
 def default_ring_order(ring: GradedRing) -> MonomialOrder:
     return MonomialOrder("wgrevlex", ring.weights)
@@ -378,10 +375,6 @@ def _autoreduce(order: ModuleOrder, basis: list, track: bool) -> list:
         )
         final.append(_GbElem(rem, order, g.deg, row))
     return final
-
-
-def normal_form(f: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
-    return gb.normal_form(f)
 
 
 def ideal_gb(
@@ -520,14 +513,6 @@ def syzygy_module(
             scale = _content_scale(terms)
             out.append(ModuleElement(tgt, {t: c * scale for t, c in terms.items()}))
     return out
-
-
-def lift_through(gb: GroebnerBasis, target: ModuleElement):
-    """Quotients expressing `target` over the basis elements, or None."""
-    rem, quotients = gb.reduce_with_quotients(target)
-    if not rem.is_zero():
-        return None
-    return quotients
 
 
 # ---------------------------------------------------------------------------

@@ -1,169 +1,27 @@
-"""Exact dense and sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Dense matrices are small and carry `fractions.Fraction` entries; the sparse
-integer routines are the workhorses for the degreewise rank/kernels computed
-by the homology and prolongation layers.  Everything here is deterministic:
-no pivoting heuristics depend on hashing order.
+Rows are dicts {col: value} with int or Fraction values.  Elimination runs on
+integer rows with content stripped, so coefficients stay small; pivot choice
+is always the minimal column of each reduced row, which keeps results
+independent of input iteration order and of hashing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable
 
 
-class Matrix:
-    """Dense matrix of Fractions, immutable by convention after construction."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Fraction]]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix shape mismatch")
-        self.rows = rows
-        self.cols = cols
-        self.data = [[Fraction(x) for x in row] for row in data]
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "Matrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-        )
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = Matrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        if brow[j]:
-                            orow[j] += a * brow[j]
-        return out
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return [
-            sum((self.data[i][j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the strictly increasing pivot column list."""
-    a = [row[:] for row in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                ar, ai = a[r], a[i]
-                a[i] = [ai[j] - f * ar[j] for j in range(m.cols)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(m.rows, m.cols, a), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(m: Matrix) -> list[list[Fraction]]:
-    """Echelonized basis of {v : m v = 0}, one vector per free column.
-
-    Vector for free column f has a 1 in position f and its pivot-coordinate
-    entries read off the rref, so the output is deterministic.
-    """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve(m: Matrix, b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of m x = b, or None when inconsistent."""
-    aug = Matrix(m.rows, m.cols + 1, [list(m.data[i]) + [Fraction(b[i])] for i in range(m.rows)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.data[r][m.cols]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Sparse integer elimination.
-#
-# Rows are dicts {col: int}.  All routines strip content so coefficients stay
-# small; pivot choice is always the minimal column of each reduced row, which
-# keeps results independent of input iteration order.
-# ---------------------------------------------------------------------------
+def _int_rows(rows: Iterable[dict]) -> list[dict[int, int]]:
+    """Clear denominators rowwise and drop zero entries."""
+    out = []
+    for row in rows:
+        den = 1
+        for v in row.values():
+            den = lcm(den, v.denominator)
+        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+    return out
 
 
 def _strip(row: dict[int, int]) -> dict[int, int]:
@@ -199,55 +57,60 @@ def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[
     return row
 
 
-def sparse_triangularize(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward-eliminate integer rows; returns {pivot col: row}."""
+def _triangularize(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
+    """Forward-eliminate the rows over the integers; returns {pivot col: row}."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        red = _reduce_row(dict(row), pivots)
+    for row in _int_rows(rows):
+        red = _reduce_row(row, pivots)
         if red:
             pivots[min(red)] = red
     return pivots
 
 
-def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    return len(sparse_triangularize(rows))
+def sparse_rank(rows: Iterable[dict]) -> int:
+    return len(_triangularize(rows))
 
 
-def sparse_kernel(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
+def rref(rows: Iterable[dict]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the row span, as {pivot col: row}.
+
+    Each row is 1 at its pivot and 0 on every other pivot; pivots ascend.  The
+    result depends only on the row span.
+    """
+    pivots = _triangularize(rows)
+    reduced: dict[int, dict[int, Fraction]] = {}
+    # Back-substitute from the last pivot: the rows subtracted are already
+    # reduced, so they touch no pivot column but their own.
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        lead = row[c]
+        frow = {col: Fraction(v, lead) for col, v in row.items()}
+        for col in list(frow):
+            if col in reduced:
+                f = frow[col]
+                for c2, v2 in reduced[col].items():
+                    w = frow.get(c2, 0) - f * v2
+                    if w:
+                        frow[c2] = w
+                    else:
+                        del frow[c2]
+        reduced[c] = frow
+    return dict(reversed(reduced.items()))
+
+
+def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
     """Echelonized kernel basis of the row system, as sparse Fraction vectors.
 
     The basis vector attached to free column f is supported on f (entry 1)
     and on pivot columns.
     """
-    pivots = sparse_triangularize(rows)
-    # Back-substitute to full reduction so each pivot row touches no other pivot.
-    cols_desc = sorted(pivots, reverse=True)
-    reduced: dict[int, dict[int, Fraction]] = {}
-    for c in cols_desc:
-        row = pivots[c]
-        lead = Fraction(row[c])
-        frow: dict[int, Fraction] = {}
-        for col, v in row.items():
-            if col == c:
-                continue
-            frow[col] = Fraction(v) / lead
-        # eliminate other pivot columns from frow
-        for col in sorted(frow):
-            if col in reduced and frow.get(col):
-                f = frow.pop(col)
-                for c2, v2 in reduced[col].items():
-                    w = frow.get(c2, Fraction(0)) - f * v2
-                    if w:
-                        frow[c2] = w
-                    elif c2 in frow:
-                        del frow[c2]
-        reduced[c] = frow
+    red = rref(rows)
     basis = []
     for f in range(ncols):
-        if f in reduced:
+        if f in red:
             continue
         v: dict[int, Fraction] = {f: Fraction(1)}
-        for c, frow in reduced.items():
+        for c, frow in red.items():
             w = frow.get(f)
             if w:
                 v[c] = -w
@@ -304,21 +167,3 @@ class SpanSolver:
         if row:
             return None
         return {tag: -v for tag, v in combo.items()}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-
-def int_rows_from_fraction_rows(rows: Sequence[dict[int, Fraction]]) -> list[dict[int, int]]:
-    """Clear denominators rowwise; empty rows are dropped by the eliminators."""
-    out = []
-    for row in rows:
-        if not row:
-            out.append({})
-            continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append({c: int(v * den) for c, v in row.items()})
-    return out

@@ -9,7 +9,7 @@ three-dimensional example lands in the familiar table layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +34,6 @@ class MultipletModule:
     kind: str
     algebra: SupertranslationAlgebra
     module: PresentedModule
-    provenance: dict = field(default_factory=dict)
 
     def betti(self, max_steps=None) -> BettiTable:
         _, betti = minimal_free_resolution(self.module, max_steps)
@@ -94,7 +93,7 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
         for nu in range(d):
             rels.append(_poly_times_gen(q, free, nu))
     pm = PresentedModule(ring, [0] * d, rels)
-    return MultipletModule("conf", alg, pm, {"construction": "coker phi over R/I"})
+    return MultipletModule("conf", alg, pm)
 
 
 def canonical_module(alg: SupertranslationAlgebra) -> MultipletModule:
@@ -103,7 +102,7 @@ def canonical_module(alg: SupertranslationAlgebra) -> MultipletModule:
     free = FreeModule(ring, [0])
     rels = [_poly_times_gen(q, free, 0) for q in alg.quadrics() if not q.is_zero()]
     pm = PresentedModule(ring, [0], rels)
-    return MultipletModule("canonical", alg, pm, {"construction": "R/I"})
+    return MultipletModule("canonical", alg, pm)
 
 
 def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
@@ -134,7 +133,7 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
             kernel_gens.append(elt)
     if not kernel_gens:
         pm = PresentedModule(ring, [], [])
-        return MultipletModule("kaehler", alg, pm, {"construction": "ker phi^t over R/I"})
+        return MultipletModule("kaehler", alg, pm)
     gen_degs = [g.degree() for g in kernel_gens]
     aug2 = list(kernel_gens)
     for q in quadrics:
@@ -148,14 +147,14 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
         if not proj.is_zero():
             rels.append(proj)
     pm = PresentedModule(ring, gen_degs, rels)
-    return MultipletModule("kaehler", alg, pm, {"construction": "ker phi^t over R/I"})
+    return MultipletModule("kaehler", alg, pm)
 
 
 def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     """The k-th Koszul homology of the bracket quadrics as a multiplet."""
     if k == 0:
         m = canonical_module(alg)
-        return MultipletModule("form(0)", alg, m.module, {"construction": "H^0 = R/I"})
+        return MultipletModule("form(0)", alg, m.module)
     ring = alg.ring()
     quadrics = alg.quadrics()
     d = len(quadrics)
@@ -177,7 +176,7 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
         kernel_gens = [free_k.gen(i) for i in range(rank_k)]
     if not kernel_gens:
         pm = PresentedModule(ring, [], [])
-        return MultipletModule(f"form({k})", alg, pm, {"construction": f"H^-{k}"})
+        return MultipletModule(f"form({k})", alg, pm)
     gen_degs = [g.degree() for g in kernel_gens]
     if k + 1 <= d:
         im_cols, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
@@ -193,7 +192,7 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
         if not proj.is_zero():
             rels.append(proj)
     pm = PresentedModule(ring, gen_degs, rels)
-    return MultipletModule(f"form({k})", alg, pm, {"construction": f"H^-{k}"})
+    return MultipletModule(f"form({k})", alg, pm)
 
 
 def multiplet_module(alg: SupertranslationAlgebra, kind: str) -> MultipletModule:

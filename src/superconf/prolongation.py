@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .algebras import AutomorphismAlgebra, SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, standard_monomials
-from .linalg import SpanSolver, int_rows_from_fraction_rows, sparse_kernel, sparse_rank
+from .linalg import SpanSolver, sparse_kernel, sparse_rank
 from .rings import ModuleElement
 
 _F0 = Fraction(0)
@@ -169,7 +169,7 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
                     key = g_idx(nu, p)
                     tgt[key] = tgt.get(key, _F0) - v
             flush(row_by_c)
-    vecs = sparse_kernel(int_rows_from_fraction_rows(rows), nunk)
+    vecs = sparse_kernel(rows, nunk)
     act_s = []
     act_v = []
     solver = SpanSolver()
@@ -596,7 +596,7 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
                     elif ci in row:
                         del row[ci]
     rows = [r for r in row_map.values() if r]
-    vecs = sparse_kernel(int_rows_from_fraction_rows(rows), len(src))
+    vecs = sparse_kernel(rows, len(src))
     return [{src[i]: val for i, val in v.items()} for v in vecs]
 
 
@@ -759,7 +759,7 @@ def derivation_complex_h0(
                 counts.append(0)
                 continue
             sub_rows = [rows0[i] for i in src_ids]
-            rank_d = sparse_rank(int_rows_from_fraction_rows(sub_rows))
+            rank_d = sparse_rank(sub_rows)
             km_ids = [
                 i
                 for i, s in enumerate(basism1)
@@ -767,7 +767,7 @@ def derivation_complex_h0(
             ]
             in_rows = [rowsm1[i] for i in km_ids]
             # restrict incoming rows to the degree/parity block (they stay there)
-            rank_in = sparse_rank(int_rows_from_fraction_rows(in_rows))
+            rank_in = sparse_rank(in_rows)
             counts.append(len(src_ids) - rank_d - rank_in)
         if counts[0] or counts[1]:
             out[degree] = (counts[0], counts[1])

@@ -24,7 +24,7 @@ from .groebner import (
     standard_monomials,
     syzygy_module,
 )
-from .linalg import int_rows_from_fraction_rows, sparse_rank
+from .linalg import sparse_rank
 from .rings import FreeModule, GradedRing, ModuleElement, Polynomial
 
 
@@ -355,8 +355,8 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
 
     degs = sorted({r.degree() for r in rels})
     for j in range(min(degs), max_degree + 1):
-        full = sparse_rank(int_rows_from_fraction_rows(degree_rows(j, False)))
-        lower = sparse_rank(int_rows_from_fraction_rows(degree_rows(j, True)))
+        full = sparse_rank(degree_rows(j, False))
+        lower = sparse_rank(degree_rows(j, True))
         if full - lower:
             entries[(1, j)] = full - lower
     return entries
@@ -460,12 +460,12 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
             dim_c = nb * comb(k, i)
             rank_d = (
-                sparse_rank(int_rows_from_fraction_rows(differential_rows(i, j)))
+                sparse_rank(differential_rows(i, j))
                 if i > 0
                 else 0
             )
             rank_up = (
-                sparse_rank(int_rows_from_fraction_rows(differential_rows(i + 1, j)))
+                sparse_rank(differential_rows(i + 1, j))
                 if i + 1 <= k and len(basis(j - i - 1)) > 0
                 else 0
             )
@@ -555,10 +555,10 @@ def koszul_homology_dims(
             rank_d = 0
         else:
             rows, src, _ = _sequence_differential_rows(ring, elements, k, j, degs)
-            rank_d = sparse_rank(int_rows_from_fraction_rows(rows))
+            rank_d = sparse_rank(rows)
         if k + 1 <= d:
             rows_up, _, _ = _sequence_differential_rows(ring, elements, k + 1, j, degs)
-            rank_up = sparse_rank(int_rows_from_fraction_rows(rows_up))
+            rank_up = sparse_rank(rows_up)
         else:
             rank_up = 0
         val = src - rank_d - rank_up
@@ -630,10 +630,8 @@ def koszul_homology_is_zero(
 def ce_cohomology(alg, k: int, degree_window: tuple[int, int]) -> GradedDims:
     """Weight-graded dimensions of the k-th Koszul homology of the bracket
     quadrics; k = 0 gives the coordinate ring of the nilpotence variety."""
-    from .algebras import nilpotence_ring_and_quadrics
-
-    ring, quadrics = nilpotence_ring_and_quadrics(alg)
-    return koszul_homology_dims(ring, quadrics, k, degree_window, [2] * len(quadrics))
+    quadrics = alg.quadrics()
+    return koszul_homology_dims(alg.ring(), quadrics, k, degree_window, [2] * len(quadrics))
 
 
 def is_gorenstein(
@@ -704,7 +702,7 @@ def syzygetic_defect(
                     elif col in row:
                         del row[col]
                 mult_rows.append(row)
-        rank_mult = sparse_rank(int_rows_from_fraction_rows(mult_rows))
+        rank_mult = sparse_rank(mult_rows)
         ker_dim = src_dim - rank_mult
         rel_rows = []
         for z in zgens:
@@ -724,7 +722,7 @@ def syzygetic_defect(
                             del row[col]
                     if row:
                         rel_rows.append(row)
-        rank_rel = sparse_rank(int_rows_from_fraction_rows(rel_rows))
+        rank_rel = sparse_rank(rel_rows)
         val = ker_dim - rank_rel
         if val:
             out[j] = val

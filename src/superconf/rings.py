@@ -122,7 +122,6 @@ class ModuleOrder:
     """Order on (component, monomial) pairs.
 
     kind 'TOP': term over position (ring order first, lower component wins ties).
-    kind 'POT': position over term.
     kind 'schreyer': induced from lead terms of the previous step's basis;
     ties broken by lower component.
     """
@@ -134,7 +133,7 @@ class ModuleOrder:
         schreyer_leads: Sequence[ModTerm] | None = None,
         parent: "ModuleOrder" | None = None,
     ):
-        if kind not in ("TOP", "POT", "schreyer"):
+        if kind not in ("TOP", "schreyer"):
             raise ValueError(f"unknown module order kind {kind!r}")
         if kind == "schreyer" and (schreyer_leads is None or parent is None):
             raise ValueError("schreyer order needs the previous leads and parent order")
@@ -147,8 +146,6 @@ class ModuleOrder:
         comp, mon = term
         if self.kind == "TOP":
             return (self.ring_order.key(mon), -comp)
-        if self.kind == "POT":
-            return (-comp, self.ring_order.key(mon))
         lead_comp, lead_mon = self.schreyer_leads[comp]
         return (self.parent.key((lead_comp, mon_mul(mon, lead_mon))), -comp)
 
@@ -213,9 +210,6 @@ class Polynomial:
         return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def scale_monomial(self, mon: Monomial, coeff: Fraction) -> "Polynomial":
-        return Polynomial(self.ring, {mon_mul(m, mon): c * coeff for m, c in self.terms.items()})
 
     def lead(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
         m = max(self.terms, key=order.key)

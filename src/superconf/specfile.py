@@ -40,7 +40,8 @@ class AlgebraSpec:
     def build(self) -> SupertranslationAlgebra:
         if self.standard is not None:
             alg = build_standard(self.standard[0], self.standard[1])
-            return SupertranslationAlgebra(self.name or alg.name, alg.k, alg.d, alg.gamma)
+            alg.name = self.name or alg.name
+            return alg
         k, d = self.odd_dim, self.even_dim
         gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
         for (a, b), vec in self.gamma.items():

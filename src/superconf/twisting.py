@@ -9,7 +9,7 @@ explicit echelonized rational bases so results are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (
@@ -18,7 +18,7 @@ from .algebras import (
     derivations_deg0,
     is_square_zero,
 )
-from .linalg import Matrix, kernel_basis, rref, solve
+from .linalg import SpanSolver, rref, sparse_kernel
 from .multiplets import hdim
 
 _F0 = Fraction(0)
@@ -37,44 +37,37 @@ class TwistResult:
     odd_kernel_basis: list  # basis of ker(gamma(q,-)) in the odd space
     odd_image_basis: list  # basis of the g0-orbit of q inside the kernel
     even_image_basis: list  # basis of gamma(q, odd) in the even space
-    provenance: dict = field(default_factory=dict)
 
 
-def _echelon(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+def _sparse(vec) -> dict[int, Fraction]:
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _dense(row: dict, n: int) -> list[Fraction]:
+    return [row.get(i, _F0) for i in range(n)]
+
+
+def _echelon(vectors: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Row-reduced echelon representatives of the span (possibly empty)."""
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return []
-    red, pivots = rref(Matrix.from_rows(vectors))
-    return [list(red.data[i]) for i in range(len(pivots))]
+    return [_dense(row, n) for row in rref(_sparse(v) for v in vectors).values()]
 
 
-def _quotient_data(ambient_dim: int, sub_basis: list[list[Fraction]]):
-    """Representative coordinates for ambient/span(sub).
+def _quotient_data(ambient_dim: int, sub_rows):
+    """Representative coordinates for ambient/span(sub_rows), rows sparse.
 
     Returns (rep_indices, project) where rep_indices picks the non-pivot
     coordinates and project maps an ambient vector to quotient coordinates.
     """
-    if not sub_basis:
-        reps = list(range(ambient_dim))
-
-        def project_triv(vec):
-            return [vec[i] for i in reps]
-
-        return reps, project_triv
-    red, pivots = rref(Matrix.from_rows(sub_basis))
-    pivot_set = set(pivots)
-    reps = [i for i in range(ambient_dim) if i not in pivot_set]
+    red = rref(sub_rows)
+    reps = [i for i in range(ambient_dim) if i not in red]
 
     def project(vec):
         out = list(vec)
-        for r, p in enumerate(pivots):
+        for p, row in red.items():
             f = out[p]
             if f:
-                row = red.data[r]
-                for c in range(ambient_dim):
-                    if row[c]:
-                        out[c] -= f * row[c]
+                for c, x in row.items():
+                    out[c] -= f * x
         return [out[i] for i in reps]
 
     return reps, project
@@ -92,52 +85,37 @@ def twist(
     if g0 is None:
         g0 = derivations_deg0(alg)
     k, d = alg.k, alg.d
-    # gamma(q, -): odd -> even
-    mq = Matrix.from_rows(
-        [
-            [
-                sum(alg.gamma[a][b][mu] * qv[a] for a in range(k))
-                for b in range(k)
-            ]
-            for mu in range(d)
-        ]
-    )
-    ker = kernel_basis(mq)
-    orbit = _echelon([list(_apply(g0.rho1(i), qv)) for i in range(g0.dim)])
-    even_image = _echelon(
-        [
-            [sum(alg.gamma[a][b][mu] * qv[a] for a in range(k)) for mu in range(d)]
-            for b in range(k)
-        ]
-    )
-    # sanity: the orbit lies inside the kernel (consequence of q^2 = 0)
-    ker_span = _echelon([list(v) for v in ker])
-    _, project_ker = _quotient_data(k, ker_span)
-    for v in orbit:
-        if any(x for x in project_ker(v)):
-            raise AssertionError("derivation orbit of q escapes the kernel")
-    # odd part of the twist: kernel modulo orbit, in kernel coordinates
+    # gamma(q, -): odd -> even; row b is gamma(q, e_b)
+    gamma_q = [
+        [sum(alg.gamma[a][b][mu] * qv[a] for a in range(k)) for mu in range(d)]
+        for b in range(k)
+    ]
+    ker_rows = [{b: gamma_q[b][mu] for b in range(k) if gamma_q[b][mu]} for mu in range(d)]
+    ker_vecs = sparse_kernel(ker_rows, k)
+    ker = [_dense(v, k) for v in ker_vecs]
+    orbit = _echelon([_apply(g0.rho1(i), qv) for i in range(g0.dim)], k)
+    even_image = _echelon(gamma_q, d)
+    # odd part of the twist: kernel modulo orbit, in kernel coordinates; the
+    # orbit lies inside the kernel as a consequence of q^2 = 0
+    ker_solver = SpanSolver()
+    for i, v in enumerate(ker_vecs):
+        ker_solver.add(v, i)
     orbit_in_ker = []
-    if ker and orbit:
-        kt = Matrix.from_rows([[ker[i][j] for i in range(len(ker))] for j in range(k)])
-        for v in orbit:
-            coords = solve(kt, v)
-            if coords is None:
-                raise AssertionError("orbit vector not in kernel span")
-            orbit_in_ker.append(coords)
-    reps_odd, project_odd = _quotient_data(len(ker), _echelon(orbit_in_ker))
-    reps_even, project_even = _quotient_data(d, even_image)
+    for v in orbit:
+        coords = ker_solver.solve(_sparse(v))
+        if coords is None:
+            raise AssertionError("orbit vector not in kernel span")
+        orbit_in_ker.append(coords)
+    reps_odd, _ = _quotient_data(len(ker), orbit_in_ker)
+    reps_even, project_even = _quotient_data(d, map(_sparse, gamma_q))
     k_new = len(reps_odd)
     d_new = len(reps_even)
     # twisted bracket on representatives
-    gamma_new = [[[_F0] * d_new for _ in range(k_new)] for _ in range(k_new)]
-    rep_vectors = [ker[reps_odd[i]] for i in range(k_new)]
-    for i in range(k_new):
-        for j in range(k_new):
-            val = alg.bracket(rep_vectors[i], rep_vectors[j])
-            proj = project_even(val)
-            for mu in range(d_new):
-                gamma_new[i][j][mu] = proj[mu]
+    rep_vectors = [ker[i] for i in reps_odd]
+    gamma_new = [
+        [project_even(alg.bracket(rep_vectors[i], rep_vectors[j])) for j in range(k_new)]
+        for i in range(k_new)
+    ]
     twisted = SupertranslationAlgebra(
         f"{alg.name} twisted", k_new, d_new, gamma_new
     )
@@ -148,10 +126,6 @@ def twist(
         odd_kernel_basis=ker,
         odd_image_basis=orbit,
         even_image_basis=even_image,
-        provenance={
-            "basis_convention": "echelon representatives with pivot normalization",
-            "odd_representatives": [list(map(str, v)) for v in rep_vectors],
-        },
     )
 
 
@@ -172,8 +146,11 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
     vectors; 'maximal' picks a point on a stratum of maximal dimension (the
     Kapustin-type combination in four dimensions, rank-two combinations in
     six/ten/eleven).  All vectors are verified square-zero on return.
+    Dispatch is on the algebra's catalog key, not on its display name.
     """
     label = alg.name
+    key = alg.catalog_key
+    dim = key[0] if key else None
     k = alg.k
     q = [_F0] * k
 
@@ -181,39 +158,37 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
         q[idx] = _F1
 
     if name in ("holomorphic", "minimal"):
-        if label.startswith("3d"):
+        if dim == 3:
             # u (x) v with v the first hyperbolic basis vector: flat index i*2+a
             set_one(0)
-        elif label.startswith("4d"):
+        elif dim == 4:
             set_one(0)  # chiral highest weight: first chiral slot
-        elif label.startswith("6d"):
+        elif dim == 6:
             set_one(0)  # u (x) first symplectic basis vector
-        elif label.startswith("10d"):
+        elif dim == 10:
             set_one(0)  # scalar component of the even exterior algebra
         else:
             raise ValueError(f"no holomorphic twist vector cataloged for {label}")
     elif name in ("kapustin", "maximal", "nonminimal", "kapustin_witten"):
-        if label.startswith("4d N=2") or (label.startswith("4d") and name == "kapustin"):
+        if key == (4, (2,)) or (dim == 4 and name == "kapustin"):
             # rank-one chiral plus a compatible antichiral: maximal stratum
             set_one(0)  # e_+ (x) v1  (chiral block, copy 0)
             n = alg.k // 4
             set_one(2 * n + 2 + 0)  # e_- (x) v2^dual (antichiral block, copy 1)
-        elif label.startswith("4d N=4") and name in ("kapustin_witten", "maximal"):
+        elif key == (4, (4,)) and name in ("kapustin_witten", "maximal"):
             n = 4
             set_one(0)  # e_+ (x) v1
             set_one(2 + 1)  # f_+ (x) v2
             set_one(2 * n + 2 * 2)  # e_- (x) v3^dual
             set_one(2 * n + 2 * 3 + 1)  # f_- (x) v4^dual
-        elif label.startswith("6d N=(2,0)"):
+        elif key == (6, (2, 0)):
             set_one(0)  # u (x) v1
             set_one(2 * 4 + 1)  # second spinor direction, omega-orthogonal copy
-        elif label.startswith("10d N=(2,0)"):
+        elif key == (10, (2, 0)):
             set_one(0)  # scalar spinor (x) first hyperbolic vector
             # a generic second spinor in the other isotropic copy, orthogonal to the first
             q[16 + 1] = _F1
-        elif label.startswith("11d"):
-            set_one(0)
-        elif label.startswith("3d"):
+        elif dim in (11, 3):
             set_one(0)
         else:
             raise ValueError(f"no maximal twist vector cataloged for {label}")

@@ -146,7 +146,7 @@ TABLES_STRETCH = {
         (1, 0): 20, (1, 1): 80, (1, 2): 60 + 50, (1, 3): 64, (1, 4): 14,
     },
     # As printed: the (1,2) cell stacks a six-form (210) over a one-form (10).
-    # The engine certifies 120 + 10 there (see the decisions ledger); this
+    # The engine certifies 120 + 10 there (see Decisions in CHANGES.md); this
     # entry stays faithful to the printed table and is expected to stay red.
     (10, (1, 0)): {
         (0, 0): 10, (0, 1): 16,
@@ -221,7 +221,7 @@ def test_criterion_5_table_11d_full():
         "elements (measured ~4 min); the first syzygy pass over its pairs in "
         "32 variables extrapolates to days, far beyond the 2h slow budget on "
         "this hardware. Leading cells are certified in the companion test; "
-        "see the decisions ledger."
+        "see Decisions in CHANGES.md."
     )
 
 
@@ -247,7 +247,7 @@ def test_criterion_6_universal_stretch(key):
 def test_criterion_6_universal_11d_from_low_cells():
     """The universal identities touch only cells certified by low_betti plus
     the absence of a degree-2 second syzygy, checked by rank."""
-    from superconf.linalg import int_rows_from_fraction_rows, sparse_rank
+    from superconf.linalg import sparse_rank
     from superconf.resolutions import low_betti
     from superconf.algebras import derivations_deg0
 
@@ -263,26 +263,27 @@ def test_criterion_6_universal_11d_from_low_cells():
         and cells.get((1, 0)) == alg.d * alg.d - g0.rho2_image_dim()
     )
     report("criterion 6: universal checks 11d (certified cells)", ok, str(cells))
-    # cell (0,2) must be absent: no minimal second syzygy in degree 2, i.e.
-    # the degree-2 spanning set of the relation module is independent
+    # Cell (0,2) must be absent: beta_{2,2} = 0.  The degree-1 relations are
+    # the k Jacobian columns, minimal by cell (0,1) = k.  A degree-2 second
+    # syzygy cannot involve a minimal degree-2 relation, so beta_{2,2} is the
+    # number of dependencies among (degree-1 relation) x (linear form).  The
+    # rows q_mu e_nu are not minimal relations and stay out of the count.
     ring = alg.ring()
-    rels = [r for r in m.module.relations if not r.is_zero()]
+    linear_rels = [r for r in m.module.relations if not r.is_zero() and r.degree() == 1]
     rows = []
     index: dict = {}
-    nrows = 0
-    for r in rels:
-        dr = r.degree()
-        for mon in ring.monomials_of_degree(2 - dr):
+    for r in linear_rels:
+        for mon in ring.monomials_of_degree(1):
             row = {}
             for (c, m2), v in r.terms.items():
                 key = (c, tuple(a + b for a, b in zip(mon, m2)))
                 index.setdefault(key, len(index))
                 row[index[key]] = row.get(index[key], 0) + v
-            rows.append({c: v for c, v in row.items() if v})
-            nrows += 1
-    rank = sparse_rank(int_rows_from_fraction_rows(rows))
+            rows.append(row)
+    rank = sparse_rank(rows)
     report("criterion 6: 11d has no R-symmetry cell (beta_{2,2} = 0)",
-           rank == nrows, f"rank {rank} of {nrows}")
+           len(linear_rels) == alg.k and rank == len(rows),
+           f"{len(linear_rels)} degree-1 relations, rank {rank} of {len(rows)}")
 
 
 # --- criterion 7: twist fixtures ----------------------------------------------

@@ -78,6 +78,23 @@ def test_twist_command(capsys, tmp_path):
     assert data["hdim_invariant"] is True
 
 
+@pytest.mark.parametrize(
+    "name, dimension, q",
+    [("foo", 3, "holomorphic"), ("4dN2", 4, "maximal")],
+)
+def test_twist_vector_ignores_spec_name(capsys, tmp_path, name, dimension, q):
+    path = tmp_path / "renamed.spec"
+    path.write_text(
+        f'algebra "{name}" {{ standard {{ dimension = {dimension}; supersymmetry = "N=2"; }} }}',
+        encoding="utf-8",
+    )
+    code, out = run(capsys, ["--json", "twist", str(path), "--q", q])
+    assert code == 0
+    data = json.loads(out)
+    assert data["name"] == name
+    assert (data["twisted"]["odd_dim"], data["twisted"]["even_dim"]) == (0, 1)
+
+
 def test_prolong_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "prolong", spec_3d_n1, "--cap", "6"])
     data = json.loads(out)
@@ -114,6 +131,23 @@ def test_cache_key_sensitivity():
     a = cache_key({"order": "wgrevlex", "gens": ["x^2"]})
     b = cache_key({"order": "lex", "gens": ["x^2"]})
     assert a != b
+
+
+def test_cache_key_carries_engine_version(monkeypatch):
+    import superconf.cache
+
+    before = cache_key({"a": 1})
+    monkeypatch.setattr(superconf.cache, "__version__", "0.0.0-other")
+    assert cache_key({"a": 1}) != before
+
+
+def test_unwritable_cache_dir_warns_and_computes(capsys, tmp_path, spec_3d_n1):
+    not_a_dir = tmp_path / "regular-file"
+    not_a_dir.write_text("", encoding="utf-8")
+    code, cached_out = run(capsys, ["--cache-dir", str(not_a_dir), "--json", "variety", spec_3d_n1])
+    assert code == 0
+    code, plain_out = run(capsys, ["--json", "variety", spec_3d_n1])
+    assert code == 0 and cached_out == plain_out
 
 
 def test_cached_verify_mode(tmp_path, capsys):

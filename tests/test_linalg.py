@@ -1,93 +1,84 @@
 from fractions import Fraction
 
-from superconf.linalg import (
-    Matrix,
-    int_rows_from_fraction_rows,
-    kernel_basis,
-    rank,
-    rref,
-    solve,
-    sparse_kernel,
-    sparse_rank,
-)
+from superconf.linalg import SpanSolver, rref, sparse_kernel, sparse_rank
 
 
-def F(x):
-    return Fraction(x)
+def F(x, d=1):
+    return Fraction(x, d)
+
+
+def sparse(data):
+    return [{c: x for c, x in enumerate(row) if x} for row in data]
+
+
+def apply(rows, v):
+    return [sum(Fraction(x) * v.get(c, 0) for c, x in row.items()) for row in rows]
 
 
 def test_rref_identity():
-    m = Matrix.identity(2)
-    red, pivots = rref(m)
-    assert red == m
-    assert pivots == [0, 1]
+    red = rref(sparse([[1, 0], [0, 1]]))
+    assert red == {0: {0: 1}, 1: {1: 1}}
+    assert list(red) == [0, 1]
 
 
 def test_rref_rank_one():
-    m = Matrix.from_rows([[2, 4], [1, 2]])
-    red, pivots = rref(m)
-    assert red.data == [[F(1), F(2)], [F(0), F(0)]]
-    assert pivots == [0]
+    red = rref(sparse([[2, 4], [1, 2]]))
+    assert red == {0: {0: F(1), 1: F(2)}}
 
 
 def test_rref_idempotent():
-    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    red, _ = rref(m)
-    red2, _ = rref(red)
-    assert red == red2
+    red = rref(sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+    assert rref(red.values()) == red
 
 
 def test_kernel_zero_matrix():
-    m = Matrix.zero(3, 3)
-    assert len(kernel_basis(m)) == 3
+    assert len(sparse_kernel(sparse([[0, 0, 0]] * 3), 3)) == 3
 
 
 def test_kernel_identity():
-    assert kernel_basis(Matrix.identity(4)) == []
+    assert sparse_kernel([{i: 1} for i in range(4)], 4) == []
 
 
 def test_kernel_explicit():
-    m = Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    basis = kernel_basis(m)
+    basis = sparse_kernel(sparse([[1, 1, 0], [0, 1, 1]]), 3)
     assert len(basis) == 1
     v = basis[0]
-    scaled = [x / v[0] for x in v]
+    scaled = [v.get(c, 0) / v[0] for c in range(3)]
     assert scaled == [F(1), F(-1), F(1)]
 
 
 def test_rank_plus_nullity():
-    m = Matrix.from_rows([[1, 2, 3, 1], [2, 4, 6, 2], [0, 1, 1, 0]])
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    rows = sparse([[1, 2, 3, 1], [2, 4, 6, 2], [0, 1, 1, 0]])
+    assert sparse_rank(rows) + len(sparse_kernel(rows, 4)) == 4
 
 
 def test_kernel_vectors_annihilate():
-    m = Matrix.from_rows([[3, 1, 2], [1, 0, 5]])
-    for v in kernel_basis(m):
-        assert all(x == 0 for x in m.apply(v))
+    rows = sparse([[3, 1, 2], [1, 0, 5]])
+    for v in sparse_kernel(rows, 3):
+        assert all(x == 0 for x in apply(rows, v))
 
 
 def test_solve():
-    m = Matrix.from_rows([[1, 1], [1, -1]])
-    x = solve(m, [F(3), F(1)])
-    assert m.apply(x) == [F(3), F(1)]
-    inconsistent = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve(inconsistent, [F(0), F(1)]) is None
+    # x with m x = b for m = [[1, 1], [1, -1]]: b over the columns of m
+    solver = SpanSolver()
+    assert solver.add({0: 1, 1: 1}, 0) and solver.add({0: 1, 1: -1}, 1)
+    assert solver.solve({0: F(3), 1: F(1)}) == {0: F(2), 1: F(1)}
+    inconsistent = SpanSolver()
+    assert inconsistent.add({0: 1, 1: 1}, 0)
+    assert not inconsistent.add({0: 1, 1: 1}, 1)
+    assert inconsistent.solve({0: F(0), 1: F(1)}) is None
 
 
 def test_sparse_matches_dense():
     rows = [{0: 1, 2: -2}, {1: 3, 2: 1}, {0: 2, 1: 3, 2: -3}]
-    dense = Matrix.from_rows([[1, 0, -2], [0, 3, 1], [2, 3, -3]])
-    assert sparse_rank(rows) == rank(dense)
+    assert sparse_rank(rows) == 2
     sk = sparse_kernel(rows, 3)
-    dk = kernel_basis(dense)
-    assert len(sk) == len(dk)
-    for v in sk:
-        for row in rows:
-            s = sum(Fraction(c) * v.get(col, Fraction(0)) for col, c in row.items())
-            assert s == 0
+    assert sk == [{0: F(2), 1: F(-1, 3), 2: F(1)}]
+    assert apply(rows, sk[0]) == [0, 0, 0]
 
 
-def test_int_rows_from_fraction_rows():
-    rows = [{0: Fraction(1, 2), 3: Fraction(-2, 3)}]
-    out = int_rows_from_fraction_rows(rows)
-    assert out == [{0: 3, 3: -4}]
+def test_rows_with_fractions_clear_denominators():
+    rows = [{0: F(1, 2), 3: F(-2, 3)}, {0: 3, 3: -4}, {1: F(0), 2: F(5, 7)}]
+    assert sparse_rank(rows) == 2
+    assert rref(rows) == {0: {0: F(1), 3: F(-4, 3)}, 2: {2: F(1)}}
+    assert sparse_kernel(rows, 4) == [{1: F(1)}, {3: F(1), 0: F(4, 3)}]

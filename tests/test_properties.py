@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from superconf.groebner import buchberger, default_module_order, ideal_gb, syzygy_module
-from superconf.linalg import Matrix, kernel_basis, rank, rref
+from superconf.linalg import rref, sparse_kernel, sparse_rank
 from superconf.rings import FreeModule, GradedRing, ModuleElement, Polynomial
 
 
@@ -21,6 +21,7 @@ fractions = st.fractions(
 
 @st.composite
 def matrices(draw, max_dim=5):
+    """(sparse rows, column count) of a random rational matrix."""
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
     data = draw(
@@ -30,26 +31,45 @@ def matrices(draw, max_dim=5):
             max_size=rows,
         )
     )
-    return Matrix.from_rows(data)
+    return [{c: x for c, x in enumerate(row) if x} for row in data], cols
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent(m):
-    red, pivots = rref(m)
-    red2, pivots2 = rref(red)
-    assert red == red2
-    assert pivots == pivots2
-    assert pivots == sorted(pivots)
+    rows, _ = m
+    red = rref(rows)
+    assert rref(red.values()) == red
+    assert list(red) == sorted(red)
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    basis = kernel_basis(m)
-    assert rank(m) + len(basis) == m.cols
+    rows, cols = m
+    basis = sparse_kernel(rows, cols)
+    assert sparse_rank(rows) + len(basis) == cols
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        for row in rows:
+            assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_spans_the_input_rows(m):
+    rows, _ = m
+    red = rref(rows)
+    assert len(red) == sparse_rank(rows)
+    for p, row in red.items():
+        assert row[p] == 1
+        assert all(row.get(q, 0) == 0 for q in red if q != p)
+    for row in rows:
+        rest = dict(row)
+        for p, prow in red.items():
+            f = rest.get(p, 0)
+            for c, x in prow.items():
+                rest[c] = rest.get(c, 0) - f * x
+        assert not any(rest.values())
 
 
 @st.composite
