@@ -3,7 +3,7 @@
 Subcommands: info, variety, multiplet, hdim, twist, prolong, verify.  All
 outputs have a --json form with a versioned, fully sorted schema so repeated
 runs are byte-identical.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 resource budget exceeded.
+2 usage error, 3 resource budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -394,6 +394,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
+from math import comb
+from operator import add
 from typing import Sequence
 
 from .groebner import (
@@ -21,6 +24,7 @@ from .groebner import (
     default_module_order,
     ideal_gb,
     krull_dim,
+    schreyer_syzygies,
     standard_monomials,
     syzygy_module,
 )
@@ -118,134 +122,128 @@ class GradedDims:
         return isinstance(other, GradedDims) and self.dims == other.dims
 
 
-class PolyMatrix:
-    """Rectangular matrix of polynomials with explicit shape."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: list | None = None, ring=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            zero = ring.zero()
-            rows = [[zero for _ in range(ncols)] for _ in range(nrows)]
-        self.rows = rows
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
-
-    def __setitem__(self, rc, val):
-        r, c = rc
-        self.rows[r][c] = val
-
-    def delete_row(self, r: int):
-        del self.rows[r]
-        self.nrows -= 1
-
-    def delete_col(self, c: int):
-        for row in self.rows:
-            del row[c]
-        self.ncols -= 1
-
-
 # ---------------------------------------------------------------------------
-# Minimal free resolution via iterated syzygies and pruning
+# Minimal free resolution via iterated syzygies and sparse unit pruning
 # ---------------------------------------------------------------------------
 
+# A differential is a sparse matrix {column id: {row id: entry}}; while
+# pruning, an entry is a term dict monomial -> nonzero Fraction.  Generator
+# ids never change, and degrees[i] maps the live ids of F_i to their degrees.
 
-def _matrix_from_columns(cols: Sequence[ModuleElement], nrows: int, ring) -> PolyMatrix:
-    mat = PolyMatrix(nrows, len(cols), ring=ring)
-    for c, elt in enumerate(cols):
+
+def _columns(elements: Sequence[ModuleElement]) -> dict[int, dict[int, dict]]:
+    mat: dict[int, dict[int, dict]] = {}
+    for c, elt in enumerate(elements):
+        col: dict[int, dict] = {}
         for (r, mon), coeff in elt.terms.items():
-            mat.rows[r][c] = mat.rows[r][c] + Polynomial(ring, {mon: coeff})
+            col.setdefault(r, {})[mon] = coeff
+        mat[c] = col
     return mat
 
 
-def _columns_from_matrix(mat: PolyMatrix, degrees_prev: list[int], ring) -> list[ModuleElement]:
-    free = FreeModule(ring, degrees_prev)
-    cols = []
-    for c in range(mat.ncols):
-        terms = {}
-        for r in range(mat.nrows):
-            for mon, coeff in mat.rows[r][c].terms.items():
-                terms[(r, mon)] = coeff
-        cols.append(ModuleElement(free, terms))
-    return cols
+def _add_product(acc: dict, f: dict, g: dict) -> None:
+    """acc += f * g on term dicts, in place."""
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            v = acc.get(m, 0) + c1 * c2
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
 
 
-def _find_unit(mat: PolyMatrix) -> tuple[int, int] | None:
-    for r in range(mat.nrows):
-        row = mat.rows[r]
-        for c in range(mat.ncols):
-            p = row[c]
-            if p.terms and p.is_constant():
-                return (r, c)
-    return None
+def _row_index(mat: dict, row_deg: dict[int, int]) -> dict[int, set[int]]:
+    """Row id -> ids of the columns with a nonzero entry in that row."""
+    rows: dict[int, set[int]] = {r: set() for r in row_deg}
+    for c, col in mat.items():
+        for r in col:
+            rows[r].add(c)
+    return rows
 
 
-def _prune_complex(degrees: list[list[int]], mats: list[PolyMatrix]) -> None:
+def _prune(degrees: list[dict[int, int]], mats: list[dict]) -> None:
     """Split off trivial two-term subcomplexes until no unit entries remain.
 
-    degrees[i] lists the generator degrees of F_i; mats[i] is the matrix of
-    F_{i+1} -> F_i (rows F_i, columns F_{i+1}).  Mutates both in place.
+    mats[i] is the matrix of F_{i+1} -> F_i.  Entries are homogeneous of
+    degree deg(column) - deg(row), so units sit exactly where the two degrees
+    agree.  Eliminating a unit (r, c) of mats[i] changes mats[i] by column
+    operations; in the neighbours it only cancels row c of mats[i+1] and
+    column r of mats[i-1], which are checked to vanish.  So one pass left to
+    right, each matrix until it has no unit left, makes the complex minimal.
+    Mutates both arguments in place.
     """
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(mats)):
-            mat = mats[idx]
-            hit = _find_unit(mat)
-            if hit is None:
+    for idx, mat in enumerate(mats):
+        row_deg, col_deg = degrees[idx], degrees[idx + 1]
+        nxt = mats[idx + 1] if idx + 1 < len(mats) else None
+        rows = _row_index(mat, row_deg)
+        nxt_rows = _row_index(nxt, col_deg) if nxt is not None else None
+        unit_degrees = set(row_deg.values())
+        pending = [c for c in sorted(mat) if col_deg[c] in unit_degrees]
+        queued = set(pending)
+        while pending:
+            c = heappop(pending)
+            queued.discard(c)
+            col, d = mat[c], col_deg[c]
+            r = min((r for r in col if row_deg[r] == d), default=None)
+            if r is None:
                 continue
-            r, c = hit
-            inv_a = Fraction(1) / mat.rows[r][c].constant_value()
-            u_row = list(mat.rows[r])
-            v_col = [mat.rows[r2][c] for r2 in range(mat.nrows)]
-            for c2 in range(mat.ncols):
-                if c2 == c or u_row[c2].is_zero():
+            inv_a = 1 / next(iter(col[r].values()))
+            # column operations col c2 -= (u_c2 / a) col c clear row r
+            factors = {}
+            for c2 in rows.pop(r):
+                if c2 == c:
                     continue
-                f2 = u_row[c2] * inv_a
-                for r2 in range(mat.nrows):
-                    mat.rows[r2][c2] = mat.rows[r2][c2] - f2 * mat.rows[r2][c]
-            if idx + 1 < len(mats):
-                nxt = mats[idx + 1]
-                for c2 in range(mat.ncols):
-                    if c2 == c or u_row[c2].is_zero():
+                tgt = mat[c2]
+                f2 = factors[c2] = {m: v * inv_a for m, v in tgt.pop(r).items()}
+                neg = {m: -v for m, v in f2.items()}
+                for r2, e in col.items():
+                    if r2 == r:
                         continue
-                    f2 = u_row[c2] * inv_a
-                    for cc in range(nxt.ncols):
-                        nxt.rows[c][cc] = nxt.rows[c][cc] + f2 * nxt.rows[c2][cc]
-                for cc in range(nxt.ncols):
-                    if not nxt.rows[c][cc].is_zero():
-                        raise AssertionError("pruning: cancelled row of next matrix not zero")
-                nxt.delete_row(c)
+                    acc = tgt.get(r2)
+                    if acc is None:
+                        acc = tgt[r2] = {}
+                        rows[r2].add(c2)
+                    _add_product(acc, neg, e)
+                    if not acc:
+                        del tgt[r2]
+                        rows[r2].discard(c2)
+                if col_deg[c2] == d and c2 not in queued:
+                    heappush(pending, c2)
+                    queued.add(c2)
+            if nxt is not None:
+                # the matching row operation cancels row c of the next matrix
+                accs = {cc: dict(nxt[cc][c]) for cc in nxt_rows[c]}
+                for c2, f2 in factors.items():
+                    for cc in nxt_rows[c2]:
+                        _add_product(accs.setdefault(cc, {}), f2, nxt[cc][c2])
+                if any(accs.values()):
+                    raise AssertionError("pruning: cancelled row of next matrix not zero")
+                for cc in nxt_rows.pop(c):
+                    del nxt[cc][c]
             if idx > 0:
+                # the matching column operation cancels column r of the previous one
                 prv = mats[idx - 1]
-                for r2 in range(mat.nrows):
-                    if r2 == r or v_col[r2].is_zero():
-                        continue
-                    f2 = v_col[r2] * inv_a
-                    for rr in range(prv.nrows):
-                        prv.rows[rr][r] = prv.rows[rr][r] + f2 * prv.rows[rr][r2]
-                for rr in range(prv.nrows):
-                    if not prv.rows[rr][r].is_zero():
-                        raise AssertionError("pruning: cancelled column of previous matrix not zero")
-                prv.delete_col(r)
-            mat.delete_row(r)
-            mat.delete_col(c)
-            del degrees[idx][r]
-            del degrees[idx + 1][c]
-            changed = True
+                acc_col = {rr: dict(e) for rr, e in prv[r].items()}
+                for r2, e in col.items():
+                    if r2 != r:
+                        f2 = {m: v * inv_a for m, v in e.items()}
+                        for rr, e2 in prv[r2].items():
+                            _add_product(acc_col.setdefault(rr, {}), f2, e2)
+                if any(acc_col.values()):
+                    raise AssertionError("pruning: cancelled column of previous matrix not zero")
+                del prv[r]
+            for r2 in col:
+                if r2 != r:
+                    rows[r2].discard(c)
+            del mat[c], row_deg[r], col_deg[c]
     # Zero columns of the last matrix are split summands the next syzygy
     # step would cancel anyway; drop them now.
     if mats:
         last = mats[-1]
-        for c in range(last.ncols - 1, -1, -1):
-            if all(last.rows[r][c].is_zero() for r in range(last.nrows)):
-                last.delete_col(c)
-                del degrees[len(mats)][c]
-    while mats and mats[-1].ncols == 0:
+        for c in [c for c, col in last.items() if not col]:
+            del last[c], degrees[-1][c]
+    while mats and not mats[-1]:
         mats.pop()
         degrees.pop()
 
@@ -254,34 +252,33 @@ def minimal_free_resolution(
     m: PresentedModule,
     max_steps: int | None = None,
     truncate_at: int | None = None,
-) -> tuple[list[PolyMatrix], BettiTable]:
+) -> tuple[list[dict[int, dict[int, Polynomial]]], BettiTable]:
     """Minimal graded free resolution over the polynomial ring.
 
     Built as an iterated-syzygy chain: one Gröbner run on the relations, then
     each step's syzygies come from S-pair reductions alone, because the
     previous step's output is already a basis for its induced order.  The
     resulting (generally non-minimal) complex is minimalized by unit pruning.
-    Returns the matrices (matrix i maps F_{i+1} to F_i) and the Betti table
-    read off the surviving generator degrees.
+    Returns the matrices (matrix i maps F_{i+1} to F_i, sparse as
+    {column id: {row id: Polynomial}} over the surviving generator ids) and
+    the Betti table read off the surviving generator degrees.
 
     With `truncate_at = n` the chain stops after homological index n even if
     syzygies remain; the boundary index is dropped (pruning cannot certify
     it) and the table is flagged incomplete.
     """
-    from .groebner import buchberger, schreyer_syzygies
-
     ring = m.ring
     if max_steps is None:
         max_steps = ring.nvars + 4
-    degrees: list[list[int]] = [list(m.gen_degrees)]
-    mats: list[PolyMatrix] = []
+    degrees: list[dict[int, int]] = [dict(enumerate(m.gen_degrees))]
+    mats: list[dict] = []
     truncated = False
     cols = [r for r in m.relations if not r.is_zero()]
     if cols:
         gb = m.relation_gb()
         elements = gb.elements
-        degrees.append([e.degree() for e in elements])
-        mats.append(_matrix_from_columns(elements, len(degrees[0]), ring))
+        degrees.append({c: e.degree() for c, e in enumerate(elements)})
+        mats.append(_columns(elements))
         current = gb
         steps = 1
         while len(current):
@@ -300,17 +297,21 @@ def minimal_free_resolution(
             # basis for the induced order; complete it before recursing.
             current = buchberger(syz, syz_order)
             fresh = current.elements
-            degrees.append([z.degree() for z in fresh])
-            mats.append(_matrix_from_columns(fresh, len(degrees[-2]), ring))
+            degrees.append({c: z.degree() for c, z in enumerate(fresh)})
+            mats.append(_columns(fresh))
             steps += 1
-        _prune_complex(degrees, mats)
+        _prune(degrees, mats)
     entries: dict[tuple[int, int], int] = {}
     for i, degs in enumerate(degrees):
         if truncated and i == len(degrees) - 1:
             continue
-        for d in degs:
+        for d in degs.values():
             entries[(i, d)] = entries.get((i, d), 0) + 1
-    return mats, BettiTable(entries, complete=not truncated)
+    polys = [
+        {c: {r: Polynomial(ring, e) for r, e in col.items()} for c, col in mat.items()}
+        for mat in mats
+    ]
+    return polys, BettiTable(entries, complete=not truncated)
 
 
 def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]:
@@ -362,16 +363,16 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
     return entries
 
 
-def resolution_is_complex(mats: list[PolyMatrix], ring: GradedRing) -> bool:
-    """Consecutive matrices compose to zero (test helper)."""
+def resolution_is_complex(mats: list[dict], ring: GradedRing) -> bool:
+    """Consecutive sparse matrices compose to zero (test helper)."""
     for a, b in zip(mats, mats[1:]):
-        for r in range(a.nrows):
-            for c in range(b.ncols):
-                acc = ring.zero()
-                for k in range(a.ncols):
-                    acc = acc + a.rows[r][k] * b.rows[k][c]
-                if not acc.is_zero():
-                    return False
+        for col in b.values():
+            acc: dict[int, Polynomial] = {}
+            for k, e in col.items():
+                for r, e2 in a[k].items():
+                    acc[r] = acc.get(r, ring.zero()) + e2 * e
+            if any(not p.is_zero() for p in acc.values()):
+                return False
     return True
 
 
@@ -385,9 +386,12 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
     Exact linear algebra degree by degree inside the window; independent of
     the resolution path.  The completeness flag is False because nothing
-    outside the window is examined.
+    outside the window is examined.  Only for rings whose variables all have
+    weight one: the exterior generators here carry degree one.
     """
     ring = m.ring
+    if any(w != 1 for w in ring.weights):
+        raise ValueError("koszul_tor needs a ring with all variable weights 1")
     k = ring.nvars
     lo, hi = degree_window
     gb = m.relation_gb()
@@ -410,24 +414,18 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
         hit = mult_cache.get(key)
         if hit is not None:
             return hit
-        w = ring.weights[a]
-        basis(j + w)
+        basis(j + 1)
+        tgt = index[j + 1]
         cols = []
         for (comp, mon) in basis(j):
             newmon = tuple(e + (1 if i == a else 0) for i, e in enumerate(mon))
             nf = gb.normal_form(ModuleElement(free, {(comp, newmon): Fraction(1)}))
-            tgt = index[j + w]
             cols.append({tgt[t]: c for t, c in nf.terms.items()})
         mult_cache[key] = cols
         return cols
 
     def differential_rows(i: int, j: int):
-        """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}.
-
-        Valid for weight-one variables (the exterior generator for variable a
-        carries its weight); rings with higher weights fall back to weight
-        bookkeeping via ring.weights in `mult`.
-        """
+        """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}."""
         subs = list(combinations(range(k), i))
         subs_prev = {s: n for n, s in enumerate(combinations(range(k), i - 1))}
         nb = len(basis(j - i))
@@ -450,26 +448,22 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
                 rows.append(row)
         return rows
 
+    ranks: dict[tuple[int, int], int] = {}
+
+    def rank(i: int, j: int) -> int:
+        """Rank of the differential out of homological index i in degree j."""
+        if (i, j) not in ranks:
+            nonzero = 0 < i <= k and basis(j - i) and basis(j - i + 1)
+            ranks[(i, j)] = sparse_rank(differential_rows(i, j)) if nonzero else 0
+        return ranks[(i, j)]
+
     entries: dict[tuple[int, int], int] = {}
     for j in range(lo, hi + 1):
         for i in range(0, k + 1):
             nb = len(basis(j - i))
             if nb == 0:
                 continue
-            from math import comb
-
-            dim_c = nb * comb(k, i)
-            rank_d = (
-                sparse_rank(differential_rows(i, j))
-                if i > 0
-                else 0
-            )
-            rank_up = (
-                sparse_rank(differential_rows(i + 1, j))
-                if i + 1 <= k and len(basis(j - i - 1)) > 0
-                else 0
-            )
-            beta = dim_c - rank_d - rank_up
+            beta = nb * comb(k, i) - rank(i, j) - rank(i + 1, j)
             if beta:
                 entries[(i, j)] = beta
     return BettiTable(entries, complete=False)

@@ -145,8 +145,10 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
     'holomorphic' is the minimal rank-one element built from highest-weight
     vectors; 'maximal' picks a point on a stratum of maximal dimension (the
     Kapustin-type combination in four dimensions, rank-two combinations in
-    six/ten/eleven).  All vectors are verified square-zero on return.
-    Dispatch is on the algebra's catalog key, not on its display name.
+    six/ten/eleven).  All vectors are verified square-zero on return; a row
+    without one (3d N=1 has no nonzero square-zero element) raises
+    ValueError.  Dispatch is on the algebra's catalog key, not on its
+    display name.
     """
     label = alg.name
     key = alg.catalog_key
@@ -168,10 +170,11 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
         elif dim == 10:
             set_one(0)  # scalar component of the even exterior algebra
         else:
-            raise ValueError(f"no holomorphic twist vector cataloged for {label}")
+            raise ValueError(f"no {name} twist vector cataloged for {label}")
     elif name in ("kapustin", "maximal", "nonminimal", "kapustin_witten"):
-        if key == (4, (2,)) or (dim == 4 and name == "kapustin"):
-            # rank-one chiral plus a compatible antichiral: maximal stratum
+        if key == (4, (2,)) or (dim == 4 and name == "kapustin" and 2 * (k // 4) + 2 < k):
+            # rank-one chiral plus a compatible antichiral: maximal stratum;
+            # 4d N=1 has no antichiral copy 1
             set_one(0)  # e_+ (x) v1  (chiral block, copy 0)
             n = alg.k // 4
             set_one(2 * n + 2 + 0)  # e_- (x) v2^dual (antichiral block, copy 1)
@@ -191,11 +194,11 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
         elif dim in (11, 3):
             set_one(0)
         else:
-            raise ValueError(f"no maximal twist vector cataloged for {label}")
+            raise ValueError(f"no {name} twist vector cataloged for {label}")
     else:
         raise ValueError(f"unknown twist name {name!r}")
     if not is_square_zero(alg, q):
-        raise AssertionError(f"catalog vector {name} for {label} is not square-zero")
+        raise ValueError(f"no {name} twist vector cataloged for {label}")
     return q
 
 

@@ -95,6 +95,39 @@ def test_twist_vector_ignores_spec_name(capsys, tmp_path, name, dimension, q):
     assert (data["twisted"]["odd_dim"], data["twisted"]["even_dim"]) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "dimension, q",
+    [(3, "holomorphic"), (4, "kapustin")],
+)
+def test_uncataloged_twist_vector_exits_2(capsys, tmp_path, dimension, q):
+    # 3d N=1 has no nonzero square-zero element; 4d N=1 has no antichiral copy 1
+    path = tmp_path / "n1.spec"
+    path.write_text(
+        f'algebra "n1" {{ standard {{ dimension = {dimension}; supersymmetry = "N=1"; }} }}',
+        encoding="utf-8",
+    )
+    code = main(["--json", "twist", str(path), "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"no {q} twist vector cataloged for n1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch, spec_3d_n1):
+    import superconf.cli
+
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(superconf.cli, "cmd_hdim", broken)
+    code = main(["--json", "hdim", spec_3d_n1])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: broken command\n"
+
+
 def test_prolong_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "prolong", spec_3d_n1, "--cap", "6"])
     data = json.loads(out)

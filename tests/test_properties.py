@@ -11,6 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from superconf.groebner import buchberger, default_module_order, ideal_gb, syzygy_module
 from superconf.linalg import rref, sparse_kernel, sparse_rank
+from superconf.resolutions import (
+    PresentedModule,
+    koszul_tor,
+    minimal_free_resolution,
+    resolution_is_complex,
+)
 from superconf.rings import FreeModule, GradedRing, ModuleElement, Polynomial
 
 
@@ -131,3 +137,38 @@ def test_buchberger_order_independent_membership(data):
     for src, tgt in ((gb1, gb2), (gb2, gb1)):
         for e in src.elements:
             assert tgt.normal_form(ModuleElement(tgt.module, e.terms)).is_zero()
+
+
+@st.composite
+def presented_modules(draw):
+    """Random homogeneous presentations over Q[x,y,z], often non-minimal.
+
+    Generators sit in degrees 0 and 1 and relations in degrees 1 and 2, so
+    constant coefficients (units to prune) are common.
+    """
+    ring = GradedRing(["x", "y", "z"])
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    free = FreeModule(ring, gen_degrees)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 2))
+        terms = {}
+        for comp, g in enumerate(gen_degrees):
+            for mon in ring.monomials_of_degree(degree - g):
+                c = draw(st.integers(-2, 2))
+                if c and draw(st.booleans()):
+                    terms[(comp, mon)] = Fraction(c)
+        relations.append(ModuleElement(free, terms))
+    return PresentedModule(ring, gen_degrees, relations)
+
+
+@given(presented_modules())
+@settings(max_examples=25, deadline=None)
+def test_pruned_resolution_is_minimal_and_matches_tor(pm):
+    mats, betti = minimal_free_resolution(pm)
+    assert resolution_is_complex(mats, pm.ring)
+    for mat in mats:
+        for col in mat.values():
+            for entry in col.values():
+                assert not entry.is_zero() and not entry.is_constant()
+    assert betti.entries == koszul_tor(pm, (0, betti.max_degree() + 1)).entries

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from superconf.groebner import hilbert_series, ideal_gb
 from superconf.resolutions import (
     BettiTable,
@@ -50,9 +52,9 @@ def test_resolution_m_squared():
     assert resolution_is_complex(mats, R)
     # minimality: no unit entries anywhere
     for mat in mats:
-        for r in range(mat.nrows):
-            for c in range(mat.ncols):
-                assert not mat.rows[r][c].is_constant() or mat.rows[r][c].is_zero()
+        for col in mat.values():
+            for entry in col.values():
+                assert not entry.is_constant() or entry.is_zero()
 
 
 def test_resolution_nonminimal_presentation():
@@ -81,6 +83,17 @@ def test_koszul_tor_residue_field():
     pm = PresentedModule(R, [0], relations_from_polys(R, polys))
     tor = koszul_tor(pm, (0, 4))
     assert tor.entries == {(i, i): comb(3, i) for i in range(4)}
+
+
+def test_koszul_tor_rejects_weighted_rings():
+    # M = R/(x, y^2) over weights (2, 1) resolves as {(0,0):1, (1,2):2, (2,4):1};
+    # weight-one exterior generators would give {(1,1):1, (1,2):1, (2,3):1}
+    R, x, y = poly_ring("x", "y", weights=[2, 1])
+    pm = PresentedModule(R, [0], relations_from_polys(R, [x, y * y]))
+    _, betti = minimal_free_resolution(pm)
+    assert betti.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    with pytest.raises(ValueError, match="weights"):
+        koszul_tor(pm, (0, 5))
 
 
 def test_euler_characteristic_identity():
