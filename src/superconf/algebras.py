@@ -310,9 +310,6 @@ class AutomorphismAlgebra:
     def rho1(self, i: int):
         return self.basis[i][0]
 
-    def rho2(self, i: int):
-        return self.basis[i][1]
-
     def _flatten(self, pair) -> dict[int, Fraction]:
         k, d = self.algebra.k, self.algebra.d
         A, B = pair

@@ -527,18 +527,6 @@ class HilbertSeries:
         self.numerator = {d: c for d, c in numerator.items() if c}
         self.weights = list(weights)
 
-    def coefficient(self, j: int) -> int:
-        if j < 0:
-            return 0
-        series = [0] * (j + 1)
-        for d, c in self.numerator.items():
-            if 0 <= d <= j:
-                series[d] += c
-        for w in self.weights:
-            for d in range(w, j + 1):
-                series[d] += series[d - w]
-        return series[j]
-
     def coefficients(self, upto: int) -> list[int]:
         series = [0] * (upto + 1)
         for d, c in self.numerator.items():
@@ -636,10 +624,7 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertSeries:
     """Hilbert series of R/I for a rank-one (ideal) Gröbner basis."""
     if gb.module.rank != 1:
         raise ValueError("hilbert_series expects an ideal (rank-one) basis")
-    ring = gb.module.ring
-    leads = _minimalize_monomials([lt[1] for lt in gb.lead_terms()])
-    num = _monomial_numerator(tuple(leads), tuple(ring.weights), {})
-    return HilbertSeries(num, ring.weights)
+    return HilbertSeries(module_hilbert_numerator(gb), gb.module.ring.weights)
 
 
 def module_hilbert_numerator(gb: GroebnerBasis) -> dict[int, int]:
@@ -675,8 +660,10 @@ def krull_dim(gb: GroebnerBasis) -> int:
 
 def quotient_dimension(gb: GroebnerBasis, degree: int) -> int:
     """dim_Q of (F/submodule) in one internal degree, via the Hilbert data."""
-    num = module_hilbert_numerator(gb)
-    return HilbertSeries(num, gb.module.ring.weights).coefficient(degree)
+    if degree < 0:
+        return 0
+    series = HilbertSeries(module_hilbert_numerator(gb), gb.module.ring.weights)
+    return series.coefficients(degree)[degree]
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> list:

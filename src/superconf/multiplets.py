@@ -50,9 +50,6 @@ class MultipletTable:
     cells: dict[tuple[int, int], int]
     source: BettiTable
 
-    def sorted_items(self):
-        return [(r, c, self.cells[(r, c)]) for r, c in sorted(self.cells)]
-
     def total(self) -> int:
         return sum(self.cells.values())
 
@@ -160,27 +157,20 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     d = len(quadrics)
     if k < 0 or k > d:
         raise ValueError("form degree out of range")
-    cols, _ = _koszul_step_columns(ring, quadrics, k, [2] * d)
-    nz_cols = [c for c in cols if not c.is_zero()]
-    lam_k = cols[0].module if cols else FreeModule(ring, [])
-    from math import comb
-
-    rank_k = comb(d, k)
-    free_k = FreeModule(ring, [2 * k] * rank_k)
-    if nz_cols:
-        kernel_gens = []
-        for z in syzygy_module(cols):
-            if not z.is_zero():
-                kernel_gens.append(ModuleElement(free_k, z.terms))
+    cols, free_k, _ = _koszul_step_columns(ring, quadrics, k, [2] * d)
+    if any(not c.is_zero() for c in cols):
+        kernel_gens = [
+            ModuleElement(free_k, z.terms) for z in syzygy_module(cols) if not z.is_zero()
+        ]
     else:
-        kernel_gens = [free_k.gen(i) for i in range(rank_k)]
+        kernel_gens = [free_k.gen(i) for i in range(free_k.rank)]
     if not kernel_gens:
         pm = PresentedModule(ring, [], [])
         return MultipletModule(f"form({k})", alg, pm)
     gen_degs = [g.degree() for g in kernel_gens]
     if k + 1 <= d:
-        im_cols, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
-        im_cols = [ModuleElement(free_k, c.terms) for c in im_cols if not c.is_zero()]
+        im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
+        im_cols = [c for c in im_cols if not c.is_zero()]
     else:
         im_cols = []
     ngen = len(kernel_gens)

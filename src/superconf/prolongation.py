@@ -32,18 +32,11 @@ class ProlongationResult:
     status: str  # "terminated" | "capped"
     layers: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def parities(self) -> dict[int, str]:
-        return {m: ("odd" if m % 2 else "even") for m in self.dims}
-
     def total_even(self) -> int:
         return sum(v for m, v in self.dims.items() if m % 2 == 0)
 
     def total_odd(self) -> int:
         return sum(v for m, v in self.dims.items() if m % 2)
-
-    def max_degree(self) -> int:
-        return max(self.dims)
 
 
 class _Layer:

@@ -165,9 +165,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(self.ring.one_monomial(), Fraction(0))
-
     def degree(self) -> int:
         """Weighted degree; requires homogeneity (checked)."""
         degs = {self.ring.degree(m) for m in self.terms}
@@ -265,15 +262,6 @@ class FreeModule:
     def gen(self, i: int) -> "ModuleElement":
         return ModuleElement(self, {(i, self.ring.one_monomial()): Fraction(1)})
 
-    def from_polys(self, polys: Sequence[Polynomial]) -> "ModuleElement":
-        if len(polys) != self.rank:
-            raise ValueError("component count mismatch")
-        terms: dict[ModTerm, Fraction] = {}
-        for i, p in enumerate(polys):
-            for m, c in p.terms.items():
-                terms[(i, m)] = c
-        return ModuleElement(self, terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeModule)
@@ -313,9 +301,6 @@ class ModuleElement:
         return Polynomial(
             self.module.ring, {m: c for (j, m), c in self.terms.items() if j == i}
         )
-
-    def components(self) -> list[Polynomial]:
-        return [self.component(i) for i in range(self.module.rank)]
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         out = dict(self.terms)

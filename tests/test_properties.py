@@ -6,14 +6,23 @@ hypothesis where generation is cheap.
 """
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from superconf.groebner import buchberger, default_module_order, ideal_gb, syzygy_module
+from superconf.groebner import (
+    buchberger,
+    default_module_order,
+    hilbert_series,
+    ideal_gb,
+    syzygy_module,
+)
 from superconf.linalg import rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,
+    koszul_homology_dims,
     koszul_tor,
+    low_betti,
     minimal_free_resolution,
     resolution_is_complex,
 )
@@ -139,15 +148,37 @@ def test_buchberger_order_independent_membership(data):
             assert tgt.normal_form(ModuleElement(tgt.module, e.terms)).is_zero()
 
 
+@given(quadric_sets())
+@settings(max_examples=30, deadline=None)
+def test_koszul_homology_h0_and_euler_characteristic(data):
+    """H_0 is R/I, and in each degree the alternating sum of the homology
+    equals that of the Koszul complex itself (zero elements in degree 2)."""
+    ring, polys = data
+    n, top = len(polys), 8
+    h = [koszul_homology_dims(ring, polys, k, (0, top), [2] * n) for k in range(n + 1)]
+    nonzero = [p for p in polys if not p.is_zero()]
+    assert [h[0][j] for j in range(top + 1)] == hilbert_series(
+        ideal_gb(ring, nonzero)
+    ).coefficients(top)
+    for j in range(top + 1):
+        chi = sum((-1) ** k * h[k][j] for k in range(n + 1))
+        chain = sum(
+            (-1) ** k * comb(n, k) * len(ring.monomials_of_degree(j - 2 * k))
+            for k in range(n + 1)
+        )
+        assert chi == chain
+
+
 @st.composite
-def presented_modules(draw):
+def presented_modules(draw, max_gen_degree=1):
     """Random homogeneous presentations over Q[x,y,z], often non-minimal.
 
-    Generators sit in degrees 0 and 1 and relations in degrees 1 and 2, so
-    constant coefficients (units to prune) are common.
+    Generators sit in degrees 0 to `max_gen_degree` and relations in degrees 1
+    and 2, so with degree-1 generators constant coefficients (units to prune)
+    are common.
     """
     ring = GradedRing(["x", "y", "z"])
-    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    gen_degrees = draw(st.lists(st.integers(0, max_gen_degree), min_size=1, max_size=3))
     free = FreeModule(ring, gen_degrees)
     relations = []
     for _ in range(draw(st.integers(1, 4))):
@@ -172,3 +203,11 @@ def test_pruned_resolution_is_minimal_and_matches_tor(pm):
             for entry in col.values():
                 assert not entry.is_zero() and not entry.is_constant()
     assert betti.entries == koszul_tor(pm, (0, betti.max_degree() + 1)).entries
+
+
+@given(presented_modules(max_gen_degree=0))
+@settings(max_examples=25, deadline=None)
+def test_low_betti_matches_resolution(pm):
+    _, betti = minimal_free_resolution(pm)
+    low = {(i, j): v for (i, j), v in betti.entries.items() if i <= 1 and j <= 3}
+    assert low_betti(pm, 3) == low

@@ -156,6 +156,15 @@ def test_syzygetic_defect_complete_intersection():
     assert d.is_zero()
 
 
+def test_syzygetic_defect_and_h1_of_m_squared():
+    # I = (x^2, xy, y^2): x^2 (x) y^2 - xy (x) xy spans the degree-4 kernel of
+    # Sym^2 I -> I^2 and no syzygy induces it (those start in degree 5); H_1 is
+    # the two linear syzygies in degree 3 plus that defect class
+    R, x, y = poly_ring("x", "y")
+    assert syzygetic_defect(R, m_squared(R), (0, 8)).dims == {4: 1}
+    assert koszul_homology_dims(R, m_squared(R), 1, (0, 8)).dims == {3: 2, 4: 1}
+
+
 def test_graded_dims_container():
     g = GradedDims({0: 1, 2: 0, 3: 4})
     assert g[0] == 1 and g[2] == 0 and g[3] == 4
