@@ -15,15 +15,9 @@ from fractions import Fraction
 
 from . import cache as cache_mod
 from .algebras import check_conformal_type, derivations_deg0
-from .fixtures import FIXTURES, verify
-from .groebner import (
-    StepBudgetExceeded,
-    hilbert_series,
-    ideal_gb,
-    ideal_gb_polys,
-    krull_dim,
-)
-from .multiplets import component_fields, hdim, multiplet_module
+from .fixtures import verify
+from .groebner import StepBudgetExceeded, hilbert_series, ideal_gb_polys, krull_dim
+from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
 from .resolutions import is_gorenstein, koszul_tor, minimal_free_resolution
 from .specfile import SpecError, parse_spec
@@ -96,10 +90,11 @@ def cmd_variety(args) -> int:
     }
 
     def compute():
-        gb = ideal_gb(alg.ring(), alg.quadrics())
+        pm = canonical_module(alg).module
+        gb = pm.relation_gb()
         hs = hilbert_series(gb)
         dim_y = krull_dim(gb)
-        cm, gor = is_gorenstein(alg.ring(), alg.quadrics())
+        cm, gor = is_gorenstein(pm)
         return {
             "groebner_basis": sorted(str(p) for p in ideal_gb_polys(gb)),
             "hilbert_numerator": [[d, c] for d, c in sorted(hs.numerator.items())],

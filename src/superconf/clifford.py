@@ -10,7 +10,6 @@ out symmetric.  All entries land in {0, +1, -1}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 N_SPLIT = 5  # W = C^5 polarizes both the 10d and the 11d even space

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .algebras import AutomorphismAlgebra, SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, krull_dim, syzygy_module

@@ -592,25 +592,16 @@ def ce_cohomology(alg, k: int, degree_window: tuple[int, int]) -> GradedDims:
     return koszul_homology_dims(alg.ring(), quadrics, k, degree_window, [2] * len(quadrics))
 
 
-def is_gorenstein(
-    ring: GradedRing, ideal_generators: Sequence[Polynomial]
-) -> tuple[bool, bool]:
-    """(Cohen-Macaulay, Gorenstein) flags for R/I.
+def is_gorenstein(pm: PresentedModule) -> tuple[bool, bool]:
+    """(Cohen-Macaulay, Gorenstein) flags for a cyclic module R/I.
 
     CM iff the projective dimension equals the codimension; Gorenstein iff CM
     with final total Betti number one.
     """
-    free = FreeModule(ring, [0])
-    rels = [
-        ModuleElement(free, {(0, m): c for m, c in p.terms.items()})
-        for p in ideal_generators
-        if not p.is_zero()
-    ]
-    pm = PresentedModule(ring, [0], rels)
     dim = krull_dim(pm.relation_gb())
     if dim == -1:
         raise ValueError("unit ideal has no Gorenstein flag")
-    codim = ring.nvars - dim
+    codim = pm.ring.nvars - dim
     _, betti = minimal_free_resolution(pm)
     pd = betti.max_index()
     cm = pd == codim

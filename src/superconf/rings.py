@@ -8,7 +8,7 @@ a rank-one module element, so the Gröbner engine has a single code path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
 ModTerm = tuple  # (component, Monomial)

@@ -10,7 +10,7 @@ from superconf.algebras import (
     is_square_zero,
     jacobian,
 )
-from superconf.groebner import ideal_gb, ideal_gb_polys, krull_dim
+from superconf.groebner import ideal_gb, krull_dim
 
 
 def abelian(k, d):

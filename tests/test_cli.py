@@ -200,13 +200,6 @@ def test_cached_verify_mode(tmp_path, capsys):
     assert len(calls) == 2
 
 
-def test_verify_fast_tier_deterministic(capsys):
-    code1, out1 = run(capsys, ["--json", "verify", "--tier", "fast"])
-    code2, out2 = run(capsys, ["--json", "verify", "--tier", "fast"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_single_case(capsys):
     code, out = run(capsys, ["--json", "verify", "--case", "hdim-3d-n1"])
     data = json.loads(out)

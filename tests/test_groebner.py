@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
 from superconf.groebner import (
-    HilbertSeries,
     buchberger,
     default_module_order,
     hilbert_series,

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from superconf.algebras import SupertranslationAlgebra, build_standard, derivations_deg0
 from superconf.prolongation import (
     ProlongationBrackets,

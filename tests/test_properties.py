@@ -10,13 +10,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from superconf.groebner import (
-    buchberger,
-    default_module_order,
-    hilbert_series,
-    ideal_gb,
-    syzygy_module,
-)
+from superconf.groebner import hilbert_series, ideal_gb, syzygy_module
 from superconf.linalg import rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,

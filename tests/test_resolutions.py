@@ -4,7 +4,6 @@ import pytest
 
 from superconf.groebner import hilbert_series, ideal_gb
 from superconf.resolutions import (
-    BettiTable,
     GradedDims,
     PresentedModule,
     is_gorenstein,
@@ -133,13 +132,13 @@ def test_koszul_homology_abelian_case():
 
 def test_gorenstein_complete_intersection():
     R, x, y = poly_ring("x", "y")
-    cm, gor = is_gorenstein(R, [x * x, y * y])
+    cm, gor = is_gorenstein(PresentedModule(R, [0], relations_from_polys(R, [x * x, y * y])))
     assert cm and gor
 
 
 def test_gorenstein_m_squared_is_cm_not_gorenstein():
     R = GradedRing(["x", "y"])
-    cm, gor = is_gorenstein(R, m_squared(R))
+    cm, gor = is_gorenstein(PresentedModule(R, [0], relations_from_polys(R, m_squared(R))))
     assert cm
     assert not gor
 

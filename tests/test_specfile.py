@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superconf.specfile import AlgebraSpec, SpecError, parse_spec, render_spec
+from superconf.specfile import SpecError, parse_spec, render_spec
 
 
 CATALOG_TEXT = 'algebra "3dN1" { standard { dimension = 3; supersymmetry = "N=1"; } }'

@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superconf.algebras import build_standard, is_square_zero
-from superconf.groebner import hilbert_series, ideal_gb
 from superconf.multiplets import component_fields, conf_module, hdim
-from superconf.rings import GradedRing
 from superconf.twisting import (
     NotSquareZeroError,
     catalog_twist_vector,
@@ -29,48 +27,6 @@ def test_twist_rejects_non_square_zero():
     alg = build_standard(3, 1)
     with pytest.raises(NotSquareZeroError):
         twist(alg, [1, 0])
-
-
-def test_4d_n1_holomorphic_twist_dims():
-    alg = build_standard(4, 1)
-    q = catalog_twist_vector(alg, "holomorphic")
-    res = twist(alg, q)
-    assert (res.twisted.k, res.twisted.d) == (0, 2)
-
-
-def test_3d_n2_holomorphic_twist_dims():
-    alg = build_standard(3, 2)
-    q = catalog_twist_vector(alg, "holomorphic")
-    res = twist(alg, q)
-    assert (res.twisted.k, res.twisted.d) == (0, 1)
-
-
-def test_6d_n20_holomorphic_twist_dims_and_segre_ideal():
-    alg = build_standard(6, (2, 0))
-    q = catalog_twist_vector(alg, "holomorphic")
-    res = twist(alg, q)
-    assert (res.twisted.k, res.twisted.d) == (6, 3)
-    # nilpotence ideal of the twist = 2x2 minors of a generic 2x3 matrix,
-    # up to linear change of coordinates: compare Hilbert series and check
-    # the quadrics are three independent binomials of minor type
-    tw_gb = ideal_gb(res.twisted.ring(), res.twisted.quadrics())
-    minors_ring = GradedRing([f"x{i}" for i in range(6)])
-    # generic 2x3 matrix [[x0 x1 x2], [x3 x4 x5]]: minors x0*x4-x1*x3, ...
-    x = [minors_ring.variable(i) for i in range(6)]
-    minors = [
-        x[0] * x[4] - x[1] * x[3],
-        x[0] * x[5] - x[2] * x[3],
-        x[1] * x[5] - x[2] * x[4],
-    ]
-    minors_gb = ideal_gb(minors_ring, minors)
-    assert (
-        hilbert_series(tw_gb).coefficients(10)
-        == hilbert_series(minors_gb).coefficients(10)
-    )
-    quadrics = [p for p in res.twisted.quadrics() if not p.is_zero()]
-    assert len(quadrics) == 3
-    for p in quadrics:
-        assert len(p.terms) == 2  # binomial, like a 2x2 minor
 
 
 def test_hdim_invariance_on_twist_fixtures():
