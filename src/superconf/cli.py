@@ -122,6 +122,8 @@ def cmd_variety(args) -> int:
 
 
 def cmd_multiplet(args) -> int:
+    if args.window is not None and args.window < 0:
+        raise ValueError(f"--window must be non-negative, got {args.window}")
     alg = _load_algebra(args.spec)
     kind = args.kind
     descriptor = {
@@ -198,6 +200,8 @@ def cmd_twist(args) -> int:
         q = [Fraction(part) for part in args.q.split(",")]
     except ValueError:
         q = catalog_twist_vector(alg, args.q)
+    except ZeroDivisionError:
+        raise ValueError(f"twist vector {args.q!r} has a zero denominator") from None
     report = twist_pipeline(alg, q, targets=tuple(args.analyses or ()))
     res = report.result
     payload = {

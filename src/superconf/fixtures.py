@@ -15,6 +15,7 @@ from typing import Any
 from .algebras import build_standard
 from .groebner import hilbert_series, ideal_gb
 from .multiplets import (
+    MultipletTable,
     canonical_module,
     component_fields,
     conf_module,
@@ -46,6 +47,8 @@ class FixtureOutcome:
     got: Any
     citation: str
     tier: str
+    # the component table a conf_table case built, for callers that reuse it
+    table: MultipletTable | None = field(default=None, repr=False, compare=False)
 
 
 def _betti_sorted(entries: dict) -> list:
@@ -185,6 +188,7 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
     alg = build_standard(*case.algebra) if case.kind != "twist_hdim_all" else None
     kind = case.kind
     expected = case.expected
+    table = None
     if kind == "hdim":
         got = hdim(alg)
     elif kind == "gorenstein":
@@ -205,7 +209,8 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
     elif kind in ("conf_table", "conf_low_cells"):
         m = conf_module(alg)
         if kind == "conf_table":
-            cells = component_fields(m).cells
+            table = component_fields(m)
+            cells = table.cells
         else:
             max_j = max(2 * r + c for r, c, _ in expected)
             entries = low_betti(m.module, max_j)
@@ -276,7 +281,7 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     return FixtureOutcome(case.name, got == expected, expected, got,
-                          case.citation, case.tier)
+                          case.citation, case.tier, table)
 
 
 def verify(tier: str = "fast", case_name: str | None = None) -> list[FixtureOutcome]:

@@ -1,20 +1,21 @@
-"""Maximal transitive prolongation, and an independent vector-field oracle.
+"""Maximal transitive prolongation, its bracket, and an independent oracle.
 
 The prolongation is pure finite linear algebra: degree m consists of pairs
 of maps (odd -> layer m-1, even -> layer m-2) satisfying the derivation
 conditions against the two nonzero bracket types of the base algebra.  The
-oracle builds honest polynomial-coefficient derivations of the structure
-sheaf, truncated by the grading that weights even coordinates twice, applies
-the commutator with the structure differential, and takes weight-zero
-cohomology; on terminating examples the two computations agree degree by
-degree.
+bracket of the computed layers is tabulated once per pair of basis elements
+and checked against the Jacobi identity.  The oracle builds honest
+polynomial-coefficient derivations of the structure sheaf, truncated by the
+grading that weights even coordinates twice, applies the commutator with the
+structure differential, and takes weight-zero cohomology; on terminating
+examples the two computations agree degree by degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebras import AutomorphismAlgebra, SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, standard_monomials
@@ -23,6 +24,17 @@ from .rings import ModuleElement
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _axpy(acc: dict, scalar, vec: dict) -> dict:
+    """acc += scalar * vec on sparse dicts, dropping entries that cancel."""
+    for key, v in vec.items():
+        w = acc.get(key, _F0) + scalar * v
+        if w:
+            acc[key] = w
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 @dataclass
@@ -43,7 +55,8 @@ class _Layer:
     """One graded piece: action coordinates of each basis element.
 
     act_s[x][a] is [x, e_a] in coordinates of the layer one below;
-    act_v[x][mu] is [x, v_mu] two layers below.
+    act_v[x][mu] is [x, v_mu] two layers below.  Layers -2 and -1 hold the
+    base algebra, with gamma as the action of layer -1 on the odd generators.
     """
 
     __slots__ = ("dim", "act_s", "act_v", "solver")
@@ -55,23 +68,41 @@ class _Layer:
         self.solver = solver
 
 
+def _flat_index(layers: dict, m: int):
+    """The flat layout of an element x of degree m >= 0, given by its actions.
+
+    Coordinate c of [x, e_a] sits at a*n1 + c and coordinate c of [x, v_mu]
+    at k*n1 + mu*n2 + c, where n1 and n2 are the dimensions of layers m-1
+    and m-2 (k and d for m = 0).  Layer m's solver holds its basis in this
+    layout.  Returns the two index maps and the number of coordinates.
+    """
+    k, d = layers[-1].dim, layers[-2].dim
+    n1, n2 = layers[m - 1].dim, layers[m - 2].dim
+    return (lambda a, c: a * n1 + c), (lambda mu, c: k * n1 + mu * n2 + c), k * n1 + d * n2
+
+
+def _flatten(layers: dict, m: int, act_s: list, act_v: list) -> dict:
+    odd, even, _ = _flat_index(layers, m)
+    flat = {odd(a, c): v for a, img in enumerate(act_s) for c, v in img.items()}
+    flat.update((even(mu, c), v) for mu, img in enumerate(act_v) for c, v in img.items())
+    return flat
+
+
 def _base_layers(alg: SupertranslationAlgebra, g0: AutomorphismAlgebra) -> dict:
     k, d = alg.k, alg.d
-    layers: dict[int, _Layer] = {}
-    layers[-2] = _Layer(
-        d,
-        [[{} for _ in range(k)] for _ in range(d)],
-        [[{} for _ in range(d)] for _ in range(d)],
-    )
-    act_s_m1 = []
-    for a in range(k):
-        act_s_m1.append(
-            [
-                {mu: alg.gamma[a][b][mu] for mu in range(d) if alg.gamma[a][b][mu]}
-                for b in range(k)
-            ]
-        )
-    layers[-1] = _Layer(k, act_s_m1, [[{} for _ in range(d)] for _ in range(k)])
+    layers: dict[int, _Layer] = {
+        -2: _Layer(
+            d,
+            [[{} for _ in range(k)] for _ in range(d)],
+            [[{} for _ in range(d)] for _ in range(d)],
+        ),
+        -1: _Layer(
+            k,
+            [[{mu: g for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
+             for a in range(k)],
+            [[{} for _ in range(d)] for _ in range(k)],
+        ),
+    }
     act_s0 = []
     act_v0 = []
     solver0 = SpanSolver()
@@ -79,105 +110,69 @@ def _base_layers(alg: SupertranslationAlgebra, g0: AutomorphismAlgebra) -> dict:
         A, B = g0.basis[x]
         act_s0.append([{c: A[c][a] for c in range(k) if A[c][a]} for a in range(k)])
         act_v0.append([{c: B[c][mu] for c in range(d) if B[c][mu]} for mu in range(d)])
-        flat = {}
-        for a in range(k):
-            for c, v in act_s0[-1][a].items():
-                flat[a * k + c] = v
-        for mu in range(d):
-            for c, v in act_v0[-1][mu].items():
-                flat[k * k + mu * d + c] = v
-        if not solver0.add(flat, x):
+        if not solver0.add(_flatten(layers, 0, act_s0[-1], act_v0[-1]), x):
             raise AssertionError("degree-zero layer basis not independent")
     layers[0] = _Layer(g0.dim, act_s0, act_v0, solver0)
     return layers
 
 
 def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
-    """Linear solve for degree m >= 1 from the layers below."""
+    """Linear solve for degree m >= 1 from the layers below.
+
+    The unknowns are the flat coordinates of a degree-m element.  Each
+    condition is a difference of two sums of terms (unknown, vector over the
+    target coordinates c) and gives one row per c.
+    """
     k, d = alg.k, alg.d
     below = layers[m - 1]
     below2 = layers[m - 2]
-    n1, n2 = below.dim, below2.dim
-    nunk = k * n1 + d * n2
-
-    def f_idx(a, p):
-        return a * n1 + p
-
-    def g_idx(mu, p):
-        return k * n1 + mu * n2 + p
-
+    odd, even, nunk = _flat_index(layers, m)
     rows: list[dict[int, Fraction]] = []
 
-    def flush(row_by_c):
-        rows.extend(r for r in row_by_c.values() if r)
+    def add_rows(plus, minus):
+        row_by_c: dict[int, dict[int, Fraction]] = {}
+        for terms, negate in ((plus, False), (minus, True)):
+            for key, vec in terms:
+                for c, v in vec.items():
+                    row = row_by_c.setdefault(c, {})
+                    if negate:
+                        v = -v
+                    row[key] = row[key] + v if key in row else v
+        rows.extend(row_by_c.values())
 
     # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
     for a in range(k):
         for b in range(a, k):
-            row_by_c: dict[int, dict[int, Fraction]] = {}
-            for mu in range(d):
-                gv = alg.gamma[a][b][mu]
-                if not gv:
-                    continue
-                for p in range(n2):
-                    tgt = row_by_c.setdefault(p, {})
-                    key = g_idx(mu, p)
-                    tgt[key] = tgt.get(key, _F0) + gv
-            for p in range(n1):
-                for c, v in below.act_s[p][b].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = f_idx(a, p)
-                    tgt[key] = tgt.get(key, _F0) - v
-                for c, v in below.act_s[p][a].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = f_idx(b, p)
-                    tgt[key] = tgt.get(key, _F0) - v
-            flush(row_by_c)
+            add_rows(
+                [(even(mu, p), {p: g})
+                 for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
+                [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
+                + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
+            )
     # (2) [F(s), v] = [G(v), s], valued two layers below
     for a in range(k):
         for mu in range(d):
-            row_by_c = {}
-            for p in range(n1):
-                for c, v in below.act_v[p][mu].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = f_idx(a, p)
-                    tgt[key] = tgt.get(key, _F0) + v
-            for p in range(n2):
-                for c, v in below2.act_s[p][a].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = g_idx(mu, p)
-                    tgt[key] = tgt.get(key, _F0) - v
-            flush(row_by_c)
+            add_rows(
+                [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
+                [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
+            )
     # (3) [G(v), v'] = [G(v'), v], valued three layers below
     for mu in range(d):
         for nu in range(mu + 1, d):
-            row_by_c = {}
-            for p in range(n2):
-                for c, v in below2.act_v[p][nu].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = g_idx(mu, p)
-                    tgt[key] = tgt.get(key, _F0) + v
-                for c, v in below2.act_v[p][mu].items():
-                    tgt = row_by_c.setdefault(c, {})
-                    key = g_idx(nu, p)
-                    tgt[key] = tgt.get(key, _F0) - v
-            flush(row_by_c)
+            add_rows(
+                [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
+                [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
+            )
     vecs = sparse_kernel(rows, nunk)
     act_s = []
     act_v = []
     solver = SpanSolver()
     for x, vec in enumerate(vecs):
-        fs = [dict() for _ in range(k)]
-        gs = [dict() for _ in range(d)]
-        for idx, val in vec.items():
-            if idx < k * n1:
-                fs[idx // n1][idx % n1] = val
-            else:
-                rest = idx - k * n1
-                gs[rest // n2][rest % n2] = val
-        act_s.append(fs)
-        act_v.append(gs)
-        if not solver.add(dict(vec), x):
+        act_s.append([{p: vec[odd(a, p)] for p in range(below.dim) if odd(a, p) in vec}
+                      for a in range(k)])
+        act_v.append([{p: vec[even(mu, p)] for p in range(below2.dim) if even(mu, p) in vec}
+                      for mu in range(d)])
+        if not solver.add(vec, x):
             raise AssertionError("prolongation layer basis not independent")
     return _Layer(len(vecs), act_s, act_v, solver)
 
@@ -211,168 +206,99 @@ def tanaka_prolongation(
 
 
 class ProlongationBrackets:
-    """Recursive bracket tensors on the computed layers, with a Jacobi check."""
+    """The bracket of the computed layers, tabulated once, with a Jacobi check.
+
+    ``table[i, j][p][q]`` is [e_p, e_q] for basis element p of layer i and q
+    of layer j, in coordinates of layer i + j; a degree pair is tabulated the
+    first time a bracket needs it.  With a negative degree the entry is an
+    action stored in the layers.  For i, j >= 0 the actions of [x, y] on the
+    generators s = e_a, v_mu come from pairs of lower total degree,
+
+        [[x, y], s] = [x, [y, s]] - (-1)^{|x||y|} [y, [x, s]],
+
+    and are solved for coordinates in layer i + j.  A degree pair whose
+    brackets leave the computed layers raises AssertionError.  `bracket` is
+    the bilinear extension of the table.
+    """
 
     def __init__(self, alg: SupertranslationAlgebra, result: ProlongationResult):
         self.alg = alg
         self.result = result
         self.layers = result.layers
-
-    def _dim(self, m: int) -> int:
-        if m == -2:
-            return self.alg.d
-        if m == -1:
-            return self.alg.k
-        layer = self.layers.get(m)
-        return layer.dim if layer else 0
+        self.table: dict[tuple[int, int], list[list[dict]]] = {}
 
     def bracket(self, i: int, x: dict, j: int, y: dict) -> dict:
         """[x, y] for coordinate vectors x in layer i, y in layer j."""
         if i + j < -2 or not x or not y:
             return {}
-        if i > j:
-            flip = self.bracket(j, y, i, x)
-            sign = Fraction(1 if (i % 2) and (j % 2) else -1)
-            return {c: sign * v for c, v in flip.items()}
-        if i < 0:
-            if j < 0:
-                if i == -1 and j == -1:
-                    out: dict[int, Fraction] = {}
-                    for a, xa in x.items():
-                        for b, yb in y.items():
-                            for mu in range(self.alg.d):
-                                g = self.alg.gamma[a][b][mu]
-                                if g:
-                                    out[mu] = out.get(mu, _F0) + g * xa * yb
-                    return {c: v for c, v in out.items() if v}
-                return {}
-            # i < 0 <= j: act with y on x (flip with the super sign)
-            out: dict[int, Fraction] = {}
-            for pos, xval in x.items():
-                acted = (
-                    self._act_on_s(j, y, pos) if i == -1 else self._act_on_v(j, y, pos)
-                )
-                for c, v in acted.items():
-                    out[c] = out.get(c, _F0) + xval * v
-            sign = Fraction(1 if (i % 2) and (j % 2) else -1)
-            return {c: sign * v for c, v in out.items() if v}
-        # both nonnegative: determine by action, then solve coordinates
-        k, d = self.alg.k, self.alg.d
-        sign_xy = Fraction(-1 if (i % 2) and (j % 2) else 1)
-        act_s_result = []
-        for a in range(k):
-            term1 = self.bracket(i, x, j - 1, self._act_on_s(j, y, a))
-            term2 = self.bracket(j, y, i - 1, self._act_on_s(i, x, a))
-            out = dict(term1)
-            for c, v in term2.items():
-                w = out.get(c, _F0) - sign_xy * v
-                if w:
-                    out[c] = w
-                elif c in out:
-                    del out[c]
-            act_s_result.append(out)
-        act_v_result = []
-        for mu in range(d):
-            term1 = self.bracket(i, x, j - 2, self._act_on_v(j, y, mu))
-            term2 = self.bracket(j, y, i - 2, self._act_on_v(i, x, mu))
-            out = dict(term1)
-            for c, v in term2.items():
-                w = out.get(c, _F0) - sign_xy * v
-                if w:
-                    out[c] = w
-                elif c in out:
-                    del out[c]
-            act_v_result.append(out)
-        return self._coords_from_actions(i + j, act_s_result, act_v_result)
-
-    def _act_on_s(self, m: int, x: dict, a: int) -> dict:
-        """[x, e_a] one layer below, x in layer-m coordinates (m >= -1)."""
-        if m == -2:
-            return {}
-        if m == -1:
-            out: dict[int, Fraction] = {}
-            for b, xb in x.items():
-                for mu in range(self.alg.d):
-                    g = self.alg.gamma[b][a][mu]
-                    if g:
-                        out[mu] = out.get(mu, _F0) + g * xb
-            return {c: v for c, v in out.items() if v}
-        layer = self.layers[m]
-        out = {}
-        for p, xp in x.items():
-            for c, v in layer.act_s[p][a].items():
-                w = out.get(c, _F0) + xp * v
-                if w:
-                    out[c] = w
-                elif c in out:
-                    del out[c]
-        return out
-
-    def _act_on_v(self, m: int, x: dict, mu: int) -> dict:
-        if m < 0:
-            return {}
-        layer = self.layers[m]
+        entries = self._entries(i, j)
         out: dict[int, Fraction] = {}
         for p, xp in x.items():
-            for c, v in layer.act_v[p][mu].items():
-                w = out.get(c, _F0) + xp * v
-                if w:
-                    out[c] = w
-                elif c in out:
-                    del out[c]
+            row = entries[p]
+            for q, yq in y.items():
+                _axpy(out, xp * yq, row[q])
         return out
 
-    def _coords_from_actions(self, m: int, act_s, act_v) -> dict:
-        k, d = self.alg.k, self.alg.d
-        if m < 0 or self._dim(m) == 0:
-            if any(act_s) or any(act_v):
-                raise AssertionError("bracket result escapes the computed layers")
-            return {}
-        layer = self.layers[m]
-        n1 = self._dim(m - 1)
-        n2 = self._dim(m - 2)
-        flat: dict[int, Fraction] = {}
-        if m == 0:
-            for a in range(k):
-                for c, v in act_s[a].items():
-                    flat[a * k + c] = v
-            for mu in range(d):
-                for c, v in act_v[mu].items():
-                    flat[k * k + mu * d + c] = v
-        else:
-            for a in range(k):
-                for c, v in act_s[a].items():
-                    flat[a * n1 + c] = v
-            for mu in range(d):
-                for c, v in act_v[mu].items():
-                    flat[k * n1 + mu * n2 + c] = v
-        coords = layer.solver.solve(flat)
-        if coords is None:
-            raise AssertionError("bracket result outside the computed layer")
-        return coords
+    def _entries(self, i: int, j: int) -> list[list[dict]]:
+        entries = self.table.get((i, j))
+        if entries is None:
+            entries = self.table[i, j] = self._tabulate(i, j)
+        return entries
+
+    def _tabulate(self, i: int, j: int) -> list[list[dict]]:
+        layers = self.layers
+        # [x, y] = sign [y, x], sign = -(-1)^{|x||y|}
+        sign = _F1 if i % 2 and j % 2 else -_F1
+        if i > j:
+            flip = self._entries(j, i)
+            return [[_axpy({}, sign, flip[q][p]) for q in range(layers[j].dim)]
+                    for p in range(layers[i].dim)]
+        if i < 0:
+            # [e_p, y] = sign [y, e_p], an action stored with y
+            acts = layers[j].act_s if i == -1 else layers[j].act_v
+            return [[_axpy({}, sign, acts[q][p]) for q in range(layers[j].dim)]
+                    for p in range(layers[i].dim)]
+        target = layers.get(i + j)
+        entries = []
+        for p in range(layers[i].dim):
+            x = {p: _F1}
+            row = []
+            for q in range(layers[j].dim):
+                y = {q: _F1}
+                act_s = [
+                    _axpy(self.bracket(i, x, j - 1, layers[j].act_s[q][a]),
+                          sign, self.bracket(j, y, i - 1, layers[i].act_s[p][a]))
+                    for a in range(self.alg.k)
+                ]
+                act_v = [
+                    _axpy(self.bracket(i, x, j - 2, layers[j].act_v[q][mu]),
+                          sign, self.bracket(j, y, i - 2, layers[i].act_v[p][mu]))
+                    for mu in range(self.alg.d)
+                ]
+                if target is None or target.dim == 0:
+                    if any(act_s) or any(act_v):
+                        raise AssertionError("bracket result escapes the computed layers")
+                    row.append({})
+                    continue
+                coords = target.solver.solve(_flatten(layers, i + j, act_s, act_v))
+                if coords is None:
+                    raise AssertionError("bracket result outside the computed layer")
+                row.append(coords)
+            entries.append(row)
+        return entries
 
     def check_jacobi(self, degrees: list[int]) -> bool:
         """Jacobi identity on all basis triples of the listed degrees."""
-        import itertools
-
-        basis = {m: [{i: _F1} for i in range(self._dim(m))] for m in degrees}
-        for m1, m2, m3 in itertools.product(degrees, repeat=3):
-            for x in basis[m1]:
-                for y in basis[m2]:
-                    for z in basis[m3]:
-                        lhs = self.bracket(m1 + m2, self.bracket(m1, x, m2, y), m3, z)
-                        r1 = self.bracket(m1, x, m2 + m3, self.bracket(m2, y, m3, z))
-                        r2 = self.bracket(m2, y, m1 + m3, self.bracket(m1, x, m3, z))
-                        sgn = Fraction(-1 if (m1 % 2) and (m2 % 2) else 1)
-                        rhs = dict(r1)
-                        for c, v in r2.items():
-                            w = rhs.get(c, _F0) - sgn * v
-                            if w:
-                                rhs[c] = w
-                            elif c in rhs:
-                                del rhs[c]
-                        if lhs != rhs:
-                            return False
+        dims = {m: self.layers[m].dim if m in self.layers else 0 for m in degrees}
+        for m1, m2, m3 in product(degrees, repeat=3):
+            sgn = -1 if m1 % 2 and m2 % 2 else 1
+            for p, q, r in product(range(dims[m1]), range(dims[m2]), range(dims[m3])):
+                x, y, z = {p: _F1}, {q: _F1}, {r: _F1}
+                lhs = self.bracket(m1 + m2, self.bracket(m1, x, m2, y), m3, z)
+                rhs = self.bracket(m1, x, m2 + m3, self.bracket(m2, y, m3, z))
+                _axpy(rhs, -sgn, self.bracket(m2, y, m1 + m3, self.bracket(m1, x, m3, z)))
+                if lhs != rhs:
+                    return False
         return True
 
 
@@ -421,20 +347,11 @@ class _Sheaf:
                 sgn, th = tm
                 xm = tuple(a + b for a, b in zip(x1, x2))
                 lam_raw = tuple(a + b for a, b in zip(l1, l2))
-                for lm, cf in self.reduce_lambda(lam_raw).items():
-                    key = (xm, th, lm)
-                    v = out.get(key, _F0) + sgn * c1 * c2 * cf
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+                _axpy(out, sgn * c1 * c2, self.monomial(xm, th, lam_raw))
         return out
 
-    def monomial(self, xm, th, lm, coeff=_F1) -> dict:
-        out = {}
-        for lmm, cf in self.reduce_lambda(lm).items():
-            out[(xm, th, lmm)] = coeff * cf
-        return out
+    def monomial(self, xm, th, lm) -> dict:
+        return {(xm, th, lmm): cf for lmm, cf in self.reduce_lambda(lm).items()}
 
 
 class _Derivation:
@@ -453,17 +370,6 @@ def _apply_derivation(sheaf: _Sheaf, der: _Derivation, element: dict) -> dict:
     alg = sheaf.alg
     k, d = alg.k, alg.d
     out: dict = {}
-
-    def accumulate(contrib: dict, scalar):
-        if not scalar:
-            return
-        for key, v in contrib.items():
-            w = out.get(key, _F0) + scalar * v
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
-
     zero_x = (0,) * d
     zero_l = (0,) * k
     for (xm, th, lm), coeff in element.items():
@@ -473,7 +379,7 @@ def _apply_derivation(sheaf: _Sheaf, der: _Derivation, element: dict) -> dict:
                 rest = sheaf.monomial(
                     tuple(x - (1 if i == mu else 0) for i, x in enumerate(xm)), th, lm
                 )
-                accumulate(sheaf.mul(der.x_img[mu], rest), coeff * e)
+                _axpy(out, coeff * e, sheaf.mul(der.x_img[mu], rest))
         for pos, a in enumerate(th):
             img = der.th_img.get(a)
             if not img:
@@ -481,7 +387,7 @@ def _apply_derivation(sheaf: _Sheaf, der: _Derivation, element: dict) -> dict:
             sgn = -1 if (der.parity and pos % 2) else 1
             left = {(zero_x, th[:pos], zero_l): _F1}
             right = sheaf.monomial(xm, th[pos + 1 :], lm)
-            accumulate(sheaf.mul(left, sheaf.mul(img, right)), coeff * sgn)
+            _axpy(out, coeff * sgn, sheaf.mul(left, sheaf.mul(img, right)))
         for c in range(k):
             e = lm[c]
             if e and c in der.lam_img:
@@ -489,7 +395,7 @@ def _apply_derivation(sheaf: _Sheaf, der: _Derivation, element: dict) -> dict:
                 rest = sheaf.monomial(
                     xm, th, tuple(x - (1 if i == c else 0) for i, x in enumerate(lm))
                 )
-                accumulate(sheaf.mul(rest, der.lam_img[c]), coeff * e * sgn)
+                _axpy(out, coeff * e * sgn, sheaf.mul(rest, der.lam_img[c]))
     return out
 
 
@@ -502,27 +408,13 @@ def _commutator_images(sheaf: _Sheaf, d0: _Derivation, x: _Derivation):
     th_img = {}
     lam_img = {}
     for mu in range(d):
-        first = _apply_derivation(sheaf, d0, x.x_img.get(mu, {}))
-        second = _apply_derivation(sheaf, x, d0.x_img.get(mu, {}))
-        total = dict(first)
-        for key, v in second.items():
-            w = total.get(key, _F0) - sign * v
-            if w:
-                total[key] = w
-            elif key in total:
-                del total[key]
+        total = _axpy(_apply_derivation(sheaf, d0, x.x_img.get(mu, {})),
+                      -sign, _apply_derivation(sheaf, x, d0.x_img.get(mu, {})))
         if total:
             x_img[mu] = total
     for a in range(k):
-        first = _apply_derivation(sheaf, d0, x.th_img.get(a, {}))
-        second = _apply_derivation(sheaf, x, d0.th_img.get(a, {}))
-        total = dict(first)
-        for key, v in second.items():
-            w = total.get(key, _F0) - sign * v
-            if w:
-                total[key] = w
-            elif key in total:
-                del total[key]
+        total = _axpy(_apply_derivation(sheaf, d0, x.th_img.get(a, {})),
+                      -sign, _apply_derivation(sheaf, x, d0.th_img.get(a, {})))
         if total:
             th_img[a] = total
     for c in range(k):
@@ -545,12 +437,7 @@ def _d0_derivation(sheaf: _Sheaf) -> _Derivation:
                 g = alg.gamma[a][b][mu]
                 if g:
                     lam = tuple(1 if i == a else 0 for i in range(k))
-                    for key, v in sheaf.monomial(zero_x, (b,), lam, -g).items():
-                        w = elt.get(key, _F0) + v
-                        if w:
-                            elt[key] = w
-                        elif key in elt:
-                            del elt[key]
+                    _axpy(elt, -g, sheaf.monomial(zero_x, (b,), lam))
         if elt:
             x_img[mu] = elt
     th_img = {}
@@ -579,16 +466,12 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
     row_map: dict[tuple[int, tuple], dict[int, Fraction]] = {}
     for ci, (c, m) in enumerate(src):
         for mu in range(d):
+            col: dict = {}
             for m2, cf in phi[mu][c].terms.items():
-                raw = tuple(a + b for a, b in zip(m, m2))
-                for lm, cf2 in sheaf.reduce_lambda(raw).items():
-                    row = row_map.setdefault((mu, lm), {})
-                    v = row.get(ci, _F0) + cf * cf2
-                    if v:
-                        row[ci] = v
-                    elif ci in row:
-                        del row[ci]
-    rows = [r for r in row_map.values() if r]
+                _axpy(col, cf, sheaf.reduce_lambda(tuple(a + b for a, b in zip(m, m2))))
+            for lm, v in col.items():
+                row_map.setdefault((mu, lm), {})[ci] = v
+    rows = list(row_map.values())
     vecs = sparse_kernel(rows, len(src))
     return [{src[i]: val for i, val in v.items()} for v in vecs]
 
@@ -684,16 +567,7 @@ def derivation_complex_h0(
             return _Derivation({}, {idx: sheaf.monomial(xm, th, lm)}, {}, parity)
         lam_img = {}
         for (c, mono), cf in der_vectors[spec[5] - 2 * sum(xm) - len(th)][idx].items():
-            contrib = sheaf.monomial(xm, th, mono, cf)
-            if c in lam_img:
-                for key, v in contrib.items():
-                    w = lam_img[c].get(key, _F0) + v
-                    if w:
-                        lam_img[c][key] = w
-                    elif key in lam_img[c]:
-                        del lam_img[c][key]
-            else:
-                lam_img[c] = dict(contrib)
+            _axpy(lam_img.setdefault(c, {}), cf, sheaf.monomial(xm, th, mono))
         return _Derivation({}, {}, lam_img, parity)
 
     def decompose(images, weight: int, index: dict) -> dict[int, Fraction]:

@@ -40,6 +40,8 @@ from superconf.resolutions import (
 )
 
 
+# One conf component table per catalog row and session: `test_fixture` stores
+# the table its `conf_table` case built, and the stretch tests reuse it.
 _table_cache: dict = {}
 
 
@@ -65,6 +67,8 @@ def report(label: str, ok: bool, detail: str = ""):
 ])
 def test_fixture(case):
     outcome = run_fixture(case)
+    if outcome.table is not None:
+        _table_cache.setdefault(case.algebra, outcome.table)
     report(f"{case.name}: {case.citation}", outcome.passed,
            f"expected {outcome.expected}, got {outcome.got}")
 

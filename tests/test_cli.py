@@ -64,6 +64,17 @@ def test_multiplet_with_oracle_window(capsys, spec_3d_n1):
     assert data["koszul_agrees"] is True
 
 
+@pytest.mark.parametrize("kind", ["conf", "kaehler"])
+def test_negative_window_exits_2(capsys, tmp_path, spec_3d_n1, kind):
+    argv = ["--json", "--cache-dir", str(tmp_path / "cache"),
+            "multiplet", kind, spec_3d_n1, "--window", "-1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --window must be non-negative, got -1\n"
+
+
 def test_twist_command(capsys, tmp_path):
     path = tmp_path / "3dN2.spec"
     path.write_text(
@@ -112,6 +123,14 @@ def test_uncataloged_twist_vector_exits_2(capsys, tmp_path, dimension, q):
     assert captured.out == ""
     assert f"no {q} twist vector cataloged for n1" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_zero_denominator_in_twist_vector_exits_2(capsys, spec_3d_n1):
+    code = main(["--json", "twist", spec_3d_n1, "--q", "1/0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: twist vector '1/0,1' has a zero denominator\n"
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch, spec_3d_n1):

@@ -1,9 +1,13 @@
-"""Every imported name is used: a static scan of the package and the tests.
+"""Static scans of the package and the tests: no unused import, no dead helper.
 
 A name bound by an import statement counts as used when it appears anywhere in
 the same file as an identifier (`ast.Name`), which covers calls, attribute
 bases, annotations and decorators.  `__init__.py` re-exports names on purpose
-and is not scanned.
+and is not scanned for imports.
+
+A private (`_name`, not dunder) function, method or class of the package is
+dead when no file of the package refers to it, as an identifier or as an
+attribute (`self._name`, `module._name`).
 """
 
 import ast
@@ -12,9 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted(
-    p for p in (ROOT / "src" / "superconf").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "superconf").glob("*.py"))
+SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,29 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources: list[str]) -> list[str]:
+    defined, referenced = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(defined - referenced)
+
+
+def test_scan_finds_a_dead_helper():
+    sources = [
+        "def _used(): pass\ndef _dead(): pass\nclass _Kept:\n    def __init__(self): pass\n",
+        "class A:\n    def _orphan(self): pass\n    def run(self): return _used(), _Kept\n",
+    ]
+    assert dead_helpers(sources) == ["_dead", "_orphan"]
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

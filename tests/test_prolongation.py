@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
 from superconf.algebras import SupertranslationAlgebra, build_standard, derivations_deg0
+from superconf.linalg import SpanSolver
 from superconf.prolongation import (
     ProlongationBrackets,
     derivation_complex_h0,
@@ -11,6 +15,70 @@ from superconf.prolongation import (
 def abelian(k, d):
     gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
     return SupertranslationAlgebra("abelian", k, d, gamma)
+
+
+def nonzero(vec):
+    return {c: v for c, v in vec.items() if v}
+
+
+class RecursiveBrackets:
+    """The bracket re-derived recursively on every call: the reference.
+
+    It reads only the stored actions of each layer and solves for coordinates
+    with its own span solvers, keyed by (0, a, c) for [x, e_a] and (1, mu, c)
+    for [x, v_mu], so it shares no table and no flat layout with the engine.
+    """
+
+    def __init__(self, res):
+        self.alg, self.layers = res.algebra, res.layers
+        self.solvers = {}
+        for m, layer in self.layers.items():
+            if m >= 0:
+                self.solvers[m] = SpanSolver()
+                for x in range(layer.dim):
+                    self.solvers[m].add(self.keyed(layer.act_s[x], layer.act_v[x]), x)
+
+    @staticmethod
+    def keyed(act_s, act_v):
+        flat = {(0, a, c): v for a, img in enumerate(act_s) for c, v in img.items()}
+        flat.update({(1, mu, c): v for mu, img in enumerate(act_v) for c, v in img.items()})
+        return flat
+
+    def act(self, m, x, which, a):
+        """[x, s] for x in layer m and s = e_a ("act_s") or v_a ("act_v")."""
+        out = {}
+        for p, xp in x.items():
+            for c, v in getattr(self.layers[m], which)[p][a].items():
+                out[c] = out.get(c, 0) + xp * v
+        return nonzero(out)
+
+    def bracket(self, i, x, j, y):
+        if i + j < -2 or not x or not y:
+            return {}
+        sign = 1 if i % 2 and j % 2 else -1  # [x, y] = sign [y, x]
+        if i > j:
+            return {c: sign * v for c, v in self.bracket(j, y, i, x).items()}
+        if i < 0:
+            which = "act_s" if i == -1 else "act_v"
+            out = {}
+            for p, xp in x.items():
+                for c, v in self.act(j, y, which, p).items():
+                    out[c] = out.get(c, 0) + sign * xp * v
+            return nonzero(out)
+        acts = []
+        for which, n, shift in (("act_s", self.alg.k, 1), ("act_v", self.alg.d, 2)):
+            acts.append([])
+            for a in range(n):
+                out = self.bracket(i, x, j - shift, self.act(j, y, which, a))
+                for c, v in self.bracket(j, y, i - shift, self.act(i, x, which, a)).items():
+                    out[c] = out.get(c, 0) + sign * v
+                acts[-1].append(nonzero(out))
+        flat = self.keyed(*acts)
+        if not flat:
+            return {}
+        coords = self.solvers[i + j].solve(flat)
+        assert coords is not None, "bracket outside its layer"
+        return coords
 
 
 def test_3d_n1_prolongation():
@@ -27,6 +95,35 @@ def test_3d_n1_jacobi():
     res = tanaka_prolongation(alg, max_degree=4)
     br = ProlongationBrackets(alg, res)
     assert br.check_jacobi([-2, -1, 0, 1, 2])
+
+
+def test_jacobi_check_fails_on_a_perturbed_action():
+    alg = build_standard(3, 1)
+    res = tanaka_prolongation(alg, max_degree=4)
+    act = res.layers[1].act_s[0][0]
+    key = min(act)
+    act[key] += 1
+    assert ProlongationBrackets(alg, res).check_jacobi([-2, -1, 0, 1, 2]) is False
+
+
+@pytest.mark.parametrize("key", [(3, 1), (4, 1)], ids=["3d-n1", "4d-n1"])
+def test_tabulated_bracket_matches_recursive_reference(key):
+    alg = build_standard(*key)
+    res = tanaka_prolongation(alg, max_degree=4)
+    assert res.status == "terminated"
+    table, ref = ProlongationBrackets(alg, res), RecursiveBrackets(res)
+    rng = random.Random(20261018)
+    degrees = sorted(m for m, n in res.dims.items() if n)
+
+    def vector(m):
+        return nonzero({p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for p in range(res.dims[m])})
+
+    for i in degrees:
+        for j in degrees:
+            for _ in range(2):
+                x, y = vector(i), vector(j)
+                assert table.bracket(i, x, j, y) == ref.bracket(i, x, j, y), (i, j)
 
 
 def test_3d_n1_degree_zero_matches_g0():

@@ -63,6 +63,16 @@ def test_rank_nullity(m):
             assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
 
 
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_order_does_not_change_rank_rref_or_kernel(m, data):
+    rows, cols = m
+    permuted = data.draw(st.permutations(rows))
+    assert sparse_rank(permuted) == sparse_rank(rows)
+    assert rref(permuted) == rref(rows)
+    assert sparse_kernel(permuted, cols) == sparse_kernel(rows, cols)
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_spans_the_input_rows(m):
