@@ -1,9 +1,15 @@
-"""Supertranslation algebras: catalog, automorphisms, Jacobians.
+"""Supertranslation algebras: catalog, derivation layers, Jacobians.
 
 An algebra is an odd space of dimension k, an even space of dimension d, and
 a symmetric bracket tensor gamma[a][b][mu].  The catalog realizes the
 standard physical algebras over Q in split/Weyl-type bases so that several
 defining ideals come out monomial or binomial.
+
+The derivations are graded in layers.  Layers -2 and -1 are the even and odd
+spaces; layer m >= 0 is solved from the two below it by one linear solve in
+one flat layout.  Degree zero, the derivations g0, is solved here and read
+by the conformal-type report and by twisting; `prolongation` extends the
+same layers to positive degrees.
 
 Conventions fixed here once and for all:
   * ring variables l1..lk carry weight one, the even space weight two;
@@ -288,170 +294,198 @@ def build_standard(dimension: int, susy) -> SupertranslationAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Degree-zero derivations
+# Derivation layers: degree zero here, the positive degrees in `prolongation`
 # ---------------------------------------------------------------------------
+
+
+class _Layer:
+    """One graded piece: action coordinates of each basis element.
+
+    act_s[x][a] is [x, e_a] in coordinates of the layer one below;
+    act_v[x][mu] is [x, v_mu] two layers below.  Layers -2 and -1 hold the
+    base algebra, with gamma as the action of layer -1 on the odd generators.
+    A degree-zero element is a derivation pair (A, B) with
+    act_s[x][a] = {c: A[c][a]} and act_v[x][mu] = {c: B[c][mu]}.
+    """
+
+    __slots__ = ("dim", "act_s", "act_v", "solver")
+
+    def __init__(self, dim, act_s, act_v, solver=None):
+        self.dim = dim
+        self.act_s = act_s
+        self.act_v = act_v
+        self.solver = solver
+
+
+def _flat_index(layers: dict, m: int):
+    """The flat layout of an element x of degree m >= 0, given by its actions.
+
+    Coordinate c of [x, e_a] sits at a*n1 + c and coordinate c of [x, v_mu]
+    at k*n1 + mu*n2 + c, where n1 and n2 are the dimensions of layers m-1
+    and m-2 (k and d for m = 0).  Layer m's solver holds its basis in this
+    layout.  Returns the two index maps and the number of coordinates.
+    """
+    k, d = layers[-1].dim, layers[-2].dim
+    n1, n2 = layers[m - 1].dim, layers[m - 2].dim
+    return (lambda a, c: a * n1 + c), (lambda mu, c: k * n1 + mu * n2 + c), k * n1 + d * n2
+
+
+def _flatten(layers: dict, m: int, act_s: list, act_v: list) -> dict:
+    odd, even, _ = _flat_index(layers, m)
+    flat = {odd(a, c): v for a, img in enumerate(act_s) for c, v in img.items()}
+    flat.update((even(mu, c), v) for mu, img in enumerate(act_v) for c, v in img.items())
+    return flat
+
+
+def _negative_layers(alg: SupertranslationAlgebra) -> dict:
+    k, d = alg.k, alg.d
+    return {
+        -2: _Layer(
+            d,
+            [[{} for _ in range(k)] for _ in range(d)],
+            [[{} for _ in range(d)] for _ in range(d)],
+        ),
+        -1: _Layer(
+            k,
+            [[{mu: g for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
+             for a in range(k)],
+            [[{} for _ in range(d)] for _ in range(k)],
+        ),
+    }
+
+
+def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
+    """Linear solve for degree m >= 0 from the layers below.
+
+    The unknowns are the flat coordinates of a degree-m element.  Each
+    condition is a difference of two sums of terms (unknown, vector over the
+    target coordinates c) and gives one row per c.  At m = 0 condition (1)
+    is B gamma(s,t) = gamma(As,t) + gamma(s,At), and (2) and (3) give no
+    rows, because layers -1 and -2 act trivially on the even generators.
+    """
+    k, d = alg.k, alg.d
+    below = layers[m - 1]
+    below2 = layers[m - 2]
+    odd, even, nunk = _flat_index(layers, m)
+    rows: list[dict[int, Fraction]] = []
+
+    def add_rows(plus, minus):
+        row_by_c: dict[int, dict[int, Fraction]] = {}
+        for terms, negate in ((plus, False), (minus, True)):
+            for key, vec in terms:
+                for c, v in vec.items():
+                    row = row_by_c.setdefault(c, {})
+                    if negate:
+                        v = -v
+                    row[key] = row[key] + v if key in row else v
+        rows.extend(row_by_c.values())
+
+    # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
+    for a in range(k):
+        for b in range(a, k):
+            add_rows(
+                [(even(mu, p), {p: g})
+                 for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
+                [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
+                + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
+            )
+    # (2) [F(s), v] = [G(v), s], valued two layers below
+    for a in range(k):
+        for mu in range(d):
+            add_rows(
+                [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
+                [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
+            )
+    # (3) [G(v), v'] = [G(v'), v], valued three layers below
+    for mu in range(d):
+        for nu in range(mu + 1, d):
+            add_rows(
+                [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
+                [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
+            )
+    vecs = sparse_kernel(rows, nunk)
+    act_s = []
+    act_v = []
+    solver = SpanSolver()
+    for x, vec in enumerate(vecs):
+        act_s.append([{p: vec[odd(a, p)] for p in range(below.dim) if odd(a, p) in vec}
+                      for a in range(k)])
+        act_v.append([{p: vec[even(mu, p)] for p in range(below2.dim) if even(mu, p) in vec}
+                      for mu in range(d)])
+        if not solver.add(vec, x):
+            raise AssertionError("derivation layer basis not independent")
+    return _Layer(len(vecs), act_s, act_v, solver)
 
 
 @dataclass
 class AutomorphismAlgebra:
-    """Basis of degree-zero derivation pairs (A, B) with derived data."""
+    """The degree-zero derivations g0: layer 0 above the layers -2 and -1."""
 
     algebra: SupertranslationAlgebra
-    basis: list  # list of (A, B); A is k x k, B is d x d, tuples of Fractions
-
-    def __post_init__(self):
-        self._solver: SpanSolver | None = None
-        self._structure: dict = {}
+    layers: dict  # degree -> _Layer, degrees -2, -1, 0
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.layers[0].dim
 
-    def rho1(self, i: int):
-        return self.basis[i][0]
-
-    def _flatten(self, pair) -> dict[int, Fraction]:
-        k, d = self.algebra.k, self.algebra.d
-        A, B = pair
-        out: dict[int, Fraction] = {}
-        for r in range(k):
-            for c in range(k):
-                if A[r][c]:
-                    out[r * k + c] = A[r][c]
-        for r in range(d):
-            for c in range(d):
-                if B[r][c]:
-                    out[k * k + r * d + c] = B[r][c]
-        return out
-
-    def solver(self) -> SpanSolver:
-        if self._solver is None:
-            self._solver = SpanSolver()
-            for i, pair in enumerate(self.basis):
-                if not self._solver.add(self._flatten(pair), i):
-                    raise AssertionError("derivation basis is linearly dependent")
-        return self._solver
-
-    def coords_of(self, pair) -> dict | None:
-        return self.solver().solve(self._flatten(pair))
-
-    def bracket_coords(self, i: int, j: int) -> dict:
-        """Coordinates of [basis_i, basis_j] in the basis; derivations close."""
-        key = (i, j)
-        hit = self._structure.get(key)
-        if hit is not None:
-            return hit
-        Ai, Bi = self.basis[i]
-        Aj, Bj = self.basis[j]
-        A = _commutator(Ai, Aj)
-        B = _commutator(Bi, Bj)
-        coords = self.coords_of((A, B))
-        if coords is None:
-            raise AssertionError("derivations failed to close under commutator")
-        self._structure[key] = coords
-        return coords
+    def odd_orbit(self, q: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+        """A q for each basis pair (A, B), sparse; they span the g0-orbit of q."""
+        orbit = []
+        for act_s in self.layers[0].act_s:
+            out: dict[int, Fraction] = {}
+            for a, img in enumerate(act_s):
+                for c, v in img.items():
+                    out[c] = out.get(c, _F0) + v * q[a]
+            orbit.append({c: v for c, v in out.items() if v})
+        return orbit
 
     def rho2_image_dim(self) -> int:
-        k, d = self.algebra.k, self.algebra.d
-        rows = []
-        for _, B in self.basis:
-            row = {}
-            for r in range(d):
-                for c in range(d):
-                    if B[r][c]:
-                        row[r * d + c] = B[r][c]
-            rows.append(row)
-        return sparse_rank(rows)
+        return sparse_rank([_flatten(self.layers, 0, [], act_v) for act_v in self.layers[0].act_v])
 
     def rho2_kernel_dim(self) -> int:
         return self.dim - self.rho2_image_dim()
 
     def contains_grading_element(self) -> bool:
         k, d = self.algebra.k, self.algebra.d
-        A = tuple(tuple(_F1 if r == c else _F0 for c in range(k)) for r in range(k))
-        B = tuple(tuple(Fraction(2) if r == c else _F0 for c in range(d)) for r in range(d))
-        return self.coords_of((A, B)) is not None
+        grading = _flatten(
+            self.layers, 0, [{a: _F1} for a in range(k)], [{mu: Fraction(2)} for mu in range(d)]
+        )
+        return self.layers[0].solver.solve(grading) is not None
 
     def verify_derivations(self) -> bool:
-        """Recheck B gamma(s,t) = gamma(As,t) + gamma(s,At) on every basis pair."""
-        alg = self.algebra
-        k, d = alg.k, alg.d
-        for A, B in self.basis:
+        """Recheck B gamma(s,t) = gamma(As,t) + gamma(s,At) on every basis pair.
+
+        Reads the stored actions against gamma, independently of the solve.
+        """
+        gamma = self.algebra.gamma
+        k, d = self.algebra.k, self.algebra.d
+        layer = self.layers[0]
+        for act_s, act_v in zip(layer.act_s, layer.act_v):
             for a in range(k):
                 for b in range(a, k):
-                    lhs = [
-                        sum(B[mu][nu] * alg.gamma[a][b][nu] for nu in range(d))
-                        for mu in range(d)
-                    ]
+                    lhs = [_F0] * d
+                    for mu, g in enumerate(gamma[a][b]):
+                        for c, v in act_v[mu].items():
+                            lhs[c] += g * v
                     rhs = [_F0] * d
-                    for c in range(k):
-                        if A[c][a]:
-                            for mu in range(d):
-                                rhs[mu] += A[c][a] * alg.gamma[c][b][mu]
-                        if A[c][b]:
-                            for mu in range(d):
-                                rhs[mu] += A[c][b] * alg.gamma[a][c][mu]
+                    for s, t in ((a, b), (b, a)):
+                        for c, v in act_s[s].items():
+                            for mu, g in enumerate(gamma[c][t]):
+                                rhs[mu] += v * g
                     if lhs != rhs:
                         return False
         return True
 
 
-def _commutator(X, Y):
-    n = len(X)
-    out = [[_F0] * n for _ in range(n)]
-    for r in range(n):
-        for m in range(n):
-            x = X[r][m]
-            y = Y[r][m]
-            if x:
-                for c in range(n):
-                    if Y[m][c]:
-                        out[r][c] += x * Y[m][c]
-            if y:
-                for c in range(n):
-                    if X[m][c]:
-                        out[r][c] -= y * X[m][c]
-    return tuple(tuple(row) for row in out)
-
-
 def derivations_deg0(alg: SupertranslationAlgebra) -> AutomorphismAlgebra:
-    """Solve B gamma(s,t) = gamma(As,t) + gamma(s,At) for pairs (A, B)."""
-    k, d = alg.k, alg.d
-    nunk = k * k + d * d
-    rows = []
-    for a in range(k):
-        for b in range(a, k):
-            for mu in range(d):
-                row: dict[int, Fraction] = {}
-                for c in range(k):
-                    v = alg.gamma[c][b][mu]
-                    if v:
-                        idx = c * k + a
-                        row[idx] = row.get(idx, _F0) + v
-                    v = alg.gamma[a][c][mu]
-                    if v:
-                        idx = c * k + b
-                        row[idx] = row.get(idx, _F0) + v
-                for nu in range(d):
-                    v = alg.gamma[a][b][nu]
-                    if v:
-                        idx = k * k + mu * d + nu
-                        row[idx] = row.get(idx, _F0) - v
-                if row:
-                    rows.append(row)
-    vecs = sparse_kernel(rows, nunk)
-    basis = []
-    for v in vecs:
-        A = [[_F0] * k for _ in range(k)]
-        B = [[_F0] * d for _ in range(d)]
-        for idx, val in v.items():
-            if idx < k * k:
-                A[idx // k][idx % k] = val
-            else:
-                r = (idx - k * k) // d
-                B[r][(idx - k * k) % d] = val
-        basis.append((tuple(tuple(r) for r in A), tuple(tuple(r) for r in B)))
-    return AutomorphismAlgebra(alg, basis)
+    """Solve B gamma(s,t) = gamma(As,t) + gamma(s,At) for pairs (A, B).
+
+    This is the layer solve at degree 0; `prolongation.tanaka_prolongation`
+    extends the same layers upward.
+    """
+    layers = _negative_layers(alg)
+    layers[0] = _solve_layer(alg, layers, 0)
+    return AutomorphismAlgebra(alg, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +572,8 @@ def check_conformal_type(
             pair_index[(r, c)] = idx
             idx += 1
     h_rows = []
-    for _, B in g0.basis:
-        tr = sum(B[i][i] for i in range(d))
+    for act_v in g0.layers[0].act_v:
+        tr = sum(act_v[i].get(i, _F0) for i in range(d))
         for r in range(d):
             for c in range(r, d):
                 row: dict[int, Fraction] = {}
@@ -554,9 +588,10 @@ def check_conformal_type(
                     elif key in row:
                         del row[key]
 
-                for m in range(d):
-                    bump(m, c, B[m][r])
-                    bump(r, m, B[m][c])
+                for m, v in act_v[r].items():
+                    bump(m, c, v)
+                for m, v in act_v[c].items():
+                    bump(r, m, v)
                 bump(r, c, -2 * tr / d)
                 if row:
                     h_rows.append(row)

@@ -149,12 +149,7 @@ def cmd_multiplet(args) -> int:
             out["koszul_betti"] = [
                 [i, j, m] for (i, j), m in sorted(oracle.entries.items())
             ]
-            out["koszul_agrees"] = all(
-                oracle.entries.get(key) == betti.entries.get(key)
-                for key in set(oracle.entries) | set(
-                    k for k in betti.entries if k[1] <= args.window
-                )
-            )
+            out["koszul_agrees"] = oracle.entries == betti.restrict((0, args.window)).entries
         return out
 
     value = cache_mod.cached(args.cache_dir, descriptor, compute, args.verify_cache)

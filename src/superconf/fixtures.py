@@ -200,7 +200,7 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
         window = case.options.get("koszul_window")
         if window and got == expected:
             oracle = koszul_tor(m.module, tuple(window))
-            if _betti_sorted(oracle.entries) != got:
+            if oracle.entries != betti.restrict(tuple(window)).entries:
                 got = {"resolution": got, "koszul": _betti_sorted(oracle.entries)}
     elif kind == "canonical_betti":
         m = canonical_module(alg)

@@ -452,9 +452,7 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[list[ModuleElement], ModuleOrd
     return syzygies, syz_order
 
 
-def syzygy_module(
-    gens: Sequence[ModuleElement], order: ModuleOrder | None = None
-) -> list[ModuleElement]:
+def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     """Generators of the first syzygy module of `gens`.
 
     Composes the Schreyer syzygies of a transformation-tracked Gröbner basis
@@ -462,8 +460,7 @@ def syzygy_module(
     the original `gens`.
     """
     module = gens[0].module
-    if order is None:
-        order = default_module_order(module)
+    order = default_module_order(module)
     ring = module.ring
     tgt = FreeModule(ring, [0 if g.is_zero() else g.degree() for g in gens])
     out: list[ModuleElement] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import AutomorphismAlgebra, SupertranslationAlgebra, derivations_deg0, jacobian
+from .algebras import SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, krull_dim, syzygy_module
 from .resolutions import (
     BettiTable,
@@ -34,8 +34,8 @@ class MultipletModule:
     algebra: SupertranslationAlgebra
     module: PresentedModule
 
-    def betti(self, max_steps=None) -> BettiTable:
-        _, betti = minimal_free_resolution(self.module, max_steps)
+    def betti(self) -> BettiTable:
+        _, betti = minimal_free_resolution(self.module)
         return betti
 
     def graded_dim(self, degree: int) -> int:
@@ -246,15 +246,13 @@ class UniversalCheckReport:
 def universal_checks(
     alg: SupertranslationAlgebra,
     table: MultipletTable | None = None,
-    g0: AutomorphismAlgebra | None = None,
 ) -> UniversalCheckReport:
     """Exact integer identities tying the low cells to the algebra data:
     smooth vector fields, local supersymmetries, R-symmetry, and the metric
     fluctuations all show up with forced dimensions."""
     if table is None:
         table = component_fields(conf_module(alg))
-    if g0 is None:
-        g0 = derivations_deg0(alg)
+    g0 = derivations_deg0(alg)
     ker_rho2 = g0.rho2_kernel_dim()
     im_rho2 = g0.rho2_image_dim()
     checks = [

@@ -1,8 +1,11 @@
-"""Maximal transitive prolongation, its bracket, and an independent oracle.
+"""Maximal transitive prolongation: positive layers, bracket table, oracle.
 
 The prolongation is pure finite linear algebra: degree m consists of pairs
 of maps (odd -> layer m-1, even -> layer m-2) satisfying the derivation
-conditions against the two nonzero bracket types of the base algebra.  The
+conditions against the two nonzero bracket types of the base algebra.
+`algebras` holds the layer layout and the one layer solve and computes
+degree zero, the derivations g0; `tanaka_prolongation` extends those layers
+to the positive degrees with the same solve.  The
 bracket of the computed layers is tabulated once per pair of basis elements
 and checked against the Jacobi identity.  The oracle builds honest
 polynomial-coefficient derivations of the structure sheaf, truncated by the
@@ -17,7 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebras import AutomorphismAlgebra, SupertranslationAlgebra, derivations_deg0, jacobian
+from .algebras import (
+    SupertranslationAlgebra,
+    _flatten,
+    _solve_layer,
+    derivations_deg0,
+    jacobian,
+)
 from .groebner import ideal_gb, standard_monomials
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
 from .rings import ModuleElement
@@ -51,148 +60,18 @@ class ProlongationResult:
         return sum(v for m, v in self.dims.items() if m % 2)
 
 
-class _Layer:
-    """One graded piece: action coordinates of each basis element.
-
-    act_s[x][a] is [x, e_a] in coordinates of the layer one below;
-    act_v[x][mu] is [x, v_mu] two layers below.  Layers -2 and -1 hold the
-    base algebra, with gamma as the action of layer -1 on the odd generators.
-    """
-
-    __slots__ = ("dim", "act_s", "act_v", "solver")
-
-    def __init__(self, dim, act_s, act_v, solver=None):
-        self.dim = dim
-        self.act_s = act_s
-        self.act_v = act_v
-        self.solver = solver
-
-
-def _flat_index(layers: dict, m: int):
-    """The flat layout of an element x of degree m >= 0, given by its actions.
-
-    Coordinate c of [x, e_a] sits at a*n1 + c and coordinate c of [x, v_mu]
-    at k*n1 + mu*n2 + c, where n1 and n2 are the dimensions of layers m-1
-    and m-2 (k and d for m = 0).  Layer m's solver holds its basis in this
-    layout.  Returns the two index maps and the number of coordinates.
-    """
-    k, d = layers[-1].dim, layers[-2].dim
-    n1, n2 = layers[m - 1].dim, layers[m - 2].dim
-    return (lambda a, c: a * n1 + c), (lambda mu, c: k * n1 + mu * n2 + c), k * n1 + d * n2
-
-
-def _flatten(layers: dict, m: int, act_s: list, act_v: list) -> dict:
-    odd, even, _ = _flat_index(layers, m)
-    flat = {odd(a, c): v for a, img in enumerate(act_s) for c, v in img.items()}
-    flat.update((even(mu, c), v) for mu, img in enumerate(act_v) for c, v in img.items())
-    return flat
-
-
-def _base_layers(alg: SupertranslationAlgebra, g0: AutomorphismAlgebra) -> dict:
-    k, d = alg.k, alg.d
-    layers: dict[int, _Layer] = {
-        -2: _Layer(
-            d,
-            [[{} for _ in range(k)] for _ in range(d)],
-            [[{} for _ in range(d)] for _ in range(d)],
-        ),
-        -1: _Layer(
-            k,
-            [[{mu: g for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
-             for a in range(k)],
-            [[{} for _ in range(d)] for _ in range(k)],
-        ),
-    }
-    act_s0 = []
-    act_v0 = []
-    solver0 = SpanSolver()
-    for x in range(g0.dim):
-        A, B = g0.basis[x]
-        act_s0.append([{c: A[c][a] for c in range(k) if A[c][a]} for a in range(k)])
-        act_v0.append([{c: B[c][mu] for c in range(d) if B[c][mu]} for mu in range(d)])
-        if not solver0.add(_flatten(layers, 0, act_s0[-1], act_v0[-1]), x):
-            raise AssertionError("degree-zero layer basis not independent")
-    layers[0] = _Layer(g0.dim, act_s0, act_v0, solver0)
-    return layers
-
-
-def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
-    """Linear solve for degree m >= 1 from the layers below.
-
-    The unknowns are the flat coordinates of a degree-m element.  Each
-    condition is a difference of two sums of terms (unknown, vector over the
-    target coordinates c) and gives one row per c.
-    """
-    k, d = alg.k, alg.d
-    below = layers[m - 1]
-    below2 = layers[m - 2]
-    odd, even, nunk = _flat_index(layers, m)
-    rows: list[dict[int, Fraction]] = []
-
-    def add_rows(plus, minus):
-        row_by_c: dict[int, dict[int, Fraction]] = {}
-        for terms, negate in ((plus, False), (minus, True)):
-            for key, vec in terms:
-                for c, v in vec.items():
-                    row = row_by_c.setdefault(c, {})
-                    if negate:
-                        v = -v
-                    row[key] = row[key] + v if key in row else v
-        rows.extend(row_by_c.values())
-
-    # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
-    for a in range(k):
-        for b in range(a, k):
-            add_rows(
-                [(even(mu, p), {p: g})
-                 for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
-                [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
-                + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
-            )
-    # (2) [F(s), v] = [G(v), s], valued two layers below
-    for a in range(k):
-        for mu in range(d):
-            add_rows(
-                [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
-                [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
-            )
-    # (3) [G(v), v'] = [G(v'), v], valued three layers below
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            add_rows(
-                [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
-                [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
-            )
-    vecs = sparse_kernel(rows, nunk)
-    act_s = []
-    act_v = []
-    solver = SpanSolver()
-    for x, vec in enumerate(vecs):
-        act_s.append([{p: vec[odd(a, p)] for p in range(below.dim) if odd(a, p) in vec}
-                      for a in range(k)])
-        act_v.append([{p: vec[even(mu, p)] for p in range(below2.dim) if even(mu, p) in vec}
-                      for mu in range(d)])
-        if not solver.add(vec, x):
-            raise AssertionError("prolongation layer basis not independent")
-    return _Layer(len(vecs), act_s, act_v, solver)
-
-
-def tanaka_prolongation(
-    alg: SupertranslationAlgebra,
-    g0: AutomorphismAlgebra | None = None,
-    max_degree: int = 4,
-) -> ProlongationResult:
+def tanaka_prolongation(alg: SupertranslationAlgebra, max_degree: int = 4) -> ProlongationResult:
     """Degrees -2..max_degree of the maximal transitive prolongation.
 
-    Stops early once two consecutive positive degrees vanish (everything
-    above is then forced to vanish); otherwise reports status "capped".
+    Extends the layers of `derivations_deg0` one degree at a time with the
+    same layer solve.  Stops early once two consecutive positive degrees
+    vanish (everything above is then forced to vanish); otherwise reports
+    status "capped".
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    if g0 is None:
-        g0 = derivations_deg0(alg)
-    layers = _base_layers(alg, g0)
-    dims = {-2: alg.d, -1: alg.k, 0: g0.dim}
+    layers = derivations_deg0(alg).layers
+    dims = {-2: alg.d, -1: alg.k, 0: layers[0].dim}
     status = "capped"
     for m in range(1, max_degree + 1):
         layers[m] = _solve_layer(alg, layers, m)

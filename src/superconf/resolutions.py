@@ -252,8 +252,6 @@ def _prune(degrees: list[dict[int, int]], mats: list[dict]) -> None:
 
 def minimal_free_resolution(
     m: PresentedModule,
-    max_steps: int | None = None,
-    truncate_at: int | None = None,
 ) -> tuple[list[dict[int, dict[int, Polynomial]]], BettiTable]:
     """Minimal graded free resolution over the polynomial ring.
 
@@ -263,18 +261,13 @@ def minimal_free_resolution(
     resulting (generally non-minimal) complex is minimalized by unit pruning.
     Returns the matrices (matrix i maps F_{i+1} to F_i, sparse as
     {column id: {row id: Polynomial}} over the surviving generator ids) and
-    the Betti table read off the surviving generator degrees.
-
-    With `truncate_at = n` the chain stops after homological index n even if
-    syzygies remain; the boundary index is dropped (pruning cannot certify
-    it) and the table is flagged incomplete.
+    the Betti table read off the surviving generator degrees.  A chain
+    that does not end within nvars + 4 steps raises StepBudgetExceeded.
     """
     ring = m.ring
-    if max_steps is None:
-        max_steps = ring.nvars + 4
+    max_steps = ring.nvars + 4
     degrees: list[dict[int, int]] = [dict(enumerate(m.gen_degrees))]
     mats: list[dict] = []
-    truncated = False
     cols = [r for r in m.relations if not r.is_zero()]
     if cols:
         gb = m.relation_gb()
@@ -284,9 +277,6 @@ def minimal_free_resolution(
         current = gb
         steps = 1
         while len(current):
-            if truncate_at is not None and steps >= truncate_at:
-                truncated = True
-                break
             if steps >= max_steps:
                 raise StepBudgetExceeded(
                     f"resolution did not terminate within {max_steps} steps"
@@ -305,15 +295,13 @@ def minimal_free_resolution(
         _prune(degrees, mats)
     entries: dict[tuple[int, int], int] = {}
     for i, degs in enumerate(degrees):
-        if truncated and i == len(degrees) - 1:
-            continue
         for d in degs.values():
             entries[(i, d)] = entries.get((i, d), 0) + 1
     polys = [
         {c: {r: Polynomial(ring, e) for r, e in col.items()} for c, col in mat.items()}
         for mat in mats
     ]
-    return polys, BettiTable(entries, complete=not truncated)
+    return polys, BettiTable(entries)
 
 
 # ---------------------------------------------------------------------------

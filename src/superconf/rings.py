@@ -94,13 +94,14 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 class MonomialOrder:
-    """Total order on ring monomials: grevlex, lex, or weighted grevlex.
+    """Total order on ring monomials: lex, or grevlex weighted by `weights`.
 
-    `key` returns a tuple; larger key means larger monomial.
+    `key` returns a tuple; larger key means larger monomial.  Without
+    weights, "wgrevlex" is plain grevlex.
     """
 
     def __init__(self, kind: str = "wgrevlex", weights: Sequence[int] | None = None):
-        if kind not in ("grevlex", "lex", "wgrevlex"):
+        if kind not in ("lex", "wgrevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.weights = list(weights) if weights is not None else None
@@ -108,7 +109,7 @@ class MonomialOrder:
     def key(self, mon: Monomial):
         if self.kind == "lex":
             return mon
-        if self.kind == "grevlex" or self.weights is None:
+        if self.weights is None:
             deg = sum(mon)
         else:
             deg = sum(e * w for e, w in zip(mon, self.weights))

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (
-    AutomorphismAlgebra,
     SupertranslationAlgebra,
+    check_conformal_type,
     derivations_deg0,
     is_square_zero,
 )
+from .groebner import hilbert_series, ideal_gb
 from .linalg import SpanSolver, rref, sparse_kernel
-from .multiplets import hdim
+from .multiplets import component_fields, hdim, multiplet_module
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -34,9 +35,6 @@ class TwistResult:
     source: SupertranslationAlgebra
     q: list
     twisted: SupertranslationAlgebra
-    odd_kernel_basis: list  # basis of ker(gamma(q,-)) in the odd space
-    odd_image_basis: list  # basis of the g0-orbit of q inside the kernel
-    even_image_basis: list  # basis of gamma(q, odd) in the even space
 
 
 def _sparse(vec) -> dict[int, Fraction]:
@@ -45,11 +43,6 @@ def _sparse(vec) -> dict[int, Fraction]:
 
 def _dense(row: dict, n: int) -> list[Fraction]:
     return [row.get(i, _F0) for i in range(n)]
-
-
-def _echelon(vectors: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Row-reduced echelon representatives of the span (possibly empty)."""
-    return [_dense(row, n) for row in rref(_sparse(v) for v in vectors).values()]
 
 
 def _quotient_data(ambient_dim: int, sub_rows):
@@ -73,17 +66,11 @@ def _quotient_data(ambient_dim: int, sub_rows):
     return reps, project
 
 
-def twist(
-    alg: SupertranslationAlgebra,
-    q,
-    g0: AutomorphismAlgebra | None = None,
-) -> TwistResult:
+def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
     """Twisted supertranslation algebra for a square-zero odd element."""
     qv = [Fraction(x) for x in q]
     if not is_square_zero(alg, qv):
         raise NotSquareZeroError("the chosen odd element does not square to zero")
-    if g0 is None:
-        g0 = derivations_deg0(alg)
     k, d = alg.k, alg.d
     # gamma(q, -): odd -> even; row b is gamma(q, e_b)
     gamma_q = [
@@ -92,26 +79,23 @@ def twist(
     ]
     ker_rows = [{b: gamma_q[b][mu] for b in range(k) if gamma_q[b][mu]} for mu in range(d)]
     ker_vecs = sparse_kernel(ker_rows, k)
-    ker = [_dense(v, k) for v in ker_vecs]
-    orbit = _echelon([_apply(g0.rho1(i), qv) for i in range(g0.dim)], k)
-    even_image = _echelon(gamma_q, d)
     # odd part of the twist: kernel modulo orbit, in kernel coordinates; the
     # orbit lies inside the kernel as a consequence of q^2 = 0
     ker_solver = SpanSolver()
     for i, v in enumerate(ker_vecs):
         ker_solver.add(v, i)
     orbit_in_ker = []
-    for v in orbit:
-        coords = ker_solver.solve(_sparse(v))
+    for v in derivations_deg0(alg).odd_orbit(qv):
+        coords = ker_solver.solve(v)
         if coords is None:
             raise AssertionError("orbit vector not in kernel span")
         orbit_in_ker.append(coords)
-    reps_odd, _ = _quotient_data(len(ker), orbit_in_ker)
+    reps_odd, _ = _quotient_data(len(ker_vecs), orbit_in_ker)
     reps_even, project_even = _quotient_data(d, map(_sparse, gamma_q))
     k_new = len(reps_odd)
     d_new = len(reps_even)
     # twisted bracket on representatives
-    rep_vectors = [ker[i] for i in reps_odd]
+    rep_vectors = [_dense(ker_vecs[i], k) for i in reps_odd]
     gamma_new = [
         [project_even(alg.bracket(rep_vectors[i], rep_vectors[j])) for j in range(k_new)]
         for i in range(k_new)
@@ -119,19 +103,7 @@ def twist(
     twisted = SupertranslationAlgebra(
         f"{alg.name} twisted", k_new, d_new, gamma_new
     )
-    return TwistResult(
-        source=alg,
-        q=qv,
-        twisted=twisted,
-        odd_kernel_basis=ker,
-        odd_image_basis=orbit,
-        even_image_basis=even_image,
-    )
-
-
-def _apply(mat, vec):
-    n = len(vec)
-    return [sum(mat[r][c] * vec[c] for c in range(n)) for r in range(len(mat))]
+    return TwistResult(source=alg, q=qv, twisted=twisted)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +190,21 @@ def twist_pipeline(
     alg: SupertranslationAlgebra,
     q,
     targets: tuple = (),
-    g0: AutomorphismAlgebra | None = None,
 ) -> TwistPipelineReport:
     """Twist and re-run the requested analyses on the twisted algebra.
 
     The homological-dimension invariance check always runs.  `targets` may
     contain 'conf', 'kaehler', 'canonical', 'variety', 'conformal_type'.
     """
-    from . import multiplets
-    from .algebras import check_conformal_type
-    from .groebner import hilbert_series, ideal_gb
-
-    result = twist(alg, q, g0)
+    result = twist(alg, q)
     analyses: dict = {}
     for target in targets:
         if target in ("conf", "kaehler", "canonical"):
-            mod = multiplets.multiplet_module(result.twisted, target)
+            mod = multiplet_module(result.twisted, target)
             betti = mod.betti()
             analyses[target] = {
                 "betti": betti,
-                "table": multiplets.component_fields(mod, betti),
+                "table": component_fields(mod, betti),
             }
         elif target == "variety":
             gb = ideal_gb(result.twisted.ring(), result.twisted.quadrics())

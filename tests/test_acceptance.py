@@ -9,6 +9,7 @@ suite and determinism.  Every test prints one pass/fail line per item
 (visible with -s or on failure).  Slow items run via `pytest -m slow`.
 """
 
+import dataclasses
 import io
 import json
 import random
@@ -71,6 +72,15 @@ def test_fixture(case):
         _table_cache.setdefault(case.algebra, outcome.table)
     report(f"{case.name}: {case.citation}", outcome.passed,
            f"expected {outcome.expected}, got {outcome.got}")
+
+
+def test_koszul_window_narrower_than_the_table_agrees():
+    # the oracle sees degrees 0..2 only, so it is compared with the table
+    # restricted to that window, as `multiplet --window` compares it
+    case = next(c for c in FIXTURES if c.name == "conf-betti-3d-n1")
+    narrow = dataclasses.replace(case, options={"koszul_window": (0, 2)})
+    outcome = run_fixture(narrow)
+    assert outcome.passed, outcome.got
 
 
 # --- criterion 5: what the fixtures do not hold --------------------------------

@@ -1,4 +1,5 @@
-"""Static scans of the package and the tests: no unused import, no dead helper.
+"""Static scans of the package and the tests: no unused import, no dead helper,
+no import at call time.
 
 A name bound by an import statement counts as used when it appears anywhere in
 the same file as an identifier (`ast.Name`), which covers calls, attribute
@@ -8,6 +9,9 @@ and is not scanned for imports.
 A private (`_name`, not dunder) function, method or class of the package is
 dead when no file of the package refers to it, as an identifier or as an
 attribute (`self._name`, `module._name`).
+
+Package modules import at module level only: an import statement inside a
+function body hides a dependency until the function runs.
 """
 
 import ast
@@ -66,3 +70,28 @@ def test_scan_finds_a_dead_helper():
 
 def test_no_dead_private_helpers():
     assert dead_helpers([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def call_time_imports(source: str) -> list[int]:
+    """Line numbers of import statements inside function bodies."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(inner.lineno for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_scan_finds_a_call_time_import():
+    source = (
+        "import os\n"
+        "def f():\n    import sys\n"
+        "class A:\n    def g(self):\n        def h():\n            from . import b\n"
+        "async def i():\n    import json\n"
+    )
+    assert call_time_imports(source) == [3, 7, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_call_time_imports(path):
+    assert call_time_imports(path.read_text(encoding="utf-8")) == []

@@ -129,7 +129,7 @@ def test_tabulated_bracket_matches_recursive_reference(key):
 def test_3d_n1_degree_zero_matches_g0():
     alg = build_standard(3, 1)
     g0 = derivations_deg0(alg)
-    res = tanaka_prolongation(alg, g0=g0, max_degree=2)
+    res = tanaka_prolongation(alg, max_degree=2)
     assert res.dims[0] == g0.dim
 
 
