@@ -1,38 +1,33 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts {col: value} with int or Fraction values.  Elimination runs on
-integer rows with content stripped, so coefficients stay small; pivot choice
-is always the minimal column of each reduced row, which keeps results
+Rows are dicts {col: value} with int or Fraction values.  Elimination reduces
+integer copies of the rows in place (the input is never touched), with content
+stripped and leads made positive, so coefficients stay small; pivot choice is
+always the minimal column of each reduced row, which keeps results
 independent of input iteration order and of hashing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
-def _int_rows(rows: Iterable[dict]) -> list[dict[int, int]]:
-    """Clear denominators rowwise and drop zero entries."""
-    out = []
+def _int_rows(rows: Iterable[dict]) -> Iterator[dict[int, int]]:
+    """Integer copies of the rows, one at a time: clear denominators, drop zeros."""
     for row in rows:
-        den = 1
-        for v in row.values():
-            den = lcm(den, v.denominator)
-        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
-    return out
+        den = reduce(lcm, (v.denominator for v in row.values()), 1)
+        yield {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
 def _strip(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    """Divide out the content, signed so the entry at the minimal column is positive."""
+    g = reduce(gcd, row.values(), 0)
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -42,18 +37,16 @@ def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[
         if piv is None:
             return _strip(row)
         a, b = piv[c], row[c]
-        g = gcd(a, b)
-        ma, mb = a // g, b // g
-        new: dict[int, int] = {}
-        for col, v in row.items():
-            new[col] = v * ma
+        if b % a:  # rescale a copy only when the positive lead a does not divide b
+            g = gcd(a, b)
+            row, a = {col: v * (a // g) for col, v in row.items()}, g
+        f = b // a
         for col, v in piv.items():
-            w = new.get(col, 0) - v * mb
+            w = row.get(col, 0) - f * v
             if w:
-                new[col] = w
-            elif col in new:
-                del new[col]
-        row = new
+                row[col] = w
+            else:
+                del row[col]
     return row
 
 

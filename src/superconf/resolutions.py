@@ -10,7 +10,9 @@ Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
 a map between graded free modules, taken by one routine, `_degree_slice`,
 from the map's columns; each Koszul differential is built once, as columns,
-by `_koszul_step_columns`.
+by `_koszul_step_columns`.  `_degree_slice` numbers its columns in descending
+grevlex order, so elimination pivots on grevlex leading terms, which fill in
+far less than lex ones (the column order of Faugère's F4 matrices).
 """
 
 from __future__ import annotations
@@ -310,11 +312,11 @@ def minimal_free_resolution(
 
 
 def _block_index(ring: GradedRing, gen_degrees: Sequence[int], j: int):
-    """Column offset of each generator's block and its monomial lookup in degree j."""
+    """Column offset and descending-grevlex monomial lookup of each block in degree j."""
     offsets, lookups = [], []
     offset = 0
     for g in gen_degrees:
-        mons = ring.monomials_of_degree(j - g)
+        mons = sorted(ring.monomials_of_degree(j - g), key=lambda m: m[::-1])
         offsets.append(offset)
         lookups.append({mon: n for n, mon in enumerate(mons)})
         offset += len(mons)
@@ -329,7 +331,10 @@ def _degree_slice(
     `columns` lists each source generator as (its image, its degree).  Rows
     run over the generators in order, each times its monomials in
     `monomials_of_degree` order; a zero image gives empty rows, which still
-    count toward the source dimension.  Returns (rows, source dim, target dim).
+    count toward the source dimension.  Columns run over the target's blocks in
+    descending grevlex order, so a row's minimal column, the elimination's pivot,
+    is a grevlex leading term: lex columns fill in far more.  Returns (rows,
+    source dim, target dim).
     """
     ring = target.ring
     offsets, lookups, tgt_dim = _block_index(ring, target.gen_degrees, j)

@@ -5,22 +5,32 @@ in test_acceptance.py; here are the finer-grained properties, run through
 hypothesis where generation is cheap.
 """
 
+from copy import deepcopy
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hypothesis import given, settings, strategies as st
 
 from superconf.groebner import hilbert_series, ideal_gb, syzygy_module
-from superconf.linalg import rref, sparse_kernel, sparse_rank
+from superconf.linalg import _triangularize, rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,
+    _degree_slice,
+    _koszul_step_columns,
     koszul_homology_dims,
     koszul_tor,
     low_betti,
     minimal_free_resolution,
     resolution_is_complex,
 )
-from superconf.rings import FreeModule, GradedRing, ModuleElement, Polynomial
+from superconf.rings import (
+    FreeModule,
+    GradedRing,
+    ModuleElement,
+    MonomialOrder,
+    Polynomial,
+    mon_mul,
+)
 
 
 fractions = st.fractions(
@@ -29,13 +39,13 @@ fractions = st.fractions(
 
 
 @st.composite
-def matrices(draw, max_dim=5):
-    """(sparse rows, column count) of a random rational matrix."""
+def matrices(draw, max_dim=5, entries=fractions):
+    """(sparse rows, column count) of a random matrix with the given entries."""
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
     data = draw(
         st.lists(
-            st.lists(fractions, min_size=cols, max_size=cols),
+            st.lists(entries, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
@@ -71,6 +81,46 @@ def test_row_order_does_not_change_rank_rref_or_kernel(m, data):
     assert sparse_rank(permuted) == sparse_rank(rows)
     assert rref(permuted) == rref(rows)
     assert sparse_kernel(permuted, cols) == sparse_kernel(rows, cols)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_order_does_not_change_rank(m, data):
+    rows, cols = m
+    perm = data.draw(st.permutations(range(cols)))
+    assert sparse_rank([{perm[c]: x for c, x in row.items()} for row in rows]) == sparse_rank(rows)
+
+
+@given(st.one_of(matrices(), matrices(entries=st.integers(-4, 4))))
+@settings(max_examples=60, deadline=None)
+def test_elimination_leaves_its_input_rows_unchanged(m):
+    """The kernel reduces its own integer copies in place, never the caller's
+    rows; each row appears twice, so every second copy is reduced to zero."""
+    rows, cols = m
+    rows = rows + rows
+    before = deepcopy(rows)
+    sparse_rank(rows)
+    rref(rows)
+    sparse_kernel(rows, cols)
+    assert rows == before
+    assert [list(map(type, r.values())) for r in rows] == [
+        list(map(type, r.values())) for r in before
+    ]
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_pivots_are_primitive_with_positive_leads(m):
+    """Forward elimination stores each pivot row at its minimal column, with
+    content 1 and a positive lead; rref rows are 1 there."""
+    rows, _ = m
+    pivots = _triangularize(rows)
+    for p, row in pivots.items():
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+    red = rref(rows)
+    assert list(red) == sorted(pivots)
+    assert all(row[p] == 1 for p, row in red.items())
 
 
 @given(matrices())
@@ -215,3 +265,76 @@ def test_low_betti_matches_resolution(pm):
     _, betti = minimal_free_resolution(pm)
     low = {(i, j): v for (i, j), v in betti.entries.items() if i <= 1 and j <= 3}
     assert low_betti(pm, 3) == low
+
+
+def _block_positions(ring, gen_degrees, j, order_key=None):
+    """{(block, monomial): column} of a degree-j target, each block listed in
+    `monomials_of_degree` order, or sorted descending by `order_key`."""
+    cols, offset = {}, 0
+    for c, g in enumerate(gen_degrees):
+        mons = ring.monomials_of_degree(j - g)
+        if order_key is not None:
+            mons = sorted(mons, key=order_key, reverse=True)
+        cols.update({(c, mon): offset + n for n, mon in enumerate(mons)})
+        offset += len(mons)
+    return cols
+
+
+def _assert_slice_is_lex_reference_relabelled(columns, target, j):
+    """`_degree_slice` equals the lex-numbered reference rows with every
+    column moved to its descending grevlex position."""
+    ring = target.ring
+    lex = _block_positions(ring, target.gen_degrees, j)
+    grevlex = _block_positions(
+        ring, target.gen_degrees, j, MonomialOrder("wgrevlex", ring.weights).key
+    )
+    relabel = {lex[bm]: grevlex[bm] for bm in lex}
+    reference = [
+        {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in image.terms.items()}
+        for image, deg in columns
+        for mon in ring.monomials_of_degree(j - deg)
+    ]
+    rows, src_dim, tgt_dim = _degree_slice(columns, target, j)
+    assert (src_dim, tgt_dim) == (len(reference), len(lex))
+    assert rows == [{relabel[c]: v for c, v in row.items()} for row in reference]
+
+
+@given(quadric_sets())
+@settings(max_examples=30, deadline=None)
+def test_koszul_slices_are_the_lex_rows_in_grevlex_columns(data):
+    ring, polys = data
+    degrees = [2] * len(polys)
+    for i in range(1, len(polys) + 1):
+        cols, source, target = _koszul_step_columns(ring, polys, i, degrees)
+        for j in range(2 * i, 2 * i + 3):
+            _assert_slice_is_lex_reference_relabelled(
+                list(zip(cols, source.gen_degrees)), target, j
+            )
+
+
+@given(presented_modules())
+@settings(max_examples=30, deadline=None)
+def test_relation_slices_are_the_lex_rows_in_grevlex_columns(pm):
+    rels = [(r, r.degree()) for r in pm.relations if not r.is_zero()]
+    for j in range(1, 5):
+        _assert_slice_is_lex_reference_relabelled(rels, pm.free, j)
+
+
+@given(quadric_sets())
+@settings(max_examples=30, deadline=None)
+def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
+    """Each row m*f of one polynomial's slice has its minimal column at the
+    grevlex leading monomial of m*f, so elimination pivots there."""
+    ring, polys = data
+    order = MonomialOrder("wgrevlex", ring.weights)
+    free = FreeModule(ring, [0])
+    for f in polys:
+        if f.is_zero():
+            continue
+        col = ModuleElement(free, {(0, m): c for m, c in f.terms.items()})
+        for j in range(2, 5):
+            rows, _, _ = _degree_slice([(col, 2)], free, j)
+            mons = sorted(ring.monomials_of_degree(j), key=order.key, reverse=True)
+            for mon, row in zip(ring.monomials_of_degree(j - 2), rows):
+                lead = max((mon_mul(mon, m2) for m2 in f.terms), key=order.key)
+                assert mons[min(row)] == lead

@@ -180,6 +180,37 @@ def test_ce_cohomology_3d_n1_vanishing_pattern():
     assert ce_cohomology(alg, 3, (0, 10)).is_zero()
 
 
+def test_koszul_homology_and_defect_pinned_on_catalog_quadrics():
+    """Pinned Koszul homology H_k and syzygetic defect of the bracket quadrics,
+    degrees 0..8; these are the graded rank systems sliced by `_degree_slice`."""
+    from superconf.algebras import build_standard
+
+    expected = {
+        (3, 1): (
+            [{0: 1, 1: 2}, {3: 2, 4: 1}, {}, {}],
+            {4: 1},
+        ),
+        (4, 1): (
+            [
+                {0: 1, 1: 4, 2: 6, 3: 8, 4: 10, 5: 12, 6: 14, 7: 16, 8: 18},
+                {3: 4, 4: 9, 5: 12, 6: 16, 7: 20, 8: 24},
+                {6: 2, 7: 4, 8: 6},
+                {},
+                {},
+            ],
+            {4: 1},
+        ),
+    }
+    for (dim, n), (homology, defect) in expected.items():
+        alg = build_standard(dim, n)
+        ring, quadrics = alg.ring(), alg.quadrics()
+        degrees = [2] * len(quadrics)
+        got = [koszul_homology_dims(ring, quadrics, k, (0, 8), degrees).dims
+               for k in range(len(quadrics) + 1)]
+        assert got == homology
+        assert syzygetic_defect(ring, quadrics, (0, 8)).dims == defect
+
+
 def test_ce_cohomology_degree_zero_is_structure_sheaf():
     from superconf.algebras import build_standard
     from superconf.resolutions import ce_cohomology
