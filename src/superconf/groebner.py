@@ -7,16 +7,21 @@ separate pass over the finished basis (Schreyer's construction), where the
 product criterion is never used, because the Koszul syzygy of a coprime pair
 is a genuine generator of the syzygy module.
 
-Coefficients stay exact; every basis element is normalized to integer
-primitive form with positive lead coefficient, so reduced bases are canonical
-and safe to hash for the on-disk cache.
+The core works on packed int terms and int order keys (see `rings`) with
+integer coefficients.  Every basis element is primitive with positive lead
+coefficient, so reduced bases are canonical and safe to hash for the on-disk
+cache.  Reduction is fraction-free: the working polynomial carries a running
+scale and is rescaled only when a lead coefficient does not divide.
+Quotients and tracked rows stay exact `Fraction`s, one per reduction step.
+Tuples and `Fraction`s appear only at the public boundary: `elements`,
+`normal_form`, `reduce_with_quotients` and the syzygies returned.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm as int_lcm
 from typing import Sequence
 
 from .rings import (
@@ -26,10 +31,8 @@ from .rings import (
     ModuleOrder,
     MonomialOrder,
     Polynomial,
-    mon_div,
     mon_divides,
     mon_lcm,
-    mon_mul,
 )
 
 
@@ -52,137 +55,150 @@ def _content_scale(terms: dict) -> Fraction:
     return Fraction(den, num)
 
 
-def _row_scale(row: dict, mon, coeff: Fraction) -> dict:
-    return {s: {mon_mul(m, mon): c * coeff for m, c in p.items()} for s, p in row.items()}
-
-
-def _row_sub(row: dict, other: dict) -> dict:
-    out = {s: dict(p) for s, p in row.items()}
+def _row_add(row: dict, other: dict, mon: int, coeff: Fraction) -> None:
+    """row += coeff * mon * other, in place, on tracked rows {s: {monomial: c}}."""
     for s, p in other.items():
-        tgt = out.setdefault(s, {})
+        tgt = row.setdefault(s, {})
         for m, c in p.items():
-            v = tgt.get(m, _F0) - c
+            m += mon
+            v = tgt.get(m, _F0) + coeff * c
             if v:
                 tgt[m] = v
             elif m in tgt:
                 del tgt[m]
         if not tgt:
-            del out[s]
-    return out
+            del row[s]
+
+
+def _work(ring: GradedRing, order: ModuleOrder, terms: dict):
+    """(work, heap, scale) of {(comp, mon): Fraction}: the packed integer
+    coefficients work with terms = work / scale, and heap entries (-key, t)."""
+    scale = int_lcm(*(c.denominator for c in terms.values()))
+    work, heap = {}, []
+    for term, c in terms.items():
+        t = ring.pack(*term)
+        work[t] = c.numerator * (scale // c.denominator)
+        heap.append((-order.key(term), t))
+    return work, heap, scale
 
 
 class _GbElem:
-    __slots__ = ("terms", "lt", "lc", "deg", "row")
+    """A basis element with primitive integer terms and positive lead.
 
-    def __init__(self, terms: dict, order: ModuleOrder, deg: int, row: dict | None = None):
-        scale = _content_scale(terms)
-        lt = max(terms, key=order.key)
-        if terms[lt] * scale < 0:
-            scale = -scale
-        if scale != 1:
-            terms = {t: c * scale for t, c in terms.items()}
-            if row is not None:
-                row = {s: {m: c * scale for m, c in p.items()} for s, p in row.items()}
-        self.terms = terms
-        self.lt = lt
-        self.lc = terms[lt]
-        self.deg = deg
+    `lt`, `lc` and `nlt` are the packed lead term, its coefficient and its
+    negated order key; `tail` lists the other terms as (term, coefficient,
+    negated key) in descending order; `lead` is the lead as (comp, monomial).
+    """
+
+    __slots__ = ("lt", "lc", "nlt", "tail", "lead", "row")
+
+    def __init__(self, ring: GradedRing, rem: list, scale: int, row: dict | None = None):
+        coeffs = [c * (scale // s) for _, _, c, s in rem]
+        content = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+        if row is not None and scale != content:
+            k = Fraction(scale, content)
+            row = {s: {m: c * k for m, c in p.items()} for s, p in row.items()}
+        self.nlt, self.lt = rem[0][:2]
+        self.lc = coeffs[0] // content
+        self.tail = [(rem[n][1], coeffs[n] // content, rem[n][0]) for n in range(1, len(rem))]
+        self.lead = ring.unpack(self.lt)
         self.row = row
 
+    def work(self):
+        """(work, heap, scale) of this element, for reducing it again."""
+        items = [(self.lt, self.lc, self.nlt), *self.tail]
+        return {t: c for t, c, _ in items}, [(nk, t) for t, _, nk in items], 1
 
-def _neg_key(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
-
-
-def _heap_key_fn(order: ModuleOrder):
-    """Memoized negated order key, for min-heaps acting as max-heaps."""
-    memo = getattr(order, "_heap_memo", None)
-    if memo is None:
-        memo = {}
-        order._heap_memo = memo
-    key = order.key
-
-    def hk(term):
-        v = memo.get(term)
-        if v is None:
-            v = _neg_key(key(term))
-            memo[term] = v
-        return v
-
-    return hk
+    def terms(self, ring: GradedRing) -> dict:
+        return {ring.unpack(t): Fraction(c) for t, c, _ in [(self.lt, self.lc, 0), *self.tail]}
 
 
-def _reduce_full(
-    terms: dict,
-    basis: Sequence[_GbElem],
-    by_comp: dict,
-    order: ModuleOrder,
-    row: dict | None = None,
-    quotients: list | None = None,
-):
-    """Full normal form of `terms` against `basis`; returns (rem, row, quotients).
+def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: GradedRing,
+                 row: dict | None = None, quotients: dict | None = None):
+    """Full normal form of work / scale against the elements in `by_comp`.
 
-    Terms are consumed from a lazy-deletion heap: stale entries (whose
-    coefficient has since cancelled) are skipped on pop.
+    `work` maps packed terms to integer coefficients and `heap` holds their
+    (negated key, term) entries; both are consumed.  Stale heap entries, whose
+    coefficient has since cancelled, are skipped on pop.  A step by element g
+    at the quotient d = t - g.lt rescales the work only if g.lc does not
+    divide the coefficient, and keys each new term as its key in g plus
+    key(t) - key(g.lt).  Returns (rem, scale, row): rem lists (negated key,
+    term, c, s) in descending order, the remainder coefficient being c / s.
+    The quotients, {g: {d: Fraction}}, are filled in place.
     """
-    work = dict(terms)
-    rem: dict = {}
-    hk = _heap_key_fn(order)
-    heap = [(hk(t), t) for t in work]
+    cshift, guard = ring.comp_shift, ring.guard
+    pop, push = heapq.heappop, heapq.heappush
     heapq.heapify(heap)
+    if row is not None:
+        row = {s: dict(p) for s, p in row.items()}
+    rem: list = []
     while heap:
-        _, t = heapq.heappop(heap)
-        c = work.get(t)
+        nk, t = pop(heap)
+        c = work.pop(t, 0)
         if not c:
             continue
-        comp, mon = t
-        hit = None
-        for idx in by_comp.get(comp, ()):
-            g = basis[idx]
-            if mon_divides(g.lt[1], mon):
-                hit = (idx, g)
+        for g in by_comp.get(t >> cshift, ()):
+            d = t - g.lt
+            if d >= 0 and not d & guard:
                 break
-        if hit is None:
-            rem[t] = c
-            del work[t]
+        else:
+            rem.append((nk, t, c, scale))
             continue
-        idx, g = hit
-        q = mon_div(mon, g.lt[1])
-        f = c / g.lc
-        for (gc, gm), gv in g.terms.items():
-            tt = (gc, mon_mul(gm, q))
-            old = work.get(tt)
-            v = (old if old is not None else _F0) - f * gv
-            if v:
-                work[tt] = v
-                if old is None:
-                    heapq.heappush(heap, (hk(tt), tt))
-            elif old is not None:
-                del work[tt]
+        lc = g.lc
+        if c % lc:
+            m = lc // gcd(c, lc)
+            for u in work:
+                work[u] *= m
+            scale *= m
+            c *= m
+        f = c // lc
+        dk = nk - g.nlt
+        for u, v, k in g.tail:
+            u += d
+            old = work.get(u)
+            if old is None:
+                work[u] = -f * v
+                push(heap, (k + dk, u))
+            else:
+                old -= f * v
+                if old:
+                    work[u] = old
+                else:
+                    del work[u]
+        if row is None and quotients is None:
+            continue
+        q = Fraction(c, scale * lc)
         if row is not None and g.row is not None:
-            row = _row_sub(row, _row_scale(g.row, q, f))
+            _row_add(row, g.row, d, -q)
         if quotients is not None:
-            qd = quotients[idx]
-            qd[q] = qd.get(q, _F0) + f
-    return rem, row, quotients
+            qd = quotients.setdefault(g, {})
+            qd[d] = qd.get(d, _F0) + q
+    return rem, scale, row
 
 
-def _spair_terms(gi: _GbElem, gj: _GbElem, lcm_mon) -> dict:
-    mi = mon_div(lcm_mon, gi.lt[1])
-    mj = mon_div(lcm_mon, gj.lt[1])
-    sterms: dict = {}
-    for (c, m), v in gi.terms.items():
-        sterms[(c, mon_mul(m, mi))] = v / gi.lc
-    for (c, m), v in gj.terms.items():
-        t = (c, mon_mul(m, mj))
-        w = sterms.get(t, _F0) - v / gj.lc
-        if w:
-            sterms[t] = w
-        elif t in sterms:
-            del sterms[t]
-    return sterms
+def _spair(gi: _GbElem, gj: _GbElem, lcm_t: int, lcm_nk: int):
+    """(work, heap, scale) of the S-polynomial of gi and gj at the packed lcm.
+
+    The integer combination (lc_j*mi*gi - lc_i*mj*gj) / gcd(lc_i, lc_j) is
+    `scale` times the monic S-polynomial; the lead terms cancel and are left out.
+    """
+    h = gcd(gi.lc, gj.lc)
+    ai, aj = gj.lc // h, gi.lc // h
+    work: dict = {}
+    heap: list = []
+    for g, a in ((gi, ai), (gj, -aj)):
+        d, dk = lcm_t - g.lt, lcm_nk - g.nlt
+        for u, v, k in g.tail:
+            u += d
+            old = work.get(u)
+            if old is None:
+                work[u] = a * v
+                heap.append((k + dk, u))
+            elif old + a * v:
+                work[u] = old + a * v
+            else:
+                del work[u]
+    return work, heap, ai * gi.lc
 
 
 def _gm_update(pairs: list, basis: list, t: int, use_product: bool) -> None:
@@ -190,22 +206,22 @@ def _gm_update(pairs: list, basis: list, t: int, use_product: bool) -> None:
 
     A pair is (i, j, (component, lcm monomial)); `pairs` holds pending pairs.
     """
-    lt_t = basis[t].lt
+    lt_t = basis[t].lead
     comp_t = lt_t[0]
     kept = []
     for entry in pairs:
         i, j, lcm_ij = entry
         if lcm_ij[0] == comp_t and mon_divides(lt_t[1], lcm_ij[1]):
-            lcm_it = mon_lcm(basis[i].lt[1], lt_t[1])
-            lcm_jt = mon_lcm(basis[j].lt[1], lt_t[1])
+            lcm_it = mon_lcm(basis[i].lead[1], lt_t[1])
+            lcm_jt = mon_lcm(basis[j].lead[1], lt_t[1])
             if lcm_it != lcm_ij[1] and lcm_jt != lcm_ij[1]:
                 continue
         kept.append(entry)
     pairs[:] = kept
     cand = [
-        (i, mon_lcm(basis[i].lt[1], lt_t[1]))
+        (i, mon_lcm(basis[i].lead[1], lt_t[1]))
         for i in range(t)
-        if basis[i].lt[0] == comp_t
+        if basis[i].lead[0] == comp_t
     ]
     survivors = []
     for i, lcm_i in cand:
@@ -221,10 +237,17 @@ def _gm_update(pairs: list, basis: list, t: int, use_product: bool) -> None:
         by_lcm.setdefault(lcm_i, []).append(i)
     for lcm_i, idxs in sorted(by_lcm.items()):
         if use_product and any(
-            all(min(a, b) == 0 for a, b in zip(basis[i].lt[1], lt_t[1])) for i in idxs
+            all(min(a, b) == 0 for a, b in zip(basis[i].lead[1], lt_t[1])) for i in idxs
         ):
             continue
         pairs.append((min(idxs), t, (comp_t, lcm_i)))
+
+
+def _by_comp(elems) -> dict:
+    out: dict = {}
+    for g in elems:
+        out.setdefault(g.lead[0], []).append(g)
+    return out
 
 
 class GroebnerBasis:
@@ -234,32 +257,39 @@ class GroebnerBasis:
         self.module = module
         self.order = order
         self._internal = internal
-        self._by_comp: dict = {}
-        for idx, g in enumerate(internal):
-            self._by_comp.setdefault(g.lt[0], []).append(idx)
+        self._by_comp = _by_comp(internal)
 
     @property
     def elements(self) -> list[ModuleElement]:
-        return [ModuleElement(self.module, g.terms) for g in self._internal]
+        ring = self.module.ring
+        return [ModuleElement(self.module, g.terms(ring)) for g in self._internal]
 
     def lead_terms(self) -> list:
-        return [g.lt for g in self._internal]
+        return [g.lead for g in self._internal]
 
     def __len__(self):
         return len(self._internal)
 
-    def normal_form(self, f: ModuleElement) -> ModuleElement:
+    def _reduce(self, f: ModuleElement, quotients: dict | None = None) -> ModuleElement:
         if f.module.ring != self.module.ring or f.module.rank != self.module.rank:
             raise ValueError("element does not live in the basis module")
-        rem, _, _ = _reduce_full(f.terms, self._internal, self._by_comp, self.order)
-        return ModuleElement(self.module, rem)
+        ring = self.module.ring
+        work, heap, scale = _work(ring, self.order, f.terms)
+        rem, _, _ = _reduce_full(work, heap, scale, self._by_comp, ring, quotients=quotients)
+        return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
+
+    def normal_form(self, f: ModuleElement) -> ModuleElement:
+        return self._reduce(f)
 
     def reduce_with_quotients(self, f: ModuleElement):
-        quotients = [dict() for _ in self._internal]
-        rem, _, quotients = _reduce_full(
-            f.terms, self._internal, self._by_comp, self.order, quotients=quotients
-        )
-        return ModuleElement(self.module, rem), quotients
+        """(remainder, quotients): quotients[i] maps monomials to Fractions."""
+        ring = self.module.ring
+        quotients: dict = {}
+        rem = self._reduce(f, quotients)
+        return rem, [
+            {ring.unpack(d)[1]: c for d, c in quotients.get(g, {}).items()}
+            for g in self._internal
+        ]
 
 
 def default_ring_order(ring: GradedRing) -> MonomialOrder:
@@ -290,11 +320,11 @@ def buchberger(
     pairs: list = []
     heap: list = []
 
-    def push(terms, deg, row):
-        elem = _GbElem(terms, order, deg, row)
+    def push(rem, scale, row):
+        elem = _GbElem(ring, rem, scale, row)
         basis.append(elem)
         t = len(basis) - 1
-        by_comp.setdefault(elem.lt[0], []).append(t)
+        by_comp.setdefault(elem.lead[0], []).append(elem)
         _gm_update(pairs, basis, t, use_product)
         for i, j, lcm in pairs:
             d = ring.degree(lcm[1]) + module.gen_degrees[lcm[0]]
@@ -306,26 +336,27 @@ def buchberger(
             continue
         if not g.is_homogeneous():
             raise ValueError("Buchberger input must be homogeneous")
-        row = {s: {ring.one_monomial(): _F1}} if _track else None
-        rem, row, _ = _reduce_full(g.terms, basis, by_comp, order, row=row)
+        row = {s: {0: _F1}} if _track else None  # 0 packs the monomial 1
+        work, wheap, scale = _work(ring, order, g.terms)
+        rem, scale, row = _reduce_full(work, wheap, scale, by_comp, ring, row=row)
         if rem:
-            push(rem, g.degree(), row)
+            push(rem, scale, row)
 
     steps = 0
     seen = set()
     while heap:
-        deg, _, i, j, lcm = heapq.heappop(heap)
+        _, key, i, j, lcm = heapq.heappop(heap)
         if (i, j) in seen:
             continue
         seen.add((i, j))
         # Lazy chain criterion against elements added after the pair was queued.
         skip = False
         for t in range(j + 1, len(basis)):
-            lt_t = basis[t].lt
+            lt_t = basis[t].lead
             if lt_t[0] == lcm[0] and mon_divides(lt_t[1], lcm[1]):
                 if (
-                    mon_lcm(basis[i].lt[1], lt_t[1]) != lcm[1]
-                    and mon_lcm(basis[j].lt[1], lt_t[1]) != lcm[1]
+                    mon_lcm(basis[i].lead[1], lt_t[1]) != lcm[1]
+                    and mon_lcm(basis[j].lead[1], lt_t[1]) != lcm[1]
                 ):
                     skip = True
                     break
@@ -334,46 +365,46 @@ def buchberger(
         steps += 1
         if step_budget is not None and steps > step_budget:
             raise StepBudgetExceeded(f"S-pair budget {step_budget} exceeded")
-        sterms = _spair_terms(basis[i], basis[j], lcm[1])
+        gi, gj = basis[i], basis[j]
+        lcm_t = ring.pack(*lcm)
+        work, wheap, scale = _spair(gi, gj, lcm_t, -key)
         row = None
         if _track:
-            gi, gj = basis[i], basis[j]
-            row = _row_sub(
-                _row_scale(gi.row, mon_div(lcm[1], gi.lt[1]), _F1 / gi.lc),
-                _row_scale(gj.row, mon_div(lcm[1], gj.lt[1]), _F1 / gj.lc),
-            )
-        rem, row, _ = _reduce_full(sterms, basis, by_comp, order, row=row)
+            row = {}
+            _row_add(row, gi.row, lcm_t - gi.lt, _F1 / gi.lc)
+            _row_add(row, gj.row, lcm_t - gj.lt, -_F1 / gj.lc)
+        rem, scale, row = _reduce_full(work, wheap, scale, by_comp, ring, row=row)
         if rem:
-            push(rem, deg, row)
+            push(rem, scale, row)
 
-    basis = _autoreduce(order, basis, _track)
+    basis = _autoreduce(ring, basis, _track)
     return GroebnerBasis(module, order, basis)
 
 
-def _autoreduce(order: ModuleOrder, basis: list, track: bool) -> list:
+def _autoreduce(ring: GradedRing, basis: list, track: bool) -> list:
+    guard, unit = ring.guard, 1 << ring.comp_shift
     keep = []
     for idx, g in enumerate(basis):
         redundant = False
         for jdx, h in enumerate(basis):
             if jdx == idx:
                 continue
-            if h.lt[0] == g.lt[0] and mon_divides(h.lt[1], g.lt[1]):
-                if h.lt != g.lt or jdx < idx:
+            d = g.lt - h.lt
+            if 0 <= d < unit and not d & guard:
+                if d or jdx < idx:
                     redundant = True
                     break
         if not redundant:
             keep.append(g)
-    keep.sort(key=lambda g: order.key(g.lt))
+    keep.sort(key=lambda g: -g.nlt)
     final: list = []
     for g in keep:
-        others = [h for h in keep if h is not g]
-        bc: dict = {}
-        for i, h in enumerate(others):
-            bc.setdefault(h.lt[0], []).append(i)
-        rem, row, _ = _reduce_full(
-            dict(g.terms), others, bc, order, row=g.row if track else None
+        others = _by_comp(h for h in keep if h is not g)
+        work, heap, scale = g.work()
+        rem, scale, row = _reduce_full(
+            work, heap, scale, others, ring, row=g.row if track else None
         )
-        final.append(_GbElem(rem, order, g.deg, row))
+        final.append(_GbElem(ring, rem, scale, row))
     return final
 
 
@@ -408,16 +439,15 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[list[ModuleElement], ModuleOrd
     order = gb.order
     ring = module.ring
     syz_module = FreeModule(
-        ring, [ring.degree(g.lt[1]) + module.gen_degrees[g.lt[0]] for g in basis]
+        ring, [ring.degree(g.lead[1]) + module.gen_degrees[g.lead[0]] for g in basis]
     )
     syz_order = ModuleOrder(
-        order.ring_order, "schreyer", schreyer_leads=[g.lt for g in basis], parent=order
+        order.ring_order, "schreyer", schreyer_leads=[g.lead for g in basis], parent=order
     )
     pairs: list = []
     for t in range(len(basis)):
         _gm_update(pairs, basis, t, False)
     syzygies: list[ModuleElement] = []
-    by_comp = gb._by_comp
     for i, j, lcm in sorted(
         pairs,
         key=lambda e: (
@@ -428,26 +458,30 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[list[ModuleElement], ModuleOrd
         ),
     ):
         gi, gj = basis[i], basis[j]
-        sterms = _spair_terms(gi, gj, lcm[1])
-        quotients = [dict() for _ in basis]
-        rem, _, quotients = _reduce_full(sterms, basis, by_comp, order, quotients=quotients)
+        lcm_t = ring.pack(*lcm)
+        work, heap, scale = _spair(gi, gj, lcm_t, -order.key(lcm))
+        quotients: dict = {}
+        rem, _, _ = _reduce_full(work, heap, scale, gb._by_comp, ring, quotients=quotients)
         if rem:
             raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-        sterms2: dict = {(i, mon_div(lcm[1], gi.lt[1])): _F1 / gi.lc}
-        tj = (j, mon_div(lcm[1], gj.lt[1]))
-        sterms2[tj] = sterms2.get(tj, _F0) - _F1 / gj.lc
-        for idx, q in enumerate(quotients):
-            for m, c in q.items():
+        sterms: dict = {(i, lcm_t - gi.lt): _F1 / gi.lc}
+        tj = (j, lcm_t - gj.lt)
+        sterms[tj] = sterms.get(tj, _F0) - _F1 / gj.lc
+        for idx, g in enumerate(basis):
+            for m, c in quotients.get(g, {}).items():
                 tt = (idx, m)
-                w = sterms2.get(tt, _F0) - c
+                w = sterms.get(tt, _F0) - c
                 if w:
-                    sterms2[tt] = w
-                elif tt in sterms2:
-                    del sterms2[tt]
-        if sterms2:
-            scale = _content_scale(sterms2)
+                    sterms[tt] = w
+                elif tt in sterms:
+                    del sterms[tt]
+        if sterms:
+            scale = _content_scale(sterms)
             syzygies.append(
-                ModuleElement(syz_module, {t: c * scale for t, c in sterms2.items()})
+                ModuleElement(
+                    syz_module,
+                    {(idx, ring.unpack(m)[1]): c * scale for (idx, m), c in sterms.items()},
+                )
             )
     return syzygies, syz_order
 
@@ -475,40 +509,40 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     syzygies, _ = schreyer_syzygies(gb)
     U = []
     for _, g in nonzero:
-        rem, quotients = gb.reduce_with_quotients(ModuleElement(gb.module, g.terms))
-        if not rem.is_zero():
+        quotients: dict = {}
+        if not gb._reduce(ModuleElement(gb.module, g.terms), quotients).is_zero():
             raise AssertionError("generator failed to reduce against its own basis")
         U.append(quotients)
 
-    def add_terms(terms, s, m, c):
-        t = (s, m)
-        w = terms.get(t, _F0) + c
-        if w:
-            terms[t] = w
-        elif t in terms:
-            del terms[t]
+    def add_row(terms, g, m, c):
+        """terms += c * m * (tracked row of g), on packed monomials."""
+        for s_local, p in (g.row or {}).items():
+            s = nonzero[s_local][0]
+            for m2, c2 in p.items():
+                t = (s, m + m2)
+                w = terms.get(t, _F0) + c * c2
+                if w:
+                    terms[t] = w
+                elif t in terms:
+                    del terms[t]
+
+    def element(terms):
+        scale = _content_scale(terms)
+        return ModuleElement(tgt, {(s, ring.unpack(m)[1]): c * scale for (s, m), c in terms.items()})
 
     for z in syzygies:
         terms: dict = {}
         for (t_idx, m), c in z.terms.items():
-            for s_local, p in (basis[t_idx].row or {}).items():
-                s_orig = nonzero[s_local][0]
-                for m2, c2 in p.items():
-                    add_terms(terms, s_orig, mon_mul(m, m2), c * c2)
+            add_row(terms, basis[t_idx], ring.pack(0, m), c)
         if terms:
-            scale = _content_scale(terms)
-            out.append(ModuleElement(tgt, {t: c * scale for t, c in terms.items()}))
-    for local_s, (s_orig, g) in enumerate(nonzero):
-        terms = {(s_orig, ring.one_monomial()): _F1}
-        for t_idx, q in enumerate(U[local_s]):
-            for m, c in q.items():
-                for s2_local, p in (basis[t_idx].row or {}).items():
-                    s2 = nonzero[s2_local][0]
-                    for m2, c2 in p.items():
-                        add_terms(terms, s2, mon_mul(m, m2), -c * c2)
+            out.append(element(terms))
+    for (s_orig, _), quotients in zip(nonzero, U):
+        terms = {(s_orig, 0): _F1}
+        for g in basis:
+            for m, c in quotients.get(g, {}).items():
+                add_row(terms, g, m, -c)
         if terms:
-            scale = _content_scale(terms)
-            out.append(ModuleElement(tgt, {t: c * scale for t, c in terms.items()}))
+            out.append(element(terms))
     return out
 
 

@@ -1,23 +1,48 @@
 """Weight-graded polynomial rings, monomial orders, and free modules.
 
-Monomials are exponent tuples; module terms are (component, monomial) pairs.
-Coefficients are `fractions.Fraction` throughout.  A ring polynomial is just
-a rank-one module element, so the Gröbner engine has a single code path.
+At the public boundary monomials are exponent tuples, module terms are
+(component, monomial) pairs and coefficients are `fractions.Fraction`.  A
+ring polynomial is just a rank-one module element, so the Gröbner engine has
+a single code path.
+
+Inside that engine a module term is one packed int (`GradedRing.pack`):
+component | weighted degree | one 16-bit field per exponent, the top bit of
+each field a guard.  Multiplying terms is `+`, and `t - s` has no guard bit
+set exactly when s divides t in the same component.  Every order key is one
+int, affine in the exponents, so key(t*q) = key(t) + key(q) - key(1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
 ModTerm = tuple  # (component, Monomial)
 
+FIELD_BITS = 16
+FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or weighted degree
+COMP_BITS = 32  # module order keys tell apart components below 2**COMP_BITS
+
+
+def _check_field(value: int, what: str) -> None:
+    if value > FIELD_LIMIT:
+        raise ValueError(f"{what} {value} exceeds the packed-field limit {FIELD_LIMIT}")
+
+
+def _fields(exps) -> int:
+    """One FIELD_BITS-wide field per exponent, the first exponent highest."""
+    t = 0
+    for e in exps:
+        t = t << FIELD_BITS | e
+    return t
+
 
 class GradedRing:
     """Polynomial ring over Q with positive integer weights on the variables."""
 
-    __slots__ = ("names", "weights", "nvars")
+    __slots__ = ("names", "weights", "nvars", "comp_shift", "guard")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
         names = list(names)
@@ -29,6 +54,23 @@ class GradedRing:
         self.names = names
         self.weights = weights
         self.nvars = len(names)
+        self.comp_shift = FIELD_BITS * (self.nvars + 1)
+        self.guard = _fields([1 << FIELD_BITS - 1] * self.nvars)
+
+    def pack(self, comp: int, mon: Monomial) -> int:
+        """The packed int of term (comp, mon); a ValueError if a field overflows.
+
+        Every exponent is at most the weighted degree, so the degree check
+        covers each field, and a product that keeps within the degree of a
+        packed term never overflows either.
+        """
+        deg = sum(map(mul, mon, self.weights))
+        _check_field(deg, "weighted degree")
+        return _fields((comp, deg, *reversed(mon)))
+
+    def unpack(self, t: int) -> ModTerm:
+        mask = (1 << FIELD_BITS) - 1
+        return t >> self.comp_shift, tuple(t >> FIELD_BITS * i & mask for i in range(self.nvars))
 
     def degree(self, mon: Monomial) -> int:
         return sum(e * w for e, w in zip(mon, self.weights))
@@ -85,9 +127,6 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
-def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -96,8 +135,10 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 class MonomialOrder:
     """Total order on ring monomials: lex, or grevlex weighted by `weights`.
 
-    `key` returns a tuple; larger key means larger monomial.  Without
-    weights, "wgrevlex" is plain grevlex.
+    `key` returns one int, linear in the exponents; larger key means larger
+    monomial.  Grevlex puts the weighted degree above one 16-bit field per
+    exponent, the last variable's negated exponent highest; lex puts the first
+    variable's exponent highest.  Without weights, "wgrevlex" is plain grevlex.
     """
 
     def __init__(self, kind: str = "wgrevlex", weights: Sequence[int] | None = None):
@@ -106,25 +147,28 @@ class MonomialOrder:
         self.kind = kind
         self.weights = list(weights) if weights is not None else None
 
-    def key(self, mon: Monomial):
+    def key(self, mon: Monomial) -> int:
+        _check_field(max(mon, default=0), "exponent")
         if self.kind == "lex":
-            return mon
-        if self.weights is None:
-            deg = sum(mon)
-        else:
-            deg = sum(e * w for e, w in zip(mon, self.weights))
-        return (deg, tuple(-e for e in reversed(mon)))
+            return _fields(mon)
+        deg = sum(mon) if self.weights is None else sum(map(mul, mon, self.weights))
+        return (deg << FIELD_BITS * len(mon)) - _fields(reversed(mon))
 
     def __repr__(self):
         return f"MonomialOrder({self.kind})"
 
 
 class ModuleOrder:
-    """Order on (component, monomial) pairs.
+    """Order on (component, monomial) pairs, keyed by one int.
 
     kind 'TOP': term over position (ring order first, lower component wins ties).
     kind 'schreyer': induced from lead terms of the previous step's basis;
     ties broken by lower component.
+
+    Both keys are base[comp] + (ring key << shift): TOP has base -comp and
+    shift COMP_BITS; a Schreyer order precomputes, per component, the parent
+    key of that component's lead term shifted up COMP_BITS, minus the
+    component.
     """
 
     def __init__(
@@ -142,13 +186,15 @@ class ModuleOrder:
         self.kind = kind
         self.schreyer_leads = list(schreyer_leads) if schreyer_leads else None
         self.parent = parent
+        self._shift = COMP_BITS + (parent._shift if kind == "schreyer" else 0)
+        self._base = None if kind == "TOP" else [
+            (parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(schreyer_leads)
+        ]
 
-    def key(self, term: ModTerm):
+    def key(self, term: ModTerm) -> int:
         comp, mon = term
-        if self.kind == "TOP":
-            return (self.ring_order.key(mon), -comp)
-        lead_comp, lead_mon = self.schreyer_leads[comp]
-        return (self.parent.key((lead_comp, mon_mul(mon, lead_mon))), -comp)
+        base = -comp if self._base is None else self._base[comp]
+        return base + (self.ring_order.key(mon) << self._shift)
 
 
 class Polynomial:
@@ -208,10 +254,6 @@ class Polynomial:
         return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def lead(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
 
     def __eq__(self, other):
         return (
@@ -336,10 +378,6 @@ class ModuleElement:
                 elif t in out:
                     del out[t]
         return ModuleElement(self.module, out)
-
-    def lead(self, order: ModuleOrder) -> tuple[ModTerm, Fraction]:
-        t = max(self.terms, key=order.key)
-        return t, self.terms[t]
 
     def __eq__(self, other):
         return (

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from superconf.groebner import (
     buchberger,
     default_module_order,
@@ -13,7 +15,14 @@ from superconf.groebner import (
     standard_monomials,
     syzygy_module,
 )
-from superconf.rings import FreeModule, GradedRing, ModuleElement, MonomialOrder, poly_ring
+from superconf.rings import (
+    FreeModule,
+    GradedRing,
+    ModuleElement,
+    MonomialOrder,
+    Polynomial,
+    poly_ring,
+)
 
 
 def sq(ring):
@@ -192,3 +201,23 @@ def test_4d_n1_quadrics_already_reduced_basis():
     got = sorted(str(p) for p in ideal_gb_polys(gb))
     expected = sorted(str(p * Fraction(1, 2)) for p in alg.quadrics())
     assert got == expected
+
+
+def test_packed_field_overflow_is_loud():
+    """A term past the 15-bit packed fields raises instead of wrapping."""
+    R = GradedRing(["x", "y"])
+
+    def mono(*exps):
+        return Polynomial(R, {exps: Fraction(1)})
+
+    assert len(ideal_gb(R, [mono(2**15 - 1, 0)])) == 1
+    with pytest.raises(ValueError, match="limit 32767"):
+        ideal_gb(R, [mono(2**15, 0)])
+    # inputs that fit, whose S-pair lcm x^20000*y^20000 does not
+    with pytest.raises(ValueError, match="weighted degree 40000 exceeds .* limit 32767"):
+        ideal_gb(R, [mono(20000, 1), mono(1, 20000)])
+    heavy = GradedRing(["x"], weights=[1000])
+    with pytest.raises(ValueError, match="weighted degree 33000"):
+        ideal_gb(heavy, [Polynomial(heavy, {(33,): Fraction(1)})])
+    with pytest.raises(ValueError, match="exponent 32768"):
+        MonomialOrder("lex").key((2**15, 0))

@@ -7,11 +7,18 @@ hypothesis where generation is cheap.
 
 from copy import deepcopy
 from fractions import Fraction
+from itertools import permutations
 from math import comb, gcd
 
 from hypothesis import given, settings, strategies as st
 
-from superconf.groebner import hilbert_series, ideal_gb, syzygy_module
+from superconf.groebner import (
+    buchberger,
+    hilbert_series,
+    ideal_gb,
+    schreyer_syzygies,
+    syzygy_module,
+)
 from superconf.linalg import _triangularize, rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,
@@ -24,11 +31,14 @@ from superconf.resolutions import (
     resolution_is_complex,
 )
 from superconf.rings import (
+    FIELD_LIMIT,
     FreeModule,
     GradedRing,
     ModuleElement,
+    ModuleOrder,
     MonomialOrder,
     Polynomial,
+    mon_divides,
     mon_mul,
 )
 
@@ -338,3 +348,152 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
             for mon, row in zip(ring.monomials_of_degree(j - 2), rows):
                 lead = max((mon_mul(mon, m2) for m2 in f.terms), key=order.key)
                 assert mons[min(row)] == lead
+
+
+# --- packed terms: int order keys and fraction-free reduction ----------------
+
+
+def _tuple_ring_key(order, mon):
+    """The nested-tuple monomial key the int key replaced."""
+    if order.kind == "lex":
+        return mon
+    weights = order.weights or [1] * len(mon)
+    return (sum(e * w for e, w in zip(mon, weights)), tuple(-e for e in reversed(mon)))
+
+
+def _tuple_module_key(order, term):
+    """The recursive nested-tuple module key the int key replaced."""
+    comp, mon = term
+    if order.kind == "TOP":
+        return (_tuple_ring_key(order.ring_order, mon), -comp)
+    lead_comp, lead_mon = order.schreyer_leads[comp]
+    return (_tuple_module_key(order.parent, (lead_comp, mon_mul(mon, lead_mon))), -comp)
+
+
+def _assert_same_order(terms, key, reference):
+    assert sorted(terms, key=key) == sorted(terms, key=reference)
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
+        lambda ws: st.tuples(
+            st.just(ws),
+            st.lists(
+                st.tuples(*[st.integers(0, FIELD_LIMIT) for _ in ws]),
+                min_size=2,
+                max_size=12,
+            ),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_int_monomial_keys_order_like_tuple_keys(data):
+    """Lex, grevlex and weighted grevlex, with exponents up to the field limit."""
+    weights, drawn = data
+    # permutations keep the unweighted degree, so the exponent fields decide
+    mons = sorted({p for m in drawn for p in permutations(m)})
+    for order in (
+        MonomialOrder("lex"),
+        MonomialOrder("wgrevlex"),
+        MonomialOrder("wgrevlex", weights),
+    ):
+        _assert_same_order(mons, order.key, lambda m: _tuple_ring_key(order, m))
+        top = ModuleOrder(order, "TOP")
+        terms = [(c, m) for m in mons for c in range(3)]
+        _assert_same_order(terms, top.key, lambda t: _tuple_module_key(top, t))
+
+
+@given(presented_modules(), st.sampled_from(["wgrevlex", "lex"]))
+@settings(max_examples=25, deadline=None)
+def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
+    """TOP and the Schreyer orders one, two and three levels deep of a syzygy chain."""
+    rels = [r for r in pm.relations if not r.is_zero()]
+    if not rels:
+        return
+    gb = buchberger(rels, ModuleOrder(MonomialOrder(kind, pm.ring.weights), "TOP"))
+    orders = [(gb.order, pm.free.rank)]
+    while len(gb) and len(orders) < 4:
+        syz, order = schreyer_syzygies(gb)
+        orders.append((order, len(gb)))
+        syz = [z for z in syz if not z.is_zero()]
+        if not syz:
+            break
+        gb = buchberger(syz, order)
+    mons = [m for d in range(4) for m in pm.ring.monomials_of_degree(d)]
+    for order, rank in orders:
+        terms = [(c, m) for c in range(rank) for m in mons]
+        _assert_same_order(terms, order.key, lambda t: _tuple_module_key(order, t))
+
+
+_SCALES = st.sampled_from([Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fraction(-3, 4)])
+
+
+def _fraction_normal_form(elements, key, f):
+    """Full reduction with Fraction coefficients and tuple keys only."""
+    work, rem = dict(f.terms), {}
+    leads = [(max(e.terms, key=key), e) for e in elements]
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        hit = next(
+            ((lt, e) for lt, e in leads if lt[0] == t[0] and mon_divides(lt[1], t[1])), None
+        )
+        if hit is None:
+            rem[t] = c
+            continue
+        lt, e = hit
+        q = tuple(a - b for a, b in zip(t[1], lt[1]))
+        factor = c / e.terms[lt]
+        for (comp, m), v in e.terms.items():
+            s = (comp, mon_mul(m, q))
+            if s != t:
+                w = work.get(s, Fraction(0)) - factor * v
+                if w:
+                    work[s] = w
+                else:
+                    work.pop(s, None)
+    return rem
+
+
+@given(quadric_sets(), st.lists(_SCALES, min_size=3, max_size=3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
+    ring, polys = data
+    gens = [p * s for p, s in zip(polys, scales) if not p.is_zero()]
+    if not gens:
+        return
+    gb = ideal_gb(ring, gens)
+
+    def key(t):
+        return _tuple_module_key(gb.order, t)
+
+    mons = [m for d in (2, 3) for m in ring.monomials_of_degree(d)]
+    coeffs = draw.draw(
+        st.lists(_SCALES | st.just(Fraction(0)), min_size=len(mons), max_size=len(mons))
+    )
+    f = ModuleElement(gb.module, {(0, m): c for m, c in zip(mons, coeffs)})
+    nf = gb.normal_form(f)
+    assert nf.terms == _fraction_normal_form(gb.elements, key, f)
+    rem, quotients = gb.reduce_with_quotients(f)
+    assert rem == nf
+    total = ModuleElement(gb.module, dict(rem.terms))
+    for e, q in zip(gb.elements, quotients):
+        total = total + e.mul_poly(Polynomial(ring, q))
+    assert total == f
+    # the tracked-row path: syzygies of inputs with non-unit leads
+    free = FreeModule(ring, [0])
+    cols = [ModuleElement(free, {(0, m): c for m, c in g.terms.items()}) for g in gens]
+    syz = syzygy_module(cols)
+    for z in syz:
+        acc = ring.zero()
+        for s, g in enumerate(gens):
+            acc = acc + z.component(s) * g
+        assert acc.is_zero()
+    # and they generate: every Koszul syzygy g_j e_i - g_i e_j reduces to zero
+    if syz:
+        syz_gb = buchberger(syz)
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                kz = {(i, m): c for m, c in gens[j].terms.items()}
+                kz.update({(j, m): -c for m, c in gens[i].terms.items()})
+                assert syz_gb.normal_form(ModuleElement(syz_gb.module, kz)).is_zero()
