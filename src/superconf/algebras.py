@@ -43,7 +43,10 @@ class SupertranslationAlgebra:
         self.k = odd_dim
         self.d = even_dim
         g = tuple(
-            tuple(tuple(Fraction(x) for x in gamma[a][b]) for b in range(odd_dim))
+            tuple(
+                tuple(x if isinstance(x, Fraction) else Fraction(x) for x in gamma[a][b])
+                for b in range(odd_dim)
+            )
             for a in range(odd_dim)
         )
         for a in range(odd_dim):
@@ -129,7 +132,7 @@ def _symplectic_form(n: int) -> list[list[int]]:
 
 
 def _zeros(k: int, d: int):
-    return [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
+    return [[[_F0] * d for _ in range(k)] for _ in range(k)]
 
 
 def standard_1d(n: int) -> SupertranslationAlgebra:
@@ -219,7 +222,8 @@ def standard_10d(n: int) -> SupertranslationAlgebra:
         for a in range(16):
             for b in range(16):
                 for mu in range(10):
-                    gamma[a][b][mu] = Fraction(g10[mu][a][b])
+                    if g10[mu][a][b]:
+                        gamma[a][b][mu] = Fraction(g10[mu][a][b])
         return SupertranslationAlgebra("10d N=(1,0)", 16, 10, gamma)
     if n == 2:
         g = _orthogonal_form(2)
@@ -245,7 +249,8 @@ def standard_11d() -> SupertranslationAlgebra:
     for a in range(32):
         for b in range(32):
             for mu in range(11):
-                gamma[a][b][mu] = Fraction(g11[mu][a][b])
+                if g11[mu][a][b]:
+                    gamma[a][b][mu] = Fraction(g11[mu][a][b])
     return SupertranslationAlgebra("11d N=1", 32, 11, gamma)
 
 

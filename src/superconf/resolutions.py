@@ -8,11 +8,22 @@ serve as the Tor oracle demanded by the acceptance suite.
 
 Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
-a map between graded free modules, taken by one routine, `_degree_slice`,
-from the map's columns; each Koszul differential is built once, as columns,
-by `_koszul_step_columns`.  `_degree_slice` numbers its columns in descending
-grevlex order, so elimination pivots on grevlex leading terms, which fill in
-far less than lex ones (the column order of Faugère's F4 matrices).
+a map between graded free modules, eliminated by one routine, `_slice_ranks`,
+from the map's columns, degree by degree, ascending; each Koszul differential
+is built once, as columns, by `_koszul_step_columns`.  Columns are packed
+target terms in ascending order, which is descending grevlex in each block,
+so elimination pivots on grevlex leading terms, which fill in far less than
+lex ones (the column order of Faugère's F4 matrices).
+
+Rows run over the source generators in order, each times its monomials in
+ascending tuple order.  A row m*c that reduced to zero is recorded, and no
+row u*m*c of a higher degree is built or eliminated: it is counted in the
+source dimension only.  The skip is exact (Faugère's F5 criterion on
+Macaulay matrices): m*c is a combination of earlier rows, so u*m*c is the
+same combination of their u-multiples, and these are earlier rows too,
+because the generator order is fixed and tuple (lex) order is
+multiplicative.  Once a degree's rank reaches the target dimension, its
+remaining rows are counted without elimination.
 """
 
 from __future__ import annotations
@@ -35,8 +46,8 @@ from .groebner import (
     standard_monomials,
     syzygy_module,
 )
-from .linalg import sparse_rank
-from .rings import FreeModule, GradedRing, ModuleElement, Polynomial, mon_mul
+from .linalg import _int_rows, _reduce_row, sparse_rank
+from .rings import FreeModule, GradedRing, ModuleElement, Polynomial
 
 
 @dataclass
@@ -311,41 +322,84 @@ def minimal_free_resolution(
 # ---------------------------------------------------------------------------
 
 
-def _block_index(ring: GradedRing, gen_degrees: Sequence[int], j: int):
-    """Column offset and descending-grevlex monomial lookup of each block in degree j."""
-    offsets, lookups = [], []
-    offset = 0
-    for g in gen_degrees:
-        mons = sorted(ring.monomials_of_degree(j - g), key=lambda m: m[::-1])
-        offsets.append(offset)
-        lookups.append({mon: n for n, mon in enumerate(mons)})
-        offset += len(mons)
-    return offsets, lookups, offset
+def _column_index(ring: GradedRing, gen_degrees: Sequence[int], j: int) -> dict[int, int]:
+    """Packed term -> column of the degree-j piece of a free module.
+
+    Columns ascend with the packed terms: the generators' blocks in order,
+    each in descending grevlex order, since a packed term's low fields are
+    its exponents last variable first.
+    """
+    blocks = {
+        g: sorted(ring.pack(0, mon) for mon in ring.monomials_of_degree(j - g))
+        for g in set(gen_degrees)
+    }
+    index: dict[int, int] = {}
+    for c, g in enumerate(gen_degrees):
+        base = c << ring.comp_shift
+        for t in blocks[g]:
+            index[base + t] = len(index)
+    return index
 
 
-def _degree_slice(
-    columns: Sequence[tuple[ModuleElement, int]], target: FreeModule, j: int
-) -> tuple[list[dict[int, Fraction]], int, int]:
-    """Sparse rows of the degree-j piece of a map into `target`.
+def _packed_image(image: ModuleElement) -> list[tuple[int, int]]:
+    """The image as (packed term, integer) pairs, its denominators cleared."""
+    pack = image.module.ring.pack
+    return [(pack(*t), v) for t, v in next(_int_rows([image.terms])).items()]
 
-    `columns` lists each source generator as (its image, its degree).  Rows
-    run over the generators in order, each times its monomials in
-    `monomials_of_degree` order; a zero image gives empty rows, which still
-    count toward the source dimension.  Columns run over the target's blocks in
-    descending grevlex order, so a row's minimal column, the elimination's pivot,
-    is a grevlex leading term: lex columns fill in far more.  Returns (rows,
-    source dim, target dim).
+
+def _slice_row(index: dict[int, int], image: list[tuple[int, int]], mon: int) -> dict[int, int]:
+    """The row of packed monomial `mon` times a packed image."""
+    return {index[mon + t]: v for t, v in image}
+
+
+def _slice_ranks(
+    columns: Sequence[tuple[ModuleElement, int]], target: FreeModule, degrees: range
+) -> dict[int, tuple[list[int], int]]:
+    """Eliminate the degree slices of a map into `target`, ascending in degree.
+
+    `columns` lists each source generator as (its image, its degree); a zero
+    image gives zero rows, which still count toward the source dimension.
+    The rows of degree j run over the generators in order, each times
+    `monomials_of_degree(j - deg)`, and enter the in-place integer kernel of
+    `linalg` one at a time, skipped as the module docstring says.  Returns,
+    for each j in `degrees`, the number of pivots each generator's rows give
+    (their sum is the rank) and the source dimension.
     """
     ring = target.ring
-    offsets, lookups, tgt_dim = _block_index(ring, target.gen_degrees, j)
-    rows = []
-    for image, deg in columns:
-        for mon in ring.monomials_of_degree(j - deg):
-            rows.append({
-                offsets[c] + lookups[c][mon_mul(mon, m2)]: v
-                for (c, m2), v in image.terms.items()
-            })
-    return rows, len(rows), tgt_dim
+    guard = ring.guard
+    images = [(_packed_image(image), deg) for image, deg in columns]
+    zeros: list[list[int]] = [[] for _ in images]  # packed m with m*c reducing to zero
+    packed: dict[int, list[int]] = {}  # degree -> its packed monomials, in row order
+    out = {}
+    for j in degrees:
+        index = _column_index(ring, target.gen_degrees, j)
+        full = len(index)
+        pivots: dict[int, dict[int, int]] = {}
+        counts, src = [], 0
+        for (image, deg), zero in zip(images, zeros):
+            d = j - deg
+            mons = packed.get(d)
+            if mons is None:
+                mons = packed[d] = [ring.pack(0, m) for m in ring.monomials_of_degree(d)]
+            src += len(mons)
+            before = len(pivots)
+            if image and before < full:
+                for mon in mons:
+                    for z in zero:
+                        q = mon - z
+                        if q >= 0 and not q & guard:
+                            break
+                    else:
+                        row = _reduce_row(_slice_row(index, image, mon), pivots)
+                        if not row:
+                            zero.append(mon)
+                        else:
+                            pivots[min(row)] = row
+                            if len(pivots) == full:
+                                break
+            counts.append(len(pivots) - before)
+        out[j] = counts, src
+    return out
 
 
 def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]:
@@ -353,23 +407,22 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
 
     Minimal generator counts come straight off the presentation (relations
     must sit in positive degrees over the generators, which holds for every
-    multiplet presentation here); minimal relation counts in each degree are
-    dim N_j - dim (m N)_j, both by sparse rank over spanning sets.  Useful
-    when the full resolution is out of budget.
+    multiplet presentation here).  With the relations ordered by degree, the
+    minimal relations of degree j are the degree-j relation rows that become
+    pivots after every lower relation's multiples, by one sparse elimination
+    pass.  Useful when the full resolution is out of budget.
     """
     entries: dict[tuple[int, int], int] = {}
     for g in m.gen_degrees:
         entries[(0, g)] = entries.get((0, g), 0) + 1
-    rels = [(r, r.degree()) for r in m.relations if not r.is_zero()]
+    rels = sorted(((r, r.degree()) for r in m.relations if not r.is_zero()), key=lambda c: c[1])
     if not rels:
         return entries
-    for j in range(min(dr for _, dr in rels), max_degree + 1):
-        lower_rows, _, _ = _degree_slice([c for c in rels if c[1] < j], m.free, j)
-        new_rows, _, _ = _degree_slice([c for c in rels if c[1] == j], m.free, j)
-        lower = sparse_rank(lower_rows)
-        full = sparse_rank(lower_rows + new_rows)
-        if full - lower:
-            entries[(1, j)] = full - lower
+    ranks = _slice_ranks(rels, m.free, range(rels[0][1], max_degree + 1))
+    for j, (pivots, _) in ranks.items():
+        new = sum(n for n, (_, deg) in zip(pivots, rels) if deg == j)
+        if new:
+            entries[(1, j)] = new
     return entries
 
 
@@ -528,21 +581,22 @@ def koszul_homology_dims(
     if k < 0 or k > d:
         return GradedDims({})
 
-    def step(i: int):
+    def ranks(i: int):
         cols, source, target = _koszul_step_columns(ring, elements, i, element_degrees)
-        return list(zip(cols, source.gen_degrees)), target
+        return _slice_ranks(list(zip(cols, source.gen_degrees)), target, degrees)
 
-    down = step(k) if k else None
-    up = step(k + 1) if k < d else None
     lo, hi = degree_window
+    degrees = range(lo, hi + 1)
+    down = ranks(k) if k else None
+    up = ranks(k + 1) if k < d else None
     out: dict[int, int] = {}
-    for j in range(lo, hi + 1):
+    for j in degrees:
         if down is None:
             src, rank_d = len(ring.monomials_of_degree(j)), 0
         else:
-            rows, src, _ = _degree_slice(*down, j)
-            rank_d = sparse_rank(rows)
-        rank_up = sparse_rank(_degree_slice(*up, j)[0]) if up else 0
+            pivots, src = down[j]
+            rank_d = sum(pivots)
+        rank_up = sum(up[j][0]) if up is not None else 0
         val = src - rank_d - rank_up
         if val:
             out[j] = val
@@ -632,12 +686,13 @@ def syzygetic_defect(
             }
             induced.append((ModuleElement(sym2, terms), zdeg + degs[nu]))
     lo, hi = degree_window
+    degrees = range(lo, hi + 1)
+    mult = _slice_ranks(products, free, degrees)
+    rels = _slice_ranks(induced, sym2, degrees)
     out: dict[int, int] = {}
-    for j in range(lo, hi + 1):
-        mult_rows, src_dim, _ = _degree_slice(products, free, j)
-        ker_dim = src_dim - sparse_rank(mult_rows)
-        rel_rows = [row for row in _degree_slice(induced, sym2, j)[0] if row]
-        val = ker_dim - sparse_rank(rel_rows)
+    for j in degrees:
+        pivots, src_dim = mult[j]
+        val = src_dim - sum(pivots) - sum(rels[j][0])
         if val:
             out[j] = val
     return GradedDims(out)

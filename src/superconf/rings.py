@@ -90,7 +90,11 @@ class GradedRing:
         return Polynomial(self, {self.one_monomial(): c} if c else {})
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All monomials of weighted degree d, in a fixed (lex-ish) order."""
+        """All monomials of weighted degree d, strictly ascending as tuples.
+
+        That is lex order, which is multiplicative; `resolutions._slice_ranks`
+        relies on it to skip rows known to reduce to zero.
+        """
         out: list[Monomial] = []
 
         def rec(i: int, rem: int, acc: list[int]):

@@ -8,7 +8,7 @@ hypothesis where generation is cheap.
 from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +22,11 @@ from superconf.groebner import (
 from superconf.linalg import _triangularize, rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,
-    _degree_slice,
+    _column_index,
     _koszul_step_columns,
+    _packed_image,
+    _slice_ranks,
+    _slice_row,
     koszul_homology_dims,
     koszul_tor,
     low_betti,
@@ -290,23 +293,51 @@ def _block_positions(ring, gen_degrees, j, order_key=None):
     return cols
 
 
+def _lex_reference_rows(columns, target, j):
+    """Rows of the degree-j slice built by hand: tuple products, Fraction
+    entries, columns numbered in `monomials_of_degree` order; one list per
+    generator."""
+    ring = target.ring
+    lex = _block_positions(ring, target.gen_degrees, j)
+    return [
+        [
+            {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in image.terms.items()}
+            for mon in ring.monomials_of_degree(j - deg)
+        ]
+        for image, deg in columns
+    ], len(lex)
+
+
+def _builder_rows(columns, target, j):
+    """Rows of the degree-j slice from the row builder, in elimination order."""
+    ring = target.ring
+    index = _column_index(ring, target.gen_degrees, j)
+    return [
+        _slice_row(index, _packed_image(image), ring.pack(0, mon))
+        for image, deg in columns
+        for mon in ring.monomials_of_degree(j - deg)
+    ], len(index)
+
+
 def _assert_slice_is_lex_reference_relabelled(columns, target, j):
-    """`_degree_slice` equals the lex-numbered reference rows with every
-    column moved to its descending grevlex position."""
+    """The row builder gives the lex-numbered reference rows, each image's
+    denominators cleared, with every column moved to its descending grevlex
+    position."""
     ring = target.ring
     lex = _block_positions(ring, target.gen_degrees, j)
     grevlex = _block_positions(
         ring, target.gen_degrees, j, MonomialOrder("wgrevlex", ring.weights).key
     )
     relabel = {lex[bm]: grevlex[bm] for bm in lex}
-    reference = [
-        {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in image.terms.items()}
-        for image, deg in columns
-        for mon in ring.monomials_of_degree(j - deg)
-    ]
-    rows, src_dim, tgt_dim = _degree_slice(columns, target, j)
-    assert (src_dim, tgt_dim) == (len(reference), len(lex))
-    assert rows == [{relabel[c]: v for c, v in row.items()} for row in reference]
+    per_gen, tgt_dim = _lex_reference_rows(columns, target, j)
+    expected = []
+    for (image, _), rows in zip(columns, per_gen):
+        den = lcm(*(v.denominator for v in image.terms.values()))
+        expected += [{relabel[c]: v * den for c, v in row.items()} for row in rows]
+    rows, dim = _builder_rows(columns, target, j)
+    assert dim == tgt_dim == len(lex)
+    assert rows == expected
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 @given(quadric_sets())
@@ -343,11 +374,86 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
             continue
         col = ModuleElement(free, {(0, m): c for m, c in f.terms.items()})
         for j in range(2, 5):
-            rows, _, _ = _degree_slice([(col, 2)], free, j)
+            rows, _ = _builder_rows([(col, 2)], free, j)
             mons = sorted(ring.monomials_of_degree(j), key=order.key, reverse=True)
             for mon, row in zip(ring.monomials_of_degree(j - 2), rows):
                 lead = max((mon_mul(mon, m2) for m2 in f.terms), key=order.key)
                 assert mons[min(row)] == lead
+
+
+@st.composite
+def weighted_maps(draw):
+    """A map of graded free modules over a ring with weights 1 and 2: random
+    homogeneous images, some of them zero, for generators of random degree."""
+    weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    ring = GradedRing([f"x{i}" for i in range(len(weights))], weights)
+    target = FreeModule(ring, draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        terms = {}
+        for comp, g in enumerate(target.gen_degrees):
+            for mon in ring.monomials_of_degree(degree - g):
+                c = draw(st.integers(-2, 2))
+                if c and draw(st.booleans()):
+                    terms[(comp, mon)] = Fraction(c, draw(st.integers(1, 3)))
+        columns.append((ModuleElement(target, terms), degree))
+    return columns, target
+
+
+def _assert_slice_ranks_match_full_elimination(columns, target, degrees):
+    """Per degree and per generator, `_slice_ranks` counts the pivots that
+    eliminating every reference row, none skipped, gives: generator n's count
+    is the rank through its rows minus the rank before them."""
+    got = _slice_ranks(columns, target, degrees)
+    assert list(got) == list(degrees)
+    for j in degrees:
+        per_gen, _ = _lex_reference_rows(columns, target, j)
+        prefix, ranks = [], [0]
+        for rows in per_gen:
+            prefix += rows
+            ranks.append(sparse_rank(prefix))
+        pivots, src = got[j]
+        assert src == len(prefix)
+        assert pivots == [b - a for a, b in zip(ranks, ranks[1:])]
+
+
+@given(quadric_sets(), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_slice_ranks_on_koszul_steps_match_full_elimination(data, lo):
+    ring, polys = data
+    degrees = [2] * len(polys)
+    for i in range(1, len(polys) + 1):
+        cols, source, target = _koszul_step_columns(ring, polys, i, degrees)
+        _assert_slice_ranks_match_full_elimination(
+            list(zip(cols, source.gen_degrees)), target, range(2 * i + lo, 2 * i + lo + 5)
+        )
+
+
+@given(presented_modules(), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
+    rels = [(r, r.degree()) for r in pm.relations]  # zero relations kept
+    _assert_slice_ranks_match_full_elimination(rels, pm.free, range(lo, 6))
+
+
+@given(weighted_maps(), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_slice_ranks_on_weighted_maps_match_full_elimination(data, lo):
+    columns, target = data
+    _assert_slice_ranks_match_full_elimination(columns, target, range(lo, 7))
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_monomials_of_degree_ascend_as_tuples(weights, degree):
+    """`_slice_ranks` skips rows on the strength of this order being lex,
+    which is multiplicative; pin it for weighted and unweighted rings."""
+    for ring in (GradedRing([f"x{i}" for i in range(len(weights))], weights),
+                 GradedRing([f"x{i}" for i in range(len(weights))])):
+        mons = ring.monomials_of_degree(degree)
+        assert all(a < b for a, b in zip(mons, mons[1:]))
+        assert all(ring.degree(m) == degree for m in mons)
 
 
 # --- packed terms: int order keys and fraction-free reduction ----------------

@@ -182,7 +182,7 @@ def test_ce_cohomology_3d_n1_vanishing_pattern():
 
 def test_koszul_homology_and_defect_pinned_on_catalog_quadrics():
     """Pinned Koszul homology H_k and syzygetic defect of the bracket quadrics,
-    degrees 0..8; these are the graded rank systems sliced by `_degree_slice`."""
+    degrees 0..8; these are the graded rank systems eliminated by `_slice_ranks`."""
     from superconf.algebras import build_standard
 
     expected = {
