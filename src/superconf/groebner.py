@@ -397,13 +397,19 @@ def _autoreduce(ring: GradedRing, basis: list, track: bool) -> list:
         if not redundant:
             keep.append(g)
     keep.sort(key=lambda g: -g.nlt)
+    # Each element is reduced by all the others: take it out of its
+    # component's list and put it back at the same place afterwards.
+    by_comp = _by_comp(keep)
     final: list = []
     for g in keep:
-        others = _by_comp(h for h in keep if h is not g)
+        same = by_comp[g.lead[0]]
+        at = same.index(g)
+        del same[at]
         work, heap, scale = g.work()
         rem, scale, row = _reduce_full(
-            work, heap, scale, others, ring, row=g.row if track else None
+            work, heap, scale, by_comp, ring, row=g.row if track else None
         )
+        same.insert(at, g)
         final.append(_GbElem(ring, rem, scale, row))
     return final
 
@@ -687,14 +693,6 @@ def krull_dim(gb: GroebnerBasis) -> int:
     if not hs.numerator:
         return -1
     return hs.pole_order_at_one()
-
-
-def quotient_dimension(gb: GroebnerBasis, degree: int) -> int:
-    """dim_Q of (F/submodule) in one internal degree, via the Hilbert data."""
-    if degree < 0:
-        return 0
-    series = HilbertSeries(module_hilbert_numerator(gb), gb.module.ring.weights)
-    return series.coefficients(degree)[degree]
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> list:

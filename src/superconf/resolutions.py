@@ -1,10 +1,10 @@
 """Minimal free resolutions, graded Betti tables, and Koszul homology.
 
-Resolutions are built by iterated syzygy computation with unit-splitting
-("pruning") after every step, so the matrices that survive have all entries
-in the maximal ideal and the Betti numbers can be read off directly.  The
-Koszul-complex routines are independent of the Gröbner resolution path and
-serve as the Tor oracle demanded by the acceptance suite.
+A free resolution is built by iterated syzygy computation and is never
+minimalized: the minimal Betti numbers are the homology of its constant
+parts, one small rank per (step, degree) block.  The Koszul-complex routines
+are independent of the Gröbner resolution path and serve as the Tor oracle
+demanded by the acceptance suite.
 
 Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
@@ -28,12 +28,11 @@ remaining rows are counted without elimination.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
-from operator import add
 from typing import Sequence
 
 from .groebner import (
@@ -138,159 +137,60 @@ class GradedDims:
 
 
 # ---------------------------------------------------------------------------
-# Minimal free resolution via iterated syzygies and sparse unit pruning
+# Minimal Betti numbers from the constant parts of a syzygy chain
 # ---------------------------------------------------------------------------
 
-# A differential is a sparse matrix {column id: {row id: entry}}; while
-# pruning, an entry is a term dict monomial -> nonzero Fraction.  Generator
-# ids never change, and degrees[i] maps the live ids of F_i to their degrees.
+
+def _packed_terms(g) -> list[tuple[int, int]]:
+    """A basis element's (packed term, integer coefficient) pairs, lead first."""
+    return [(g.lt, g.lc), *((t, c) for t, c, _ in g.tail)]
 
 
-def _columns(elements: Sequence[ModuleElement]) -> dict[int, dict[int, dict]]:
-    mat: dict[int, dict[int, dict]] = {}
-    for c, elt in enumerate(elements):
-        col: dict[int, dict] = {}
-        for (r, mon), coeff in elt.terms.items():
-            col.setdefault(r, {})[mon] = coeff
-        mat[c] = col
-    return mat
+def _constant_ranks(gb: GroebnerBasis) -> dict[int, int]:
+    """Degree -> rank of the map whose columns are the basis elements, over Q.
 
-
-def _add_product(acc: dict, f: dict, g: dict) -> None:
-    """acc += f * g on term dicts, in place."""
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(map(add, m1, m2))
-            v = acc.get(m, 0) + c1 * c2
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
-
-
-def _row_index(mat: dict, row_deg: dict[int, int]) -> dict[int, set[int]]:
-    """Row id -> ids of the columns with a nonzero entry in that row."""
-    rows: dict[int, set[int]] = {r: set() for r in row_deg}
-    for c, col in mat.items():
-        for r in col:
-            rows[r].add(c)
-    return rows
-
-
-def _prune(degrees: list[dict[int, int]], mats: list[dict]) -> None:
-    """Split off trivial two-term subcomplexes until no unit entries remain.
-
-    mats[i] is the matrix of F_{i+1} -> F_i.  Entries are homogeneous of
-    degree deg(column) - deg(row), so units sit exactly where the two degrees
-    agree.  Eliminating a unit (r, c) of mats[i] changes mats[i] by column
-    operations; in the neighbours it only cancels row c of mats[i+1] and
-    column r of mats[i-1], which are checked to vanish.  So one pass left to
-    right, each matrix until it has no unit left, makes the complex minimal.
-    Mutates both arguments in place.
+    Tensored with Q, the map keeps only its constant entries: the packed terms
+    whose degree and exponent fields are all zero.  Such an entry joins a
+    column to a generator of the column's own degree, so each degree is one
+    block, eliminated by one `sparse_rank` call (rank is transpose-invariant,
+    so columns enter as rows).
     """
-    for idx, mat in enumerate(mats):
-        row_deg, col_deg = degrees[idx], degrees[idx + 1]
-        nxt = mats[idx + 1] if idx + 1 < len(mats) else None
-        rows = _row_index(mat, row_deg)
-        nxt_rows = _row_index(nxt, col_deg) if nxt is not None else None
-        unit_degrees = set(row_deg.values())
-        pending = [c for c in sorted(mat) if col_deg[c] in unit_degrees]
-        queued = set(pending)
-        while pending:
-            c = heappop(pending)
-            queued.discard(c)
-            col, d = mat[c], col_deg[c]
-            r = min((r for r in col if row_deg[r] == d), default=None)
-            if r is None:
-                continue
-            inv_a = 1 / next(iter(col[r].values()))
-            # column operations col c2 -= (u_c2 / a) col c clear row r
-            factors = {}
-            for c2 in rows.pop(r):
-                if c2 == c:
-                    continue
-                tgt = mat[c2]
-                f2 = factors[c2] = {m: v * inv_a for m, v in tgt.pop(r).items()}
-                neg = {m: -v for m, v in f2.items()}
-                for r2, e in col.items():
-                    if r2 == r:
-                        continue
-                    acc = tgt.get(r2)
-                    if acc is None:
-                        acc = tgt[r2] = {}
-                        rows[r2].add(c2)
-                    _add_product(acc, neg, e)
-                    if not acc:
-                        del tgt[r2]
-                        rows[r2].discard(c2)
-                if col_deg[c2] == d and c2 not in queued:
-                    heappush(pending, c2)
-                    queued.add(c2)
-            if nxt is not None:
-                # the matching row operation cancels row c of the next matrix
-                accs = {cc: dict(nxt[cc][c]) for cc in nxt_rows[c]}
-                for c2, f2 in factors.items():
-                    for cc in nxt_rows[c2]:
-                        _add_product(accs.setdefault(cc, {}), f2, nxt[cc][c2])
-                if any(accs.values()):
-                    raise AssertionError("pruning: cancelled row of next matrix not zero")
-                for cc in nxt_rows.pop(c):
-                    del nxt[cc][c]
-            if idx > 0:
-                # the matching column operation cancels column r of the previous one
-                prv = mats[idx - 1]
-                acc_col = {rr: dict(e) for rr, e in prv[r].items()}
-                for r2, e in col.items():
-                    if r2 != r:
-                        f2 = {m: v * inv_a for m, v in e.items()}
-                        for rr, e2 in prv[r2].items():
-                            _add_product(acc_col.setdefault(rr, {}), f2, e2)
-                if any(acc_col.values()):
-                    raise AssertionError("pruning: cancelled column of previous matrix not zero")
-                del prv[r]
-            for r2 in col:
-                if r2 != r:
-                    rows[r2].discard(c)
-            del mat[c], row_deg[r], col_deg[c]
-    # Zero columns of the last matrix are split summands the next syzygy
-    # step would cancel anyway; drop them now.
-    if mats:
-        last = mats[-1]
-        for c in [c for c, col in last.items() if not col]:
-            del last[c], degrees[-1][c]
-    while mats and not mats[-1]:
-        mats.pop()
-        degrees.pop()
+    shift = gb.module.ring.comp_shift
+    mask = (1 << shift) - 1
+    degrees = gb.module.gen_degrees
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for g in gb._internal:
+        col = {t >> shift: c for t, c in _packed_terms(g) if not t & mask}
+        if col:
+            blocks.setdefault(degrees[next(iter(col))], []).append(col)
+    return {j: sparse_rank(cols) for j, cols in blocks.items()}
 
 
-def minimal_free_resolution(
-    m: PresentedModule,
-) -> tuple[list[dict[int, dict[int, Polynomial]]], BettiTable]:
-    """Minimal graded free resolution over the polynomial ring.
+def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], BettiTable]:
+    """Graded Betti table of the minimal free resolution over the polynomial ring.
 
-    Built as an iterated-syzygy chain: one Gröbner run on the relations, then
-    each step's syzygies come from S-pair reductions alone, because the
-    previous step's output is already a basis for its induced order.  The
-    resulting (generally non-minimal) complex is minimalized by unit pruning.
-    Returns the matrices (matrix i maps F_{i+1} to F_i, sparse as
-    {column id: {row id: Polynomial}} over the surviving generator ids) and
-    the Betti table read off the surviving generator degrees.  A chain
-    that does not end within nvars + 4 steps raises StepBudgetExceeded.
+    A free resolution F is built as an iterated-syzygy chain: one Gröbner run
+    on the relations, then each step's syzygies come from S-pair reductions
+    alone, because the previous step's output is already a basis for its
+    induced order.  Element c of chain[i] is column c of the differential
+    d_{i+1}: F_{i+1} -> F_i; F_0 has the presentation's generators.  The chain
+    is generally not minimal, and it is never minimalized: Tor_i(M, Q)_j is
+    the degree-j homology of F (x) Q, whose differentials are the constant
+    parts of the d_i, so beta_{i,j} = #gens(F_i)_j - rank(d_i (x) Q)_j -
+    rank(d_{i+1} (x) Q)_j (La Scala and Stillman, JSC 26, 1998).
+
+    Returns (chain, Betti table).  The chain is the unpruned resolution as
+    computed, a list of Gröbner bases, empty when there are no relations.  A
+    chain that does not end within nvars + 4 steps raises StepBudgetExceeded.
     """
     ring = m.ring
     max_steps = ring.nvars + 4
-    degrees: list[dict[int, int]] = [dict(enumerate(m.gen_degrees))]
-    mats: list[dict] = []
-    cols = [r for r in m.relations if not r.is_zero()]
-    if cols:
-        gb = m.relation_gb()
-        elements = gb.elements
-        degrees.append({c: e.degree() for c, e in enumerate(elements)})
-        mats.append(_columns(elements))
-        current = gb
-        steps = 1
-        while len(current):
-            if steps >= max_steps:
+    chain: list[GroebnerBasis] = []
+    if any(not r.is_zero() for r in m.relations):
+        current = m.relation_gb()
+        chain.append(current)
+        while True:
+            if len(chain) >= max_steps:
                 raise StepBudgetExceeded(
                     f"resolution did not terminate within {max_steps} steps"
                 )
@@ -301,20 +201,18 @@ def minimal_free_resolution(
             # The pair pruning keeps a generating set, not necessarily a
             # basis for the induced order; complete it before recursing.
             current = buchberger(syz, syz_order)
-            fresh = current.elements
-            degrees.append({c: z.degree() for c, z in enumerate(fresh)})
-            mats.append(_columns(fresh))
-            steps += 1
-        _prune(degrees, mats)
-    entries: dict[tuple[int, int], int] = {}
-    for i, degs in enumerate(degrees):
-        for d in degs.values():
-            entries[(i, d)] = entries.get((i, d), 0) + 1
-    polys = [
-        {c: {r: Polynomial(ring, e) for r, e in col.items()} for c, col in mat.items()}
-        for mat in mats
+            chain.append(current)
+    gens = [Counter(m.gen_degrees)] + [
+        Counter(ring.degree(mon) + gb.module.gen_degrees[c] for c, mon in gb.lead_terms())
+        for gb in chain
     ]
-    return polys, BettiTable(entries)
+    ranks = [{}] + [_constant_ranks(gb) for gb in chain] + [{}]
+    entries = {
+        (i, j): n - ranks[i].get(j, 0) - ranks[i + 1].get(j, 0)
+        for i, count in enumerate(gens)
+        for j, n in count.items()
+    }
+    return chain, BettiTable(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +324,22 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
     return entries
 
 
-def resolution_is_complex(mats: list[dict], ring: GradedRing) -> bool:
-    """Consecutive sparse matrices compose to zero (test helper)."""
-    for a, b in zip(mats, mats[1:]):
-        for col in b.values():
-            acc: dict[int, Polynomial] = {}
-            for k, e in col.items():
-                for r, e2 in a[k].items():
-                    acc[r] = acc.get(r, ring.zero()) + e2 * e
-            if any(not p.is_zero() for p in acc.values()):
+def resolution_is_complex(chain: Sequence[GroebnerBasis]) -> bool:
+    """Each syzygy basis of a chain composes to zero with the one before it
+    (test helper): every element of chain[i + 1], a combination of the
+    elements of chain[i], evaluates to zero."""
+    for a, b in zip(chain, chain[1:]):
+        if b.module.rank != len(a):
+            return False
+        shift = a.module.ring.comp_shift
+        mask = (1 << shift) - 1
+        cols = [_packed_terms(g) for g in a._internal]
+        for z in b._internal:
+            acc: Counter = Counter()
+            for t, c in _packed_terms(z):
+                for u, v in cols[t >> shift]:
+                    acc[u + (t & mask)] += c * v
+            if any(acc.values()):
                 return False
     return True
 

@@ -10,7 +10,6 @@ from superconf.groebner import (
     ideal_gb_polys,
     krull_dim,
     module_hilbert_numerator,
-    quotient_dimension,
     schreyer_syzygies,
     standard_monomials,
     syzygy_module,
@@ -173,7 +172,7 @@ def test_standard_monomials_and_quotient_dimension():
     assert len(standard_monomials(gb, 0)) == 1
     assert len(standard_monomials(gb, 1)) == 2
     assert standard_monomials(gb, 2) == []
-    assert quotient_dimension(gb, 1) == 2
+    assert hilbert_series(gb).coefficients(1)[1] == 2
 
 
 def test_module_hilbert_numerator_free():
