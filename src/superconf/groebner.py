@@ -2,19 +2,25 @@
 
 One engine serves ideals (rank-one modules) and genuine submodules.  The
 S-pair queue uses the normal strategy with Gebauer-Möller pruning; the
-product criterion is applied only in rank one.  Syzygies are produced by a
-separate pass over the finished basis (Schreyer's construction), where the
-product criterion is never used, because the Koszul syzygy of a coprime pair
-is a genuine generator of the syzygy module.
+product criterion is applied only in rank one.  Syzygies are read off the
+reductions of S-pairs of a finished basis, where the product criterion is
+never used, because the Koszul syzygy of a coprime pair is a genuine
+generator of the syzygy module.  `schreyer_syzygies` keeps the pairs of
+Schreyer's theorem, so its syzygies already form a Gröbner basis for the
+induced order (the Schreyer frame), with no Buchberger run; `syzygy_module`
+needs only generators and keeps the Gebauer-Möller pairs.
 
 The core works on packed int terms and int order keys (see `rings`) with
 integer coefficients.  Every basis element is primitive with positive lead
 coefficient, so reduced bases are canonical and safe to hash for the on-disk
 cache.  Reduction is fraction-free: the working polynomial carries a running
-scale and is rescaled only when a lead coefficient does not divide.
-Quotients and tracked rows stay exact `Fraction`s, one per reduction step.
-Tuples and `Fraction`s appear only at the public boundary: `elements`,
-`normal_form`, `reduce_with_quotients` and the syzygies returned.
+scale and is rescaled only when a lead coefficient does not divide, and each
+step is recorded as integers (element, quotient, key, factor, scale).  A
+syzygy is built from that record in integers and packed terms, so a frame
+goes from S-pair to the next step's basis without leaving the core.  Only the
+rows tracked for `syzygy_module` are `Fraction`s.  Tuples and `Fraction`s
+appear only at the public boundary: `elements`, `normal_form`,
+`reduce_with_quotients` and the lifted syzygies of `syzygy_module`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from math import gcd, lcm as int_lcm
 from typing import Sequence
 
 from .rings import (
+    COMP_BITS,
     FreeModule,
     GradedRing,
     ModuleElement,
@@ -109,12 +116,16 @@ class _GbElem:
         items = [(self.lt, self.lc, self.nlt), *self.tail]
         return {t: c for t, c, _ in items}, [(nk, t) for t, _, nk in items], 1
 
+    def packed(self) -> list[tuple[int, int]]:
+        """(packed term, integer coefficient) pairs, lead first."""
+        return [(self.lt, self.lc), *((t, c) for t, c, _ in self.tail)]
+
     def terms(self, ring: GradedRing) -> dict:
-        return {ring.unpack(t): Fraction(c) for t, c, _ in [(self.lt, self.lc, 0), *self.tail]}
+        return {ring.unpack(t): Fraction(c) for t, c in self.packed()}
 
 
 def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: GradedRing,
-                 row: dict | None = None, quotients: dict | None = None):
+                 row: dict | None = None, steps: list | None = None):
     """Full normal form of work / scale against the elements in `by_comp`.
 
     `work` maps packed terms to integer coefficients and `heap` holds their
@@ -124,7 +135,9 @@ def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: Graded
     divide the coefficient, and keys each new term as its key in g plus
     key(t) - key(g.lt).  Returns (rem, scale, row): rem lists (negated key,
     term, c, s) in descending order, the remainder coefficient being c / s.
-    The quotients, {g: {d: Fraction}}, are filled in place.
+    Each step is appended to `steps` as (g, d, nk, f, s): it subtracted
+    f / s * d * g at the term t = d + g.lt of negated key nk.  Every term is
+    reduced at most once, so (g, d) never repeats.
     """
     cshift, guard = ring.comp_shift, ring.guard
     pop, push = heapq.heappop, heapq.heappush
@@ -165,14 +178,10 @@ def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: Graded
                     work[u] = old
                 else:
                     del work[u]
-        if row is None and quotients is None:
-            continue
-        q = Fraction(c, scale * lc)
+        if steps is not None:
+            steps.append((g, d, nk, f, scale))
         if row is not None and g.row is not None:
-            _row_add(row, g.row, d, -q)
-        if quotients is not None:
-            qd = quotients.setdefault(g, {})
-            qd[d] = qd.get(d, _F0) + q
+            _row_add(row, g.row, d, Fraction(-f, scale))
     return rem, scale, row
 
 
@@ -270,12 +279,12 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._internal)
 
-    def _reduce(self, f: ModuleElement, quotients: dict | None = None) -> ModuleElement:
+    def _reduce(self, f: ModuleElement, steps: list | None = None) -> ModuleElement:
         if f.module.ring != self.module.ring or f.module.rank != self.module.rank:
             raise ValueError("element does not live in the basis module")
         ring = self.module.ring
         work, heap, scale = _work(ring, self.order, f.terms)
-        rem, _, _ = _reduce_full(work, heap, scale, self._by_comp, ring, quotients=quotients)
+        rem, _, _ = _reduce_full(work, heap, scale, self._by_comp, ring, steps=steps)
         return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
 
     def normal_form(self, f: ModuleElement) -> ModuleElement:
@@ -284,12 +293,12 @@ class GroebnerBasis:
     def reduce_with_quotients(self, f: ModuleElement):
         """(remainder, quotients): quotients[i] maps monomials to Fractions."""
         ring = self.module.ring
-        quotients: dict = {}
-        rem = self._reduce(f, quotients)
-        return rem, [
-            {ring.unpack(d)[1]: c for d, c in quotients.get(g, {}).items()}
-            for g in self._internal
-        ]
+        steps: list = []
+        rem = self._reduce(f, steps)
+        quotients: dict = {g: {} for g in self._internal}
+        for g, d, _, c, s in steps:
+            quotients[g][ring.unpack(d)[1]] = Fraction(c, s)
+        return rem, list(quotients.values())
 
 
 def default_ring_order(ring: GradedRing) -> MonomialOrder:
@@ -438,66 +447,92 @@ def ideal_gb_polys(gb: GroebnerBasis) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-def schreyer_syzygies(gb: GroebnerBasis) -> tuple[list[ModuleElement], ModuleOrder]:
-    """Syzygies of the basis elements; a GB for the induced Schreyer order."""
+def _pair_syzygy(gb: GroebnerBasis, index: dict, i: int, j: int, lcm_t: int, lcm_nk: int) -> _GbElem:
+    """The syzygy of basis elements i < j read off the reduction of their S-pair.
+
+    With h = gcd(lc_i, lc_j), the S-polynomial (lc_j/h)*m_i*g_i -
+    (lc_i/h)*m_j*g_j is `scale0` times the monic one; it is recorded as two
+    steps of factors -lc_j/h and lc_i/h, ahead of the reduction's own steps.
+    Each step (g, d, nk, f, s) takes f / s * d * g off, and they end at zero,
+    so the sum of -f*(S/s)*d*e_g over the steps, S the final scale, is an
+    integer syzygy; divided by its content it is returned as a basis element
+    of the syzygy module.  A term (idx, d) packs as (idx << comp_shift) + d,
+    and its negated Schreyer key is (nk << COMP_BITS) + idx, nk the negated
+    key of d + lt_idx, since ring keys are linear with key(1) = 0.  The steps
+    run down from the lcm, so m_i*e_i leads and the terms come out sorted.
+    """
+    basis, ring = gb._internal, gb.module.ring
+    cshift = ring.comp_shift
+    gi, gj = basis[i], basis[j]
+    work, heap, scale0 = _spair(gi, gj, lcm_t, lcm_nk)
+    h = gcd(gi.lc, gj.lc)
+    steps = [
+        (gi, lcm_t - gi.lt, lcm_nk, -(gj.lc // h), scale0),
+        (gj, lcm_t - gj.lt, lcm_nk, gi.lc // h, scale0),
+    ]
+    rem, scale, _ = _reduce_full(work, heap, scale0, gb._by_comp, ring, steps=steps)
+    if rem:
+        raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
+    terms = []
+    for g, d, nk, f, s in steps:
+        idx = index[g]
+        terms.append(((nk << COMP_BITS) + idx, (idx << cshift) + d, -f, s))
+    return _GbElem(ring, terms, scale)
+
+
+def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
+    """The Schreyer frame of a Gröbner basis: its syzygies as a Gröbner basis.
+
+    In the induced order lower indices win ties, so the S-pair syzygy of
+    i < j has lead term (lcm_ij / lt_i) * e_i.  For each i the frame keeps the
+    pairs j > i whose quotients lcm_ij / lt_i minimally generate the colon
+    ideal (lt_j : lt_i)_{j>i}, the smallest j among equal quotients.  Their
+    lead terms generate the lead module of all syzygies (Schreyer's theorem),
+    so the frame is a Gröbner basis for the induced order: minimal, not
+    autoreduced, sorted by ascending lead as `buchberger` sorts its output.
+    Returns (frame, induced order).
+    """
     basis = gb._internal
     module = gb.module
     order = gb.order
     ring = module.ring
+    guard = ring.guard
     syz_module = FreeModule(
         ring, [ring.degree(g.lead[1]) + module.gen_degrees[g.lead[0]] for g in basis]
     )
     syz_order = ModuleOrder(
         order.ring_order, "schreyer", schreyer_leads=[g.lead for g in basis], parent=order
     )
-    pairs: list = []
-    for t in range(len(basis)):
-        _gm_update(pairs, basis, t, False)
-    syzygies: list[ModuleElement] = []
-    for i, j, lcm in sorted(
-        pairs,
-        key=lambda e: (
-            ring.degree(e[2][1]) + module.gen_degrees[e[2][0]],
-            order.key(e[2]),
-            e[0],
-            e[1],
-        ),
-    ):
-        gi, gj = basis[i], basis[j]
-        lcm_t = ring.pack(*lcm)
-        work, heap, scale = _spair(gi, gj, lcm_t, -order.key(lcm))
+    index = {g: n for n, g in enumerate(basis)}
+    frame: list[_GbElem] = []
+    for i, gi in enumerate(basis):
+        comp, lead = gi.lead
         quotients: dict = {}
-        rem, _, _ = _reduce_full(work, heap, scale, gb._by_comp, ring, quotients=quotients)
-        if rem:
-            raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-        sterms: dict = {(i, lcm_t - gi.lt): _F1 / gi.lc}
-        tj = (j, lcm_t - gj.lt)
-        sterms[tj] = sterms.get(tj, _F0) - _F1 / gj.lc
-        for idx, g in enumerate(basis):
-            for m, c in quotients.get(g, {}).items():
-                tt = (idx, m)
-                w = sterms.get(tt, _F0) - c
-                if w:
-                    sterms[tt] = w
-                elif tt in sterms:
-                    del sterms[tt]
-        if sterms:
-            scale = _content_scale(sterms)
-            syzygies.append(
-                ModuleElement(
-                    syz_module,
-                    {(idx, ring.unpack(m)[1]): c * scale for (idx, m), c in sterms.items()},
-                )
-            )
-    return syzygies, syz_order
+        for g in gb._by_comp[comp]:
+            j = index[g]
+            if j > i:
+                q = tuple(max(b - a, 0) for a, b in zip(lead, g.lead[1]))
+                quotients.setdefault(q, j)
+        kept: list[int] = []
+        for q, j in sorted(quotients.items(), key=lambda e: (ring.degree(e[0]), e[1])):
+            p = ring.pack(0, q)
+            if any(p >= r and not (p - r) & guard for r in kept):
+                continue
+            kept.append(p)
+            lcm_t = gi.lt + p
+            lcm_nk = -order.key(ring.unpack(lcm_t))
+            frame.append(_pair_syzygy(gb, index, i, j, lcm_t, lcm_nk))
+    frame.sort(key=lambda z: -z.nlt)
+    return GroebnerBasis(syz_module, syz_order, frame), syz_order
 
 
 def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     """Generators of the first syzygy module of `gens`.
 
-    Composes the Schreyer syzygies of a transformation-tracked Gröbner basis
-    with the change of generators, so the output lives in the free module on
-    the original `gens`.
+    Composes the S-pair syzygies of a transformation-tracked Gröbner basis,
+    over the pairs that survive the Gebauer-Möller criteria (a generating set,
+    not a frame), with the change of generators, so the output lives in the
+    free module on the original `gens`.
     """
     module = gens[0].module
     order = default_module_order(module)
@@ -512,13 +547,8 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
         return out
     gb = buchberger([g for _, g in nonzero], order, _track=True)
     basis = gb._internal
-    syzygies, _ = schreyer_syzygies(gb)
-    U = []
-    for _, g in nonzero:
-        quotients: dict = {}
-        if not gb._reduce(ModuleElement(gb.module, g.terms), quotients).is_zero():
-            raise AssertionError("generator failed to reduce against its own basis")
-        U.append(quotients)
+    cshift = ring.comp_shift
+    mask = (1 << cshift) - 1
 
     def add_row(terms, g, m, c):
         """terms += c * m * (tracked row of g), on packed monomials."""
@@ -536,17 +566,32 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
         scale = _content_scale(terms)
         return ModuleElement(tgt, {(s, ring.unpack(m)[1]): c * scale for (s, m), c in terms.items()})
 
-    for z in syzygies:
+    pairs: list = []
+    for t in range(len(basis)):
+        _gm_update(pairs, basis, t, False)
+    index = {g: n for n, g in enumerate(basis)}
+    for i, j, lcm in sorted(
+        pairs,
+        key=lambda e: (
+            ring.degree(e[2][1]) + module.gen_degrees[e[2][0]],
+            order.key(e[2]),
+            e[0],
+            e[1],
+        ),
+    ):
+        z = _pair_syzygy(gb, index, i, j, ring.pack(*lcm), -order.key(lcm))
         terms: dict = {}
-        for (t_idx, m), c in z.terms.items():
-            add_row(terms, basis[t_idx], ring.pack(0, m), c)
+        for t, c in z.packed():
+            add_row(terms, basis[t >> cshift], t & mask, c)
         if terms:
             out.append(element(terms))
-    for (s_orig, _), quotients in zip(nonzero, U):
+    for s_orig, g in nonzero:
+        steps: list = []
+        if not gb._reduce(ModuleElement(gb.module, g.terms), steps).is_zero():
+            raise AssertionError("generator failed to reduce against its own basis")
         terms = {(s_orig, 0): _F1}
-        for g in basis:
-            for m, c in quotients.get(g, {}).items():
-                add_row(terms, g, m, -c)
+        for h, d, _, c, s in steps:
+            add_row(terms, h, d, Fraction(-c, s))
         if terms:
             out.append(element(terms))
     return out

@@ -1,10 +1,12 @@
 """Minimal free resolutions, graded Betti tables, and Koszul homology.
 
-A free resolution is built by iterated syzygy computation and is never
-minimalized: the minimal Betti numbers are the homology of its constant
-parts, one small rank per (step, degree) block.  The Koszul-complex routines
-are independent of the Gröbner resolution path and serve as the Tor oracle
-demanded by the acceptance suite.
+A free resolution is built as a chain of Schreyer frames, each step's
+syzygies read off the S-pair reductions of the step before as a Gröbner
+basis for the induced order, with no Buchberger run after the relations.  It
+is never minimalized: the minimal Betti numbers are the homology of its
+constant parts, one small rank per (step, degree) block.  The Koszul-complex
+routines are independent of the Gröbner resolution path and serve as the Tor
+oracle demanded by the acceptance suite.
 
 Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
@@ -141,11 +143,6 @@ class GradedDims:
 # ---------------------------------------------------------------------------
 
 
-def _packed_terms(g) -> list[tuple[int, int]]:
-    """A basis element's (packed term, integer coefficient) pairs, lead first."""
-    return [(g.lt, g.lc), *((t, c) for t, c, _ in g.tail)]
-
-
 def _constant_ranks(gb: GroebnerBasis) -> dict[int, int]:
     """Degree -> rank of the map whose columns are the basis elements, over Q.
 
@@ -160,7 +157,7 @@ def _constant_ranks(gb: GroebnerBasis) -> dict[int, int]:
     degrees = gb.module.gen_degrees
     blocks: dict[int, list[dict[int, int]]] = {}
     for g in gb._internal:
-        col = {t >> shift: c for t, c in _packed_terms(g) if not t & mask}
+        col = {t >> shift: c for t, c in g.packed() if not t & mask}
         if col:
             blocks.setdefault(degrees[next(iter(col))], []).append(col)
     return {j: sparse_rank(cols) for j, cols in blocks.items()}
@@ -170,11 +167,13 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
     """Graded Betti table of the minimal free resolution over the polynomial ring.
 
     A free resolution F is built as an iterated-syzygy chain: one Gröbner run
-    on the relations, then each step's syzygies come from S-pair reductions
-    alone, because the previous step's output is already a basis for its
-    induced order.  Element c of chain[i] is column c of the differential
-    d_{i+1}: F_{i+1} -> F_i; F_0 has the presentation's generators.  The chain
-    is generally not minimal, and it is never minimalized: Tor_i(M, Q)_j is
+    on the relations, then each step is the Schreyer frame of the one before
+    (`schreyer_syzygies`), whose syzygies are already a Gröbner basis for the
+    induced order, so no step runs Buchberger.  A frame's tails are not
+    reduced, which the count below does not need.  Element c of chain[i] is
+    column c of the differential d_{i+1}: F_{i+1} -> F_i; F_0 has the
+    presentation's generators.  The chain is generally not a minimal
+    resolution, and it is never minimalized: Tor_i(M, Q)_j is
     the degree-j homology of F (x) Q, whose differentials are the constant
     parts of the d_i, so beta_{i,j} = #gens(F_i)_j - rank(d_i (x) Q)_j -
     rank(d_{i+1} (x) Q)_j (La Scala and Stillman, JSC 26, 1998).
@@ -194,13 +193,9 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
                 raise StepBudgetExceeded(
                     f"resolution did not terminate within {max_steps} steps"
                 )
-            syz, syz_order = schreyer_syzygies(current)
-            syz = [z for z in syz if not z.is_zero()]
-            if not syz:
+            current, _ = schreyer_syzygies(current)
+            if not len(current):
                 break
-            # The pair pruning keeps a generating set, not necessarily a
-            # basis for the induced order; complete it before recursing.
-            current = buchberger(syz, syz_order)
             chain.append(current)
     gens = [Counter(m.gen_degrees)] + [
         Counter(ring.degree(mon) + gb.module.gen_degrees[c] for c, mon in gb.lead_terms())
@@ -333,10 +328,10 @@ def resolution_is_complex(chain: Sequence[GroebnerBasis]) -> bool:
             return False
         shift = a.module.ring.comp_shift
         mask = (1 << shift) - 1
-        cols = [_packed_terms(g) for g in a._internal]
+        cols = [g.packed() for g in a._internal]
         for z in b._internal:
             acc: Counter = Counter()
-            for t, c in _packed_terms(z):
+            for t, c in z.packed():
                 for u, v in cols[t >> shift]:
                     acc[u + (t & mask)] += c * v
             if any(acc.values()):

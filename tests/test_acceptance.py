@@ -132,11 +132,13 @@ def test_criterion_5_table_10d_certified_value():
 @pytest.mark.slow
 def test_criterion_5_table_11d_full():
     pytest.skip(
-        "11d full component table: the conf relation basis alone has 675 "
-        "elements (measured ~4 min); the first syzygy pass over its pairs in "
-        "32 variables extrapolates to days, far beyond the 2h slow budget on "
-        "this hardware. Leading cells are certified by the fixture "
-        "table-11d-low; see Decisions in CHANGES.md."
+        "11d full component table: the conf relation basis has 675 elements "
+        "(25 s) and the first Schreyer frame 8,685 elements in 32 variables "
+        "(52 s, 543 MB peak RSS); the second frame passed 2.5 GB of address "
+        "space within about 6 min (MemoryError under ulimit -v 2500000 on a "
+        "2-vCPU, 8 GB VM), so the table does not fit the slow tier. Leading "
+        "cells are certified by the fixture table-11d-low; see Decisions in "
+        "CHANGES.md."
     )
 
 

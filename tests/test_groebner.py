@@ -117,15 +117,29 @@ def test_syzygies_annihilate_generators():
 def test_schreyer_syzygies_of_gb():
     R, x, y = poly_ring("x", "y")
     gb = ideal_gb(R, sq(R))
-    syz, _ = schreyer_syzygies(gb)
+    frame, _ = schreyer_syzygies(gb)
     # relations among x^2, xy, y^2: two linear syzygies
     polys = ideal_gb_polys(gb)
-    for z in syz:
+    for z in frame.elements:
         total = R.zero()
         for s in range(len(polys)):
             total = total + z.component(s) * polys[s]
         assert total.is_zero()
-    assert len(syz) >= 2
+    assert len(frame) >= 2
+
+
+def test_frame_keeps_the_smallest_partner_among_equal_quotients():
+    # Basis yz < xz < xy: both pairs of yz have quotient x; the frame keeps
+    # x*e0 - y*e1 (partner xz), not x*e0 - z*e2 (partner xy).
+    R, x, y, z = poly_ring("x", "y", "z")
+    gb = ideal_gb(R, [x * y, x * z, y * z])
+    assert [str(p) for p in ideal_gb_polys(gb)] == ["y*z", "x*z", "x*y"]
+    frame, _ = schreyer_syzygies(gb)
+    X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert [e.terms for e in frame.elements] == [
+        {(1, Y): 1, (2, Z): -1},
+        {(0, X): 1, (1, Y): -1},
+    ]
 
 
 def test_hilbert_series_m_squared():

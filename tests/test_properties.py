@@ -516,16 +516,34 @@ def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
     gb = buchberger(rels, ModuleOrder(MonomialOrder(kind, pm.ring.weights), "TOP"))
     orders = [(gb.order, pm.free.rank)]
     while len(gb) and len(orders) < 4:
-        syz, order = schreyer_syzygies(gb)
-        orders.append((order, len(gb)))
-        syz = [z for z in syz if not z.is_zero()]
-        if not syz:
-            break
-        gb = buchberger(syz, order)
+        rank = len(gb)
+        gb, order = schreyer_syzygies(gb)
+        orders.append((order, rank))
     mons = [m for d in range(4) for m in pm.ring.monomials_of_degree(d)]
     for order, rank in orders:
         terms = [(c, m) for c in range(rank) for m in mons]
         _assert_same_order(terms, order.key, lambda t: _tuple_module_key(order, t))
+
+
+@given(presented_modules(), st.sampled_from(["wgrevlex", "lex"]))
+@settings(max_examples=25, deadline=None)
+def test_schreyer_frames_are_groebner_bases_with_exact_keys(pm, kind):
+    """Along the chain of frames, Buchberger on a frame's elements finds exactly
+    its lead terms, and every stored negated key is the induced order's; the
+    Betti table read off the frames still equals the Koszul oracle's."""
+    rels = [r for r in pm.relations if not r.is_zero()]
+    if not rels:
+        return
+    gb = buchberger(rels, ModuleOrder(MonomialOrder(kind, pm.ring.weights), "TOP"))
+    while len(gb):
+        gb, order = schreyer_syzygies(gb)
+        if len(gb):
+            assert buchberger(gb.elements, order).lead_terms() == gb.lead_terms()
+        for g in gb._internal:
+            for t, nk in [(g.lt, g.nlt), *((t, k) for t, _, k in g.tail)]:
+                assert nk == -order.key(pm.ring.unpack(t))
+    _, betti = minimal_free_resolution(pm)
+    assert betti.entries == koszul_tor(pm, (0, betti.max_degree() + 1)).entries
 
 
 _SCALES = st.sampled_from([Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fraction(-3, 4)])
