@@ -2,13 +2,12 @@
 
 One engine serves ideals (rank-one modules) and genuine submodules.  The
 S-pair queue uses the normal strategy with Gebauer-Möller pruning; the
-product criterion is applied only in rank one.  Syzygies are read off the
-reductions of S-pairs of a finished basis, where the product criterion is
-never used, because the Koszul syzygy of a coprime pair is a genuine
-generator of the syzygy module.  `schreyer_syzygies` keeps the pairs of
-Schreyer's theorem, so its syzygies already form a Gröbner basis for the
-induced order (the Schreyer frame), with no Buchberger run; `syzygy_module`
-needs only generators and keeps the Gebauer-Möller pairs.
+product criterion is applied only in rank one.  `schreyer_syzygies` reads the
+syzygies of a finished basis off the reductions of the pairs of Schreyer's
+theorem, so they already form a Gröbner basis for the induced order (the
+Schreyer frame), with no Buchberger run.  `syzygy_module` needs only
+generators: it runs the same S-pair loop on the generators tagged with
+their own basis vectors, and collects the remainders that are all tag.
 
 The core works on packed int terms and int order keys (see `rings`) with
 integer coefficients.  Every basis element is primitive with positive lead
@@ -17,10 +16,9 @@ cache.  Reduction is fraction-free: the working polynomial carries a running
 scale and is rescaled only when a lead coefficient does not divide, and each
 step is recorded as integers (element, quotient, key, factor, scale).  A
 syzygy is built from that record in integers and packed terms, so a frame
-goes from S-pair to the next step's basis without leaving the core.  Only the
-rows tracked for `syzygy_module` are `Fraction`s.  Tuples and `Fraction`s
-appear only at the public boundary: `elements`, `normal_form`,
-`reduce_with_quotients` and the lifted syzygies of `syzygy_module`.
+goes from S-pair to the next step's basis without leaving the core.  Tuples
+and `Fraction`s appear only at the public boundary: `elements`,
+`normal_form` and the syzygies of `syzygy_module`.
 """
 
 from __future__ import annotations
@@ -47,36 +45,6 @@ class StepBudgetExceeded(Exception):
     """Raised when a Gröbner computation exceeds its configured step budget."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _content_scale(terms: dict) -> Fraction:
-    """Fraction s with s*terms integer, content one, ignoring sign."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in terms.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
-    return Fraction(den, num)
-
-
-def _row_add(row: dict, other: dict, mon: int, coeff: Fraction) -> None:
-    """row += coeff * mon * other, in place, on tracked rows {s: {monomial: c}}."""
-    for s, p in other.items():
-        tgt = row.setdefault(s, {})
-        for m, c in p.items():
-            m += mon
-            v = tgt.get(m, _F0) + coeff * c
-            if v:
-                tgt[m] = v
-            elif m in tgt:
-                del tgt[m]
-        if not tgt:
-            del row[s]
-
-
 def _work(ring: GradedRing, order: ModuleOrder, terms: dict):
     """(work, heap, scale) of {(comp, mon): Fraction}: the packed integer
     coefficients work with terms = work / scale, and heap entries (-key, t)."""
@@ -97,19 +65,15 @@ class _GbElem:
     negated key) in descending order; `lead` is the lead as (comp, monomial).
     """
 
-    __slots__ = ("lt", "lc", "nlt", "tail", "lead", "row")
+    __slots__ = ("lt", "lc", "nlt", "tail", "lead")
 
-    def __init__(self, ring: GradedRing, rem: list, scale: int, row: dict | None = None):
+    def __init__(self, ring: GradedRing, rem: list, scale: int):
         coeffs = [c * (scale // s) for _, _, c, s in rem]
         content = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
-        if row is not None and scale != content:
-            k = Fraction(scale, content)
-            row = {s: {m: c * k for m, c in p.items()} for s, p in row.items()}
         self.nlt, self.lt = rem[0][:2]
         self.lc = coeffs[0] // content
         self.tail = [(rem[n][1], coeffs[n] // content, rem[n][0]) for n in range(1, len(rem))]
         self.lead = ring.unpack(self.lt)
-        self.row = row
 
     def work(self):
         """(work, heap, scale) of this element, for reducing it again."""
@@ -125,7 +89,7 @@ class _GbElem:
 
 
 def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: GradedRing,
-                 row: dict | None = None, steps: list | None = None):
+                 steps: list | None = None):
     """Full normal form of work / scale against the elements in `by_comp`.
 
     `work` maps packed terms to integer coefficients and `heap` holds their
@@ -133,7 +97,7 @@ def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: Graded
     coefficient has since cancelled, are skipped on pop.  A step by element g
     at the quotient d = t - g.lt rescales the work only if g.lc does not
     divide the coefficient, and keys each new term as its key in g plus
-    key(t) - key(g.lt).  Returns (rem, scale, row): rem lists (negated key,
+    key(t) - key(g.lt).  Returns (rem, scale): rem lists (negated key,
     term, c, s) in descending order, the remainder coefficient being c / s.
     Each step is appended to `steps` as (g, d, nk, f, s): it subtracted
     f / s * d * g at the term t = d + g.lt of negated key nk.  Every term is
@@ -142,8 +106,6 @@ def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: Graded
     cshift, guard = ring.comp_shift, ring.guard
     pop, push = heapq.heappop, heapq.heappush
     heapq.heapify(heap)
-    if row is not None:
-        row = {s: dict(p) for s, p in row.items()}
     rem: list = []
     while heap:
         nk, t = pop(heap)
@@ -180,9 +142,7 @@ def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: Graded
                     del work[u]
         if steps is not None:
             steps.append((g, d, nk, f, scale))
-        if row is not None and g.row is not None:
-            _row_add(row, g.row, d, Fraction(-f, scale))
-    return rem, scale, row
+    return rem, scale
 
 
 def _spair(gi: _GbElem, gj: _GbElem, lcm_t: int, lcm_nk: int):
@@ -279,26 +239,13 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._internal)
 
-    def _reduce(self, f: ModuleElement, steps: list | None = None) -> ModuleElement:
+    def normal_form(self, f: ModuleElement) -> ModuleElement:
         if f.module.ring != self.module.ring or f.module.rank != self.module.rank:
             raise ValueError("element does not live in the basis module")
         ring = self.module.ring
         work, heap, scale = _work(ring, self.order, f.terms)
-        rem, _, _ = _reduce_full(work, heap, scale, self._by_comp, ring, steps=steps)
+        rem, _ = _reduce_full(work, heap, scale, self._by_comp, ring)
         return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
-
-    def normal_form(self, f: ModuleElement) -> ModuleElement:
-        return self._reduce(f)
-
-    def reduce_with_quotients(self, f: ModuleElement):
-        """(remainder, quotients): quotients[i] maps monomials to Fractions."""
-        ring = self.module.ring
-        steps: list = []
-        rem = self._reduce(f, steps)
-        quotients: dict = {g: {} for g in self._internal}
-        for g, d, _, c, s in steps:
-            quotients[g][ring.unpack(d)[1]] = Fraction(c, s)
-        return rem, list(quotients.values())
 
 
 def default_ring_order(ring: GradedRing) -> MonomialOrder:
@@ -313,24 +260,42 @@ def buchberger(
     gens: Sequence[ModuleElement],
     order: ModuleOrder | None = None,
     step_budget: int | None = None,
-    _track: bool = False,
 ) -> GroebnerBasis:
     """Auto-reduced Gröbner basis of the submodule generated by `gens`."""
     if not gens:
         raise ValueError("need at least one generator (possibly zero) to fix the module")
     module = gens[0].module
-    ring = module.ring
     if order is None:
         order = default_module_order(module)
+    basis, _ = _spair_loop(gens, order, step_budget, module.rank)
+    return GroebnerBasis(module, order, _autoreduce(module.ring, basis))
+
+
+def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: int | None,
+                tags: int) -> tuple[list, list]:
+    """Buchberger's S-pair loop: (basis, set aside), both lists of `_GbElem`.
+
+    Each generator and each S-pair is reduced fully against the basis so far.
+    A remainder whose lead lies in a component below `tags` joins the basis;
+    one whose lead lies in component `tags` or above is set aside and never
+    joins it.  With `tags` the rank of the module nothing is set aside.
+    """
+    module = gens[0].module
+    ring = module.ring
     use_product = module.rank == 1
 
     basis: list[_GbElem] = []
+    aside: list[_GbElem] = []
     by_comp: dict = {}
     pairs: list = []
     heap: list = []
+    first_tag = tags << ring.comp_shift
 
-    def push(rem, scale, row):
-        elem = _GbElem(ring, rem, scale, row)
+    def push(rem, scale):
+        elem = _GbElem(ring, rem, scale)
+        if elem.lt >= first_tag:
+            aside.append(elem)
+            return
         basis.append(elem)
         t = len(basis) - 1
         by_comp.setdefault(elem.lead[0], []).append(elem)
@@ -340,16 +305,13 @@ def buchberger(
             heapq.heappush(heap, (d, order.key(lcm), i, j, lcm))
         pairs.clear()
 
-    for s, g in enumerate(gens):
-        if g.is_zero():
-            continue
+    for g in gens:
         if not g.is_homogeneous():
             raise ValueError("Buchberger input must be homogeneous")
-        row = {s: {0: _F1}} if _track else None  # 0 packs the monomial 1
         work, wheap, scale = _work(ring, order, g.terms)
-        rem, scale, row = _reduce_full(work, wheap, scale, by_comp, ring, row=row)
+        rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
         if rem:
-            push(rem, scale, row)
+            push(rem, scale)
 
     steps = 0
     seen = set()
@@ -374,23 +336,14 @@ def buchberger(
         steps += 1
         if step_budget is not None and steps > step_budget:
             raise StepBudgetExceeded(f"S-pair budget {step_budget} exceeded")
-        gi, gj = basis[i], basis[j]
-        lcm_t = ring.pack(*lcm)
-        work, wheap, scale = _spair(gi, gj, lcm_t, -key)
-        row = None
-        if _track:
-            row = {}
-            _row_add(row, gi.row, lcm_t - gi.lt, _F1 / gi.lc)
-            _row_add(row, gj.row, lcm_t - gj.lt, -_F1 / gj.lc)
-        rem, scale, row = _reduce_full(work, wheap, scale, by_comp, ring, row=row)
+        work, wheap, scale = _spair(basis[i], basis[j], ring.pack(*lcm), -key)
+        rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
         if rem:
-            push(rem, scale, row)
-
-    basis = _autoreduce(ring, basis, _track)
-    return GroebnerBasis(module, order, basis)
+            push(rem, scale)
+    return basis, aside
 
 
-def _autoreduce(ring: GradedRing, basis: list, track: bool) -> list:
+def _autoreduce(ring: GradedRing, basis: list) -> list:
     guard, unit = ring.guard, 1 << ring.comp_shift
     keep = []
     for idx, g in enumerate(basis):
@@ -415,11 +368,9 @@ def _autoreduce(ring: GradedRing, basis: list, track: bool) -> list:
         at = same.index(g)
         del same[at]
         work, heap, scale = g.work()
-        rem, scale, row = _reduce_full(
-            work, heap, scale, by_comp, ring, row=g.row if track else None
-        )
+        rem, scale = _reduce_full(work, heap, scale, by_comp, ring)
         same.insert(at, g)
-        final.append(_GbElem(ring, rem, scale, row))
+        final.append(_GbElem(ring, rem, scale))
     return final
 
 
@@ -470,7 +421,7 @@ def _pair_syzygy(gb: GroebnerBasis, index: dict, i: int, j: int, lcm_t: int, lcm
         (gi, lcm_t - gi.lt, lcm_nk, -(gj.lc // h), scale0),
         (gj, lcm_t - gj.lt, lcm_nk, gi.lc // h, scale0),
     ]
-    rem, scale, _ = _reduce_full(work, heap, scale0, gb._by_comp, ring, steps=steps)
+    rem, scale = _reduce_full(work, heap, scale0, gb._by_comp, ring, steps=steps)
     if rem:
         raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
     terms = []
@@ -527,74 +478,50 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
 
 
 def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
-    """Generators of the first syzygy module of `gens`.
+    """Generators of the first syzygy module of `gens`, in the free module with
+    one basis vector e_s of degree deg g_s per generator (degree 0 if zero).
 
-    Composes the S-pair syzygies of a transformation-tracked Gröbner basis,
-    over the pairs that survive the Gebauer-Möller criteria (a generating set,
-    not a frame), with the change of generators, so the output lives in the
-    free module on the original `gens`.
+    Each generator g_s in F is tagged as g_s + e_s in F + T, ordered by TOP on
+    each part with every term of F above every tag, and one run of the S-pair
+    loop of `buchberger` sets aside each remainder whose lead is a tag.  Such
+    a remainder has no F part, and every element of the tagged module is
+    f + sum a_s e_s with f = sum a_s g_s, so its tags are a syzygy.  They
+    generate all syzygies, by three facts:
+
+    1. Every basis element h = f + tau has F lead, and the F parts reduce as
+       in an untagged run, so they form a Gröbner basis of the module of the
+       g_s.  The pairs that survive the Gebauer-Möller criteria have standard
+       representations whose syzygies generate the syzygies of those F parts
+       (Schreyer); the product criterion is off, since F + T has rank at
+       least 2, so the Koszul syzygies of coprime pairs are among them.
+    2. A pair's standard representation, applied to the tagged elements,
+       gives its remainder: zero, a set-aside element, or a new basis
+       element h.  In the last case the representation with -h added maps
+       to zero in Syz(g_1, ..., g_n), because h's tag is exactly h's
+       expression in the g_s.
+    3. A generator that reduces to zero gives e_s minus its own expression;
+       a zero generator enters as e_s itself.
+
+    So a syzygy a gives sum a_s (g_s + e_s) = sum a_s e_s, which is a
+    combination of basis elements and set-aside ones; its basis part has zero
+    F part, so by 1 and 2 it is a combination of set-aside ones too.
     """
     module = gens[0].module
-    order = default_module_order(module)
     ring = module.ring
-    tgt = FreeModule(ring, [0 if g.is_zero() else g.degree() for g in gens])
-    out: list[ModuleElement] = []
-    nonzero = [(s, g) for s, g in enumerate(gens) if not g.is_zero()]
-    for s, g in enumerate(gens):
-        if g.is_zero():
-            out.append(tgt.gen(s))
-    if not nonzero:
-        return out
-    gb = buchberger([g for _, g in nonzero], order, _track=True)
-    basis = gb._internal
-    cshift = ring.comp_shift
-    mask = (1 << cshift) - 1
-
-    def add_row(terms, g, m, c):
-        """terms += c * m * (tracked row of g), on packed monomials."""
-        for s_local, p in (g.row or {}).items():
-            s = nonzero[s_local][0]
-            for m2, c2 in p.items():
-                t = (s, m + m2)
-                w = terms.get(t, _F0) + c * c2
-                if w:
-                    terms[t] = w
-                elif t in terms:
-                    del terms[t]
-
-    def element(terms):
-        scale = _content_scale(terms)
-        return ModuleElement(tgt, {(s, ring.unpack(m)[1]): c * scale for (s, m), c in terms.items()})
-
-    pairs: list = []
-    for t in range(len(basis)):
-        _gm_update(pairs, basis, t, False)
-    index = {g: n for n, g in enumerate(basis)}
-    for i, j, lcm in sorted(
-        pairs,
-        key=lambda e: (
-            ring.degree(e[2][1]) + module.gen_degrees[e[2][0]],
-            order.key(e[2]),
-            e[0],
-            e[1],
-        ),
-    ):
-        z = _pair_syzygy(gb, index, i, j, ring.pack(*lcm), -order.key(lcm))
-        terms: dict = {}
-        for t, c in z.packed():
-            add_row(terms, basis[t >> cshift], t & mask, c)
-        if terms:
-            out.append(element(terms))
-    for s_orig, g in nonzero:
-        steps: list = []
-        if not gb._reduce(ModuleElement(gb.module, g.terms), steps).is_zero():
-            raise AssertionError("generator failed to reduce against its own basis")
-        terms = {(s_orig, 0): _F1}
-        for h, d, _, c, s in steps:
-            add_row(terms, h, d, Fraction(-c, s))
-        if terms:
-            out.append(element(terms))
-    return out
+    rank = module.rank
+    degrees = [0 if g.is_zero() else g.degree() for g in gens]
+    tagged = FreeModule(ring, module.gen_degrees + degrees)
+    one = ring.one_monomial()
+    order = ModuleOrder.tagged(ring, default_ring_order(ring), rank, len(gens))
+    _, aside = _spair_loop(
+        [ModuleElement(tagged, {**g.terms, (rank + s, one): Fraction(1)}) for s, g in enumerate(gens)],
+        order, None, rank,
+    )
+    tgt = FreeModule(ring, degrees)
+    return [
+        ModuleElement(tgt, {(c - rank, m): v for (c, m), v in z.terms(ring).items()})
+        for z in aside
+    ]
 
 
 # ---------------------------------------------------------------------------

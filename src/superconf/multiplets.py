@@ -23,8 +23,6 @@ from .resolutions import (
 )
 from .rings import FreeModule, ModuleElement, Polynomial
 
-_F1 = Fraction(1)
-
 
 @dataclass
 class MultipletModule:

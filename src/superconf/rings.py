@@ -195,6 +195,19 @@ class ModuleOrder:
             (parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(schreyer_leads)
         ]
 
+    @classmethod
+    def tagged(cls, ring: GradedRing, ring_order: MonomialOrder, rank: int, tags: int) -> "ModuleOrder":
+        """TOP on F + T, F of the given rank and T of `tags` components after
+        it, with every term of F above every term of T.
+
+        A ring key is below 2**ring.comp_shift, so lowering the base of each
+        tag component by 2**(comp_shift + COMP_BITS + 1) puts it under all of F.
+        """
+        order = cls(ring_order)
+        below = 1 << ring.comp_shift + COMP_BITS + 1
+        order._base = [-c - (below if c >= rank else 0) for c in range(rank + tags)]
+        return order
+
     def key(self, term: ModTerm) -> int:
         comp, mon = term
         base = -comp if self._base is None else self._base[comp]
@@ -212,9 +225,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
 
     def degree(self) -> int:
         """Weighted degree; requires homogeneity (checked)."""

@@ -114,6 +114,27 @@ def test_syzygies_annihilate_generators():
         assert total.is_zero()
 
 
+def test_syzygies_when_a_tag_ties_a_module_term_in_degree():
+    """F = R + R(-1): g_0 = x*e0 + e1 has a unit term, so its tag and the F
+    terms of e1 share monomial degrees.  g_0 and g_1 are independent: their
+    S-pair leaves y*e1 + y*E0 - x*E1, where y*e1 must lead and not the tag
+    x*E1.  With g_2 = y*e1, y*g_0 - x*g_1 - g_2 = 0 generates the syzygies."""
+    R = GradedRing(["x", "y"])
+    F = FreeModule(R, [0, 1])
+    one = Fraction(1)
+    gens = [
+        ModuleElement(F, {(0, (1, 0)): one, (1, (0, 0)): one}),
+        ModuleElement(F, {(0, (0, 1)): one}),
+        ModuleElement(F, {(1, (0, 1)): one}),
+    ]
+    assert syzygy_module(gens[:2]) == []
+    syz = syzygy_module(gens)
+    assert len(syz) == 1
+    z = syz[0]
+    c = z.terms[(2, (0, 0))]
+    assert z.terms == {(0, (0, 1)): -c, (1, (1, 0)): c, (2, (0, 0)): c}
+
+
 def test_schreyer_syzygies_of_gb():
     R, x, y = poly_ring("x", "y")
     gb = ideal_gb(R, sq(R))

@@ -6,9 +6,12 @@ the same file as an identifier (`ast.Name`), which covers calls, attribute
 bases, annotations and decorators.  `__init__.py` re-exports names on purpose
 and is not scanned for imports.
 
-A private (`_name`, not dunder) function, method or class of the package is
-dead when no file of the package refers to it, as an identifier or as an
-attribute (`self._name`, `module._name`).
+A private (`_name`, not dunder) function, method, class or module-level
+assigned name (`_F0 = Fraction(0)`) of the package is dead unless its own file
+reads it as an identifier, or some file of the package imports it by name or
+reads it as an attribute (`self._name`, `module._name`).  Identifiers count per
+file, so a constant that one module orphans is found even when another module
+defines and reads its own constant of the same name.
 
 Package modules import at module level only: an import statement inside a
 function body hides a dependency until the function runs.
@@ -47,25 +50,45 @@ def test_no_unused_imports(path):
 
 
 def dead_helpers(sources: list[str]) -> list[str]:
-    defined, referenced = set(), set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    trees = [ast.parse(source) for source in sources]
+    shared = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared.update(a.name for a in node.names)
+    dead = []
+    for tree in trees:
+        defined, read = set(), set()
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return sorted(defined - referenced)
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        dead += [n for n in defined - read - shared if n.startswith("_") and not n.endswith("__")]
+    return sorted(dead)
 
 
 def test_scan_finds_a_dead_helper():
     sources = [
         "def _used(): pass\ndef _dead(): pass\nclass _Kept:\n    def __init__(self): pass\n",
+        "from a import _used, _Kept\n"
         "class A:\n    def _orphan(self): pass\n    def run(self): return _used(), _Kept\n",
     ]
     assert dead_helpers(sources) == ["_dead", "_orphan"]
+
+
+def test_scan_finds_a_dead_module_constant():
+    sources = [
+        "_F0 = 0\n_F1: int = 1\n_A = _B = 2\ndef f(): return _F1 + _A\n",
+        "from a import _B\n_F0 = 0\ndef g(): return _F0\n",
+    ]
+    assert dead_helpers(sources) == ["_F0"]
 
 
 def test_no_dead_private_helpers():

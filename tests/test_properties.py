@@ -595,13 +595,7 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
     f = ModuleElement(gb.module, {(0, m): c for m, c in zip(mons, coeffs)})
     nf = gb.normal_form(f)
     assert nf.terms == _fraction_normal_form(gb.elements, key, f)
-    rem, quotients = gb.reduce_with_quotients(f)
-    assert rem == nf
-    total = ModuleElement(gb.module, dict(rem.terms))
-    for e, q in zip(gb.elements, quotients):
-        total = total + e.mul_poly(Polynomial(ring, q))
-    assert total == f
-    # the tracked-row path: syzygies of inputs with non-unit leads
+    # syzygies of inputs with non-unit leads, from the tagged generators
     free = FreeModule(ring, [0])
     cols = [ModuleElement(free, {(0, m): c for m, c in g.terms.items()}) for g in gens]
     syz = syzygy_module(cols)
@@ -618,3 +612,62 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
                 kz = {(i, m): c for m, c in gens[j].terms.items()}
                 kz.update({(j, m): -c for m, c in gens[i].terms.items()})
                 assert syz_gb.normal_form(ModuleElement(syz_gb.module, kz)).is_zero()
+
+
+@st.composite
+def module_generator_lists(draw):
+    """Generators of a submodule of a rank-2 or rank-3 free module over
+    Q[x,y,z] with mixed generator degrees, in degrees 1 to 3, plus one zero
+    generator and one repeated generator at drawn positions."""
+    ring = GradedRing(["x", "y", "z"])
+    free = FreeModule(ring, draw(st.lists(st.integers(0, 1), min_size=2, max_size=3)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        terms = {}
+        for comp, g in enumerate(free.gen_degrees):
+            for mon in ring.monomials_of_degree(degree - g):
+                c = draw(st.integers(-2, 2))
+                if c and draw(st.booleans()):
+                    terms[(comp, mon)] = Fraction(c)
+        gens.append(ModuleElement(free, terms))
+    gens.insert(draw(st.integers(0, len(gens))), free.zero())
+    gens.insert(draw(st.integers(0, len(gens))), gens[draw(st.integers(0, len(gens) - 1))])
+    return gens
+
+
+def _degree_rows(elements, degree, ring):
+    """The degree-j multiples m*e of homogeneous elements, as sparse rows."""
+    cols: dict = {}
+    rows = []
+    for e in elements:
+        if e.is_zero() or e.degree() > degree:
+            continue
+        for mon in ring.monomials_of_degree(degree - e.degree()):
+            rows.append({
+                cols.setdefault((c, mon_mul(m, mon)), len(cols)): v for (c, m), v in e.terms.items()
+            })
+    return rows
+
+
+@given(module_generator_lists())
+@settings(max_examples=100, deadline=None)
+def test_syzygy_module_generates_the_syzygies_of_module_elements(gens):
+    """Every returned syzygy annihilates the generators, and in each degree of
+    a window their multiples span dim(+R(-deg g_s))_j - rank(generator map)_j
+    dimensions: the kernel of the degree-j slice, counted by linear algebra."""
+    free = gens[0].module
+    ring = free.ring
+    degrees = [0 if g.is_zero() else g.degree() for g in gens]
+    syz = syzygy_module(gens)
+    for z in syz:
+        assert z.module.gen_degrees == degrees
+        assert all(0 <= c < len(gens) for c, _ in z.terms)
+        acc = free.zero()
+        for s, g in enumerate(gens):
+            acc = acc + g.mul_poly(z.component(s))
+        assert acc.is_zero()
+    for j in range(max(degrees) + 3):
+        source = sum(len(ring.monomials_of_degree(j - d)) for d in degrees if d <= j)
+        image = sparse_rank(_degree_rows(gens, j, ring))
+        assert sparse_rank(_degree_rows(syz, j, ring)) == source - image, j
