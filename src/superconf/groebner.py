@@ -170,23 +170,13 @@ def _spair(gi: _GbElem, gj: _GbElem, lcm_t: int, lcm_nk: int):
     return work, heap, ai * gi.lc
 
 
-def _gm_update(pairs: list, basis: list, t: int, use_product: bool) -> None:
-    """Gebauer-Möller pair-set update after appending basis[t].
+def _gm_update(basis: list, t: int, use_product: bool) -> list:
+    """Gebauer-Möller: the new pairs (i, t, (component, lcm monomial)) after appending basis[t].
 
-    A pair is (i, j, (component, lcm monomial)); `pairs` holds pending pairs.
+    Pairs queued before basis[t] are pruned lazily by the chain test in the S-pair loop.
     """
     lt_t = basis[t].lead
     comp_t = lt_t[0]
-    kept = []
-    for entry in pairs:
-        i, j, lcm_ij = entry
-        if lcm_ij[0] == comp_t and mon_divides(lt_t[1], lcm_ij[1]):
-            lcm_it = mon_lcm(basis[i].lead[1], lt_t[1])
-            lcm_jt = mon_lcm(basis[j].lead[1], lt_t[1])
-            if lcm_it != lcm_ij[1] and lcm_jt != lcm_ij[1]:
-                continue
-        kept.append(entry)
-    pairs[:] = kept
     cand = [
         (i, mon_lcm(basis[i].lead[1], lt_t[1]))
         for i in range(t)
@@ -204,12 +194,14 @@ def _gm_update(pairs: list, basis: list, t: int, use_product: bool) -> None:
     by_lcm: dict = {}
     for i, lcm_i in survivors:
         by_lcm.setdefault(lcm_i, []).append(i)
+    pairs = []
     for lcm_i, idxs in sorted(by_lcm.items()):
         if use_product and any(
             all(min(a, b) == 0 for a, b in zip(basis[i].lead[1], lt_t[1])) for i in idxs
         ):
             continue
         pairs.append((min(idxs), t, (comp_t, lcm_i)))
+    return pairs
 
 
 def _by_comp(elems) -> dict:
@@ -287,7 +279,6 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
     basis: list[_GbElem] = []
     aside: list[_GbElem] = []
     by_comp: dict = {}
-    pairs: list = []
     heap: list = []
     first_tag = tags << ring.comp_shift
 
@@ -299,11 +290,9 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
         basis.append(elem)
         t = len(basis) - 1
         by_comp.setdefault(elem.lead[0], []).append(elem)
-        _gm_update(pairs, basis, t, use_product)
-        for i, j, lcm in pairs:
+        for i, j, lcm in _gm_update(basis, t, use_product):
             d = ring.degree(lcm[1]) + module.gen_degrees[lcm[0]]
             heapq.heappush(heap, (d, order.key(lcm), i, j, lcm))
-        pairs.clear()
 
     for g in gens:
         if not g.is_homogeneous():
@@ -314,12 +303,8 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
             push(rem, scale)
 
     steps = 0
-    seen = set()
     while heap:
         _, key, i, j, lcm = heapq.heappop(heap)
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
         # Lazy chain criterion against elements added after the pair was queued.
         skip = False
         for t in range(j + 1, len(basis)):

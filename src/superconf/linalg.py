@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts {col: value} with int or Fraction values.  Elimination reduces
-integer copies of the rows in place (the input is never touched), with content
-stripped and leads made positive, so coefficients stay small; pivot choice is
-always the minimal column of each reduced row, which keeps results
-independent of input iteration order and of hashing.
+Rows are dicts {col: value} with int or Fraction values and mutually
+comparable column keys.  One integer kernel, `_reduce_row`, serves the rank,
+the echelon form, the kernel and the span solver.  It reduces integer copies
+of the rows in place (the input is never touched), with content stripped and
+leads made positive, so coefficients stay small; pivot choice is always the
+minimal column of each reduced row, which keeps results independent of input
+iteration order and of hashing.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 
-def _int_rows(rows: Iterable[dict]) -> Iterator[dict[int, int]]:
+def _int_rows(rows: Iterable[dict]) -> Iterator[dict]:
     """Integer copies of the rows, one at a time: clear denominators, drop zeros."""
     for row in rows:
         den = reduce(lcm, (v.denominator for v in row.values()), 1)
         yield {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
-def _strip(row: dict[int, int]) -> dict[int, int]:
+def _strip(row: dict) -> dict:
     """Divide out the content, signed so the entry at the minimal column is positive."""
     g = reduce(gcd, row.values(), 0)
     if row[min(row)] < 0:
@@ -30,7 +32,7 @@ def _strip(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+def _reduce_row(row: dict, pivots: dict) -> dict:
     while row:
         c = min(row)
         piv = pivots.get(c)
@@ -111,52 +113,38 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
     return basis
 
 
+_MARK = (2, 0)
+
+
 class SpanSolver:
     """Incremental row space over Q with combination tracking.
 
     `add` returns whether the vector enlarged the span; `solve` expresses a
     vector over the added tags, or returns None if it is outside the span.
+    Each added row carries its own tag as one more column (1, tag), ordered
+    after the vector columns (0, col), so the integer kernel records the
+    combination; `solve` carries the marker column (2, 0) instead.
     """
 
     def __init__(self):
-        self._pivots: dict[int, tuple[dict[int, Fraction], dict]] = {}
+        self._pivots: dict = {}
 
-    def add(self, vec: dict[int, Fraction], tag) -> bool:
-        row = {c: Fraction(v) for c, v in vec.items() if v}
-        combo = {tag: Fraction(1)}
-        row, combo = self._reduce(row, combo)
-        if not row:
+    def add(self, vec: dict, tag) -> bool:
+        row = {(0, c): v for c, v in vec.items()}
+        row[(1, tag)] = 1
+        red = _reduce_row(next(_int_rows([row])), self._pivots)
+        lead = min(red)
+        if lead[0]:
             return False
-        c = min(row)
-        self._pivots[c] = (row, combo)
+        self._pivots[lead] = red
         return True
 
-    def _reduce(self, row, combo):
-        while row:
-            c = min(row)
-            hit = self._pivots.get(c)
-            if hit is None:
-                return row, combo
-            prow, pcombo = hit
-            f = row[c] / prow[c]
-            for col, v in prow.items():
-                w = row.get(col, Fraction(0)) - f * v
-                if w:
-                    row[col] = w
-                elif col in row:
-                    del row[col]
-            for tag, v in pcombo.items():
-                w = combo.get(tag, Fraction(0)) - f * v
-                if w:
-                    combo[tag] = w
-                elif tag in combo:
-                    del combo[tag]
-        return row, combo
-
-    def solve(self, vec: dict[int, Fraction]) -> dict | None:
-        row = {c: Fraction(v) for c, v in vec.items() if v}
-        combo: dict = {}
-        row, combo = self._reduce(row, combo)
-        if row:
+    def solve(self, vec: dict) -> dict | None:
+        row = {(0, c): v for c, v in vec.items()}
+        row[_MARK] = 1
+        red = _reduce_row(next(_int_rows([row])), self._pivots)
+        if min(red)[0] == 0:
             return None
-        return {tag: -v for tag, v in combo.items()}
+        # red = m*(vec, marker) - sum_t b_t*(v_t, tag t) with zero vector part
+        m = red[_MARK]
+        return {t: Fraction(-v, m) for (part, t), v in red.items() if part == 1}

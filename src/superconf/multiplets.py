@@ -125,23 +125,8 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
         elt = ModuleElement(v_dual, z.terms)
         if not elt.is_zero():
             kernel_gens.append(elt)
-    if not kernel_gens:
-        pm = PresentedModule(ring, [], [])
-        return MultipletModule("kaehler", alg, pm)
-    gen_degs = [g.degree() for g in kernel_gens]
-    aug2 = list(kernel_gens)
-    for q in quadrics:
-        for mu in range(d):
-            aug2.append(_poly_times_gen(q, v_dual, mu))
-    ngen = len(kernel_gens)
-    rel_free = FreeModule(ring, gen_degs)
-    rels = []
-    for z in syzygy_module(aug2):
-        proj = ModuleElement(rel_free, {(c, m): v for (c, m), v in z.terms.items() if c < ngen})
-        if not proj.is_zero():
-            rels.append(proj)
-    pm = PresentedModule(ring, gen_degs, rels)
-    return MultipletModule("kaehler", alg, pm)
+    image = [_poly_times_gen(q, v_dual, mu) for q in quadrics for mu in range(d)]
+    return _subquotient(alg, "kaehler", kernel_gens, image)
 
 
 def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
@@ -161,25 +146,33 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
         ]
     else:
         kernel_gens = [free_k.gen(i) for i in range(free_k.rank)]
-    if not kernel_gens:
-        pm = PresentedModule(ring, [], [])
-        return MultipletModule(f"form({k})", alg, pm)
-    gen_degs = [g.degree() for g in kernel_gens]
     if k + 1 <= d:
         im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
         im_cols = [c for c in im_cols if not c.is_zero()]
     else:
         im_cols = []
+    return _subquotient(alg, f"form({k})", kernel_gens, im_cols)
+
+
+def _subquotient(alg: SupertranslationAlgebra, kind: str, kernel_gens: list,
+                 image: list) -> MultipletModule:
+    """The span of `kernel_gens` modulo `image`, presented on the kernel generators.
+
+    Both lists live in one free module; the relations are the syzygies of
+    kernel_gens + image projected onto the kernel part.
+    """
+    ring = alg.ring()
+    if not kernel_gens:
+        return MultipletModule(kind, alg, PresentedModule(ring, [], []))
+    gen_degs = [g.degree() for g in kernel_gens]
     ngen = len(kernel_gens)
-    aug = kernel_gens + im_cols
     rel_free = FreeModule(ring, gen_degs)
     rels = []
-    for z in syzygy_module(aug):
+    for z in syzygy_module(kernel_gens + image):
         proj = ModuleElement(rel_free, {(c, m): v for (c, m), v in z.terms.items() if c < ngen})
         if not proj.is_zero():
             rels.append(proj)
-    pm = PresentedModule(ring, gen_degs, rels)
-    return MultipletModule(f"form({k})", alg, pm)
+    return MultipletModule(kind, alg, PresentedModule(ring, gen_degs, rels))
 
 
 def multiplet_module(alg: SupertranslationAlgebra, kind: str) -> MultipletModule:

@@ -377,20 +377,11 @@ def derivation_complex_h0(
     }
     # span solvers for decomposing lambda-direction images at weight w
     der_solvers: dict[int, SpanSolver] = {}
-    der_keyindex: dict[int, dict] = {}
     for w, vecs in der_vectors.items():
         solver = SpanSolver()
-        keyindex: dict = {}
-
-        def keyfor(t, keyindex=keyindex):
-            if t not in keyindex:
-                keyindex[t] = len(keyindex)
-            return keyindex[t]
-
         for j, vec in enumerate(vecs):
-            solver.add({keyfor(t): v for t, v in vec.items()}, j)
+            solver.add(vec, j)
         der_solvers[w] = solver
-        der_keyindex[w] = keyindex
 
     def xmonos(max_total: int):
         out = []
@@ -465,14 +456,8 @@ def derivation_complex_h0(
             for (xm, th, lm), v in elt.items():
                 grouped.setdefault((xm, th), {})[(c, lm)] = v
         solver = der_solvers[weight]
-        keyindex = der_keyindex[weight]
         for (xm, th), vec in grouped.items():
-            flat = {}
-            for t, v in vec.items():
-                if t not in keyindex:
-                    raise AssertionError("lambda image outside the kernel span")
-                flat[keyindex[t]] = v
-            combo = solver.solve(flat)
+            combo = solver.solve(vec)
             if combo is None:
                 raise AssertionError("lambda image is not a derivation of the quotient")
             for j, v in combo.items():

@@ -375,12 +375,6 @@ class ModuleElement:
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
-    def scale(self, mon: Monomial, coeff: Fraction) -> "ModuleElement":
-        return ModuleElement(
-            self.module,
-            {(c, mon_mul(m, mon)): v * coeff for (c, m), v in self.terms.items()},
-        )
-
     def mul_poly(self, p: Polynomial) -> "ModuleElement":
         out: dict[ModTerm, Fraction] = {}
         for (c, m), v in self.terms.items():

@@ -13,6 +13,9 @@ reads it as an attribute (`self._name`, `module._name`).  Identifiers count per
 file, so a constant that one module orphans is found even when another module
 defines and reads its own constant of the same name.
 
+A public method of a package class is dead unless some file under `src/`,
+`tests/` or `perfbench/` reads its name as an attribute (`obj.method`).
+
 Package modules import at module level only: an import statement inside a
 function body hides a dependency until the function runs.
 """
@@ -25,6 +28,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "superconf").glob("*.py"))
 SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "perfbench" / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,6 +98,34 @@ def test_scan_finds_a_dead_module_constant():
 
 def test_no_dead_private_helpers():
     assert dead_helpers([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def dead_methods(package: list[str], readers: list[str]) -> list[str]:
+    """Public methods of the package's classes whose name no reader reads as an attribute."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    dead = []
+    for source in package:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                dead += [f"{cls.name}.{node.name}" for node in cls.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not node.name.startswith("_") and node.name not in read]
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_public_method():
+    package = (
+        "class A:\n    def used(self): pass\n    def dead(self): pass\n"
+        "    def _private(self): pass\n    @property\n    def size(self): return 1\n"
+    )
+    reader = "from a import A\na = A()\na.used()\nprint(a.size)\n"
+    assert dead_methods([package], [package, reader]) == ["A.dead"]
+
+
+def test_no_dead_public_methods():
+    assert dead_methods([p.read_text(encoding="utf-8") for p in PACKAGE],
+                        [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
 def call_time_imports(source: str) -> list[int]:

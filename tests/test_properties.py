@@ -19,7 +19,7 @@ from superconf.groebner import (
     schreyer_syzygies,
     syzygy_module,
 )
-from superconf.linalg import _triangularize, rref, sparse_kernel, sparse_rank
+from superconf.linalg import SpanSolver, _triangularize, rref, sparse_kernel, sparse_rank
 from superconf.resolutions import (
     PresentedModule,
     _column_index,
@@ -152,6 +152,48 @@ def test_rref_spans_the_input_rows(m):
             for c, x in prow.items():
                 rest[c] = rest.get(c, 0) - f * x
         assert not any(rest.values())
+
+
+def _combination(coeffs: dict, vecs: list) -> dict:
+    out: dict = {}
+    for t, c in coeffs.items():
+        for col, x in vecs[t].items():
+            out[col] = out.get(col, 0) + c * x
+    return {col: x for col, x in out.items() if x}
+
+
+@st.composite
+def keyed_vectors(draw):
+    """Fraction vectors on tuple column keys (a, b, c) with a in {0, 1}, as the
+    reference span solvers of test_prolongation key them; about half of them
+    are random combinations of the earlier ones."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=6, unique=True))
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vecs and draw(st.booleans()):
+            coeffs = draw(st.lists(fractions, min_size=len(vecs), max_size=len(vecs)))
+            vecs.append(_combination(dict(enumerate(coeffs)), vecs))
+        else:
+            vecs.append({k: x for k in keys if (x := draw(fractions))})
+    return vecs
+
+
+@given(keyed_vectors(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_solver_tracks_rank_and_recovers_combinations(vecs, data):
+    solver = SpanSolver()
+    accepted = []
+    for tag, vec in enumerate(vecs):
+        grows = sparse_rank(vecs[: tag + 1]) > sparse_rank(vecs[:tag])
+        assert solver.add(vec, tag) == grows
+        if grows:
+            accepted.append(tag)
+    coeffs = {t: data.draw(fractions) for t in accepted}
+    target = _combination(coeffs, vecs)
+    assert solver.solve(target) == {t: c for t, c in coeffs.items() if c}
+    assert solver.solve({**target, (2, 0, 0): Fraction(1)}) is None
+    assert solver.solve({}) == {}
 
 
 @st.composite
