@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import clifford
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
-from .rings import GradedRing, Polynomial
+from .rings import GradedRing, ModuleElement
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -59,7 +59,7 @@ class SupertranslationAlgebra:
         # (dimension, susy tuple) when the algebra is a catalog entry
         self.catalog_key: tuple | None = None
         self._ring: GradedRing | None = None
-        self._quadrics: list[Polynomial] | None = None
+        self._quadrics: list[ModuleElement] | None = None
 
     def __repr__(self):
         return f"SupertranslationAlgebra({self.name}: {self.d}|{self.k})"
@@ -86,7 +86,7 @@ class SupertranslationAlgebra:
                         out[mu] += gab[mu] * ua * vb
         return out
 
-    def quadrics(self) -> list[Polynomial]:
+    def quadrics(self) -> list[ModuleElement]:
         """The d generators la gamma lb of the nilpotence ideal (zeros kept)."""
         if self._quadrics is None:
             ring = self.ring()
@@ -102,8 +102,8 @@ class SupertranslationAlgebra:
                             (2 if i == a else 0) if a == b else (1 if i in (a, b) else 0)
                             for i in range(self.k)
                         )
-                        terms[mon] = terms.get(mon, _F0) + (c if a == b else 2 * c)
-                polys.append(Polynomial(ring, terms))
+                        terms[(0, mon)] = terms.get((0, mon), _F0) + (c if a == b else 2 * c)
+                polys.append(ring.element(terms))
             self._quadrics = polys
         return self._quadrics
 
@@ -494,19 +494,12 @@ def derivations_deg0(alg: SupertranslationAlgebra) -> AutomorphismAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Jacobian pair, square-zero test, conformal-type report
+# Jacobian, square-zero test, conformal-type report
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JacobianPair:
-    """phi[mu][b] = sum_a 2 gamma[a][b][mu] la, and its transpose."""
-
-    phi: list
-    phi_t: list
-
-
-def jacobian(alg: SupertranslationAlgebra) -> JacobianPair:
+def jacobian(alg: SupertranslationAlgebra) -> list[list[ModuleElement]]:
+    """phi[mu][b] = sum_a 2 gamma[a][b][mu] la, the gradient of q_mu."""
     ring = alg.ring()
     k, d = alg.k, alg.d
     phi = []
@@ -518,11 +511,10 @@ def jacobian(alg: SupertranslationAlgebra) -> JacobianPair:
                 c = alg.gamma[a][b][mu]
                 if c:
                     mon = tuple(1 if i == a else 0 for i in range(k))
-                    terms[mon] = terms.get(mon, _F0) + 2 * c
-            row.append(Polynomial(ring, terms))
+                    terms[(0, mon)] = terms.get((0, mon), _F0) + 2 * c
+            row.append(ring.element(terms))
         phi.append(row)
-    phi_t = [[phi[mu][b] for mu in range(d)] for b in range(k)]
-    return JacobianPair(phi, phi_t)
+    return phi
 
 
 def is_square_zero(alg: SupertranslationAlgebra, q: Sequence) -> bool:
@@ -539,7 +531,6 @@ class ConformalTypeReport:
     expected_image_dim: int
     has_invariant_metric: bool
     conformal: bool
-    g0_dim: int
     r_symmetry_dim: int
 
 
@@ -618,7 +609,6 @@ def check_conformal_type(
         expected,
         has_metric,
         conformal,
-        g0.dim,
         g0.rho2_kernel_dim(),
     )
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import cache as cache_mod
 from .algebras import check_conformal_type, derivations_deg0
-from .fixtures import verify
-from .groebner import StepBudgetExceeded, hilbert_series, ideal_gb_polys, krull_dim
+from .fixtures import FIXTURES, verify
+from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
 from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
 from .resolutions import is_gorenstein, koszul_tor, minimal_free_resolution
@@ -96,7 +96,7 @@ def cmd_variety(args) -> int:
         dim_y = krull_dim(gb)
         cm, gor = is_gorenstein(pm)
         return {
-            "groebner_basis": sorted(str(p) for p in ideal_gb_polys(gb)),
+            "groebner_basis": sorted(str(p) for p in gb.elements),
             "hilbert_numerator": [[d, c] for d, c in sorted(hs.numerator.items())],
             "dim_variety": dim_y,
             "hdim": alg.d - alg.k + dim_y,
@@ -276,7 +276,12 @@ def cmd_prolong(args) -> int:
 def cmd_verify(args) -> int:
     outcomes = verify(tier=args.tier, case_name=args.case)
     if args.case is not None and not outcomes:
-        print(f"no fixture named {args.case!r}", file=sys.stderr)
+        tiers = [case.tier for case in FIXTURES if case.name == args.case]
+        if tiers:
+            print(f"fixture {args.case!r} is in the {tiers[0]} tier; --tier all runs it",
+                  file=sys.stderr)
+        else:
+            print(f"no fixture named {args.case!r}", file=sys.stderr)
         return 2
     payload = {
         "schema": SCHEMA,
@@ -382,7 +387,7 @@ def main(argv=None) -> int:
     except StepBudgetExceeded as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

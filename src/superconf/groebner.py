@@ -35,7 +35,6 @@ from .rings import (
     ModuleElement,
     ModuleOrder,
     MonomialOrder,
-    Polynomial,
     mon_divides,
     mon_lcm,
 )
@@ -361,21 +360,14 @@ def _autoreduce(ring: GradedRing, basis: list) -> list:
 
 def ideal_gb(
     ring: GradedRing,
-    polys: Sequence[Polynomial],
+    polys: Sequence[ModuleElement],
     order: MonomialOrder | None = None,
     step_budget: int | None = None,
 ) -> GroebnerBasis:
-    """Gröbner basis of an ideal, as a rank-one module computation."""
-    module = FreeModule(ring, [0])
-    gens = [ModuleElement(module, {(0, m): c for m, c in p.terms.items()}) for p in polys]
-    if not gens:
-        gens = [module.zero()]
+    """Gröbner basis of the ideal generated by ring elements `polys`: the
+    rank-one case of `buchberger`."""
     mod_order = ModuleOrder(order or default_ring_order(ring), "TOP")
-    return buchberger(gens, mod_order, step_budget=step_budget)
-
-
-def ideal_gb_polys(gb: GroebnerBasis) -> list[Polynomial]:
-    return [e.component(0) for e in gb.elements]
+    return buchberger(list(polys) or [ring.zero()], mod_order, step_budget=step_budget)
 
 
 # ---------------------------------------------------------------------------

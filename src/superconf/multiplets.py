@@ -10,7 +10,6 @@ three-dimensional example lands in the familiar table layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, krull_dim, syzygy_module
@@ -21,7 +20,7 @@ from .resolutions import (
     koszul_homology_is_zero,
     minimal_free_resolution,
 )
-from .rings import FreeModule, ModuleElement, Polynomial
+from .rings import FreeModule, ModuleElement
 
 
 @dataclass
@@ -58,10 +57,6 @@ class IncompleteResolutionError(RuntimeError):
     pass
 
 
-def _poly_times_gen(p: Polynomial, free: FreeModule, comp: int) -> ModuleElement:
-    return ModuleElement(free, {(comp, m): c for m, c in p.terms.items()})
-
-
 def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
     """Cokernel of the Jacobian over the variety's coordinate ring.
 
@@ -71,31 +66,27 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
     ring = alg.ring()
     d, k = alg.d, alg.k
     free = FreeModule(ring, [0] * d)
-    phi = jacobian(alg).phi
+    phi = jacobian(alg)
     rels = []
     for b in range(k):
-        terms = {}
-        for mu in range(d):
-            for m, c in phi[mu][b].terms.items():
-                terms[(mu, m)] = terms.get((mu, m), Fraction(0)) + c
-        elt = ModuleElement(free, terms)
+        elt = ModuleElement(
+            free, {(mu, m): c for mu in range(d) for (_, m), c in phi[mu][b].terms.items()}
+        )
         if not elt.is_zero():
             rels.append(elt)
     for q in alg.quadrics():
         if q.is_zero():
             continue
         for nu in range(d):
-            rels.append(_poly_times_gen(q, free, nu))
+            rels.append(free.gen(nu) * q)
     pm = PresentedModule(ring, [0] * d, rels)
     return MultipletModule("conf", alg, pm)
 
 
 def canonical_module(alg: SupertranslationAlgebra) -> MultipletModule:
     """The structure sheaf of the nilpotence variety as a multiplet."""
-    ring = alg.ring()
-    free = FreeModule(ring, [0])
-    rels = [_poly_times_gen(q, free, 0) for q in alg.quadrics() if not q.is_zero()]
-    pm = PresentedModule(ring, [0], rels)
+    rels = [q for q in alg.quadrics() if not q.is_zero()]
+    pm = PresentedModule(alg.ring(), [0], rels)
     return MultipletModule("canonical", alg, pm)
 
 
@@ -115,17 +106,13 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     d = alg.d
     quadrics_all = alg.quadrics()
     quadrics = [q for q in quadrics_all if not q.is_zero()]
-    free_q = FreeModule(ring, [0])
-    qgens = [
-        ModuleElement(free_q, {(0, m): c for m, c in q.terms.items()}) for q in quadrics_all
-    ]
     v_dual = FreeModule(ring, [2] * d)
     kernel_gens = []
-    for z in syzygy_module(qgens) if qgens else []:
+    for z in syzygy_module(quadrics_all) if quadrics_all else []:
         elt = ModuleElement(v_dual, z.terms)
         if not elt.is_zero():
             kernel_gens.append(elt)
-    image = [_poly_times_gen(q, v_dual, mu) for q in quadrics for mu in range(d)]
+    image = [v_dual.gen(mu) * q for q in quadrics for mu in range(d)]
     return _subquotient(alg, "kaehler", kernel_gens, image)
 
 

@@ -337,7 +337,7 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
     deg = weight + 1
     if deg < 0:
         return []
-    phi = jacobian(alg).phi
+    phi = jacobian(alg)
     mons = [m for (_, m) in standard_monomials(sheaf.gb, deg)]
     if not mons:
         return []
@@ -346,7 +346,7 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
     for ci, (c, m) in enumerate(src):
         for mu in range(d):
             col: dict = {}
-            for m2, cf in phi[mu][c].terms.items():
+            for (_, m2), cf in phi[mu][c].terms.items():
                 _axpy(col, cf, sheaf.reduce_lambda(tuple(a + b for a, b in zip(m, m2))))
             for lm, v in col.items():
                 row_map.setdefault((mu, lm), {})[ci] = v

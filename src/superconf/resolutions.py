@@ -48,7 +48,7 @@ from .groebner import (
     syzygy_module,
 )
 from .linalg import _int_rows, _reduce_row, sparse_rank
-from .rings import FreeModule, GradedRing, ModuleElement, Polynomial
+from .rings import FreeModule, GradedRing, ModuleElement
 
 
 @dataclass
@@ -438,7 +438,7 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
 
 def _koszul_step_columns(
-    ring: GradedRing, elements: Sequence[Polynomial], i: int,
+    ring: GradedRing, elements: Sequence[ModuleElement], i: int,
     degs: Sequence[int] | None = None,
 ) -> tuple[list[ModuleElement], FreeModule, FreeModule]:
     """Columns of the Koszul differential K_i -> K_{i-1} as module elements,
@@ -457,7 +457,7 @@ def _koszul_step_columns(
         for pos, mu in enumerate(s):
             sg = Fraction(-1 if pos % 2 else 1)
             comp = prev_pos[s[:pos] + s[pos + 1:]]
-            for m2, c2 in elements[mu].terms.items():
+            for (_, m2), c2 in elements[mu].terms.items():
                 terms[(comp, m2)] = sg * c2
         cols.append(ModuleElement(target, terms))
     return cols, source, target
@@ -465,7 +465,7 @@ def _koszul_step_columns(
 
 def koszul_homology_dims(
     ring: GradedRing,
-    elements: Sequence[Polynomial],
+    elements: Sequence[ModuleElement],
     k: int,
     degree_window: tuple[int, int],
     element_degrees: Sequence[int] | None = None,
@@ -504,7 +504,7 @@ def koszul_homology_dims(
 
 
 def koszul_homology_is_zero(
-    ring: GradedRing, elements: Sequence[Polynomial], k: int,
+    ring: GradedRing, elements: Sequence[ModuleElement], k: int,
     element_degrees: Sequence[int] | None = None,
 ) -> bool:
     """Certified vanishing of H_k, window-free.
@@ -557,7 +557,7 @@ def is_gorenstein(pm: PresentedModule) -> tuple[bool, bool]:
 
 
 def syzygetic_defect(
-    ring: GradedRing, quadrics: Sequence[Polynomial], degree_window: tuple[int, int]
+    ring: GradedRing, quadrics: Sequence[ModuleElement], degree_window: tuple[int, int]
 ) -> GradedDims:
     """Degreewise dimensions of ker(Sym^2 I -> I^2).
 
@@ -569,14 +569,12 @@ def syzygetic_defect(
     degs = [q.degree() for q in quadrics]
     pair_list = [(mu, nu) for mu in range(d) for nu in range(mu, d)]
     pair_pos = {p: n for n, p in enumerate(pair_list)}
-    free = FreeModule(ring, [0])
-    gens = [ModuleElement(free, {(0, m): c for m, c in q.terms.items()}) for q in quadrics]
     # multiplication Sym^2 (x) R -> R, one column per product q_mu q_nu
-    products = [(gens[mu].mul_poly(quadrics[nu]), degs[mu] + degs[nu]) for mu, nu in pair_list]
+    products = [(quadrics[mu] * quadrics[nu], degs[mu] + degs[nu]) for mu, nu in pair_list]
     # each syzygy z of the generators induces z (x) e_nu in Sym^2 (x) R
     sym2 = FreeModule(ring, [degs[mu] + degs[nu] for mu, nu in pair_list])
     induced = []
-    for z in syzygy_module(gens):
+    for z in syzygy_module(quadrics):
         if z.is_zero():
             continue
         zdeg = z.degree()
@@ -587,7 +585,7 @@ def syzygetic_defect(
             induced.append((ModuleElement(sym2, terms), zdeg + degs[nu]))
     lo, hi = degree_window
     degrees = range(lo, hi + 1)
-    mult = _slice_ranks(products, free, degrees)
+    mult = _slice_ranks(products, FreeModule(ring, [0]), degrees)
     rels = _slice_ranks(induced, sym2, degrees)
     out: dict[int, int] = {}
     for j in degrees:

@@ -2,8 +2,10 @@
 
 At the public boundary monomials are exponent tuples, module terms are
 (component, monomial) pairs and coefficients are `fractions.Fraction`.  A
-ring polynomial is just a rank-one module element, so the Gröbner engine has
-a single code path.
+ring element is a `ModuleElement` of the rank-one module `FreeModule(ring,
+[0])`, whose terms are all (0, monomial): there is no separate polynomial
+type, so rings, the Gröbner engine and resolutions share one term
+representation and one code path.
 
 Inside that engine a module term is one packed int (`GradedRing.pack`):
 component | weighted degree | one 16-bit field per exponent, the top bit of
@@ -15,7 +17,7 @@ int, affine in the exponents, so key(t*q) = key(t) + key(q) - key(1).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
@@ -40,7 +42,7 @@ def _fields(exps) -> int:
 
 
 class GradedRing:
-    """Polynomial ring over Q with positive integer weights on the variables."""
+    """The polynomial ring over Q with positive integer weights on the variables."""
 
     __slots__ = ("names", "weights", "nvars", "comp_shift", "guard")
 
@@ -78,16 +80,19 @@ class GradedRing:
     def one_monomial(self) -> Monomial:
         return (0,) * self.nvars
 
-    def variable(self, i: int) -> "Polynomial":
+    def element(self, terms: Mapping[ModTerm, Fraction]) -> "ModuleElement":
+        """The ring element with terms {(0, monomial): coefficient}."""
+        return ModuleElement(FreeModule(self, [0]), terms)
+
+    def variable(self, i: int) -> "ModuleElement":
         mon = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mon: Fraction(1)})
+        return self.element({(0, mon): Fraction(1)})
 
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+    def zero(self) -> "ModuleElement":
+        return self.element({})
 
-    def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self, {self.one_monomial(): c} if c else {})
+    def constant(self, c) -> "ModuleElement":
+        return self.element({(0, self.one_monomial()): Fraction(c)})
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All monomials of weighted degree d, strictly ascending as tuples.
@@ -125,7 +130,7 @@ class GradedRing:
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
@@ -214,95 +219,6 @@ class ModuleOrder:
         return base + (self.ring_order.key(mon) << self._shift)
 
 
-class Polynomial:
-    """Element of a GradedRing; terms is a dict monomial -> nonzero Fraction."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Fraction]):
-        self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Weighted degree; requires homogeneity (checked)."""
-        degs = {self.ring.degree(m) for m in self.terms}
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop() if degs else 0
-
-    def is_homogeneous(self) -> bool:
-        return len({self.ring.degree(m) for m in self.terms}) <= 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mon_mul(m1, m2)
-                    v = out.get(m, Fraction(0)) + c1 * c2
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-            return Polynomial(self.ring, out)
-        c = Fraction(other)
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=MonomialOrder("wgrevlex", self.ring.weights).key, reverse=True):
-            c = self.terms[m]
-            factors = [
-                self.ring.names[i] + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                parts.append(body)
-            elif c == -1 and factors:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}" if factors else f"{c}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
 class FreeModule:
     """Graded free module over a GradedRing with per-generator internal degrees."""
 
@@ -354,10 +270,9 @@ class ModuleElement:
         ring = self.module.ring
         return len({ring.degree(m) + self.module.gen_degrees[c] for c, m in self.terms}) <= 1
 
-    def component(self, i: int) -> Polynomial:
-        return Polynomial(
-            self.module.ring, {m: c for (j, m), c in self.terms.items() if j == i}
-        )
+    def component(self, i: int) -> "ModuleElement":
+        """The i-th coordinate, a ring element."""
+        return self.module.ring.element({(0, m): c for (j, m), c in self.terms.items() if j == i})
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         out = dict(self.terms)
@@ -375,17 +290,26 @@ class ModuleElement:
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
-    def mul_poly(self, p: Polynomial) -> "ModuleElement":
+    def __mul__(self, other) -> "ModuleElement":
+        """This element times a scalar or a ring element (a rank-one element)."""
+        if not isinstance(other, ModuleElement):
+            c = Fraction(other)
+            return ModuleElement(self.module, {t: v * c for t, v in self.terms.items()})
+        if other.module.rank != 1:
+            raise ValueError("the other factor must be a scalar or a ring element")
         out: dict[ModTerm, Fraction] = {}
         for (c, m), v in self.terms.items():
-            for m2, c2 in p.terms.items():
+            for (_, m2), c2 in other.terms.items():
                 t = (c, mon_mul(m, m2))
-                w = out.get(t, Fraction(0)) + v * c2
+                w = out.get(t)
+                w = v * c2 if w is None else w + v * c2
                 if w:
                     out[t] = w
-                elif t in out:
+                else:
                     del out[t]
         return ModuleElement(self.module, out)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -395,13 +319,35 @@ class ModuleElement:
         )
 
     def __str__(self):
+        """A ring element as a polynomial, terms in descending weighted grevlex;
+        a higher-rank element as (coordinate)*e_i over its nonzero coordinates."""
         if not self.terms:
             return "0"
-        return " + ".join(
-            f"({self.component(i)})*e{i}"
-            for i in range(self.module.rank)
-            if not self.component(i).is_zero()
-        ).replace("+ -", "- ")
+        if self.module.rank != 1:
+            return " + ".join(
+                f"({self.component(i)})*e{i}"
+                for i in range(self.module.rank)
+                if not self.component(i).is_zero()
+            ).replace("+ -", "- ")
+        ring = self.module.ring
+        key = MonomialOrder("wgrevlex", ring.weights).key
+        parts = []
+        for t in sorted(self.terms, key=lambda t: key(t[1]), reverse=True):
+            c = self.terms[t]
+            factors = [
+                ring.names[i] + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(t[1])
+                if e
+            ]
+            body = "*".join(factors) if factors else "1"
+            if c == 1 and factors:
+                parts.append(body)
+            elif c == -1 and factors:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{c}*{body}" if factors else f"{c}")
+        s = " + ".join(parts)
+        return s.replace("+ -", "- ")
 
     __repr__ = __str__
 

@@ -165,6 +165,14 @@ def test_usage_error_exit_code():
     assert main(["multiplet"]) == 2
 
 
+def test_directory_as_spec_path_exits_2(capsys, tmp_path):
+    code = main(["info", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+
+
 def test_cache_roundtrip(tmp_path):
     key = cache_key({"a": 1})
     store(str(tmp_path), key, {"value": [1, 2, 3]})
@@ -224,6 +232,19 @@ def test_verify_single_case(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["cases"][0]["passed"] is True
+
+
+def test_verify_case_outside_the_tier_names_its_tier(capsys):
+    code = main(["verify", "--case", "hdim-11d"])  # slow tier, not run under --tier fast
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "fixture 'hdim-11d' is in the slow tier; --tier all runs it\n"
+
+
+def test_verify_unknown_case_exits_2(capsys):
+    assert main(["verify", "--case", "no-such-case"]) == 2
+    assert capsys.readouterr().err == "no fixture named 'no-such-case'\n"
 
 
 def test_form_multiplet_kind(capsys, spec_3d_n1):

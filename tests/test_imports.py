@@ -14,7 +14,10 @@ file, so a constant that one module orphans is found even when another module
 defines and reads its own constant of the same name.
 
 A public method of a package class is dead unless some file under `src/`,
-`tests/` or `perfbench/` reads its name as an attribute (`obj.method`).
+`tests/` or `perfbench/` reads its name as an attribute (`obj.method`).  So
+is a field (an annotated name in the class body, or a `self.x` assigned in
+`__init__`) unless one of those files loads it as an attribute; a store
+(`self.x = ...`) is not a read.
 
 Package modules import at module level only: an import statement inside a
 function body hides a dependency until the function runs.
@@ -126,6 +129,42 @@ def test_scan_finds_a_dead_public_method():
 def test_no_dead_public_methods():
     assert dead_methods([p.read_text(encoding="utf-8") for p in PACKAGE],
                         [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def dead_fields(package: list[str], readers: list[str]) -> list[str]:
+    """Fields of the package's classes whose name no reader loads as an attribute."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for source in package:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {node.target.id for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    fields.update(node.attr for node in ast.walk(init)
+                                  if isinstance(node, ast.Attribute)
+                                  and isinstance(node.ctx, ast.Store)
+                                  and isinstance(node.value, ast.Name) and node.value.id == "self")
+            dead += [f"{cls.name}.{name}" for name in fields - read]
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_field():
+    package = (
+        "class A:\n    kept: int\n    orphan: int\n    LIMIT = 3\n"
+        "    def __init__(self):\n        self.used = 1\n        self.stored = 2\n"
+        "    def run(self):\n        self.stored = self.used + self.kept\n"
+    )
+    reader = "from a import A\nprint(A().orphan_count)\n"
+    assert dead_fields([package], [package, reader]) == ["A.orphan", "A.stored"]
+
+
+def test_no_dead_fields():
+    assert dead_fields([p.read_text(encoding="utf-8") for p in PACKAGE],
+                       [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
 def call_time_imports(source: str) -> list[int]:

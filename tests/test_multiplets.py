@@ -90,7 +90,7 @@ def test_kaehler_annihilated_by_ideal():
     free = m.module.free
     for q in alg.quadrics():
         for c in range(free.rank):
-            elt = free.gen(c).mul_poly(q)
+            elt = free.gen(c) * q
             assert gb.normal_form(elt).is_zero()
 
 
@@ -151,5 +151,5 @@ def test_conf_module_annihilated_by_ideal():
     gb = m.module.relation_gb()
     for q in alg.quadrics():
         for c in range(m.module.free.rank):
-            elt = m.module.free.gen(c).mul_poly(q)
+            elt = m.module.free.gen(c) * q
             assert gb.normal_form(elt).is_zero()

@@ -26,11 +26,6 @@ def m_squared(ring):
     return [x * x, x * y, y * y]
 
 
-def relations_from_polys(ring, polys):
-    free = FreeModule(ring, [0])
-    return [ModuleElement(free, {(0, m): c for m, c in p.terms.items()}) for p in polys]
-
-
 def euler_numerator(betti):
     out = {}
     for (i, j), mult in betti.entries.items():
@@ -49,7 +44,7 @@ def test_free_module_resolution():
 
 def test_resolution_m_squared():
     R = GradedRing(["x", "y"])
-    pm = PresentedModule(R, [0], relations_from_polys(R, m_squared(R)))
+    pm = PresentedModule(R, [0], m_squared(R))
     chain, betti = minimal_free_resolution(pm)
     assert betti.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
     assert [len(gb) for gb in chain] == [3, 2]
@@ -85,7 +80,7 @@ def test_nonminimal_chain_cancels_on_both_sides_4d_n2_conf():
 
 def test_koszul_tor_matches_resolution_m_squared():
     R = GradedRing(["x", "y"])
-    pm = PresentedModule(R, [0], relations_from_polys(R, m_squared(R)))
+    pm = PresentedModule(R, [0], m_squared(R))
     _, betti = minimal_free_resolution(pm)
     tor = koszul_tor(pm, (0, 5))
     assert tor.entries == betti.entries
@@ -96,7 +91,7 @@ def test_koszul_tor_residue_field():
 
     R = GradedRing(["x", "y", "z"])
     polys = [R.variable(i) for i in range(3)]
-    pm = PresentedModule(R, [0], relations_from_polys(R, polys))
+    pm = PresentedModule(R, [0], polys)
     tor = koszul_tor(pm, (0, 4))
     assert tor.entries == {(i, i): comb(3, i) for i in range(4)}
 
@@ -105,7 +100,7 @@ def test_koszul_tor_rejects_weighted_rings():
     # M = R/(x, y^2) over weights (2, 1) resolves as {(0,0):1, (1,2):2, (2,4):1};
     # weight-one exterior generators would give {(1,1):1, (1,2):1, (2,3):1}
     R, x, y = poly_ring("x", "y", weights=[2, 1])
-    pm = PresentedModule(R, [0], relations_from_polys(R, [x, y * y]))
+    pm = PresentedModule(R, [0], [x, y * y])
     _, betti = minimal_free_resolution(pm)
     assert betti.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
     with pytest.raises(ValueError, match="weights"):
@@ -114,7 +109,7 @@ def test_koszul_tor_rejects_weighted_rings():
 
 def test_euler_characteristic_identity():
     R = GradedRing(["x", "y"])
-    pm = PresentedModule(R, [0], relations_from_polys(R, m_squared(R)))
+    pm = PresentedModule(R, [0], m_squared(R))
     _, betti = minimal_free_resolution(pm)
     hs = hilbert_series(ideal_gb(R, m_squared(R)))
     assert euler_numerator(betti) == hs.numerator
@@ -149,13 +144,13 @@ def test_koszul_homology_abelian_case():
 
 def test_gorenstein_complete_intersection():
     R, x, y = poly_ring("x", "y")
-    cm, gor = is_gorenstein(PresentedModule(R, [0], relations_from_polys(R, [x * x, y * y])))
+    cm, gor = is_gorenstein(PresentedModule(R, [0], [x * x, y * y]))
     assert cm and gor
 
 
 def test_gorenstein_m_squared_is_cm_not_gorenstein():
     R = GradedRing(["x", "y"])
-    cm, gor = is_gorenstein(PresentedModule(R, [0], relations_from_polys(R, m_squared(R))))
+    cm, gor = is_gorenstein(PresentedModule(R, [0], m_squared(R)))
     assert cm
     assert not gor
 
