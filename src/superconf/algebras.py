@@ -18,13 +18,15 @@ Conventions fixed here once and for all:
     coefficient 2;
   * the Jacobian is phi[mu][b] = sum_a 2 gamma[a][b][mu] la, the gradient of
     q_mu, and columns contracted with lambda give back 2 q;
-  * for tensor-product odd spaces the flat index is u_index * dim(S) + s_index.
+  * for tensor-product odd spaces the flat index is u_index * dim(S) + s_index,
+    set once in `_tensor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import clifford
@@ -135,11 +137,27 @@ def _zeros(k: int, d: int):
     return [[[_F0] * d for _ in range(k)] for _ in range(k)]
 
 
+def _tensor(name: str, form, pairing) -> SupertranslationAlgebra:
+    """The bracket form (x) pairing on the odd space U (x) S.
+
+    gamma[i*s + a][j*s + b][mu] = form[i][j] * pairing[mu][a][b] with
+    s = dim S; each slot receives exactly one product.
+    """
+    n, d, s = len(form), len(pairing), len(pairing[0])
+    entries = [(a, b, mu, v) for mu, m in enumerate(pairing)
+               for a, row in enumerate(m) for b, v in enumerate(row) if v]
+    gamma = _zeros(n * s, d)
+    for i, row in enumerate(form):
+        for j, f in enumerate(row):
+            if f:
+                for a, b, mu, v in entries:
+                    gamma[i * s + a][j * s + b][mu] = Fraction(f * v)
+    return SupertranslationAlgebra(name, n * s, d, gamma)
+
+
 def standard_1d(n: int) -> SupertranslationAlgebra:
-    gamma = _zeros(n, 1)
-    for a in range(n):
-        gamma[a][a][0] = Fraction(1)
-    return SupertranslationAlgebra(f"1d N={n}", n, 1, gamma)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _tensor(f"1d N={n}", identity, [[[1]]])
 
 
 def standard_2d(nl: int, nr: int) -> SupertranslationAlgebra:
@@ -159,20 +177,9 @@ def _sym2_index(a: int, b: int, n: int) -> int:
 
 
 def standard_3d(n: int) -> SupertranslationAlgebra:
-    g = _orthogonal_form(n)
-    k = 2 * n
-    gamma = _zeros(k, 3)
-    for i in range(n):
-        for j in range(n):
-            if not g[i][j]:
-                continue
-            for a in range(2):
-                for b in range(2):
-                    x = i * 2 + a
-                    y = j * 2 + b
-                    mu = _sym2_index(a, b, 2)
-                    gamma[x][y][mu] += Fraction(g[i][j])
-    return SupertranslationAlgebra(f"3d N={n}", k, 3, gamma)
+    sym2 = [[[int(_sym2_index(a, b, 2) == mu) for b in range(2)] for a in range(2)]
+            for mu in range(3)]
+    return _tensor(f"3d N={n}", _orthogonal_form(n), sym2)
 
 
 def standard_4d(n: int) -> SupertranslationAlgebra:
@@ -191,67 +198,20 @@ def standard_4d(n: int) -> SupertranslationAlgebra:
 
 
 def standard_6d(n: int) -> SupertranslationAlgebra:
-    w = _symplectic_form(2 * n)
-    k = 8 * n
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    gamma = _zeros(k, 6)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if not w[i][j]:
-                continue
-            for a in range(4):
-                for b in range(4):
-                    if a == b:
-                        continue
-                    x = i * 4 + a
-                    y = j * 4 + b
-                    if a < b:
-                        mu = pairs.index((a, b))
-                        sgn = 1
-                    else:
-                        mu = pairs.index((b, a))
-                        sgn = -1
-                    gamma[x][y][mu] += Fraction(sgn * w[i][j])
-    return SupertranslationAlgebra(f"6d N=({n},0)", k, 6, gamma)
+    wedge2 = [[[0] * 4 for _ in range(4)] for _ in range(6)]
+    for mu, (a, b) in enumerate(combinations(range(4), 2)):
+        wedge2[mu][a][b], wedge2[mu][b][a] = 1, -1
+    return _tensor(f"6d N=({n},0)", _symplectic_form(2 * n), wedge2)
 
 
 def standard_10d(n: int) -> SupertranslationAlgebra:
-    g10 = clifford.gamma_10d_chiral()
-    if n == 1:
-        gamma = _zeros(16, 10)
-        for a in range(16):
-            for b in range(16):
-                for mu in range(10):
-                    if g10[mu][a][b]:
-                        gamma[a][b][mu] = Fraction(g10[mu][a][b])
-        return SupertranslationAlgebra("10d N=(1,0)", 16, 10, gamma)
-    if n == 2:
-        g = _orthogonal_form(2)
-        gamma = _zeros(32, 10)
-        for i in range(2):
-            for j in range(2):
-                if not g[i][j]:
-                    continue
-                for a in range(16):
-                    for b in range(16):
-                        x = i * 16 + a
-                        y = j * 16 + b
-                        for mu in range(10):
-                            if g10[mu][a][b]:
-                                gamma[x][y][mu] += Fraction(g[i][j] * g10[mu][a][b])
-        return SupertranslationAlgebra("10d N=(2,0)", 32, 10, gamma)
-    raise ValueError("ten dimensions supports N=(1,0) and N=(2,0)")
+    if n not in (1, 2):
+        raise ValueError("ten dimensions supports N=(1,0) and N=(2,0)")
+    return _tensor(f"10d N=({n},0)", _orthogonal_form(n), clifford.gamma_10d_chiral())
 
 
 def standard_11d() -> SupertranslationAlgebra:
-    g11 = clifford.gamma_11d()
-    gamma = _zeros(32, 11)
-    for a in range(32):
-        for b in range(32):
-            for mu in range(11):
-                if g11[mu][a][b]:
-                    gamma[a][b][mu] = Fraction(g11[mu][a][b])
-    return SupertranslationAlgebra("11d N=1", 32, 11, gamma)
+    return _tensor("11d N=1", _orthogonal_form(1), clifford.gamma_11d())
 
 
 def _parse_susy(dimension: int, susy) -> tuple:
@@ -561,12 +521,6 @@ def check_conformal_type(
     image_dim = g0.rho2_image_dim()
     expected = d * (d - 1) // 2 + 1
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
-    pair_index = {}
-    idx = 0
-    for r in range(d):
-        for c in range(r, d):
-            pair_index[(r, c)] = idx
-            idx += 1
     h_rows = []
     for act_v in g0.layers[0].act_v:
         tr = sum(act_v[i].get(i, _F0) for i in range(d))
@@ -577,7 +531,7 @@ def check_conformal_type(
                 def bump(i, j, val):
                     if not val:
                         return
-                    key = pair_index[(min(i, j), max(i, j))]
+                    key = _sym2_index(i, j, d)
                     w = row.get(key, _F0) + val
                     if w:
                         row[key] = w
@@ -591,17 +545,7 @@ def check_conformal_type(
                 bump(r, c, -2 * tr / d)
                 if row:
                     h_rows.append(row)
-    nunk = d * (d + 1) // 2
-    sols = sparse_kernel(h_rows, nunk)
-    has_metric = False
-    for trial in _metric_trials(sols):
-        h: list[dict[int, Fraction]] = [{} for _ in range(d)]
-        for (r, c), i in pair_index.items():
-            if trial.get(i):
-                h[r][c] = h[c][r] = trial[i]
-        if sparse_rank(h) == d:
-            has_metric = True
-            break
+    has_metric = _has_invariant_metric(sparse_kernel(h_rows, d * (d + 1) // 2), d)
     conformal = surjective and image_dim == expected and has_metric
     return ConformalTypeReport(
         surjective,
@@ -613,14 +557,33 @@ def check_conformal_type(
     )
 
 
-def _metric_trials(sols):
-    for v in sols:
-        yield v
+def _has_invariant_metric(sols: list[dict[int, Fraction]], d: int) -> bool:
+    """Whether the invariant symmetric forms, a basis `sols` in the
+    `_sym2_index` layout, contain a nondegenerate one.
+
+    Tries each basis form, then the combination with weights 1, 3, 9, ...
+    With one basis form that is exact.  With two or more, failing trials
+    leave the answer open, and this raises rather than report no metric.
+    """
+    trials = list(sols)
     if len(sols) > 1:
         combo: dict[int, Fraction] = {}
-        weight = 1
-        for v in sols:
+        for weight, v in enumerate(sols):
             for i, val in v.items():
-                combo[i] = combo.get(i, _F0) + weight * val
-            weight *= 3
-        yield combo
+                combo[i] = combo.get(i, _F0) + 3 ** weight * val
+        trials.append(combo)
+    for trial in trials:
+        h: list[dict[int, Fraction]] = [{} for _ in range(d)]
+        for r in range(d):
+            for c in range(r, d):
+                v = trial.get(_sym2_index(r, c, d))
+                if v:
+                    h[r][c] = h[c][r] = v
+        if sparse_rank(h) == d:
+            return True
+    if len(sols) > 1:
+        raise RuntimeError(
+            f"invariant metric undecided: all {len(trials)} trial forms in a "
+            f"{len(sols)}-dimensional space of invariant forms are degenerate"
+        )
+    return False

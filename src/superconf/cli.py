@@ -20,7 +20,7 @@ from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
 from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
 from .resolutions import is_gorenstein, koszul_tor, minimal_free_resolution
-from .specfile import SpecError, parse_spec
+from .specfile import SpecError, _render_q, parse_spec
 from .twisting import catalog_twist_vector, twist_pipeline
 
 SCHEMA = 1
@@ -37,10 +37,6 @@ def _emit(payload: dict, as_json: bool, render_text) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         render_text(payload)
-
-
-def _q_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def cmd_info(args) -> int:
@@ -85,7 +81,7 @@ def cmd_variety(args) -> int:
     descriptor = {
         "analysis": "variety",
         "schema": SCHEMA,
-        "gamma": [[_q_str(x) for x in row] for a in alg.gamma for row in a],
+        "gamma": [[_render_q(x) for x in row] for a in alg.gamma for row in a],
         "dims": [alg.k, alg.d],
     }
 
@@ -129,7 +125,7 @@ def cmd_multiplet(args) -> int:
     descriptor = {
         "analysis": f"multiplet:{kind}",
         "schema": SCHEMA,
-        "gamma": [[_q_str(x) for x in row] for a in alg.gamma for row in a],
+        "gamma": [[_render_q(x) for x in row] for a in alg.gamma for row in a],
         "dims": [alg.k, alg.d],
         "window": args.window,
     }
@@ -202,7 +198,7 @@ def cmd_twist(args) -> int:
     payload = {
         "schema": SCHEMA,
         "name": alg.name,
-        "q": [_q_str(x) for x in res.q],
+        "q": [_render_q(x) for x in res.q],
         "twisted": {
             "odd_dim": res.twisted.k,
             "even_dim": res.twisted.d,

@@ -3,9 +3,10 @@
 The even space is polarized as W + W* (plus one extra direction in odd
 dimension); spinors are the exterior algebra of W with wedge/contraction as
 Clifford multiplication.  The invariant spinor pairing is the top-wedge
-pairing, up to a sign twist depending on form degree; the right twist is
-selected programmatically by requiring every vector-valued bilinear to come
-out symmetric.  All entries land in {0, +1, -1}.
+pairing twisted by (-1)^{r(r+1)/2} on r-forms: of the sign twists that
+depend on form degree alone, it is the one that makes every vector-valued
+bilinear symmetric in both ten and eleven dimensions, and `_gamma_matrices`
+checks that it does.  All entries land in {0, +1, -1}.
 """
 
 from __future__ import annotations
@@ -46,20 +47,11 @@ def _perm_sign(s: tuple, t: tuple) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _pairing(s: tuple, t: tuple, n: int, twist) -> int:
+def _pairing(s: tuple, t: tuple, n: int) -> int:
     if len(s) + len(t) != n or set(s) & set(t):
         return 0
-    return twist(len(s)) * _perm_sign(s, t)
-
-
-_TWISTS = (
-    lambda r: 1,
-    lambda r: -1 if (r * (r - 1) // 2) % 2 else 1,
-    lambda r: -1 if (r * (r + 1) // 2) % 2 else 1,
-    lambda r: -1 if r % 2 else 1,
-    lambda r: -1 if (r // 2) % 2 else 1,
-    lambda r: -1 if ((r + 1) // 2) % 2 else 1,
-)
+    r = len(s)
+    return (-1 if (r * (r + 1) // 2) % 2 else 1) * _perm_sign(s, t)
 
 
 def _clifford_action(mu: int, s: tuple, n: int) -> tuple[int, tuple] | None:
@@ -73,42 +65,27 @@ def _clifford_action(mu: int, s: tuple, n: int) -> tuple[int, tuple] | None:
 
 
 def _gamma_matrices(basis: list[tuple], d: int, n: int) -> list[list[list[int]]]:
-    """Symmetric vector-valued bilinears on the span of `basis`.
-
-    Tries the candidate sign twists of the top-wedge pairing and returns the
-    first that makes every matrix symmetric; raises if none works.
-    """
+    """Vector-valued bilinears on the span of `basis`: the twisted top-wedge
+    pairing against each Clifford action, checked nonzero and symmetric."""
     k = len(basis)
-    for twist in _TWISTS:
-        mats = []
-        ok = True
-        for mu in range(d):
-            m = [[0] * k for _ in range(k)]
-            for b, sb in enumerate(basis):
-                act = _clifford_action(mu, sb, n)
-                if act is None:
-                    continue
-                sign, sb2 = act
-                for a, sa in enumerate(basis):
-                    v = _pairing(sa, sb2, n, twist)
-                    if v:
-                        m[a][b] = sign * v
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if m[a][b] != m[b][a]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-            if not any(any(row) for row in m):
-                ok = False
-                break
-            mats.append(m)
-        if ok:
-            return mats
-    raise AssertionError("no sign twist makes the spinor pairing symmetric")
+    mats = []
+    for mu in range(d):
+        m = [[0] * k for _ in range(k)]
+        for b, sb in enumerate(basis):
+            act = _clifford_action(mu, sb, n)
+            if act is None:
+                continue
+            sign, sb2 = act
+            for a, sa in enumerate(basis):
+                v = _pairing(sa, sb2, n)
+                if v:
+                    m[a][b] = sign * v
+        if not any(any(row) for row in m) or any(
+            m[a][b] != m[b][a] for a in range(k) for b in range(a + 1, k)
+        ):
+            raise AssertionError("the twisted pairing gives a zero or nonsymmetric bilinear")
+        mats.append(m)
+    return mats
 
 
 def gamma_10d_chiral() -> list[list[list[int]]]:

@@ -35,14 +35,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .groebner import (
     GroebnerBasis,
+    HilbertSeries,
     StepBudgetExceeded,
     buchberger,
     default_module_order,
     krull_dim,
+    module_hilbert_numerator,
     schreyer_syzygies,
     standard_monomials,
     syzygy_module,
@@ -67,6 +69,7 @@ class PresentedModule:
             if not rel.is_homogeneous():
                 raise ValueError("relations must be homogeneous")
         self._gb: GroebnerBasis | None = None
+        self._hilbert: HilbertSeries | None = None
 
     def relation_gb(self) -> GroebnerBasis:
         if self._gb is None:
@@ -76,12 +79,15 @@ class PresentedModule:
             self._gb = buchberger(gens, default_module_order(self.free))
         return self._gb
 
-    def graded_basis(self, degree: int) -> list:
-        """Standard monomial basis of the module in one internal degree."""
-        return standard_monomials(self.relation_gb(), degree)
-
     def graded_dim(self, degree: int) -> int:
-        return len(self.graded_basis(degree))
+        """Dimension in one internal degree, read off the Hilbert numerator of
+        the relation basis, computed once; the series is shifted to start at
+        the lowest generator degree, below which the module is zero."""
+        lo = min(self.gen_degrees, default=0)
+        if self._hilbert is None:
+            num = module_hilbert_numerator(self.relation_gb())
+            self._hilbert = HilbertSeries({d - lo: c for d, c in num.items()}, self.ring.weights)
+        return self._hilbert.coefficients(degree - lo)[-1] if degree >= lo else 0
 
 
 @dataclass
@@ -143,8 +149,9 @@ class GradedDims:
 # ---------------------------------------------------------------------------
 
 
-def _constant_ranks(gb: GroebnerBasis) -> dict[int, int]:
-    """Degree -> rank of the map whose columns are the basis elements, over Q.
+def _constant_ranks(module: FreeModule, columns: Iterable) -> dict[int, int]:
+    """Degree -> rank over Q of the map into `module` with these columns,
+    each a list of (packed term, coefficient) pairs.
 
     Tensored with Q, the map keeps only its constant entries: the packed terms
     whose degree and exponent fields are all zero.  Such an entry joins a
@@ -152,12 +159,12 @@ def _constant_ranks(gb: GroebnerBasis) -> dict[int, int]:
     block, eliminated by one `sparse_rank` call (rank is transpose-invariant,
     so columns enter as rows).
     """
-    shift = gb.module.ring.comp_shift
+    shift = module.ring.comp_shift
     mask = (1 << shift) - 1
-    degrees = gb.module.gen_degrees
+    degrees = module.gen_degrees
     blocks: dict[int, list[dict[int, int]]] = {}
-    for g in gb._internal:
-        col = {t >> shift: c for t, c in g.packed() if not t & mask}
+    for packed in columns:
+        col = {t >> shift: c for t, c in packed if not t & mask}
         if col:
             blocks.setdefault(degrees[next(iter(col))], []).append(col)
     return {j: sparse_rank(cols) for j, cols in blocks.items()}
@@ -201,7 +208,9 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
         Counter(ring.degree(mon) + gb.module.gen_degrees[c] for c, mon in gb.lead_terms())
         for gb in chain
     ]
-    ranks = [{}] + [_constant_ranks(gb) for gb in chain] + [{}]
+    ranks = [{}] + [
+        _constant_ranks(gb.module, (g.packed() for g in gb._internal)) for gb in chain
+    ] + [{}]
     entries = {
         (i, j): n - ranks[i].get(j, 0) - ranks[i + 1].get(j, 0)
         for i, count in enumerate(gens)
@@ -298,25 +307,24 @@ def _slice_ranks(
 def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]:
     """Certified beta_0 and beta_1 entries up to a degree, no resolution.
 
-    Minimal generator counts come straight off the presentation (relations
-    must sit in positive degrees over the generators, which holds for every
-    multiplet presentation here).  With the relations ordered by degree, the
-    minimal relations of degree j are the degree-j relation rows that become
-    pivots after every lower relation's multiples, by one sparse elimination
-    pass.  Useful when the full resolution is out of budget.
+    From 0 -> N -> F -> M -> 0, with N the span of the relations in the free
+    module F, Tor gives beta_{0,j} = #gens_j - C_j and beta_{1,j} = P_j - C_j.
+    C_j is the rank of the constant parts of the degree-j relations, the only
+    part of N that survives in F (x) Q; P_j counts the minimal generators of
+    N in degree j: with the relations ordered by degree, the degree-j
+    relation rows that become pivots after every lower relation's multiples,
+    by one sparse elimination pass.  Useful when the full resolution is out of
+    budget.
     """
-    entries: dict[tuple[int, int], int] = {}
-    for g in m.gen_degrees:
-        entries[(0, g)] = entries.get((0, g), 0) + 1
     rels = sorted(((r, r.degree()) for r in m.relations if not r.is_zero()), key=lambda c: c[1])
-    if not rels:
-        return entries
-    ranks = _slice_ranks(rels, m.free, range(rels[0][1], max_degree + 1))
-    for j, (pivots, _) in ranks.items():
-        new = sum(n for n, (_, deg) in zip(pivots, rels) if deg == j)
-        if new:
-            entries[(1, j)] = new
-    return entries
+    cranks = _constant_ranks(m.free, (_packed_image(r) for r, _ in rels))
+    entries = {(0, j): n - cranks.get(j, 0) for j, n in Counter(m.gen_degrees).items()}
+    if rels:
+        ranks = _slice_ranks(rels, m.free, range(rels[0][1], max_degree + 1))
+        for j, (pivots, _) in ranks.items():
+            new = sum(n for n, (_, deg) in zip(pivots, rels) if deg == j)
+            entries[(1, j)] = new - cranks.get(j, 0)
+    return {key: v for key, v in entries.items() if v}
 
 
 def resolution_is_complex(chain: Sequence[GroebnerBasis]) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superconf.algebras import (
     SupertranslationAlgebra,
+    _has_invariant_metric,
     build_standard,
     check_conformal_type,
     derivations_deg0,
@@ -70,6 +73,31 @@ def test_6d_n1_quadrics_are_minors():
         assert sorted(c for c in q.terms.values()) == [Fraction(-2), Fraction(2)]
     gb = ideal_gb(alg.ring(), qs)
     assert krull_dim(gb) == 5  # cone over the rank-one locus of 4x2 matrices
+
+
+CATALOG_KEYS = [
+    (1, 1), (1, 2), (1, 4), (2, (1, 1)), (2, (2, 0)), (2, (0, 2)),
+    (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (4, 4),
+    (6, (1, 0)), (6, (2, 0)), (6, (3, 0)), (10, (1, 0)), (10, (2, 0)), (11, 1),
+]
+
+
+def test_catalog_brackets_are_pinned():
+    """Every catalog bracket, entry by entry, against one SHA-256.
+
+    The digest covers name, odd and even dimension and every gamma entry,
+    so it pins rows that no fixture reaches (1d N=4, 3d N=3/4, 6d N=(3,0)).
+    """
+    table = {}
+    for dim, susy in CATALOG_KEYS:
+        alg = build_standard(dim, susy)
+        gamma = [[[str(x) for x in alg.gamma[a][b]] for b in range(alg.k)]
+                 for a in range(alg.k)]
+        table[f"{dim} {susy}"] = [alg.name, alg.k, alg.d, gamma]
+    text = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c842ddd9a0791ec1a69fad09f97cf9f436edf0e840b2453a8748f8ebd36ffb92"
+    )
 
 
 def test_quadric_count_matches_even_dim():
@@ -172,6 +200,19 @@ def test_conformal_type_abelian_false():
     report = check_conformal_type(abelian(2, 2))
     assert not report.surjective
     assert not report.conformal
+
+
+def test_invariant_metric_trials_certify_or_raise():
+    # sym2 layout for d = 3: (0,0) -> 0, (1,1) -> 3, (2,2) -> 5
+    h1 = {0: Fraction(1), 3: Fraction(1)}  # diag(1, 1, 0)
+    h2 = {0: Fraction(-1, 3), 5: Fraction(1)}  # diag(-1/3, 0, 1)
+    assert _has_invariant_metric([{0: Fraction(1), 3: Fraction(1), 5: Fraction(2)}], 3)
+    assert not _has_invariant_metric([h1], 3)
+    assert not _has_invariant_metric([], 3)
+    # h1, h2 and h1 + 3 h2 are degenerate, h1 + h2 = diag(2/3, 1, 1) is not
+    with pytest.raises(RuntimeError, match="undecided"):
+        _has_invariant_metric([h1, h2], 3)
+    assert _has_invariant_metric([h1, {0: Fraction(2, 3), 3: Fraction(1), 5: Fraction(1)}], 3)
 
 
 def test_derivations_6d_n2_r_symmetry_dimension():

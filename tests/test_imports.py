@@ -21,6 +21,9 @@ is a field (an annotated name in the class body, or a `self.x` assigned in
 
 Package modules import at module level only: an import statement inside a
 function body hides a dependency until the function runs.
+
+No two package functions are copies of each other: their arguments and
+bodies, docstrings excluded, must not have equal AST dumps.
 """
 
 import ast
@@ -190,3 +193,34 @@ def test_scan_finds_a_call_time_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_call_time_imports(path):
     assert call_time_imports(path.read_text(encoding="utf-8")) == []
+
+
+def duplicate_functions(sources: dict[str, str]) -> list[list[str]]:
+    """Groups of functions (`module.name`) with equal arguments and bodies,
+    docstrings excluded; the dumps carry no line numbers."""
+    groups: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body
+                if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                        and isinstance(body[0].value.value, str)):
+                    body = body[1:]
+                key = ast.dump(node.args) + "".join(ast.dump(stmt) for stmt in body)
+                groups.setdefault(key, []).append(f"{module}.{node.name}")
+    return sorted(sorted(names) for names in groups.values() if len(names) > 1)
+
+
+def test_scan_finds_a_duplicate_function():
+    sources = {
+        "a": "def f(x):\n    \"\"\"One.\"\"\"\n    return x + 1\n"
+             "def g(x):\n    return x + 2\n",
+        "b": "class B:\n    def h(self, x):\n        return x + 1\n"
+             "def k(x):\n\n    return x + 1  # same body\n"
+             "def m(y):\n    return y + 1\n",
+    }
+    assert duplicate_functions(sources) == [["a.f", "b.k"]]
+
+
+def test_no_duplicate_functions():
+    assert duplicate_functions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

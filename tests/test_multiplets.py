@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from superconf.algebras import SupertranslationAlgebra, build_standard
 from superconf.multiplets import (
     canonical_module,
@@ -13,6 +15,7 @@ from superconf.multiplets import (
 from superconf.resolutions import (
     ce_cohomology,
     koszul_tor,
+    low_betti,
     minimal_free_resolution,
     syzygetic_defect,
 )
@@ -101,6 +104,16 @@ def test_form_module_complete_intersection_vanishes():
     assert m.module.gen_degrees == [] or all(
         m.graded_dim(j) == 0 for j in range(0, 8)
     )
+
+
+@pytest.mark.parametrize("key", [(6, (1, 0)), (4, 3)], ids=str)
+def test_low_betti_of_two_forms_matches_resolution(key):
+    """The two-form presentations carry unit entries (6d N=(1,0): 40
+    generators, 18 of them minimal), which low_betti must cancel."""
+    m = form_module(build_standard(*key), 2)
+    _, betti = minimal_free_resolution(m.module)
+    low = {(i, j): v for (i, j), v in betti.entries.items() if i <= 1 and j <= 8}
+    assert low_betti(m.module, 8) == low
 
 
 def test_form_zero_is_canonical():

@@ -17,6 +17,7 @@ from superconf.groebner import (
     hilbert_series,
     ideal_gb,
     schreyer_syzygies,
+    standard_monomials,
     syzygy_module,
 )
 from superconf.linalg import SpanSolver, _triangularize, rref, sparse_kernel, sparse_rank
@@ -273,15 +274,15 @@ def test_koszul_homology_h0_and_euler_characteristic(data):
 
 
 @st.composite
-def presented_modules(draw, max_gen_degree=1):
+def presented_modules(draw):
     """Random homogeneous presentations over Q[x,y,z], often non-minimal.
 
-    Generators sit in degrees 0 to `max_gen_degree` and relations in degrees 1
+    Generators sit in degrees 0 and 1 and relations in degrees 1
     and 2, so with degree-1 generators constant coefficients (which the Betti
     numbers must cancel) are common.
     """
     ring = GradedRing(["x", "y", "z"])
-    gen_degrees = draw(st.lists(st.integers(0, max_gen_degree), min_size=1, max_size=3))
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
     free = FreeModule(ring, gen_degrees)
     relations = []
     for _ in range(draw(st.integers(1, 4))):
@@ -305,12 +306,26 @@ def test_resolution_chain_is_a_complex_and_matches_tor(pm):
     assert betti.entries == koszul_tor(pm, (0, betti.max_degree() + 1)).entries
 
 
-@given(presented_modules(max_gen_degree=0))
+@given(presented_modules())
 @settings(max_examples=25, deadline=None)
 def test_low_betti_matches_resolution(pm):
     _, betti = minimal_free_resolution(pm)
     low = {(i, j): v for (i, j), v in betti.entries.items() if i <= 1 and j <= 3}
     assert low_betti(pm, 3) == low
+
+
+@given(presented_modules(), st.integers(-2, 1))
+@settings(max_examples=25, deadline=None)
+def test_graded_dim_counts_the_standard_monomials(pm, shift):
+    """The numerator path against a count of standard monomials, with the
+    generator degrees shifted, negative ones included, and every degree from
+    below the lowest generator up."""
+    degrees = [g + shift for g in pm.gen_degrees]
+    free = FreeModule(pm.ring, degrees)
+    m = PresentedModule(pm.ring, degrees, [ModuleElement(free, r.terms) for r in pm.relations])
+    gb = m.relation_gb()
+    for j in range(min(degrees) - 2, 7):
+        assert m.graded_dim(j) == len(standard_monomials(gb, j)), f"degree {j}"
 
 
 def _block_positions(ring, gen_degrees, j, order_key=None):

@@ -72,7 +72,8 @@ def test_nonminimal_chain_cancels_on_both_sides_4d_n2_conf():
     assert resolution_is_complex(chain)
     assert [len(gb) for gb in chain] == [21, 39, 33, 13, 2]
     assert [betti.column_total(i) for i in range(1, 6)] == [17, 28, 22, 8, 1]
-    assert _constant_ranks(chain[2])[4] and _constant_ranks(chain[3])[4]
+    assert all(_constant_ranks(gb.module, (g.packed() for g in gb._internal))[4]
+               for gb in chain[2:4])
     cells = {(j - i, 2 * i - j): v for (i, j), v in betti.entries.items()}
     assert cells == {(r, c): sum(ms) for r, c, ms in case.expected}
     assert betti.restrict((0, 4)) == koszul_tor(m, (0, 4))
