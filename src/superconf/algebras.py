@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from . import clifford
@@ -214,7 +214,7 @@ def standard_11d() -> SupertranslationAlgebra:
     return _tensor("11d N=1", _orthogonal_form(1), clifford.gamma_11d())
 
 
-def _parse_susy(dimension: int, susy) -> tuple:
+def _parse_susy(susy) -> tuple:
     """Normalize a supersymmetry specifier to the catalog key tuple."""
     if isinstance(susy, str):
         text = susy.strip().replace(" ", "")
@@ -235,12 +235,12 @@ def build_standard(dimension: int, susy) -> SupertranslationAlgebra:
     The result carries `catalog_key` = (dimension, susy tuple), with chiral
     six- and ten-dimensional keys written as (N, 0).
     """
-    key = _parse_susy(dimension, susy)
+    key = _parse_susy(susy)
     if dimension in (6, 10) and len(key) == 1:
         key += (0,)
     if dimension == 1 and len(key) == 1 and key[0] >= 1:
         alg = standard_1d(key[0])
-    elif dimension == 2 and len(key) == 2:
+    elif dimension == 2 and len(key) == 2 and min(key) >= 0:
         alg = standard_2d(*key)
     elif dimension == 3 and len(key) == 1 and key[0] >= 1:
         alg = standard_3d(key[0])
@@ -561,29 +561,22 @@ def _has_invariant_metric(sols: list[dict[int, Fraction]], d: int) -> bool:
     """Whether the invariant symmetric forms, a basis `sols` in the
     `_sym2_index` layout, contain a nondegenerate one.
 
-    Tries each basis form, then the combination with weights 1, 3, 9, ...
-    With one basis form that is exact.  With two or more, failing trials
-    leave the answer open, and this raises rather than report no metric.
+    Exact.  det(sum t_i h_i) is homogeneous of degree d in the t_i, so it
+    vanishes identically iff it vanishes on the hyperplane sum t_i = d, which
+    every line through the origin off sum t_i = 0 meets; there it has degree
+    <= d, so iff it vanishes at the lattice points t in N^s with sum t_i = d
+    (the principal lattice of a simplex is unisolvent for that degree).  Each
+    such point is a multiset of d basis indices, C(s + d - 1, d) of them,
+    where the full grid {0, ..., d}^s would have (d + 1)^s.
     """
-    trials = list(sols)
-    if len(sols) > 1:
-        combo: dict[int, Fraction] = {}
-        for weight, v in enumerate(sols):
-            for i, val in v.items():
-                combo[i] = combo.get(i, _F0) + 3 ** weight * val
-        trials.append(combo)
-    for trial in trials:
+    for picks in combinations_with_replacement(range(len(sols)), d):
         h: list[dict[int, Fraction]] = [{} for _ in range(d)]
         for r in range(d):
             for c in range(r, d):
-                v = trial.get(_sym2_index(r, c, d))
+                key = _sym2_index(r, c, d)
+                v = sum(sols[i].get(key, _F0) for i in picks)
                 if v:
                     h[r][c] = h[c][r] = v
         if sparse_rank(h) == d:
             return True
-    if len(sols) > 1:
-        raise RuntimeError(
-            f"invariant metric undecided: all {len(trials)} trial forms in a "
-            f"{len(sols)}-dimensional space of invariant forms are degenerate"
-        )
     return False

@@ -514,14 +514,17 @@ class HilbertSeries:
         self.weights = list(weights)
 
     def coefficients(self, upto: int) -> list[int]:
-        series = [0] * (upto + 1)
+        """Coefficients of t^0 .. t^upto, accumulated from the lowest
+        numerator degree, so terms of negative degree count too."""
+        lo = min(0, min(self.numerator, default=0))
+        series = [0] * (upto + 1 - lo)
         for d, c in self.numerator.items():
-            if 0 <= d <= upto:
-                series[d] += c
+            if d <= upto:
+                series[d - lo] += c
         for w in self.weights:
-            for d in range(w, upto + 1):
-                series[d] += series[d - w]
-        return series
+            for i in range(w, len(series)):
+                series[i] += series[i - w]
+        return series[-lo:]
 
     def pole_order_at_one(self) -> int:
         num = dict(self.numerator)

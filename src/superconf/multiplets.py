@@ -16,6 +16,7 @@ from .groebner import ideal_gb, krull_dim, syzygy_module
 from .resolutions import (
     BettiTable,
     PresentedModule,
+    _koszul_cycles,
     _koszul_step_columns,
     koszul_homology_is_zero,
     minimal_free_resolution,
@@ -107,11 +108,7 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     quadrics_all = alg.quadrics()
     quadrics = [q for q in quadrics_all if not q.is_zero()]
     v_dual = FreeModule(ring, [2] * d)
-    kernel_gens = []
-    for z in syzygy_module(quadrics_all) if quadrics_all else []:
-        elt = ModuleElement(v_dual, z.terms)
-        if not elt.is_zero():
-            kernel_gens.append(elt)
+    kernel_gens = _koszul_cycles(ring, quadrics_all, 1, [2] * d) if quadrics_all else []
     image = [v_dual.gen(mu) * q for q in quadrics for mu in range(d)]
     return _subquotient(alg, "kaehler", kernel_gens, image)
 
@@ -126,19 +123,9 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     d = len(quadrics)
     if k < 0 or k > d:
         raise ValueError("form degree out of range")
-    cols, free_k, _ = _koszul_step_columns(ring, quadrics, k, [2] * d)
-    if any(not c.is_zero() for c in cols):
-        kernel_gens = [
-            ModuleElement(free_k, z.terms) for z in syzygy_module(cols) if not z.is_zero()
-        ]
-    else:
-        kernel_gens = [free_k.gen(i) for i in range(free_k.rank)]
-    if k + 1 <= d:
-        im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
-        im_cols = [c for c in im_cols if not c.is_zero()]
-    else:
-        im_cols = []
-    return _subquotient(alg, f"form({k})", kernel_gens, im_cols)
+    kernel_gens = _koszul_cycles(ring, quadrics, k, [2] * d)
+    im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
+    return _subquotient(alg, f"form({k})", kernel_gens, [c for c in im_cols if not c.is_zero()])
 
 
 def _subquotient(alg: SupertranslationAlgebra, kind: str, kernel_gens: list,

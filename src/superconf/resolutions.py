@@ -395,27 +395,20 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
         mult_cache[key] = cols
         return cols
 
+    variables = [ring.variable(a) for a in range(k)]
+
     def differential_rows(i: int, j: int):
-        """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}."""
-        subs = list(combinations(range(k), i))
-        subs_prev = {s: n for n, s in enumerate(combinations(range(k), i - 1))}
-        nb = len(basis(j - i))
+        """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}:
+        each term sign * x_a of a Koszul column on the variables gives the
+        block of its target subset, and distinct terms have distinct blocks."""
         nb_prev = len(basis(j - i + 1))
         rows = []
-        for s in subs:
-            for vi in range(nb):
+        for col in _koszul_step_columns(ring, variables, i)[0]:
+            for vi in range(len(basis(j - i))):
                 row: dict[int, Fraction] = {}
-                for pos, a in enumerate(s):
-                    sg = -1 if pos % 2 else 1
-                    rest = tuple(x for x in s if x != a)
-                    block = subs_prev[rest] * nb_prev
-                    for tgt, cf in mult(a, j - i)[vi].items():
-                        col = block + tgt
-                        v = row.get(col, Fraction(0)) + sg * cf
-                        if v:
-                            row[col] = v
-                        elif col in row:
-                            del row[col]
+                for (comp, mon), sg in col.terms.items():
+                    for tgt, cf in mult(mon.index(1), j - i)[vi].items():
+                        row[comp * nb_prev + tgt] = sg * cf
                 rows.append(row)
         return rows
 
@@ -471,6 +464,16 @@ def _koszul_step_columns(
     return cols, source, target
 
 
+def _koszul_cycles(
+    ring: GradedRing, elements: Sequence[ModuleElement], k: int, degs: Sequence[int] | None
+) -> list[ModuleElement]:
+    """Generators of ker(d_k), 1 <= k <= len(elements): the syzygies of d_k's
+    columns, re-keyed into d_k's source module, so that the degrees `degs`
+    hold for zero elements too."""
+    cols, source, _ = _koszul_step_columns(ring, elements, k, degs)
+    return [ModuleElement(source, z.terms) for z in syzygy_module(cols)]
+
+
 def koszul_homology_dims(
     ring: GradedRing,
     elements: Sequence[ModuleElement],
@@ -518,26 +521,23 @@ def koszul_homology_is_zero(
     """Certified vanishing of H_k, window-free.
 
     Generators of ker(d_k) come from the syzygy machinery; H_k vanishes iff
-    each generator reduces to zero against the image of d_{k+1}.
+    each generator reduces to zero against the image of d_{k+1}, which has no
+    columns when k = d.
     """
     d = len(elements)
     if k <= 0:
         return False
     if k > d:
         return True
-    cols, _, _ = _koszul_step_columns(ring, elements, k, element_degrees)
-    kernel_gens = [z for z in syzygy_module(cols) if not z.is_zero()]
-    if not kernel_gens:
+    cycles = _koszul_cycles(ring, elements, k, element_degrees)
+    if not cycles:
         return True
-    if k == d:
-        return False
     next_cols, _, _ = _koszul_step_columns(ring, elements, k + 1, element_degrees)
-    free_k = kernel_gens[0].module
-    image_gens = [ModuleElement(free_k, c.terms) for c in next_cols if not c.is_zero()]
-    if not image_gens:
+    boundaries = [c for c in next_cols if not c.is_zero()]
+    if not boundaries:
         return False
-    gb = buchberger(image_gens, default_module_order(free_k))
-    return all(gb.normal_form(ModuleElement(free_k, z.terms)).is_zero() for z in kernel_gens)
+    gb = buchberger(boundaries, default_module_order(cycles[0].module))
+    return all(gb.normal_form(z).is_zero() for z in cycles)
 
 
 def ce_cohomology(alg, k: int, degree_window: tuple[int, int]) -> GradedDims:
@@ -582,9 +582,7 @@ def syzygetic_defect(
     # each syzygy z of the generators induces z (x) e_nu in Sym^2 (x) R
     sym2 = FreeModule(ring, [degs[mu] + degs[nu] for mu, nu in pair_list])
     induced = []
-    for z in syzygy_module(quadrics):
-        if z.is_zero():
-            continue
+    for z in _koszul_cycles(ring, quadrics, 1, degs):
         zdeg = z.degree()
         for nu in range(d):
             terms = {

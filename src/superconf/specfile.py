@@ -9,13 +9,17 @@ Two shapes::
       gamma { (1,1) -> [2,0,0]; (1,2) -> [0,1,0]; (2,2) -> [0,0,2]; }
     }
 
-Gamma indices are one-based; unspecified entries are zero; when both (a,b)
-and (b,a) appear they must agree.  Rendering is canonical, so parse/render
+Tokens are ASCII; whitespace and `#` comments are skipped.  A file holds one
+algebra and nothing after it; each field appears once; odd_dim and even_dim
+are >= 0 and precede gamma.  Gamma indices are one-based; unspecified entries
+are zero; (a,b) and (b,a) must agree.  A violation is a SpecError naming its
+line and column (the CLI exits 2).  Rendering is canonical, so parse/render
 round-trips byte-identically.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +29,6 @@ from .algebras import SupertranslationAlgebra, build_standard
 class SpecError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
 
 
 @dataclass
@@ -45,123 +47,66 @@ class AlgebraSpec:
         k, d = self.odd_dim, self.even_dim
         gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
         for (a, b), vec in self.gamma.items():
-            for mu in range(d):
-                gamma[a - 1][b - 1][mu] = vec[mu]
-                gamma[b - 1][a - 1][mu] = vec[mu]
+            gamma[a - 1][b - 1] = gamma[b - 1][a - 1] = vec
         return SupertranslationAlgebra(self.name, k, d, gamma)
 
     def render(self) -> str:
         if self.standard is not None:
             dim, susy = self.standard
-            return (
-                f'algebra "{self.name}" {{ standard {{ dimension = {dim}; '
-                f'supersymmetry = "{susy}"; }} }}\n'
-            )
-        lines = [f'algebra "{self.name}" {{']
-        lines.append(f"  odd_dim = {self.odd_dim};")
-        lines.append(f"  even_dim = {self.even_dim};")
-        entries = []
-        for (a, b) in sorted(self.gamma):
-            vec = self.gamma[(a, b)]
-            body = ",".join(_render_q(x) for x in vec)
-            entries.append(f"    ({a},{b}) -> [{body}];")
-        lines.append("  gamma {")
-        lines.extend(entries)
-        lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            return (f'algebra "{self.name}" {{ standard {{ dimension = {dim}; '
+                    f'supersymmetry = "{susy}"; }} }}\n')
+        lines = [f'algebra "{self.name}" {{', f"  odd_dim = {self.odd_dim};",
+                 f"  even_dim = {self.even_dim};", "  gamma {"]
+        for a, b in sorted(self.gamma):
+            lines.append(f"    ({a},{b}) -> [{','.join(map(_render_q, self.gamma[a, b]))}];")
+        return "\n".join(lines + ["  }", "}"]) + "\n"
 
 
 def _render_q(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class _Tokenizer:
-    PUNCT = ("->", "{", "}", "(", ")", "[", "]", "=", ";", ",")
+_TOKEN = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
+      | "(?P<string>[^"]*)"
+      | (?P<punct>->|[{}()\[\]=;,])
+      | (?P<number>[0-9-][0-9/]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._run()
 
-    def _error(self, msg):
-        raise SpecError(msg, self.line, self.col)
-
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _run(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                end = text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(text)) - self.pos)
-                continue
-            line, col = self.line, self.col
-            if ch == '"':
-                end = text.find('"', self.pos + 1)
-                if end == -1:
-                    self._error("unterminated string")
-                value = text[self.pos + 1 : end]
-                self.tokens.append(("string", value, line, col))
-                self._advance(end + 1 - self.pos)
-                continue
-            matched = False
-            for p in self.PUNCT:
-                if text.startswith(p, self.pos):
-                    self.tokens.append(("punct", p, line, col))
-                    self._advance(len(p))
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch.isdigit() or ch == "-":
-                j = self.pos + 1
-                while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                    j += 1
-                self.tokens.append(("number", text[self.pos : j], line, col))
-                self._advance(j - self.pos)
-                continue
-            if ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[self.pos : j], line, col))
-                self._advance(j - self.pos)
-                continue
-            self._error(f"unexpected character {ch!r}")
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, column) per token; the line moves only past a newline match."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(m.lastgroup), m.start() - line_start + 1
+        if kind == "bad":
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            raise SpecError(message, line, col)
+        if kind != "skip":
+            tokens.append((kind, value, line, col))
+        if "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = text.rindex("\n", 0, m.end()) + 1
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _Tokenizer(text).tokens
-        self.i = 0
+        self.tokens, self.i = _tokens(text), 0
 
     def _peek(self):
-        if self.i >= len(self.tokens):
-            last = self.tokens[-1] if self.tokens else ("", "", 1, 1)
-            raise SpecError("unexpected end of input", last[2], last[3])
-        return self.tokens[self.i]
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        line, col = self.tokens[-1][2:] if self.tokens else (1, 1)
+        raise SpecError("unexpected end of input", line, col)
 
     def _next(self, kind=None, value=None):
         tok = self._peek()
         if (kind and tok[0] != kind) or (value and tok[1] != value):
-            raise SpecError(
-                f"expected {value or kind}, found {tok[1]!r}", tok[2], tok[3]
-            )
+            raise SpecError(f"expected {value or kind}, found {tok[1]!r}", tok[2], tok[3])
         self.i += 1
         return tok
 
@@ -172,15 +117,74 @@ class _Parser:
         except ValueError:
             raise SpecError(f"expected an integer, found {tok[1]!r}", tok[2], tok[3])
 
+    def _dim(self) -> int:
+        tok, value = self._peek(), self._int()
+        if value < 0:
+            raise SpecError(f"negative dimension {value}", tok[2], tok[3])
+        return value
+
     def _rational(self) -> Fraction:
         tok = self._next("number")
+        num, slash, den = tok[1].partition("/")
         try:
-            if "/" in tok[1]:
-                num, den = tok[1].split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(tok[1]))
+            return Fraction(int(num), int(den) if slash else 1)
         except (ValueError, ZeroDivisionError):
             raise SpecError(f"bad rational {tok[1]!r}", tok[2], tok[3])
+
+    def _fields(self, readers: dict, strict: bool) -> dict:
+        """Read `name = value;` entries, each name once, through the closing brace
+        (`gamma` takes a block).  An unknown name is an unexpected token if `strict`
+        (the explicit body), else an unknown field once its `=` is read."""
+        self.fields = {}
+        while self._peek()[1] != "}":
+            key = self._peek()
+            read = readers.get(key[1]) if key[0] == "ident" else None
+            if read is None and strict:
+                raise SpecError(f"unexpected token {key[1]!r}", key[2], key[3])
+            self._next("ident")
+            if key[1] in self.fields:
+                raise SpecError(f"repeated field {key[1]!r}", key[2], key[3])
+            if read == self._gamma:
+                self.fields[key[1]] = read()
+                continue
+            self._next("punct", "=")
+            if read is None:
+                raise SpecError(f"unknown field {key[1]!r}", key[2], key[3])
+            self.fields[key[1]] = read()
+            self._next("punct", ";")
+        self._next("punct", "}")
+        return self.fields
+
+    def _gamma(self) -> dict:
+        """A block of entries `(a,b) -> [v_1, ..., v_d];`, each read whole, then checked at
+        its `(`: dimensions declared, indices in range, d values, (b,a) agrees."""
+        self._next("punct", "{")
+        gamma: dict = {}
+        while self._peek()[1] != "}":
+            opener = self._next("punct", "(")
+            a, _, b = self._int(), self._next("punct", ","), self._int()
+            for p in (")", "->", "["):
+                self._next("punct", p)
+            vec = [self._rational()]
+            while self._peek()[1] == ",":
+                self._next()
+                vec.append(self._rational())
+            self._next("punct", "]")
+            self._next("punct", ";")
+            odd, even = self.fields.get("odd_dim"), self.fields.get("even_dim")
+            if odd is None or even is None:
+                message = "dimensions must be declared before gamma"
+            elif not (1 <= a <= odd and 1 <= b <= odd):
+                message = f"gamma index ({a},{b}) out of range"
+            elif len(vec) != even:
+                message = f"gamma row has {len(vec)} entries, expected {even}"
+            elif gamma.setdefault((min(a, b), max(a, b)), tuple(vec)) != tuple(vec):
+                message = f"gamma entries ({a},{b}) and ({b},{a}) disagree"
+            else:
+                continue
+            raise SpecError(message, opener[2], opener[3])
+        self._next("punct", "}")
+        return gamma
 
     def parse(self) -> AlgebraSpec:
         self._next("ident", "algebra")
@@ -190,84 +194,22 @@ class _Parser:
         if tok[0] == "ident" and tok[1] == "standard":
             self._next()
             self._next("punct", "{")
-            dimension = susy = None
-            while self._peek()[1] != "}":
-                key = self._next("ident")
-                self._next("punct", "=")
-                if key[1] == "dimension":
-                    dimension = self._int()
-                elif key[1] == "supersymmetry":
-                    susy = self._next("string")[1]
-                else:
-                    raise SpecError(f"unknown field {key[1]!r}", key[2], key[3])
-                self._next("punct", ";")
+            readers = {"dimension": self._int, "supersymmetry": lambda: self._next("string")[1]}
+            fields = self._fields(readers, False)
             self._next("punct", "}")
-            self._next("punct", "}")
-            if dimension is None or susy is None:
+            if len(fields) < 2:
                 raise SpecError("standard block needs dimension and supersymmetry", tok[2], tok[3])
-            return AlgebraSpec(name, standard=(dimension, susy))
-        odd = even = None
-        gamma: dict = {}
-        while self._peek()[1] != "}":
-            tok = self._peek()
-            if tok[0] == "ident" and tok[1] in ("odd_dim", "even_dim"):
-                self._next()
-                self._next("punct", "=")
-                value = self._int()
-                if tok[1] == "odd_dim":
-                    odd = value
-                else:
-                    even = value
-                self._next("punct", ";")
-            elif tok[0] == "ident" and tok[1] == "gamma":
-                self._next()
-                self._next("punct", "{")
-                while self._peek()[1] != "}":
-                    opener = self._next("punct", "(")
-                    a = self._int()
-                    self._next("punct", ",")
-                    b = self._int()
-                    self._next("punct", ")")
-                    self._next("punct", "->")
-                    self._next("punct", "[")
-                    vec = [self._rational()]
-                    while self._peek()[1] == ",":
-                        self._next()
-                        vec.append(self._rational())
-                    self._next("punct", "]")
-                    self._next("punct", ";")
-                    if odd is None or even is None:
-                        raise SpecError(
-                            "dimensions must be declared before gamma",
-                            opener[2],
-                            opener[3],
-                        )
-                    if not (1 <= a <= odd and 1 <= b <= odd):
-                        raise SpecError(
-                            f"gamma index ({a},{b}) out of range", opener[2], opener[3]
-                        )
-                    if len(vec) != even:
-                        raise SpecError(
-                            f"gamma row has {len(vec)} entries, expected {even}",
-                            opener[2],
-                            opener[3],
-                        )
-                    key = (min(a, b), max(a, b))
-                    value = tuple(vec)
-                    if key in gamma and gamma[key] != value:
-                        raise SpecError(
-                            f"gamma entries ({a},{b}) and ({b},{a}) disagree",
-                            opener[2],
-                            opener[3],
-                        )
-                    gamma[key] = value
-                self._next("punct", "}")
-            else:
-                raise SpecError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-        self._next("punct", "}")
-        if odd is None or even is None:
-            raise SpecError("odd_dim and even_dim are required", 1, 1)
-        return AlgebraSpec(name, odd_dim=odd, even_dim=even, gamma=gamma)
+            spec = AlgebraSpec(name, standard=(fields["dimension"], fields["supersymmetry"]))
+        else:
+            readers = {"odd_dim": self._dim, "even_dim": self._dim, "gamma": self._gamma}
+            fields = self._fields(readers, True)
+            if "odd_dim" not in fields or "even_dim" not in fields:
+                raise SpecError("odd_dim and even_dim are required", 1, 1)
+            spec = AlgebraSpec(name, odd_dim=fields["odd_dim"], even_dim=fields["even_dim"],
+                               gamma=fields.get("gamma", {}))
+        if self.i < len(self.tokens):
+            raise SpecError("unexpected token after the algebra", *self.tokens[self.i][2:])
+        return spec
 
 
 def parse_spec(text: str) -> AlgebraSpec:

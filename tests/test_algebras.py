@@ -202,17 +202,25 @@ def test_conformal_type_abelian_false():
     assert not report.conformal
 
 
-def test_invariant_metric_trials_certify_or_raise():
+def test_invariant_metric_single_forms():
     # sym2 layout for d = 3: (0,0) -> 0, (1,1) -> 3, (2,2) -> 5
+    assert _has_invariant_metric([{0: Fraction(1), 3: Fraction(1), 5: Fraction(2)}], 3)
+    assert not _has_invariant_metric([{0: Fraction(1), 3: Fraction(1)}], 3)
+    assert not _has_invariant_metric([], 3)
+    h1 = {0: Fraction(1), 3: Fraction(1)}
+    assert _has_invariant_metric([h1, {0: Fraction(2, 3), 3: Fraction(1), 5: Fraction(1)}], 3)
+
+
+def test_invariant_metric_found_off_the_basis():
+    # h1, h2 and h1 + 3 h2 are degenerate, h1 + h2 = diag(2/3, 1, 1) is not
     h1 = {0: Fraction(1), 3: Fraction(1)}  # diag(1, 1, 0)
     h2 = {0: Fraction(-1, 3), 5: Fraction(1)}  # diag(-1/3, 0, 1)
-    assert _has_invariant_metric([{0: Fraction(1), 3: Fraction(1), 5: Fraction(2)}], 3)
-    assert not _has_invariant_metric([h1], 3)
-    assert not _has_invariant_metric([], 3)
-    # h1, h2 and h1 + 3 h2 are degenerate, h1 + h2 = diag(2/3, 1, 1) is not
-    with pytest.raises(RuntimeError, match="undecided"):
-        _has_invariant_metric([h1, h2], 3)
-    assert _has_invariant_metric([h1, {0: Fraction(2, 3), 3: Fraction(1), 5: Fraction(1)}], 3)
+    assert _has_invariant_metric([h1, h2], 3)
+
+
+def test_invariant_metric_absent_from_a_degenerate_span():
+    # every combination of diag(1, 0, 0) and diag(0, 1, 0) kills e_3
+    assert not _has_invariant_metric([{0: Fraction(1)}, {3: Fraction(1)}], 3)
 
 
 def test_derivations_6d_n2_r_symmetry_dimension():

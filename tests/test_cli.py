@@ -263,3 +263,62 @@ def test_cache_dir_env_var(tmp_path, monkeypatch, capsys, spec_3d_n1):
     assert entries, "cache directory not populated from the environment"
     code, out2 = run(capsys, ["--json", "variety", spec_3d_n1])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("body", [
+    # tokens after the algebra's closing brace, a second algebra among them
+    'algebra "x" { odd_dim = 1; even_dim = 1; } junk',
+    'algebra "x" { odd_dim = 1; even_dim = 1; }\nalgebra "y" { odd_dim = 2; even_dim = 1; }',
+    # a field given twice
+    'algebra "x" { odd_dim = 1; odd_dim = 2; even_dim = 1; }',
+    'algebra "x" { odd_dim = 1; even_dim = 1; gamma { (1,1) -> [1]; } gamma { (1,1) -> [1]; } }',
+    'algebra "x" { odd_dim = 1; even_dim = 1; gamma { (1,1) -> [1]; } even_dim = 2; }',
+    'algebra "x" { standard { dimension = 3; dimension = 4; supersymmetry = "N=1"; } }',
+    # a negative dimension
+    'algebra "x" { odd_dim = -1; even_dim = 1; }',
+    'algebra "x" { odd_dim = 0; even_dim = -1; }',
+    # a 2d catalog key with a negative N
+    'algebra "x" { standard { dimension = 2; supersymmetry = "N=(-1,1)"; } }',
+])
+def test_malformed_spec_exits_2(capsys, tmp_path, body):
+    path = tmp_path / "bad.spec"
+    path.write_text(body, encoding="utf-8")
+    code = main(["--json", "info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["info", "{spec}"], "algebra 3dN1: odd 2 | even 3"),
+    (["variety", "{spec}"], "nilpotence variety of 3dN1"),
+    (["multiplet", "conf", "{spec}"], "conf multiplet of 3dN1"),
+    (["twist", "{spec}", "--q", "0,0"], "twist of 3dN1 by q = (0, 0)"),
+    (["prolong", "{spec}"], "prolongation of 3dN1 (terminated)"),
+    (["verify", "--case", "conf-betti-3d-n1"],
+     "ok   conf-betti-3d-n1 [fast] - 3d N=1 multiplet table (frame, gravitino; metric, Penrose)"),
+])
+def test_text_output(capsys, tmp_path, spec_3d_n1, argv, first_line):
+    argv = ["--cache-dir", str(tmp_path)] + [a.format(spec=spec_3d_n1) for a in argv]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0] == first_line
+
+
+def test_twist_analyses_payload(capsys, tmp_path):
+    path = tmp_path / "3dN2.spec"
+    path.write_text(
+        'algebra "3dN2" { standard { dimension = 3; supersymmetry = "N=2"; } }',
+        encoding="utf-8",
+    )
+    code, out = run(capsys, ["--json", "twist", str(path), "--q", "holomorphic", "--analyses",
+                             "conf", "kaehler", "canonical", "variety", "conformal_type"])
+    assert code == 0
+    assert json.loads(out)["analyses"] == {
+        "canonical": {"betti": [[0, 0, 1]], "table": [[0, 0, 1]]},
+        "conf": {"betti": [[0, 0, 1]], "table": [[0, 0, 1]]},
+        "conformal_type": {"conformal": False, "surjective_bracket": False},
+        "kaehler": {"betti": [[0, 2, 1]], "table": [[2, -2, 1]]},
+        "variety": {"gb_size": 0, "hilbert_numerator": [[0, 1]]},
+    }

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superconf.groebner import (
+    HilbertSeries,
     buchberger,
     default_module_order,
     hilbert_series,
@@ -175,6 +176,13 @@ def test_hilbert_series_hyperplane():
     gb = ideal_gb(R, [x])
     hs = hilbert_series(gb)
     assert hs.coefficients(5) == [1, 1, 1, 1, 1, 1]
+
+
+def test_hilbert_coefficients_count_negative_numerator_degrees():
+    # Q[x] generated in degree -1: dimension 1 from degree -1 up
+    assert HilbertSeries({-1: 1}, [1]).coefficients(2) == [1, 1, 1]
+    # (t^-2 - 1) / (1 - t)^2 = t^-2 (1 + t): dimension 2 from degree -1 up
+    assert HilbertSeries({-2: 1, 0: -1}, [1, 1]).coefficients(3) == [2, 2, 2, 2]
 
 
 def test_hilbert_series_order_independent():

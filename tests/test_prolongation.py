@@ -198,3 +198,18 @@ def test_2d_chiral_prolongation_capped():
     for cap in (2, 4):
         res = tanaka_prolongation(alg, max_degree=cap)
         assert res.status == "capped"
+
+
+@pytest.mark.parametrize("dimension, susy, dims", [
+    (2, (1, 1), [2, 2, 2, 2, 2]),
+    (3, 2, [3, 4, 5, 4, 3]),
+    (4, 1, [4, 4, 8, 4, 4]),
+])
+def test_oracle_with_lambda_images_matches_prolongation(dimension, susy, dims):
+    # unlike 1d N=1, these algebras give the oracle nonzero lambda images,
+    # which it decomposes against the derivations of the quotient
+    alg = build_standard(dimension, susy)
+    res = tanaka_prolongation(alg, max_degree=2)
+    h0 = derivation_complex_h0(alg, 2)
+    assert [res.dims.get(m, 0) for m in range(-2, 3)] == dims
+    assert [sum(h0.get(m, (0, 0))) for m in range(-2, 3)] == dims

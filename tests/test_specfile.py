@@ -71,3 +71,29 @@ def test_rationals_in_gamma():
     text = 'algebra "half" { odd_dim = 1; even_dim = 1; gamma { (1,1) -> [1/2]; } }'
     alg = parse_spec(text).build()
     assert alg.gamma[0][0][0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('algebra "x" { odd_dim = ; }', "expected number, found ';' (line 1, column 25)"),
+    ("algebra x", "expected string, found 'x' (line 1, column 9)"),
+    ('algebra "x', "unterminated string (line 1, column 9)"),
+    ('algebra "x" { odd_dim = 1.5; }', "unexpected character '.' (line 1, column 26)"),
+    ('algebra "x" { odd_dim = 1; even_dim = 1; ',
+     "unexpected end of input (line 1, column 40)"),
+    ('algebra "x" { 5 }', "unexpected token '5' (line 1, column 15)"),
+    ('algebra "x" { foo = 1; }', "unexpected token 'foo' (line 1, column 15)"),
+    ('algebra "x" { standard { dim = 3; } }', "unknown field 'dim' (line 1, column 26)"),
+    ('algebra "x" { standard { dimension = 3; } }',
+     "standard block needs dimension and supersymmetry (line 1, column 15)"),
+    ('algebra "x" { gamma { (1,1) -> [1]; } }',
+     "dimensions must be declared before gamma (line 1, column 23)"),
+    ('algebra "x" { }', "odd_dim and even_dim are required (line 1, column 1)"),
+    ('algebra "x" { odd_dim = 1; even_dim = 1; gamma { (1,1) -> [1/2/3]; } }',
+     "bad rational '1/2/3' (line 1, column 60)"),
+    ('algebra "x" {\n  odd_dim = 1;\n  even_dim = 1;\n  gamma { (1,1) -> [1/0]; }\n}\n',
+     "bad rational '1/0' (line 4, column 21)"),
+])
+def test_error_messages_and_positions(text, message):
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert str(err.value) == message

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from superconf.algebras import build_standard, is_square_zero
+from superconf.algebras import SupertranslationAlgebra, build_standard, is_square_zero
+from superconf.groebner import hilbert_series, ideal_gb
 from superconf.multiplets import component_fields, conf_module, hdim
 from superconf.twisting import (
     NotSquareZeroError,
@@ -122,3 +124,49 @@ def test_random_points_on_varieties_preserve_hdim():
             res = twist(alg, q)
             assert hdim(res.twisted) == base, (key, q)
         assert found >= 1, f"no rational points found on {key}"
+
+
+def _change_basis(alg, seed):
+    """gamma'(x, y) = Q gamma(P^T x, P^T y), with P (odd) and Q (even) lower
+    unitriangular matrices with entries in {-1, 0, 1} drawn from the seed;
+    returns gamma' and P."""
+    rng = random.Random(seed)
+
+    def unitriangular(n):
+        return [[Fraction(int(i == j) if j >= i else rng.choice((0, 0, 1, -1))) for j in range(n)]
+                for i in range(n)]
+
+    p, q = unitriangular(alg.k), unitriangular(alg.d)
+    gamma = [[None] * alg.k for _ in range(alg.k)]
+    for a in range(alg.k):
+        for b in range(a, alg.k):
+            v = alg.bracket(p[a], p[b])
+            gamma[a][b] = gamma[b][a] = [sum(q[mu][nu] * v[nu] for nu in range(alg.d))
+                                         for mu in range(alg.d)]
+    return SupertranslationAlgebra(f"{alg.name} rebased", alg.k, alg.d, gamma), p
+
+
+@pytest.mark.parametrize("dimension, susy, name", [
+    (6, (2, 0), "holomorphic"),
+    (4, 2, "holomorphic"),
+    (4, 4, "kapustin"),
+    (4, 3, "kapustin"),
+])
+def test_twist_after_a_change_of_basis(dimension, susy, name):
+    # In the catalog basis no bracket of the twisted representatives lands on a
+    # coordinate that the even quotient kills; in the new basis they do, so the
+    # projection onto the quotient has to subtract.
+    alg = build_standard(dimension, susy)
+    q = catalog_twist_vector(alg, name)
+    rebased, p = _change_basis(alg, seed=dimension * 10 + alg.k)
+    # q' = P^{-T} q, by back substitution in P^T q' = q
+    q_new = list(q)
+    for i in reversed(range(alg.k)):
+        q_new[i] = q[i] - sum(p[j][i] * q_new[j] for j in range(i + 1, alg.k))
+    expected, got = twist(alg, q).twisted, twist(rebased, q_new).twisted
+    assert (got.k, got.d) == (expected.k, expected.d)
+
+    def numerator(twisted):
+        return hilbert_series(ideal_gb(twisted.ring(), twisted.quadrics())).numerator
+
+    assert numerator(got) == numerator(expected)
