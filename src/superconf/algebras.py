@@ -327,14 +327,17 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     target coordinates c) and gives one row per c.  At m = 0 condition (1)
     is B gamma(s,t) = gamma(As,t) + gamma(s,At), and (2) and (3) give no
     rows, because layers -1 and -2 act trivially on the even generators.
+
+    Rows are built condition by condition as `sparse_kernel` pulls them, none
+    after every unknown is a pivot.  (2) and (3) come first to raise the rank
+    sooner; the basis is read off the RREF of the row span, whatever the order.
     """
     k, d = alg.k, alg.d
     below = layers[m - 1]
     below2 = layers[m - 2]
     odd, even, nunk = _flat_index(layers, m)
-    rows: list[dict[int, Fraction]] = []
 
-    def add_rows(plus, minus):
+    def condition(plus, minus):
         row_by_c: dict[int, dict[int, Fraction]] = {}
         for terms, negate in ((plus, False), (minus, True)):
             for key, vec in terms:
@@ -343,32 +346,34 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
                     if negate:
                         v = -v
                     row[key] = row[key] + v if key in row else v
-        rows.extend(row_by_c.values())
+        return row_by_c.values()
 
-    # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
-    for a in range(k):
-        for b in range(a, k):
-            add_rows(
-                [(even(mu, p), {p: g})
-                 for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
-                [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
-                + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
-            )
-    # (2) [F(s), v] = [G(v), s], valued two layers below
-    for a in range(k):
+    def rows():
+        # (2) [F(s), v] = [G(v), s], valued two layers below
+        for a in range(k):
+            for mu in range(d):
+                yield from condition(
+                    [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
+                    [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
+                )
+        # (3) [G(v), v'] = [G(v'), v], valued three layers below
         for mu in range(d):
-            add_rows(
-                [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
-                [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
-            )
-    # (3) [G(v), v'] = [G(v'), v], valued three layers below
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            add_rows(
-                [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
-                [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
-            )
-    vecs = sparse_kernel(rows, nunk)
+            for nu in range(mu + 1, d):
+                yield from condition(
+                    [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
+                    [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
+                )
+        # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
+        for a in range(k):
+            for b in range(a, k):
+                yield from condition(
+                    [(even(mu, p), {p: g})
+                     for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
+                    [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
+                    + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
+                )
+
+    vecs = sparse_kernel(rows(), nunk)
     act_s = []
     act_v = []
     solver = SpanSolver()
@@ -523,7 +528,7 @@ def check_conformal_type(
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
     h_rows = []
     for act_v in g0.layers[0].act_v:
-        tr = sum(act_v[i].get(i, _F0) for i in range(d))
+        shift = -2 * sum(act_v[i].get(i, _F0) for i in range(d)) / d
         for r in range(d):
             for c in range(r, d):
                 row: dict[int, Fraction] = {}
@@ -542,7 +547,7 @@ def check_conformal_type(
                     bump(m, c, v)
                 for m, v in act_v[c].items():
                     bump(r, m, v)
-                bump(r, c, -2 * tr / d)
+                bump(r, c, shift)
                 if row:
                     h_rows.append(row)
     has_metric = _has_invariant_metric(sparse_kernel(h_rows, d * (d + 1) // 2), d)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import cache as cache_mod
 from .algebras import check_conformal_type, derivations_deg0
@@ -20,7 +19,7 @@ from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
 from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
 from .resolutions import is_gorenstein, koszul_tor, minimal_free_resolution
-from .specfile import SpecError, _render_q, parse_spec
+from .specfile import SpecError, _parse_q, _render_q, parse_spec
 from .twisting import catalog_twist_vector, twist_pipeline
 
 SCHEMA = 1
@@ -188,7 +187,7 @@ def cmd_hdim(args) -> int:
 def cmd_twist(args) -> int:
     alg = _load_algebra(args.spec)
     try:
-        q = [Fraction(part) for part in args.q.split(",")]
+        q = [_parse_q(part) for part in args.q.split(",")]
     except ValueError:
         q = catalog_twist_vector(alg, args.q)
     except ZeroDivisionError:

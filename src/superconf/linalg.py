@@ -52,13 +52,16 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
     return row
 
 
-def _triangularize(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
-    """Forward-eliminate the rows over the integers; returns {pivot col: row}."""
+def _triangularize(rows: Iterable[dict], stop: int = -1) -> dict[int, dict[int, int]]:
+    """Forward-eliminate the rows over the integers; returns {pivot col: row}.
+    Pulls no more rows once there are `stop` pivots."""
     pivots: dict[int, dict[int, int]] = {}
     for row in _int_rows(rows):
         red = _reduce_row(row, pivots)
         if red:
             pivots[min(red)] = red
+            if len(pivots) == stop:
+                break
     return pivots
 
 
@@ -66,13 +69,8 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_triangularize(rows))
 
 
-def rref(rows: Iterable[dict]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of the row span, as {pivot col: row}.
-
-    Each row is 1 at its pivot and 0 on every other pivot; pivots ascend.  The
-    result depends only on the row span.
-    """
-    pivots = _triangularize(rows)
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """The RREF of the span of triangular pivot rows, pivots ascending."""
     reduced: dict[int, dict[int, Fraction]] = {}
     # Back-substitute from the last pivot: the rows subtracted are already
     # reduced, so they touch no pivot column but their own.
@@ -93,24 +91,29 @@ def rref(rows: Iterable[dict]) -> dict[int, dict[int, Fraction]]:
     return dict(reversed(reduced.items()))
 
 
+def rref(rows: Iterable[dict]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the row span, as {pivot col: row}.
+
+    Each row is 1 at its pivot and 0 on every other pivot; pivots ascend.  The
+    result depends only on the row span.
+    """
+    return _back_substitute(_triangularize(rows))
+
+
 def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
     """Echelonized kernel basis of the row system, as sparse Fraction vectors.
 
-    The basis vector attached to free column f is supported on f (entry 1)
-    and on pivot columns.
+    Column keys are 0..ncols-1.  The basis vector attached to free column f is
+    supported on f (entry 1) and on pivot columns.  No row is pulled once every
+    column is a pivot, as the kernel is then zero; short of that every row is
+    reduced, so the basis is read off the RREF of the whole row span.
     """
-    red = rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f in red:
-            continue
-        v: dict[int, Fraction] = {f: Fraction(1)}
-        for c, frow in red.items():
-            w = frow.get(f)
-            if w:
-                v[c] = -w
-        basis.append(v)
-    return basis
+    pivots = _triangularize(rows, ncols)
+    if len(pivots) == ncols:
+        return []
+    red = _back_substitute(pivots)
+    return [{f: Fraction(1), **{c: -frow[f] for c, frow in red.items() if f in frow}}
+            for f in range(ncols) if f not in red]
 
 
 _MARK = (2, 0)

@@ -93,6 +93,15 @@ def _tokens(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+def _parse_q(text: str) -> Fraction:
+    """`n` or `n/d` as one number token: ASCII digits after an optional `-`,
+    nothing around them.  Raises ValueError, or ZeroDivisionError for `d` = 0."""
+    if getattr(_TOKEN.fullmatch(text), "lastgroup", None) != "number":
+        raise ValueError(f"not a rational: {text!r}")
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens, self.i = _tokens(text), 0
@@ -125,9 +134,8 @@ class _Parser:
 
     def _rational(self) -> Fraction:
         tok = self._next("number")
-        num, slash, den = tok[1].partition("/")
         try:
-            return Fraction(int(num), int(den) if slash else 1)
+            return _parse_q(tok[1])
         except (ValueError, ZeroDivisionError):
             raise SpecError(f"bad rational {tok[1]!r}", tok[2], tok[3])
 
@@ -136,7 +144,7 @@ class _Parser:
         (`gamma` takes a block).  An unknown name is an unexpected token if `strict`
         (the explicit body), else an unknown field once its `=` is read."""
         self.fields = {}
-        while self._peek()[1] != "}":
+        while self._peek()[:2] != ("punct", "}"):
             key = self._peek()
             read = readers.get(key[1]) if key[0] == "ident" else None
             if read is None and strict:
@@ -160,13 +168,13 @@ class _Parser:
         its `(`: dimensions declared, indices in range, d values, (b,a) agrees."""
         self._next("punct", "{")
         gamma: dict = {}
-        while self._peek()[1] != "}":
+        while self._peek()[:2] != ("punct", "}"):
             opener = self._next("punct", "(")
             a, _, b = self._int(), self._next("punct", ","), self._int()
             for p in (")", "->", "["):
                 self._next("punct", p)
             vec = [self._rational()]
-            while self._peek()[1] == ",":
+            while self._peek()[:2] == ("punct", ","):
                 self._next()
                 vec.append(self._rational())
             self._next("punct", "]")

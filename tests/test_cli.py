@@ -133,6 +133,33 @@ def test_zero_denominator_in_twist_vector_exits_2(capsys, spec_3d_n1):
     assert captured.err == "error: twist vector '1/0,1' has a zero denominator\n"
 
 
+@pytest.fixture
+def spec_3d_n2(tmp_path):
+    path = tmp_path / "3dN2.spec"
+    path.write_text(
+        'algebra "3dN2" { standard { dimension = 3; supersymmetry = "N=2"; } }',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("q", ["\u0663,0,0,0", " 1_0 ,0,0,0", "1.0,0,0,0"])
+def test_twist_vector_takes_only_spec_rationals(capsys, spec_3d_n2, q):
+    """Each component of --q is read by the spec reader's number rule: ASCII
+    digits, an optional leading minus and slash, nothing around them."""
+    code = main(["--json", "twist", spec_3d_n2, "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: unknown twist name {q!r}\n"
+
+
+@pytest.mark.parametrize("q", ["1,0,0,0", "2/2,0,0/5,-0"])
+def test_numeric_twist_vector_matches_the_catalog_name(capsys, spec_3d_n2, q):
+    assert run(capsys, ["--json", "twist", spec_3d_n2, "--q", q]) == run(
+        capsys, ["--json", "twist", spec_3d_n2, "--q", "holomorphic"])
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch, spec_3d_n1):
     import superconf.cli
 
@@ -279,6 +306,9 @@ def test_cache_dir_env_var(tmp_path, monkeypatch, capsys, spec_3d_n1):
     'algebra "x" { odd_dim = 0; even_dim = -1; }',
     # a 2d catalog key with a negative N
     'algebra "x" { standard { dimension = 2; supersymmetry = "N=(-1,1)"; } }',
+    # a quoted "," or "}" taken for punctuation
+    'algebra "x" { odd_dim = 1; even_dim = 2; gamma { (1,1) -> [1 "," 2]; } }',
+    'algebra "x" { odd_dim = 1; even_dim = 1; gamma { "}" } }',
 ])
 def test_malformed_spec_exits_2(capsys, tmp_path, body):
     path = tmp_path / "bad.spec"

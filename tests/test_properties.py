@@ -5,13 +5,17 @@ in test_acceptance.py; here are the finer-grained properties, run through
 hypothesis where generation is cheap.
 """
 
+import hashlib
 from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from superconf import algebras
+from superconf.algebras import build_standard
 from superconf.groebner import (
     buchberger,
     hilbert_series,
@@ -21,6 +25,7 @@ from superconf.groebner import (
     syzygy_module,
 )
 from superconf.linalg import SpanSolver, _triangularize, rref, sparse_kernel, sparse_rank
+from superconf.prolongation import tanaka_prolongation
 from superconf.resolutions import (
     PresentedModule,
     _column_index,
@@ -152,6 +157,95 @@ def test_rref_spans_the_input_rows(m):
             for c, x in prow.items():
                 rest[c] = rest.get(c, 0) - f * x
         assert not any(rest.values())
+
+
+def _pulled_from(rows, seen: list):
+    """Yield the rows, appending each to `seen` as it is pulled."""
+    for row in rows:
+        seen.append(row)
+        yield row
+
+
+def _rref_kernel(rows: list, cols: int) -> list:
+    """The kernel read off `rref` of every row: for each free column f, the
+    vector that is 1 at f and minus column f of the RREF at the pivots."""
+    red = rref(rows)
+    basis = []
+    for f in range(cols):
+        if f in red:
+            continue
+        v = {f: Fraction(1)}
+        for c, frow in red.items():
+            if frow.get(f):
+                v[c] = -frow[f]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def systems_with_rows_past_full_rank(draw):
+    """(rows, cols) with at most 8 columns; in half the draws a triangular
+    block of rank cols sits among random rows, some of them after it."""
+    cols = draw(st.integers(1, 8))
+    row = st.lists(fractions, min_size=cols, max_size=cols)
+    data = draw(st.lists(row, max_size=10))
+    if draw(st.booleans()):
+        block = []
+        for i in range(cols):
+            entries = [Fraction(0)] * i + draw(row)[i:]
+            entries[i] = entries[i] or Fraction(1)
+            block.append(entries)
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + block + data[cut:]
+    rows = [{c: x for c, x in enumerate(r) if x} for r in data]
+    return draw(st.one_of(st.just(rows), st.permutations(rows))), cols
+
+
+@given(systems_with_rows_past_full_rank())
+@settings(max_examples=100, deadline=None)
+def test_kernel_is_the_full_elimination_kernel(system):
+    """`sparse_kernel` equals the kernel of the RREF of all rows, entries in
+    the same order."""
+    rows, cols = system
+    basis = sparse_kernel(iter(rows), cols)
+    assert [list(v.items()) for v in basis] == [list(v.items()) for v in _rref_kernel(rows, cols)]
+
+
+@given(systems_with_rows_past_full_rank())
+@settings(max_examples=100, deadline=None)
+def test_kernel_pulls_no_row_past_full_rank(system):
+    rows, cols = system
+    pulled = []
+    sparse_kernel(_pulled_from(rows, pulled), cols)
+    full_at = next((p for p in range(len(rows) + 1) if sparse_rank(rows[:p]) == cols), None)
+    assert len(pulled) == (len(rows) if full_at is None else full_at)
+
+
+@pytest.mark.parametrize("key, max_degree, max_rows, digest", [
+    ((6, (2, 0)), 3, 7_400, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
+    ((10, (1, 0)), 2, 4_300, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
+], ids=["6d-n20", "10d-n10"])
+def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degree, max_rows,
+                                                      digest):
+    """Each layer's kernel equals the one from eliminating every row of its
+    system, the layer actions hash as before the solve stopped at full rank,
+    and the rows pulled stay under a bound (8,546 on 10d N=(1,0) when every
+    row was built and reduced)."""
+    pulled = []
+
+    def counted_kernel(rows, ncols):
+        rows, seen = iter(rows), []
+        basis = sparse_kernel(_pulled_from(rows, seen), ncols)
+        pulled.append(len(seen))
+        assert basis == _rref_kernel(seen + list(rows), ncols)
+        return basis
+
+    monkeypatch.setattr(algebras, "sparse_kernel", counted_kernel)
+    res = tanaka_prolongation(build_standard(*key), max_degree)
+    text = repr([(m, res.layers[m].act_s, res.layers[m].act_v) for m in sorted(res.layers)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(pulled) == max_degree + 1
+    assert sum(pulled) <= max_rows
 
 
 def _combination(coeffs: dict, vecs: list) -> dict:

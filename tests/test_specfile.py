@@ -92,8 +92,16 @@ def test_rationals_in_gamma():
      "bad rational '1/2/3' (line 1, column 60)"),
     ('algebra "x" {\n  odd_dim = 1;\n  even_dim = 1;\n  gamma { (1,1) -> [1/0]; }\n}\n',
      "bad rational '1/0' (line 4, column 21)"),
+    # a quoted "," or "}" is a string, never the punctuation it spells
+    ('algebra "x" { odd_dim = 1; even_dim = 2; gamma { (1,1) -> [1 "," 2]; } }',
+     "expected ], found ',' (line 1, column 62)"),
+    ('algebra "x" { odd_dim = 1; even_dim = 1; gamma { "}" } }',
+     "expected (, found '}' (line 1, column 50)"),
+    ('algebra "x" { "}" }', "unexpected token '}' (line 1, column 15)"),
+    ('algebra "x" { standard { "}" } }', "expected ident, found '}' (line 1, column 26)"),
 ])
 def test_error_messages_and_positions(text, message):
     with pytest.raises(SpecError) as err:
         parse_spec(text)
     assert str(err.value) == message
+
