@@ -528,7 +528,7 @@ def check_conformal_type(
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
     h_rows = []
     for act_v in g0.layers[0].act_v:
-        shift = -2 * sum(act_v[i].get(i, _F0) for i in range(d)) / d
+        shift = -2 * sum(act_v[i].get(i, _F0) for i in range(d)) / d if d else _F0
         for r in range(d):
             for c in range(r, d):
                 row: dict[int, Fraction] = {}

@@ -43,6 +43,19 @@ def test_info_command(capsys, spec_3d_n1):
     assert data["conformal_type"]["conformal"] is True
 
 
+def test_info_with_no_even_directions(capsys, tmp_path):
+    """even_dim = 0 leaves the trace shift -2 tr B / d with nothing to divide."""
+    path = tmp_path / "odd_only.spec"
+    path.write_text('algebra "x" { odd_dim = 1; even_dim = 0; }', encoding="utf-8")
+    code, out = run(capsys, ["--json", "--cache-dir", str(tmp_path / "cache"),
+                             "info", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["g0_dim"] == 1
+    assert data["conformal_type"]["has_invariant_metric"] is True
+    assert data["conformal_type"]["conformal"] is False
+
+
 def test_variety_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "variety", spec_3d_n1])
     data = json.loads(out)
