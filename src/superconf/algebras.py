@@ -270,7 +270,8 @@ class _Layer:
     act_v[x][mu] is [x, v_mu] two layers below.  Layers -2 and -1 hold the
     base algebra, with gamma as the action of layer -1 on the odd generators.
     A degree-zero element is a derivation pair (A, B) with
-    act_s[x][a] = {c: A[c][a]} and act_v[x][mu] = {c: B[c][mu]}.
+    act_s[x][a] = {c: A[c][a]} and act_v[x][mu] = {c: B[c][mu]}.  Values are
+    `int | Fraction`, a Fraction only where the denominator exceeds 1.
     """
 
     __slots__ = ("dim", "act_s", "act_v", "solver")
@@ -302,6 +303,11 @@ def _flatten(layers: dict, m: int, act_s: list, act_v: list) -> dict:
     return flat
 
 
+def _exact(v):
+    """v as an int when it is integral, else unchanged."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _negative_layers(alg: SupertranslationAlgebra) -> dict:
     k, d = alg.k, alg.d
     return {
@@ -312,7 +318,7 @@ def _negative_layers(alg: SupertranslationAlgebra) -> dict:
         ),
         -1: _Layer(
             k,
-            [[{mu: g for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
+            [[{mu: _exact(g) for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
              for a in range(k)],
             [[{} for _ in range(d)] for _ in range(k)],
         ),
@@ -338,7 +344,7 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     odd, even, nunk = _flat_index(layers, m)
 
     def condition(plus, minus):
-        row_by_c: dict[int, dict[int, Fraction]] = {}
+        row_by_c: dict[int, dict[int, int | Fraction]] = {}
         for terms, negate in ((plus, False), (minus, True)):
             for key, vec in terms:
                 for c, v in vec.items():
@@ -368,7 +374,7 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
             for b in range(a, k):
                 yield from condition(
                     [(even(mu, p), {p: g})
-                     for mu, g in enumerate(alg.gamma[a][b]) if g for p in range(below2.dim)],
+                     for mu, g in layers[-1].act_s[a][b].items() for p in range(below2.dim)],
                     [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
                     + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
                 )
@@ -377,11 +383,16 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     act_s = []
     act_v = []
     solver = SpanSolver()
+    split = k * below.dim  # the first even coordinate of the `_flat_index` layout
     for x, vec in enumerate(vecs):
-        act_s.append([{p: vec[odd(a, p)] for p in range(below.dim) if odd(a, p) in vec}
-                      for a in range(k)])
-        act_v.append([{p: vec[even(mu, p)] for p in range(below2.dim) if even(mu, p) in vec}
-                      for mu in range(d)])
+        act_s.append([{} for _ in range(k)])
+        act_v.append([{} for _ in range(d)])
+        for i in sorted(vec):
+            if i < split:
+                act_s[x][i // below.dim][i % below.dim] = _exact(vec[i])
+            else:
+                mu, p = divmod(i - split, below2.dim)
+                act_v[x][mu][p] = _exact(vec[i])
         if not solver.add(vec, x):
             raise AssertionError("derivation layer basis not independent")
     return _Layer(len(vecs), act_s, act_v, solver)
@@ -528,7 +539,7 @@ def check_conformal_type(
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
     h_rows = []
     for act_v in g0.layers[0].act_v:
-        shift = -2 * sum(act_v[i].get(i, _F0) for i in range(d)) / d if d else _F0
+        shift = Fraction(-2 * sum(act_v[i].get(i, 0) for i in range(d)), d) if d else _F0
         for r in range(d):
             for c in range(r, d):
                 row: dict[int, Fraction] = {}
@@ -558,7 +569,7 @@ def check_conformal_type(
         expected,
         has_metric,
         conformal,
-        g0.rho2_kernel_dim(),
+        g0.dim - image_dim,
     )
 
 

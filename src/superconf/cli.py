@@ -186,12 +186,16 @@ def cmd_hdim(args) -> int:
 
 def cmd_twist(args) -> int:
     alg = _load_algebra(args.spec)
-    try:
-        q = [_parse_q(part) for part in args.q.split(",")]
-    except ValueError:
-        q = catalog_twist_vector(alg, args.q)
-    except ZeroDivisionError:
-        raise ValueError(f"twist vector {args.q!r} has a zero denominator") from None
+    parts, q = args.q.split(","), []
+    for pos, part in enumerate(parts, 1):
+        try:
+            q.append(_parse_q(part))
+        except ValueError:  # only a lone identifier may be a twist name
+            if len(parts) > 1 or not part.isidentifier():
+                raise ValueError(f"--q component {pos} is not a rational: {part!r}") from None
+            q = catalog_twist_vector(alg, args.q)
+        except ZeroDivisionError:
+            raise ValueError(f"twist vector {args.q!r} has a zero denominator") from None
     report = twist_pipeline(alg, q, targets=tuple(args.analyses or ()))
     res = report.result
     payload = {

@@ -218,8 +218,8 @@ def universal_checks(
     if table is None:
         table = component_fields(conf_module(alg))
     g0 = derivations_deg0(alg)
-    ker_rho2 = g0.rho2_kernel_dim()
     im_rho2 = g0.rho2_image_dim()
+    ker_rho2 = g0.dim - im_rho2
     checks = [
         ("cell (0,0) = even dimension", table.cells.get((0, 0), 0), alg.d),
         ("cell (0,1) = odd dimension", table.cells.get((0, 1), 0), alg.k),

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from superconf import linalg
 from superconf.cache import cache_key, cached, load, store
 from superconf.cli import main
 
@@ -54,6 +57,70 @@ def test_info_with_no_even_directions(capsys, tmp_path):
     assert data["g0_dim"] == 1
     assert data["conformal_type"]["has_invariant_metric"] is True
     assert data["conformal_type"]["conformal"] is False
+
+
+CATALOG_KEYS = {
+    "1d-n1": (1, "N=1"), "3d-n1": (3, "N=1"), "3d-n2": (3, "N=2"), "4d-n1": (4, "N=1"),
+    "4d-n2": (4, "N=2"), "4d-n3": (4, "N=3"), "4d-n4": (4, "N=4"), "6d-n10": (6, "N=(1,0)"),
+    "6d-n20": (6, "N=(2,0)"), "10d-n10": (10, "N=(1,0)"), "10d-n20": (10, "N=(2,0)"),
+    "11d": (11, "N=1"),
+}
+
+# SHA-256 of `--json info` stdout, recorded before the layer values became ints
+INFO_DIGESTS = {
+    "1d-n1": "94958c6acc21198d5c9d1d8f23fb0af6aa28ef4000ea883c3108bf5556448df3",
+    "3d-n1": "34e917cd6931d353e6ccd7f415278c08dc230e76e1bb0e1ee126a8fa69b915d4",
+    "3d-n2": "ed24af4c435484bda290dbc93fc2431e3b3b1194d3062c9913c018e9f46f56ed",
+    "4d-n1": "ed67b89edb47076c4d23c27af471074f93b5ed79b633fa802c5010973c6af57b",
+    "4d-n2": "1dd27d7a8ce7a4a03ddaca0624e9dac124e4fa84920d03b1795fe033604deca2",
+    "4d-n3": "4fc362b5f0d515efc58fc7953ca1ef871c5a91e1b489f6c813d9938a964e05f4",
+    "4d-n4": "56531abe21c9aeaf7f2f39a4435853c0dfdcb1809d17f6bc1e0732672bb96a9d",
+    "6d-n10": "bacb01e189c620f2e3f1a208afdc7d3073e6ae61aa856fefeb82e47c8839fbbe",
+    "6d-n20": "a1322bf26f7e76439f90d6951a5a12d5ffa876eb751be484a7a3c66b11c47158",
+    "10d-n10": "7df18710315ead65a4dd689ddd98abf1a671792a0bc2f6f7a60f02d0530ce3c4",
+    "10d-n20": "82224b12f24bddeb80664ee037cf9bb3b140d0647fc5a35a22971013863eae60",
+    "11d": "8618a8510027f766521054689d486ef73e0829a5a97f37a10af219de8c4ffa8a",
+}
+
+
+def _catalog_spec(tmp_path, key) -> str:
+    dim, susy = CATALOG_KEYS[key]
+    path = tmp_path / f"{key}.spec"
+    path.write_text(
+        f'algebra "{key}" {{ standard {{ dimension = {dim}; supersymmetry = "{susy}"; }} }}',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_info_json_is_pinned_on_every_catalog_key(capsys, tmp_path, key):
+    """`check_conformal_type` reads the layer-0 basis vectors themselves, so
+    its report pins their values, not only the layer dimensions."""
+    code, out = run(capsys, ["--json", "info", _catalog_spec(tmp_path, key)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == INFO_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_eliminations_see_only_ints_and_fractions(capsys, monkeypatch, tmp_path, key):
+    """Every row handed to the integer elimination holds ints (no bools) and
+    Fractions only: a float, say from `/` on two ints, would round exact zeros."""
+    int_rows, bad = linalg._int_rows, []
+
+    def checked(rows):
+        for row in rows:
+            bad.extend(v for v in row.values() if type(v) not in (int, Fraction))
+            yield from int_rows([row])
+
+    monkeypatch.setattr(linalg, "_int_rows", checked)
+    spec = _catalog_spec(tmp_path, key)
+    codes = [run(capsys, ["--json", "--cache-dir", str(tmp_path / "cache"), *argv])[0]
+             for argv in (["info", spec], ["prolong", spec, "--cap", "2"],
+                          ["twist", spec, "--q", "holomorphic"])]
+    assert bad == []
+    # 1d N=1, 3d N=1 and 11d have no cataloged holomorphic twist
+    assert codes == [0, 0, 2 if key in ("1d-n1", "3d-n1", "11d") else 0]
 
 
 def test_variety_command(capsys, spec_3d_n1):
@@ -156,15 +223,19 @@ def spec_3d_n2(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("q", ["\u0663,0,0,0", " 1_0 ,0,0,0", "1.0,0,0,0"])
+@pytest.mark.parametrize("q", ["\u0663,0,0,0", " 1_0 ,0,0,0", "1.0,0,0,0", "0,0,1.5,0", "1,0,0,",
+                               "1.5", "\u0663"])
 def test_twist_vector_takes_only_spec_rationals(capsys, spec_3d_n2, q):
-    """Each component of --q is read by the spec reader's number rule: ASCII
-    digits, an optional leading minus and slash, nothing around them."""
+    """Each component of a --q that is not a twist name (an identifier with
+    no comma) is read by the spec reader's number rule: ASCII digits, an
+    optional leading minus and slash, nothing around them.  The first that
+    fails is named with its position."""
+    pos, part = next((i, p) for i, p in enumerate(q.split(","), 1) if p not in ("0", "1"))
     code = main(["--json", "twist", spec_3d_n2, "--q", q])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: unknown twist name {q!r}\n"
+    assert captured.err == f"error: --q component {pos} is not a rational: {part!r}\n"
 
 
 @pytest.mark.parametrize("q", ["1,0,0,0", "2/2,0,0/5,-0"])

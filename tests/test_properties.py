@@ -221,6 +221,12 @@ def test_kernel_pulls_no_row_past_full_rank(system):
     assert len(pulled) == (len(rows) if full_at is None else full_at)
 
 
+def _as_fractions(acts: list) -> list:
+    """The actions with every value as a Fraction, so that their repr spells
+    an integral value as it did when the layers stored Fractions only."""
+    return [[{c: Fraction(v) for c, v in img.items()} for img in per] for per in acts]
+
+
 @pytest.mark.parametrize("key, max_degree, max_rows, digest", [
     ((6, (2, 0)), 3, 7_400, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
     ((10, (1, 0)), 2, 4_300, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
@@ -242,10 +248,40 @@ def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degr
 
     monkeypatch.setattr(algebras, "sparse_kernel", counted_kernel)
     res = tanaka_prolongation(build_standard(*key), max_degree)
-    text = repr([(m, res.layers[m].act_s, res.layers[m].act_v) for m in sorted(res.layers)])
+    text = repr([(m, _as_fractions(res.layers[m].act_s), _as_fractions(res.layers[m].act_v))
+                 for m in sorted(res.layers)])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert len(pulled) == max_degree + 1
     assert sum(pulled) <= max_rows
+
+
+@pytest.mark.parametrize("key, cap, digest", [
+    ((1, (1,)), 6, "f7653a708d3fe2a84af9474341ea66f149edbeeff787fd5710f77becf51e68bb"),
+    ((3, (1,)), 6, "e2be1fbbd5ade69d56d70f8a0eb91a06bccbf8061a5c267f224204fd24a9976f"),
+    ((3, (2,)), 4, "d607bdc6095f4f61c6d2e8b37f5d7c7d6f58ff42c6dfa1625370f38f800a90f1"),
+    ((4, (1,)), 4, "1fae9c776bc4d7a05fa94149982dce352c2a2bc688abbd214e60ac20d382756c"),
+    ((4, (2,)), 3, "8dd9067d5ddb14e26a89dba0034675ba6836137c6c2e7fb018fdc25e4f67e62c"),
+    ((4, (3,)), 2, "9456f89d7adca1dfb830566e015500a74db334c0ae7b0e4bfcfe79abfdb60357"),
+    ((4, (4,)), 2, "6076671147ea78f27338a0f108d5b7647f654508cc4bf1ba13e9a87cbe569933"),
+    ((6, (1, 0)), 3, "b01429fbca52ea61a9728413faf52664b12d815f5d1f5a37f6cae53e15fd675b"),
+    ((6, (2, 0)), 3, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
+    ((10, (1, 0)), 2, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
+    ((10, (2, 0)), 2, "db16d315f85928d0d9761370ec9d6911ba627d99109bff282a52b401ca2d28e1"),
+    ((11, (1,)), 2, "97f1f0bfa3d4c13e238881af92829756398881a14eb17ddccd19976e13159125"),
+], ids=["1d-n1", "3d-n1", "3d-n2", "4d-n1", "4d-n2", "4d-n3", "4d-n4", "6d-n10", "6d-n20",
+        "10d-n10", "10d-n20", "11d"])
+def test_layer_values_are_ints_unless_they_have_a_denominator(key, cap, digest):
+    """Each stored action value is an int, or a Fraction with denominator > 1;
+    as numbers and in key order the layers hash as when they stored Fractions
+    only (the cap is the fixture's where one sets it)."""
+    res = tanaka_prolongation(build_standard(*key), cap)
+    for layer in res.layers.values():
+        for img in (img for acts in (layer.act_s, layer.act_v) for per in acts for img in per):
+            for v in img.values():
+                assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
+    text = repr([(m, _as_fractions(res.layers[m].act_s), _as_fractions(res.layers[m].act_v))
+                 for m in sorted(res.layers)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _combination(coeffs: dict, vecs: list) -> dict:
