@@ -6,10 +6,11 @@ standard physical algebras over Q in split/Weyl-type bases so that several
 defining ideals come out monomial or binomial.
 
 The derivations are graded in layers.  Layers -2 and -1 are the even and odd
-spaces; layer m >= 0 is solved from the two below it by one linear solve in
-one flat layout.  Degree zero, the derivations g0, is solved here and read
-by the conformal-type report and by twisting; `prolongation` extends the
-same layers to positive degrees.
+spaces; each element of a layer m >= 0 is stored as its action on the
+generators, one table, and the layer is solved from the layers below by one
+derivation identity over pairs of generators.  Degree zero, the derivations
+g0, is solved here and read by the conformal-type report and by twisting;
+`prolongation` extends the same layers to positive degrees.
 
 Conventions fixed here once and for all:
   * ring variables l1..lk carry weight one, the even space weight two;
@@ -24,9 +25,10 @@ Conventions fixed here once and for all:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from . import clifford
@@ -264,43 +266,46 @@ def build_standard(dimension: int, susy) -> SupertranslationAlgebra:
 
 
 class _Layer:
-    """One graded piece: action coordinates of each basis element.
+    """One graded piece: the action of each basis element on the generators.
 
-    act_s[x][a] is [x, e_a] in coordinates of the layer one below;
-    act_v[x][mu] is [x, v_mu] two layers below.  Layers -2 and -1 hold the
-    base algebra, with gamma as the action of layer -1 on the odd generators.
-    A degree-zero element is a derivation pair (A, B) with
-    act_s[x][a] = {c: A[c][a]} and act_v[x][mu] = {c: B[c][mu]}.  Values are
-    `int | Fraction`, a Fraction only where the denominator exceeds 1.
+    act[x][g] is [x, g] for generator g of the negative part: for g < k the
+    odd e_g, in coordinates of the layer one below; for g = k + mu the even
+    v_mu, two layers below.  Layers -2 and -1 hold the base algebra, with
+    gamma as the action of layer -1 on the odd generators.  A degree-m element
+    x is exactly one for which ad x is a derivation:
+
+        [x, [g, h]] = [[x, g], h] + eps [[x, h], g],
+
+    eps = +1 for two odd generators and -1 otherwise, and [g, h] is
+    gamma(e_g, e_h) for two odd ones, else 0.  A degree-zero element is a pair
+    (A, B) with act[x][a] = {c: A[c][a]} and act[x][k + mu] = {c: B[c][mu]}.
+    Values are `int | Fraction`, a Fraction only where the denominator
+    exceeds 1.
     """
 
-    __slots__ = ("dim", "act_s", "act_v", "solver")
+    __slots__ = ("dim", "act", "solver")
 
-    def __init__(self, dim, act_s, act_v, solver=None):
+    def __init__(self, dim, act, solver=None):
         self.dim = dim
-        self.act_s = act_s
-        self.act_v = act_v
+        self.act = act
         self.solver = solver
 
 
-def _flat_index(layers: dict, m: int):
+def _offsets(layers: dict, m: int) -> list[int]:
     """The flat layout of an element x of degree m >= 0, given by its actions.
 
-    Coordinate c of [x, e_a] sits at a*n1 + c and coordinate c of [x, v_mu]
-    at k*n1 + mu*n2 + c, where n1 and n2 are the dimensions of layers m-1
-    and m-2 (k and d for m = 0).  Layer m's solver holds its basis in this
-    layout.  Returns the two index maps and the number of coordinates.
+    Coordinate c of [x, g] sits at offsets[g] + c: the prefix sums of the
+    block sizes, the dimension of layer m-1 for each odd generator and of
+    layer m-2 for each even one.  The last entry is the number of
+    coordinates.  Layer m's solver holds its basis in this layout.
     """
-    k, d = layers[-1].dim, layers[-2].dim
-    n1, n2 = layers[m - 1].dim, layers[m - 2].dim
-    return (lambda a, c: a * n1 + c), (lambda mu, c: k * n1 + mu * n2 + c), k * n1 + d * n2
+    sizes = [layers[m - 1].dim] * layers[-1].dim + [layers[m - 2].dim] * layers[-2].dim
+    return list(accumulate(sizes, initial=0))
 
 
-def _flatten(layers: dict, m: int, act_s: list, act_v: list) -> dict:
-    odd, even, _ = _flat_index(layers, m)
-    flat = {odd(a, c): v for a, img in enumerate(act_s) for c, v in img.items()}
-    flat.update((even(mu, c), v) for mu, img in enumerate(act_v) for c, v in img.items())
-    return flat
+def _flatten(layers: dict, m: int, act: list) -> dict:
+    offsets = _offsets(layers, m)
+    return {offsets[g] + c: v for g, img in enumerate(act) for c, v in img.items()}
 
 
 def _exact(v):
@@ -311,16 +316,11 @@ def _exact(v):
 def _negative_layers(alg: SupertranslationAlgebra) -> dict:
     k, d = alg.k, alg.d
     return {
-        -2: _Layer(
-            d,
-            [[{} for _ in range(k)] for _ in range(d)],
-            [[{} for _ in range(d)] for _ in range(d)],
-        ),
+        -2: _Layer(d, [[{} for _ in range(k + d)] for _ in range(d)]),
         -1: _Layer(
             k,
             [[{mu: _exact(g) for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
-             for a in range(k)],
-            [[{} for _ in range(d)] for _ in range(k)],
+             + [{} for _ in range(d)] for a in range(k)],
         ),
     }
 
@@ -328,74 +328,53 @@ def _negative_layers(alg: SupertranslationAlgebra) -> dict:
 def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     """Linear solve for degree m >= 0 from the layers below.
 
-    The unknowns are the flat coordinates of a degree-m element.  Each
-    condition is a difference of two sums of terms (unknown, vector over the
-    target coordinates c) and gives one row per c.  At m = 0 condition (1)
-    is B gamma(s,t) = gamma(As,t) + gamma(s,At), and (2) and (3) give no
-    rows, because layers -1 and -2 act trivially on the even generators.
+    The unknowns are the flat coordinates of a degree-m element.  Each pair of
+    generators g <= h (g = h only for odd g) gives the derivation identity of
+    `_Layer` as one row per target coordinate c of
+    [[x, g], h] + eps [[x, h], g] - [x, [g, h]].  At m = 0 only the odd pairs
+    give rows, B gamma(s,t) = gamma(As,t) + gamma(s,At), because layers -1 and
+    -2 act trivially on the even generators.
 
-    Rows are built condition by condition as `sparse_kernel` pulls them, none
-    after every unknown is a pivot.  (2) and (3) come first to raise the rank
-    sooner; the basis is read off the RREF of the row span, whatever the order.
+    Rows are built pair by pair as `sparse_kernel` pulls them, none after
+    every unknown is a pivot.  Odd-even pairs come first, then even-even, then
+    odd-odd, to raise the rank sooner; the basis is read off the RREF of the
+    row span, whatever the order.
     """
     k, d = alg.k, alg.d
-    below = layers[m - 1]
-    below2 = layers[m - 2]
-    odd, even, nunk = _flat_index(layers, m)
-
-    def condition(plus, minus):
-        row_by_c: dict[int, dict[int, int | Fraction]] = {}
-        for terms, negate in ((plus, False), (minus, True)):
-            for key, vec in terms:
-                for c, v in vec.items():
-                    row = row_by_c.setdefault(c, {})
-                    if negate:
-                        v = -v
-                    row[key] = row[key] + v if key in row else v
-        return row_by_c.values()
+    offsets = _offsets(layers, m)
+    shift = [1] * k + [2] * d  # minus the degree of each generator
+    n2 = layers[m - 2].dim
+    pairs = chain(product(range(k), range(k, k + d)), combinations(range(k, k + d), 2),
+                  combinations_with_replacement(range(k), 2))
 
     def rows():
-        # (2) [F(s), v] = [G(v), s], valued two layers below
-        for a in range(k):
-            for mu in range(d):
-                yield from condition(
-                    [(odd(a, p), below.act_v[p][mu]) for p in range(below.dim)],
-                    [(even(mu, p), below2.act_s[p][a]) for p in range(below2.dim)],
-                )
-        # (3) [G(v), v'] = [G(v'), v], valued three layers below
-        for mu in range(d):
-            for nu in range(mu + 1, d):
-                yield from condition(
-                    [(even(mu, p), below2.act_v[p][nu]) for p in range(below2.dim)],
-                    [(even(nu, p), below2.act_v[p][mu]) for p in range(below2.dim)],
-                )
-        # (1) G(gamma(s,t)) = [F(s), t] + [F(t), s], valued one layer below
-        for a in range(k):
-            for b in range(a, k):
-                yield from condition(
-                    [(even(mu, p), {p: g})
-                     for mu, g in layers[-1].act_s[a][b].items() for p in range(below2.dim)],
-                    [(odd(a, p), below.act_s[p][b]) for p in range(below.dim)]
-                    + [(odd(b, p), below.act_s[p][a]) for p in range(below.dim)],
-                )
+        for g, h in pairs:
+            # (first unknown, vectors over c, negate): -[x, [g, h]], [[x, g], h], eps [[x, h], g]
+            terms = [(offsets[k + mu], [{p: v} for p in range(n2)], True)
+                     for mu, v in layers[-1].act[g][h].items()] if h < k else []
+            for s, t, negate in ((g, h, False), (h, g, h >= k)):
+                terms.append((offsets[s], [y[t] for y in layers[m - shift[s]].act], negate))
+            row_by_c: dict[int, dict[int, int | Fraction]] = {}
+            for start, vecs, negate in terms:
+                for col, vec in enumerate(vecs, start):
+                    for c, v in vec.items():
+                        row = row_by_c.setdefault(c, {})
+                        if negate:
+                            v = -v
+                        row[col] = row[col] + v if col in row else v
+            yield from row_by_c.values()
 
-    vecs = sparse_kernel(rows(), nunk)
-    act_s = []
-    act_v = []
+    vecs = sparse_kernel(rows(), offsets[-1])
+    act = []
     solver = SpanSolver()
-    split = k * below.dim  # the first even coordinate of the `_flat_index` layout
     for x, vec in enumerate(vecs):
-        act_s.append([{} for _ in range(k)])
-        act_v.append([{} for _ in range(d)])
+        act.append([{} for _ in range(k + d)])
         for i in sorted(vec):
-            if i < split:
-                act_s[x][i // below.dim][i % below.dim] = _exact(vec[i])
-            else:
-                mu, p = divmod(i - split, below2.dim)
-                act_v[x][mu][p] = _exact(vec[i])
+            g = bisect_right(offsets, i) - 1
+            act[x][g][i - offsets[g]] = _exact(vec[i])
         if not solver.add(vec, x):
             raise AssertionError("derivation layer basis not independent")
-    return _Layer(len(vecs), act_s, act_v, solver)
+    return _Layer(len(vecs), act, solver)
 
 
 @dataclass
@@ -412,16 +391,18 @@ class AutomorphismAlgebra:
     def odd_orbit(self, q: Sequence[Fraction]) -> list[dict[int, Fraction]]:
         """A q for each basis pair (A, B), sparse; they span the g0-orbit of q."""
         orbit = []
-        for act_s in self.layers[0].act_s:
+        for act in self.layers[0].act:
             out: dict[int, Fraction] = {}
-            for a, img in enumerate(act_s):
+            for a, img in enumerate(act[:self.algebra.k]):
                 for c, v in img.items():
                     out[c] = out.get(c, _F0) + v * q[a]
             orbit.append({c: v for c, v in out.items() if v})
         return orbit
 
     def rho2_image_dim(self) -> int:
-        return sparse_rank([_flatten(self.layers, 0, [], act_v) for act_v in self.layers[0].act_v])
+        k = self.algebra.k
+        return sparse_rank([_flatten(self.layers, 0, [{}] * k + act[k:])
+                            for act in self.layers[0].act])
 
     def rho2_kernel_dim(self) -> int:
         return self.dim - self.rho2_image_dim()
@@ -429,7 +410,7 @@ class AutomorphismAlgebra:
     def contains_grading_element(self) -> bool:
         k, d = self.algebra.k, self.algebra.d
         grading = _flatten(
-            self.layers, 0, [{a: _F1} for a in range(k)], [{mu: Fraction(2)} for mu in range(d)]
+            self.layers, 0, [{a: _F1} for a in range(k)] + [{mu: Fraction(2)} for mu in range(d)]
         )
         return self.layers[0].solver.solve(grading) is not None
 
@@ -441,16 +422,16 @@ class AutomorphismAlgebra:
         gamma = self.algebra.gamma
         k, d = self.algebra.k, self.algebra.d
         layer = self.layers[0]
-        for act_s, act_v in zip(layer.act_s, layer.act_v):
+        for act in layer.act:
             for a in range(k):
                 for b in range(a, k):
                     lhs = [_F0] * d
                     for mu, g in enumerate(gamma[a][b]):
-                        for c, v in act_v[mu].items():
+                        for c, v in act[k + mu].items():
                             lhs[c] += g * v
                     rhs = [_F0] * d
                     for s, t in ((a, b), (b, a)):
-                        for c, v in act_s[s].items():
+                        for c, v in act[s].items():
                             for mu, g in enumerate(gamma[c][t]):
                                 rhs[mu] += v * g
                     if lhs != rhs:
@@ -538,8 +519,8 @@ def check_conformal_type(
     expected = d * (d - 1) // 2 + 1
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
     h_rows = []
-    for act_v in g0.layers[0].act_v:
-        shift = Fraction(-2 * sum(act_v[i].get(i, 0) for i in range(d)), d) if d else _F0
+    for even in (act[k:] for act in g0.layers[0].act):
+        shift = Fraction(-2 * sum(even[i].get(i, 0) for i in range(d)), d) if d else _F0
         for r in range(d):
             for c in range(r, d):
                 row: dict[int, Fraction] = {}
@@ -554,9 +535,9 @@ def check_conformal_type(
                     elif key in row:
                         del row[key]
 
-                for m, v in act_v[r].items():
+                for m, v in even[r].items():
                     bump(m, c, v)
-                for m, v in act_v[c].items():
+                for m, v in even[c].items():
                     bump(r, m, v)
                 bump(r, c, shift)
                 if row:

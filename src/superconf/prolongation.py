@@ -1,11 +1,11 @@
 """Maximal transitive prolongation: positive layers, bracket table, oracle.
 
-The prolongation is pure finite linear algebra: degree m consists of pairs
-of maps (odd -> layer m-1, even -> layer m-2) satisfying the derivation
-conditions against the two nonzero bracket types of the base algebra.
-`algebras` holds the layer layout and the one layer solve and computes
-degree zero, the derivations g0; `tanaka_prolongation` extends those layers
-to the positive degrees with the same solve.  The
+The prolongation is pure finite linear algebra: degree m consists of the
+elements whose bracket with the generators, layer m-1 on an odd one and
+layer m-2 on an even one, is a derivation of the base algebra.  `algebras`
+holds the layer table and the one layer solve and computes degree zero, the
+derivations g0; `tanaka_prolongation` extends those layers to the positive
+degrees with the same solve.  The
 bracket of the computed layers is tabulated once per pair of basis elements
 and checked against the Jacobi identity.  The oracle builds honest
 polynomial-coefficient derivations of the structure sheaf, truncated by the
@@ -134,32 +134,28 @@ class ProlongationBrackets:
                     for p in range(layers[i].dim)]
         if i < 0:
             # [e_p, y] = sign [y, e_p], an action stored with y
-            acts = layers[j].act_s if i == -1 else layers[j].act_v
-            return [[_axpy({}, sign, acts[q][p]) for q in range(layers[j].dim)]
+            first = 0 if i == -1 else self.alg.k
+            return [[_axpy({}, sign, layers[j].act[q][first + p]) for q in range(layers[j].dim)]
                     for p in range(layers[i].dim)]
         target = layers.get(i + j)
+        shifts = list(enumerate([1] * self.alg.k + [2] * self.alg.d))
         entries = []
         for p in range(layers[i].dim):
             x = {p: _F1}
             row = []
             for q in range(layers[j].dim):
                 y = {q: _F1}
-                act_s = [
-                    _axpy(self.bracket(i, x, j - 1, layers[j].act_s[q][a]),
-                          sign, self.bracket(j, y, i - 1, layers[i].act_s[p][a]))
-                    for a in range(self.alg.k)
-                ]
-                act_v = [
-                    _axpy(self.bracket(i, x, j - 2, layers[j].act_v[q][mu]),
-                          sign, self.bracket(j, y, i - 2, layers[i].act_v[p][mu]))
-                    for mu in range(self.alg.d)
+                act = [
+                    _axpy(self.bracket(i, x, j - s, layers[j].act[q][g]),
+                          sign, self.bracket(j, y, i - s, layers[i].act[p][g]))
+                    for g, s in shifts
                 ]
                 if target is None or target.dim == 0:
-                    if any(act_s) or any(act_v):
+                    if any(act):
                         raise AssertionError("bracket result escapes the computed layers")
                     row.append({})
                     continue
-                coords = target.solver.solve(_flatten(layers, i + j, act_s, act_v))
+                coords = target.solver.solve(_flatten(layers, i + j, act))
                 if coords is None:
                     raise AssertionError("bracket result outside the computed layer")
                 row.append(coords)

@@ -260,9 +260,9 @@ def layer_zero_in_reference_layout(g0):
     """The layer-0 basis rewritten as flat (A, B) vectors in the reference layout."""
     k, d = g0.algebra.k, g0.algebra.d
     out = []
-    for act_s, act_v in zip(g0.layers[0].act_s, g0.layers[0].act_v):
-        vec = {c * k + a: v for a, img in enumerate(act_s) for c, v in img.items()}
-        vec.update({k * k + c * d + mu: v for mu, img in enumerate(act_v) for c, v in img.items()})
+    for act in g0.layers[0].act:
+        vec = {c * k + a: v for a, img in enumerate(act[:k]) for c, v in img.items()}
+        vec.update({k * k + c * d + mu: v for mu, img in enumerate(act[k:]) for c, v in img.items()})
         out.append(vec)
     return out
 

@@ -82,6 +82,20 @@ INFO_DIGESTS = {
     "11d": "8618a8510027f766521054689d486ef73e0829a5a97f37a10af219de8c4ffa8a",
 }
 
+# SHA-256 of `--json twist --q holomorphic` stdout, recorded before the layers
+# stored one action table per element
+TWIST_DIGESTS = {
+    "3d-n2": "bd5d3b302cc7b378257aa28ce761abeb2280cd97dcd2f2df53d61ae4a2cab9c4",
+    "4d-n1": "d408c6e8273cc9be0d5d781f74289007ebdde5dcf804b77e64d1cd77e2127b92",
+    "4d-n2": "356c405e76c86dc1f35d54096bfe7f2c45eb68bfce010c0c51e5a882996bc537",
+    "4d-n3": "b02e619e883982907cbb94a6edf580cd749002d438bfb624810eb4a27471f021",
+    "4d-n4": "aeb1c0f19b9787cdbcda7b33016af5e223183dd953af8ae2f51cdd98bc2a347a",
+    "6d-n10": "12992ffece01de5e551f3e7a7ee6a86b9eefdb1b47b7336e049a6101bd67c619",
+    "6d-n20": "75d23db7f5d4d5cad7fb70e4a6746687aaece39d00141706e6d43d2393a0d7bd",
+    "10d-n10": "f68cea46746efda73fa155be2fc7c60e43d5a52d78513092fdaab448cd33b5fc",
+    "10d-n20": "53b8407ed66c640c7f1a5e0a83ea4ac0a21f42765d1beb63c9203c110c44ebf7",
+}
+
 
 def _catalog_spec(tmp_path, key) -> str:
     dim, susy = CATALOG_KEYS[key]
@@ -116,11 +130,19 @@ def test_eliminations_see_only_ints_and_fractions(capsys, monkeypatch, tmp_path,
     monkeypatch.setattr(linalg, "_int_rows", checked)
     spec = _catalog_spec(tmp_path, key)
     codes = [run(capsys, ["--json", "--cache-dir", str(tmp_path / "cache"), *argv])[0]
-             for argv in (["info", spec], ["prolong", spec, "--cap", "2"],
-                          ["twist", spec, "--q", "holomorphic"])]
+             for argv in (["info", spec], ["prolong", spec, "--cap", "2"])]
+    codes.append(main(["--json", "--cache-dir", str(tmp_path / "cache"),
+                       "twist", spec, "--q", "holomorphic"]))
+    captured = capsys.readouterr()
     assert bad == []
-    # 1d N=1, 3d N=1 and 11d have no cataloged holomorphic twist
-    assert codes == [0, 0, 2 if key in ("1d-n1", "3d-n1", "11d") else 0]
+    if key in TWIST_DIGESTS:
+        assert codes == [0, 0, 0]
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == TWIST_DIGESTS[key]
+    else:  # 1d N=1, 3d N=1 and 11d have no cataloged holomorphic twist
+        assert codes == [0, 0, 2]
+        assert captured.out == ""
+        assert captured.err == f"error: no holomorphic twist vector cataloged for {key}\n"
 
 
 def test_variety_command(capsys, spec_3d_n1):

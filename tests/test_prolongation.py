@@ -36,7 +36,8 @@ class RecursiveBrackets:
             if m >= 0:
                 self.solvers[m] = SpanSolver()
                 for x in range(layer.dim):
-                    self.solvers[m].add(self.keyed(layer.act_s[x], layer.act_v[x]), x)
+                    act = layer.act[x]
+                    self.solvers[m].add(self.keyed(act[:self.alg.k], act[self.alg.k:]), x)
 
     @staticmethod
     def keyed(act_s, act_v):
@@ -44,11 +45,11 @@ class RecursiveBrackets:
         flat.update({(1, mu, c): v for mu, img in enumerate(act_v) for c, v in img.items()})
         return flat
 
-    def act(self, m, x, which, a):
-        """[x, s] for x in layer m and s = e_a ("act_s") or v_a ("act_v")."""
+    def act(self, m, x, g):
+        """[x, g] for x in layer m and generator g: e_g for g < k, else v_{g-k}."""
         out = {}
         for p, xp in x.items():
-            for c, v in getattr(self.layers[m], which)[p][a].items():
+            for c, v in self.layers[m].act[p][g].items():
                 out[c] = out.get(c, 0) + xp * v
         return nonzero(out)
 
@@ -59,18 +60,18 @@ class RecursiveBrackets:
         if i > j:
             return {c: sign * v for c, v in self.bracket(j, y, i, x).items()}
         if i < 0:
-            which = "act_s" if i == -1 else "act_v"
+            first = 0 if i == -1 else self.alg.k
             out = {}
             for p, xp in x.items():
-                for c, v in self.act(j, y, which, p).items():
+                for c, v in self.act(j, y, first + p).items():
                     out[c] = out.get(c, 0) + sign * xp * v
             return nonzero(out)
         acts = []
-        for which, n, shift in (("act_s", self.alg.k, 1), ("act_v", self.alg.d, 2)):
+        for first, n, shift in ((0, self.alg.k, 1), (self.alg.k, self.alg.d, 2)):
             acts.append([])
-            for a in range(n):
-                out = self.bracket(i, x, j - shift, self.act(j, y, which, a))
-                for c, v in self.bracket(j, y, i - shift, self.act(i, x, which, a)).items():
+            for a in range(first, first + n):
+                out = self.bracket(i, x, j - shift, self.act(j, y, a))
+                for c, v in self.bracket(j, y, i - shift, self.act(i, x, a)).items():
                     out[c] = out.get(c, 0) + sign * v
                 acts[-1].append(nonzero(out))
         flat = self.keyed(*acts)
@@ -90,17 +91,22 @@ def test_3d_n1_prolongation():
     assert res.total_odd() == 4
 
 
-def test_3d_n1_jacobi():
-    alg = build_standard(3, 1)
-    res = tanaka_prolongation(alg, max_degree=4)
+@pytest.mark.parametrize("key, cap, degrees", [
+    ((3, 1), 4, [-2, -1, 0, 1, 2]),
+    ((4, 2), 3, [-2, -1, 0, 1]),
+    ((6, (1, 0)), 3, [-2, -1, 0]),
+], ids=["3d-n1", "4d-n2", "6d-n10"])
+def test_jacobi_identity(key, cap, degrees):
+    alg = build_standard(*key)
+    res = tanaka_prolongation(alg, max_degree=cap)
     br = ProlongationBrackets(alg, res)
-    assert br.check_jacobi([-2, -1, 0, 1, 2])
+    assert br.check_jacobi(degrees)
 
 
 def test_jacobi_check_fails_on_a_perturbed_action():
     alg = build_standard(3, 1)
     res = tanaka_prolongation(alg, max_degree=4)
-    act = res.layers[1].act_s[0][0]
+    act = res.layers[1].act[0][0]
     key = min(act)
     act[key] += 1
     assert ProlongationBrackets(alg, res).check_jacobi([-2, -1, 0, 1, 2]) is False

@@ -227,6 +227,15 @@ def _as_fractions(acts: list) -> list:
     return [[{c: Fraction(v) for c, v in img.items()} for img in per] for per in acts]
 
 
+def _layers_repr(res) -> str:
+    """The layers as (degree, odd actions, even actions), split at k as they
+    were stored when the digests were recorded."""
+    k = res.algebra.k
+    return repr([(m, _as_fractions([act[:k] for act in res.layers[m].act]),
+                  _as_fractions([act[k:] for act in res.layers[m].act]))
+                 for m in sorted(res.layers)])
+
+
 @pytest.mark.parametrize("key, max_degree, max_rows, digest", [
     ((6, (2, 0)), 3, 7_400, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
     ((10, (1, 0)), 2, 4_300, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
@@ -248,9 +257,7 @@ def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degr
 
     monkeypatch.setattr(algebras, "sparse_kernel", counted_kernel)
     res = tanaka_prolongation(build_standard(*key), max_degree)
-    text = repr([(m, _as_fractions(res.layers[m].act_s), _as_fractions(res.layers[m].act_v))
-                 for m in sorted(res.layers)])
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(_layers_repr(res).encode()).hexdigest() == digest
     assert len(pulled) == max_degree + 1
     assert sum(pulled) <= max_rows
 
@@ -276,12 +283,58 @@ def test_layer_values_are_ints_unless_they_have_a_denominator(key, cap, digest):
     only (the cap is the fixture's where one sets it)."""
     res = tanaka_prolongation(build_standard(*key), cap)
     for layer in res.layers.values():
-        for img in (img for acts in (layer.act_s, layer.act_v) for per in acts for img in per):
+        for img in (img for per in layer.act for img in per):
             for v in img.values():
                 assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
-    text = repr([(m, _as_fractions(res.layers[m].act_s), _as_fractions(res.layers[m].act_v))
-                 for m in sorted(res.layers)])
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(_layers_repr(res).encode()).hexdigest() == digest
+
+
+def _torus(alg) -> list[list]:
+    """A basis of the bracket's diagonal torus: weights w, odd a at index a and
+    even mu at k + mu, with w_a + w_b = w_mu wherever gamma_ab^mu != 0."""
+    k, d = alg.k, alg.d
+    rows = []
+    for a in range(k):
+        for b in range(a, k):
+            for mu, g in enumerate(alg.gamma[a][b]):
+                if g:
+                    row = {k + mu: -1}
+                    row[a] = row.get(a, 0) + 1
+                    row[b] = row.get(b, 0) + 1
+                    rows.append(row)
+    return [[w.get(i, 0) for i in range(k + d)] for w in sparse_kernel(rows, k + d)]
+
+
+def _layer_weights(res, w: list) -> dict:
+    """The weight under w of each basis element of each layer: w(c) - w(g)
+    over the nonzero act[x][g][c], asserted to be one value per element."""
+    k = res.algebra.k
+    weights = {-1: w[:k], -2: w[k:]}
+    for m in sorted(m for m in res.layers if m >= 0):
+        weights[m] = []
+        for x, act in enumerate(res.layers[m].act):
+            seen = {weights[m - (1 if g < k else 2)][c] - w[g]
+                    for g, img in enumerate(act) for c, v in img.items() if v}
+            assert len(seen) == 1, (m, x, seen)
+            weights[m].append(seen.pop())
+    return weights
+
+
+@pytest.mark.parametrize("key, cap, rank", [
+    ((1, (1,)), 6, 1), ((3, (1,)), 6, 2), ((3, (2,)), 4, 3), ((4, (1,)), 4, 4),
+    ((4, (2,)), 3, 5), ((4, (3,)), 2, 6), ((4, (4,)), 2, 7), ((6, (1, 0)), 3, 5),
+    ((6, (2, 0)), 3, 6), ((10, (1, 0)), 2, 6), ((10, (2, 0)), 2, 7), ((11, (1,)), 2, 6),
+], ids=["1d-n1", "3d-n1", "3d-n2", "4d-n1", "4d-n2", "4d-n3", "4d-n4", "6d-n10", "6d-n20",
+        "10d-n10", "10d-n20", "11d"])
+def test_layer_bases_are_weight_homogeneous(key, cap, rank):
+    """Every row of a layer solve is homogeneous under the diagonal torus of
+    the bracket, so each basis vector of the RREF kernel is too: a wrong
+    coordinate in a stored action shows up as a second weight."""
+    res = tanaka_prolongation(build_standard(*key), cap)
+    torus = _torus(res.algebra)
+    assert len(torus) == rank
+    for w in torus:
+        _layer_weights(res, w)
 
 
 def _combination(coeffs: dict, vecs: list) -> dict:
