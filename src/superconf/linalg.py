@@ -2,10 +2,10 @@
 
 Rows are dicts {col: value} with int or Fraction values and mutually
 comparable column keys.  One integer kernel, `_reduce_row`, serves the rank,
-the echelon form, the kernel and the span solver.  It reduces integer copies
-of the rows in place (the input is never touched), with content stripped and
-leads made positive, so coefficients stay small; pivot choice is always the
-minimal column of each reduced row, which keeps results independent of input
+the echelon form and the kernel.  It reduces integer copies of the rows in
+place (the input is never touched), with content stripped and leads made
+positive, so coefficients stay small; pivot choice is always the minimal
+column of each reduced row, which keeps results independent of input
 iteration order and of hashing.
 """
 
@@ -104,7 +104,9 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
     """Echelonized kernel basis of the row system, as sparse Fraction vectors.
 
     Column keys are 0..ncols-1.  The basis vector attached to free column f is
-    supported on f (entry 1) and on pivot columns.  No row is pulled once every
+    supported on f and on pivot columns.  Contract: each vector's first key is
+    its free column, its entry there is 1, and no other vector has that key;
+    `SpanSolver` reads coordinates off this form.  No row is pulled once every
     column is a pivot, as the kernel is then zero; short of that every row is
     reduced, so the basis is read off the RREF of the whole row span.
     """
@@ -116,38 +118,47 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
             for f in range(ncols) if f not in red]
 
 
-_MARK = (2, 0)
+def _reduce_by_leads(vec: dict, rows: dict) -> dict:
+    """vec less vec[lead] * row for each {lead: row}, in place, zeros dropped;
+    each row is 1 at its lead and 0 at the other leads (RREF rows, a kernel basis)."""
+    for lead, row in rows.items():
+        f = vec.get(lead)
+        if f:
+            for c, x in row.items():
+                w = vec.get(c, 0) - f * x
+                if w:
+                    vec[c] = w
+                else:
+                    vec.pop(c, None)
+    return vec
 
 
 class SpanSolver:
-    """Incremental row space over Q with combination tracking.
+    """Coordinates over a kernel basis as `sparse_kernel` returns it.
 
-    `add` returns whether the vector enlarged the span; `solve` expresses a
-    vector over the added tags, or returns None if it is outside the span.
-    Each added row carries its own tag as one more column (1, tag), ordered
-    after the vector columns (0, col), so the integer kernel records the
-    combination; `solve` carries the marker column (2, 0) instead.
+    The tag of a basis vector is its position.  Each vector's first key is 1,
+    no other vector has that key, and each vector is 0 at the others' first
+    keys, so the coordinates of a vector in the span are its entries at the
+    first keys.  The class keeps its name because the benchmark's tracer wraps
+    `add` and `solve` by name.
     """
 
-    def __init__(self):
-        self._pivots: dict = {}
+    def __init__(self, basis: Iterable[dict]):
+        self._rows: dict = {}  # first key -> basis vector, in tag order
+        self._support: set = set()
+        for vec in basis:
+            self.add(vec)
 
-    def add(self, vec: dict, tag) -> bool:
-        row = {(0, c): v for c, v in vec.items()}
-        row[(1, tag)] = 1
-        red = _reduce_row(next(_int_rows([row])), self._pivots)
-        lead = min(red)
-        if lead[0]:
-            return False
-        self._pivots[lead] = red
-        return True
+    def add(self, vec: dict) -> None:
+        """Append a basis vector; AssertionError unless the basis stays in that form."""
+        lead = next(iter(vec), None)
+        if vec.get(lead) != 1 or lead in self._support or not self._rows.keys().isdisjoint(vec):
+            raise AssertionError("basis not in kernel echelon form")
+        self._rows[lead] = vec
+        self._support.update(vec)
 
     def solve(self, vec: dict) -> dict | None:
-        row = {(0, c): v for c, v in vec.items()}
-        row[_MARK] = 1
-        red = _reduce_row(next(_int_rows([row])), self._pivots)
-        if min(red)[0] == 0:
+        """{tag: coordinate} of vec over the basis, or None off the span."""
+        if any(_reduce_by_leads(dict(vec), self._rows).values()):
             return None
-        # red = m*(vec, marker) - sum_t b_t*(v_t, tag t) with zero vector part
-        m = red[_MARK]
-        return {t: Fraction(-v, m) for (part, t), v in red.items() if part == 1}
+        return {t: Fraction(vec[lead]) for t, lead in enumerate(self._rows) if vec.get(lead)}

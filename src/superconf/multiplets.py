@@ -9,6 +9,7 @@ three-dimensional example lands in the familiar table layout.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .algebras import SupertranslationAlgebra, derivations_deg0, jacobian
@@ -156,8 +157,9 @@ def multiplet_module(alg: SupertranslationAlgebra, kind: str) -> MultipletModule
         return kaehler_module(alg)
     if kind == "canonical":
         return canonical_module(alg)
-    if kind.startswith("form:"):
-        return form_module(alg, int(kind.split(":", 1)[1]))
+    # one spelling per degree, so one cache entry per module
+    if re.fullmatch(r"form:(0|[1-9][0-9]*)", kind):
+        return form_module(alg, int(kind[5:]))
     raise ValueError(f"unknown multiplet kind {kind!r}")
 
 

@@ -372,12 +372,7 @@ def derivation_complex_h0(
         w: _ideal_derivation_vectors(sheaf, w) for w in (-1, 0, 1)
     }
     # span solvers for decomposing lambda-direction images at weight w
-    der_solvers: dict[int, SpanSolver] = {}
-    for w, vecs in der_vectors.items():
-        solver = SpanSolver()
-        for j, vec in enumerate(vecs):
-            solver.add(vec, j)
-        der_solvers[w] = solver
+    der_solvers = {w: SpanSolver(vecs) for w, vecs in der_vectors.items()}
 
     def xmonos(max_total: int):
         out = []

@@ -19,7 +19,7 @@ from .algebras import (
     is_square_zero,
 )
 from .groebner import hilbert_series, ideal_gb
-from .linalg import SpanSolver, rref, sparse_kernel
+from .linalg import SpanSolver, _reduce_by_leads, rref, sparse_kernel
 from .multiplets import component_fields, hdim, multiplet_module
 
 _F0 = Fraction(0)
@@ -55,13 +55,8 @@ def _quotient_data(ambient_dim: int, sub_rows):
     reps = [i for i in range(ambient_dim) if i not in red]
 
     def project(vec):
-        out = list(vec)
-        for p, row in red.items():
-            f = out[p]
-            if f:
-                for c, x in row.items():
-                    out[c] -= f * x
-        return [out[i] for i in reps]
+        out = _reduce_by_leads(dict(enumerate(vec)), red)
+        return [out.get(i, _F0) for i in reps]
 
     return reps, project
 
@@ -81,9 +76,7 @@ def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
     ker_vecs = sparse_kernel(ker_rows, k)
     # odd part of the twist: kernel modulo orbit, in kernel coordinates; the
     # orbit lies inside the kernel as a consequence of q^2 = 0
-    ker_solver = SpanSolver()
-    for i, v in enumerate(ker_vecs):
-        ker_solver.add(v, i)
+    ker_solver = SpanSolver(ker_vecs)
     orbit_in_ker = []
     for v in derivations_deg0(alg).odd_orbit(qv):
         coords = ker_solver.solve(v)

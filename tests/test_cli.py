@@ -388,6 +388,25 @@ def test_form_multiplet_kind(capsys, spec_3d_n1):
     assert data["betti"]
 
 
+@pytest.mark.parametrize("kind", ["form:x", "form:", "form:1.5", "form: 1", "form:+1", "form:01"])
+def test_malformed_form_kind_exits_2(capsys, tmp_path, spec_3d_n1, kind):
+    cache = tmp_path / "cache"
+    code = main(["--json", "--cache-dir", str(cache), "multiplet", kind, spec_3d_n1])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: unknown multiplet kind {kind!r}\n"
+    assert not cache.exists() or not any(cache.rglob("*.json"))
+
+
+def test_form_zero_multiplet_output_is_unchanged(capsys, tmp_path, spec_3d_n1):
+    code, out = run(capsys, ["--json", "--cache-dir", str(tmp_path / "cache"),
+                             "multiplet", "form:0", spec_3d_n1])
+    assert code == 0
+    assert out == ('{"betti":[[0,0,1],[1,2,3],[2,3,2]],"complete":true,"kind":"form:0",'
+                   '"name":"3dN1","schema":1,"table":[[0,0,1],[1,0,3],[1,1,2]]}\n')
+
+
 def test_cache_dir_env_var(tmp_path, monkeypatch, capsys, spec_3d_n1):
     monkeypatch.setenv("SUPERCONF_CACHE_DIR", str(tmp_path))
     code, out1 = run(capsys, ["--json", "variety", spec_3d_n1])

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from superconf.linalg import SpanSolver, rref, sparse_kernel, sparse_rank
 
@@ -58,15 +61,27 @@ def test_kernel_vectors_annihilate():
         assert all(x == 0 for x in apply(rows, v))
 
 
+def combine(coeffs, vecs):
+    out = {}
+    for t, c in coeffs.items():
+        for col, x in vecs[t].items():
+            out[col] = out.get(col, 0) + c * x
+    return {col: x for col, x in out.items() if x}
+
+
 def test_solve():
-    # x with m x = b for m = [[1, 1], [1, -1]]: b over the columns of m
-    solver = SpanSolver()
-    assert solver.add({0: 1, 1: 1}, 0) and solver.add({0: 1, 1: -1}, 1)
-    assert solver.solve({0: F(3), 1: F(1)}) == {0: F(2), 1: F(1)}
-    inconsistent = SpanSolver()
-    assert inconsistent.add({0: 1, 1: 1}, 0)
-    assert not inconsistent.add({0: 1, 1: 1}, 1)
-    assert inconsistent.solve({0: F(0), 1: F(1)}) is None
+    rng = random.Random(21)
+    rows = [{c: x for c in range(6) if (x := rng.randint(-3, 3))} for _ in range(3)]
+    basis = sparse_kernel(rows, 6)
+    assert len(basis) >= 2
+    solver = SpanSolver(basis)
+    coeffs = {t: F(t + 1, 3) for t in range(len(basis))}
+    target = combine(coeffs, basis)
+    assert solver.solve(target) == coeffs
+    pivot = min(rref(rows))
+    assert solver.solve({**target, pivot: target.get(pivot, 0) + 1}) is None
+    with pytest.raises(AssertionError):
+        SpanSolver([basis[0], combine({0: 1, 1: 1}, basis), *basis[2:]])
 
 
 def test_sparse_matches_dense():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superconf.algebras import SupertranslationAlgebra, build_standard, derivations_deg0
-from superconf.linalg import SpanSolver
+from superconf.linalg import rref
 from superconf.prolongation import (
     ProlongationBrackets,
     derivation_complex_h0,
@@ -21,23 +21,44 @@ def nonzero(vec):
     return {c: v for c, v in vec.items() if v}
 
 
+class RrefSolver:
+    """Coordinates over independent vectors from one `rref` of the rows
+    (vector, tag): tag column (2, x) of vector x sorts after every vector
+    column (0, ...) or (1, ...), so each row with a vector pivot records the
+    combination of vectors it is."""
+
+    def __init__(self, vecs):
+        red = rref({**vec, (2, x): 1} for x, vec in enumerate(vecs))
+        self.rows = {p: row for p, row in red.items() if p[0] < 2}
+        assert len(self.rows) == len(vecs), "vectors not independent"
+
+    def solve(self, vec):
+        rest, coords = dict(vec), {}
+        for p, row in self.rows.items():
+            f = rest.get(p)
+            if f:
+                for c, v in row.items():
+                    if c[0] == 2:
+                        coords[c[1]] = coords.get(c[1], 0) + f * v
+                    else:
+                        rest[c] = rest.get(c, 0) - f * v
+        return None if any(rest.values()) else nonzero(coords)
+
+
 class RecursiveBrackets:
     """The bracket re-derived recursively on every call: the reference.
 
     It reads only the stored actions of each layer and solves for coordinates
-    with its own span solvers, keyed by (0, a, c) for [x, e_a] and (1, mu, c)
-    for [x, v_mu], so it shares no table and no flat layout with the engine.
+    with its own `RrefSolver`s, keyed by (0, a, c) for [x, e_a] and (1, mu, c)
+    for [x, v_mu], so it shares no table, no flat layout and no solve with the
+    engine.
     """
 
     def __init__(self, res):
         self.alg, self.layers = res.algebra, res.layers
-        self.solvers = {}
-        for m, layer in self.layers.items():
-            if m >= 0:
-                self.solvers[m] = SpanSolver()
-                for x in range(layer.dim):
-                    act = layer.act[x]
-                    self.solvers[m].add(self.keyed(act[:self.alg.k], act[self.alg.k:]), x)
+        k = self.alg.k
+        self.solvers = {m: RrefSolver([self.keyed(act[:k], act[k:]) for act in layer.act])
+                        for m, layer in self.layers.items() if m >= 0}
 
     @staticmethod
     def keyed(act_s, act_v):

@@ -345,38 +345,40 @@ def _combination(coeffs: dict, vecs: list) -> dict:
     return {col: x for col, x in out.items() if x}
 
 
-@st.composite
-def keyed_vectors(draw):
-    """Fraction vectors on tuple column keys (a, b, c) with a in {0, 1}, as the
-    reference span solvers of test_prolongation key them; about half of them
-    are random combinations of the earlier ones."""
-    keys = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
-                         min_size=1, max_size=6, unique=True))
-    vecs = []
-    for _ in range(draw(st.integers(1, 6))):
-        if vecs and draw(st.booleans()):
-            coeffs = draw(st.lists(fractions, min_size=len(vecs), max_size=len(vecs)))
-            vecs.append(_combination(dict(enumerate(coeffs)), vecs))
-        else:
-            vecs.append({k: x for k in keys if (x := draw(fractions))})
-    return vecs
-
-
-@given(keyed_vectors(), st.data())
+@given(matrices(entries=st.integers(-3, 3)), st.data())
 @settings(max_examples=60, deadline=None)
-def test_span_solver_tracks_rank_and_recovers_combinations(vecs, data):
-    solver = SpanSolver()
-    accepted = []
-    for tag, vec in enumerate(vecs):
-        grows = sparse_rank(vecs[: tag + 1]) > sparse_rank(vecs[:tag])
-        assert solver.add(vec, tag) == grows
-        if grows:
-            accepted.append(tag)
-    coeffs = {t: data.draw(fractions) for t in accepted}
-    target = _combination(coeffs, vecs)
+def test_span_solver_tracks_rank_and_recovers_combinations(system, data):
+    """Over the kernel basis of random integer rows (cols - rank vectors) the
+    solver recovers random Fraction combinations exactly, gives None off the
+    span, and rejects a basis that is not in kernel echelon form."""
+    rows, cols = system
+    basis = sparse_kernel(rows, cols)
+    assert len(basis) == cols - sparse_rank(rows)
+    solver = SpanSolver(basis)
+    coeffs = {t: data.draw(fractions) for t in range(len(basis))}
+    target = _combination(coeffs, basis)
     assert solver.solve(target) == {t: c for t, c in coeffs.items() if c}
-    assert solver.solve({**target, (2, 0, 0): Fraction(1)}) is None
     assert solver.solve({}) == {}
+    # +1 at a pivot column (or at a column outside the system) leaves the span
+    for col in [*rref(rows), cols]:
+        assert solver.solve({**target, col: target.get(col, 0) + 1}) is None
+    if len(basis) > 1:
+        with pytest.raises(AssertionError):
+            SpanSolver([basis[0], _combination({0: 1, 1: 1}, basis), *basis[2:]])
+
+
+@given(systems_with_rows_past_full_rank())
+@settings(max_examples=100, deadline=None)
+def test_kernel_vectors_lead_with_their_free_column(system):
+    """The `sparse_kernel` contract: each vector's first key is its free
+    column, the vector is 1 there, and no other vector has that key."""
+    rows, cols = system
+    basis = sparse_kernel(rows, cols)
+    leads = [next(iter(v)) for v in basis]
+    assert leads == [f for f in range(cols) if f not in rref(rows)]
+    for x, (vec, lead) in enumerate(zip(basis, leads)):
+        assert vec[lead] == 1
+        assert all(lead not in other for y, other in enumerate(basis) if y != x)
 
 
 @st.composite
