@@ -335,7 +335,12 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     give rows, B gamma(s,t) = gamma(As,t) + gamma(s,At), because layers -1 and
     -2 act trivially on the even generators.
 
-    Rows are built pair by pair as `sparse_kernel` pulls them, none after
+    With [x, g] = sum_y x_gy y over the basis y of its layer, row (g, h, c)
+    has the entry [y, h]_c at unknown x_gy, eps [y, g]_c at x_hy, and
+    -gamma(g, h)_mu at the unknown of [x, v_mu] at c.  So each lower layer's
+    action on a generator t is transposed once per solve, into lists
+    tr[c] = [(y, [y, t]_c)], and each row is built straight from two of them.
+    Rows are built one at a time as `sparse_kernel` pulls them, none after
     every unknown is a pivot.  Odd-even pairs come first, then even-even, then
     odd-odd, to raise the rank sooner; the basis is read off the RREF of the
     row span, whatever the order.
@@ -343,26 +348,42 @@ def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
     k, d = alg.k, alg.d
     offsets = _offsets(layers, m)
     shift = [1] * k + [2] * d  # minus the degree of each generator
-    n2 = layers[m - 2].dim
     pairs = chain(product(range(k), range(k, k + d)), combinations(range(k, k + d), 2),
                   combinations_with_replacement(range(k), 2))
+    tables: dict[tuple[int, int], list] = {}
+
+    def transposed(s: int, t: int) -> list:
+        """tr[c] = [(y, [y, t]_c)] over the layer that [x, s] lies in."""
+        key = (shift[s], t)
+        if key not in tables:
+            target = layers.get(m - shift[s] - shift[t])
+            tables[key] = tr = [[] for _ in range(target.dim if target else 0)]
+            for y, per in enumerate(layers[m - shift[s]].act):
+                for c, v in per[t].items():
+                    tr[c].append((y, v))
+        return tables[key]
 
     def rows():
         for g, h in pairs:
-            # (first unknown, vectors over c, negate): -[x, [g, h]], [[x, g], h], eps [[x, h], g]
-            terms = [(offsets[k + mu], [{p: v} for p in range(n2)], True)
-                     for mu, v in layers[-1].act[g][h].items()] if h < k else []
-            for s, t, negate in ((g, h, False), (h, g, h >= k)):
-                terms.append((offsets[s], [y[t] for y in layers[m - shift[s]].act], negate))
-            row_by_c: dict[int, dict[int, int | Fraction]] = {}
-            for start, vecs, negate in terms:
-                for col, vec in enumerate(vecs, start):
-                    for c, v in vec.items():
-                        row = row_by_c.setdefault(c, {})
-                        if negate:
-                            v = -v
-                        row[col] = row[col] + v if col in row else v
-            yield from row_by_c.values()
+            # -[x, [g, h]], [[x, g], h] and eps [[x, h], g]; the last two coincide if g = h
+            gam = ([(offsets[k + mu], -v) for mu, v in layers[-1].act[g][h].items()]
+                   if h < k else [])
+            og, oh, eps = offsets[g], offsets[h], -1 if h >= k else 1
+            for c, (at_g, at_h) in enumerate(zip(transposed(g, h), transposed(h, g))):
+                if not (at_g or at_h or gam):
+                    continue
+                row = {}
+                for o, v in gam:
+                    row[o + c] = v
+                if g == h:
+                    for y, v in at_g:
+                        row[og + y] = 2 * v
+                else:
+                    for y, v in at_g:
+                        row[og + y] = v
+                    for y, v in at_h:
+                        row[oh + y] = eps * v
+                yield row
 
     vecs = sparse_kernel(rows(), offsets[-1])
     act = []

@@ -218,6 +218,7 @@ class GroebnerBasis:
         self.order = order
         self._internal = internal
         self._by_comp = _by_comp(internal)
+        self._hilbert: dict[int, int] | None = None  # see module_hilbert_numerator
 
     @property
     def elements(self) -> list[ModuleElement]:
@@ -617,7 +618,13 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertSeries:
 
 
 def module_hilbert_numerator(gb: GroebnerBasis) -> dict[int, int]:
-    """Numerator of Hilb(F / submodule) over prod(1-t^w), from lead terms."""
+    """Numerator of Hilb(F / submodule) over prod(1-t^w), from lead terms.
+
+    Computed once per basis, so `hilbert_series`, `krull_dim` and
+    `is_gorenstein` on one basis share it; each call returns a fresh dict.
+    """
+    if gb._hilbert is not None:
+        return dict(gb._hilbert)
     module = gb.module
     ring = module.ring
     by_comp: dict[int, list] = {c: [] for c in range(module.rank)}
@@ -636,7 +643,8 @@ def module_hilbert_numerator(gb: GroebnerBasis) -> dict[int, int]:
                 out[d + shift] = w
             elif d + shift in out:
                 del out[d + shift]
-    return out
+    gb._hilbert = out
+    return dict(out)
 
 
 def krull_dim(gb: GroebnerBasis) -> int:

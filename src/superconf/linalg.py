@@ -6,7 +6,8 @@ the echelon form and the kernel.  It reduces integer copies of the rows in
 place (the input is never touched), with content stripped and leads made
 positive, so coefficients stay small; pivot choice is always the minimal
 column of each reduced row, which keeps results independent of input
-iteration order and of hashing.
+iteration order and of hashing.  Only a row holding a Fraction is scaled to
+integers; a row of ints is copied as it is.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ from typing import Iterable, Iterator
 
 
 def _int_rows(rows: Iterable[dict]) -> Iterator[dict]:
-    """Integer copies of the rows, one at a time: clear denominators, drop zeros."""
+    """Integer copies of the rows, one at a time, zeros dropped.  A row of ints
+    is copied as it is; a row with a Fraction is scaled by the lcm of its
+    denominators."""
     for row in rows:
+        if Fraction not in map(type, row.values()):
+            yield {c: v for c, v in row.items() if v}
+            continue
         den = reduce(lcm, (v.denominator for v in row.values()), 1)
         yield {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
@@ -108,14 +114,21 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
     its free column, its entry there is 1, and no other vector has that key;
     `SpanSolver` reads coordinates off this form.  No row is pulled once every
     column is a pivot, as the kernel is then zero; short of that every row is
-    reduced, so the basis is read off the RREF of the whole row span.
+    reduced, so the basis is read off the RREF of the whole row span, in one
+    sweep over its rows: pivot row c puts -row[f] at c of free column f's
+    vector, so the pivot keys follow f in ascending order.
     """
     pivots = _triangularize(rows, ncols)
     if len(pivots) == ncols:
         return []
     red = _back_substitute(pivots)
-    return [{f: Fraction(1), **{c: -frow[f] for c, frow in red.items() if f in frow}}
-            for f in range(ncols) if f not in red]
+    one = Fraction(1)
+    basis = {f: {f: one} for f in range(ncols) if f not in red}
+    for c, frow in red.items():
+        for f, v in frow.items():
+            if f != c:  # an RREF row is 0 at every other pivot
+                basis[f][c] = -v
+    return list(basis.values())
 
 
 def _reduce_by_leads(vec: dict, rows: dict) -> dict:

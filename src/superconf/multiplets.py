@@ -123,7 +123,7 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     quadrics = alg.quadrics()
     d = len(quadrics)
     if k < 0 or k > d:
-        raise ValueError("form degree out of range")
+        raise ValueError(f"form degree {k} out of range 0..{d}")
     kernel_gens = _koszul_cycles(ring, quadrics, k, [2] * d)
     im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
     return _subquotient(alg, f"form({k})", kernel_gens, [c for c in im_cols if not c.is_zero()])

@@ -69,7 +69,6 @@ class PresentedModule:
             if not rel.is_homogeneous():
                 raise ValueError("relations must be homogeneous")
         self._gb: GroebnerBasis | None = None
-        self._hilbert: HilbertSeries | None = None
 
     def relation_gb(self) -> GroebnerBasis:
         if self._gb is None:
@@ -81,13 +80,14 @@ class PresentedModule:
 
     def graded_dim(self, degree: int) -> int:
         """Dimension in one internal degree, read off the Hilbert numerator of
-        the relation basis, computed once; the series is shifted to start at
-        the lowest generator degree, below which the module is zero."""
+        the relation basis; the series is shifted to start at the lowest
+        generator degree, below which the module is zero."""
         lo = min(self.gen_degrees, default=0)
-        if self._hilbert is None:
-            num = module_hilbert_numerator(self.relation_gb())
-            self._hilbert = HilbertSeries({d - lo: c for d, c in num.items()}, self.ring.weights)
-        return self._hilbert.coefficients(degree - lo)[-1] if degree >= lo else 0
+        if degree < lo:
+            return 0
+        num = module_hilbert_numerator(self.relation_gb())
+        return HilbertSeries({d - lo: c for d, c in num.items()},
+                             self.ring.weights).coefficients(degree - lo)[-1]
 
 
 @dataclass

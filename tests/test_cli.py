@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superconf import linalg
+from superconf import groebner, linalg
 from superconf.cache import cache_key, cached, load, store
 from superconf.cli import main
 
@@ -397,6 +397,31 @@ def test_malformed_form_kind_exits_2(capsys, tmp_path, spec_3d_n1, kind):
     assert captured.out == ""
     assert captured.err == f"error: unknown multiplet kind {kind!r}\n"
     assert not cache.exists() or not any(cache.rglob("*.json"))
+
+
+def test_form_degree_out_of_range_names_the_degree_and_the_range(capsys, tmp_path, spec_3d_n1):
+    code = main(["--cache-dir", str(tmp_path / "cache"), "multiplet", "form:99", spec_3d_n1])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: form degree 99 out of range 0..3\n"
+
+
+def test_variety_computes_the_hilbert_numerator_once(capsys, monkeypatch, spec_3d_n1):
+    """`hilbert_series`, `krull_dim` and `is_gorenstein` read one numerator:
+    each computation starts `_monomial_numerator` with a fresh memo."""
+    memos = []
+    real = groebner._monomial_numerator
+
+    def counted(gens, weights, memo):
+        if not any(memo is seen for seen in memos):
+            memos.append(memo)
+        return real(gens, weights, memo)
+
+    monkeypatch.setattr(groebner, "_monomial_numerator", counted)
+    code, out = run(capsys, ["--json", "variety", spec_3d_n1])
+    assert code == 0 and json.loads(out)["dim_variety"] == 0
+    assert len(memos) == 1
 
 
 def test_form_zero_multiplet_output_is_unchanged(capsys, tmp_path, spec_3d_n1):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superconf.linalg import SpanSolver, rref, sparse_kernel, sparse_rank
+from superconf.linalg import SpanSolver, _int_rows, rref, sparse_kernel, sparse_rank
 
 
 def F(x, d=1):
@@ -97,3 +97,26 @@ def test_rows_with_fractions_clear_denominators():
     assert sparse_rank(rows) == 2
     assert rref(rows) == {0: {0: F(1), 3: F(-4, 3)}, 2: {2: F(1)}}
     assert sparse_kernel(rows, 4) == [{1: F(1)}, {3: F(1), 0: F(4, 3)}]
+
+
+def test_int_rows_copies_an_integer_row_without_its_zeros():
+    row = {3: 4, 0: 0, 5: -6}
+    (out,) = _int_rows([row])
+    assert out == {3: 4, 5: -6}
+    assert [type(v) for v in out.values()] == [int, int]
+    assert out is not row and row == {3: 4, 0: 0, 5: -6}
+
+
+def test_int_rows_clears_the_denominators_of_a_fraction_row():
+    row = {0: F(1, 2), 1: 3, 2: F(-2, 3), 4: F(0)}
+    (out,) = _int_rows([row])
+    assert out == {0: 3, 1: 18, 2: -4}
+    assert [type(v) for v in out.values()] == [int, int, int]
+    assert row == {0: F(1, 2), 1: 3, 2: F(-2, 3), 4: F(0)}
+
+
+def test_kernel_vectors_key_their_free_column_then_pivots_ascending():
+    rows = sparse([[1, 2, 0, 0, 3], [0, 0, 1, 0, -1], [0, 0, 0, 1, 2]])
+    basis = sparse_kernel(rows, 5)
+    assert [list(v.items()) for v in basis] == [[(1, 1), (0, -2)],
+                                                [(4, 1), (0, -3), (2, 1), (3, -2)]]

@@ -6,6 +6,7 @@ hypothesis where generation is cheap.
 """
 
 import hashlib
+import random
 from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superconf import algebras
-from superconf.algebras import build_standard
+from superconf.algebras import SupertranslationAlgebra, build_standard
 from superconf.groebner import (
     buchberger,
     hilbert_series,
@@ -287,6 +288,68 @@ def test_layer_values_are_ints_unless_they_have_a_denominator(key, cap, digest):
             for v in img.values():
                 assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
     assert hashlib.sha256(_layers_repr(res).encode()).hexdigest() == digest
+
+
+def _fraction_bracket(seed: int) -> SupertranslationAlgebra:
+    """A random symmetric bracket, k <= 4 and d <= 3, sparse, with at least
+    one entry of denominator > 1."""
+    rng = random.Random(seed)
+    k, d = rng.randint(1, 4), rng.randint(1, 3)
+    entries = [0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    gamma = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            gamma[a][b] = gamma[b][a] = [rng.choice(entries) for _ in range(d)]
+    a, b = sorted(rng.sample(range(k), 2)) if k > 1 else (0, 0)
+    gamma[a][b][rng.randrange(d)] = Fraction(1, 2)
+    gamma[b][a] = gamma[a][b]
+    return SupertranslationAlgebra(f"fraction-{seed}", k, d, gamma)
+
+
+def _scattered_layer_rows(alg, layers: dict, m: int) -> tuple[list, list]:
+    """(rows, offsets) of the degree-m derivation identity
+    [x, [g, h]] = [[x, g], h] + eps [[x, h], g] over the generator pairs
+    g <= h (g = h only for odd g), pair by pair: each term's vectors are
+    scattered into one row per target coordinate, summed where they meet."""
+    k, d = alg.k, alg.d
+    sizes = [layers[m - 1].dim] * k + [layers[m - 2].dim] * d
+    offsets = [sum(sizes[:g]) for g in range(k + d + 1)]
+    degree = [1] * k + [2] * d
+    rows = []
+    for g in range(k + d):
+        for h in range(g, k + d):
+            if g == h and g >= k:
+                continue
+            by_c: dict = {}
+
+            def scatter(col, vec, sign):
+                for c, v in vec.items():
+                    row = by_c.setdefault(c, {})
+                    row[col] = row.get(col, 0) + sign * v
+
+            if h < k:
+                for mu, v in enumerate(alg.gamma[g][h]):
+                    for p in range(layers[m - 2].dim if v else 0):
+                        scatter(offsets[k + mu] + p, {p: v}, -1)
+            for s, t, sign in ((g, h, 1), (h, g, 1 if h < k else -1)):
+                for p, y in enumerate(layers[m - degree[s]].act):
+                    scatter(offsets[s] + p, y[t], sign)
+            rows.extend(by_c.values())
+    return rows, offsets
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_layers_on_fraction_brackets_are_the_kernels_of_the_scattered_rows(seed):
+    """On brackets with non-integral entries, each layer's basis is the RREF
+    kernel of its derivation-identity rows, built here by a per-pair scatter
+    that shares nothing with the engine's row builder."""
+    alg = _fraction_bracket(seed)
+    res = tanaka_prolongation(alg, 3)
+    for m in sorted(d for d in res.layers if d >= 0):
+        rows, offsets = _scattered_layer_rows(alg, res.layers, m)
+        basis = [{offsets[g] + c: v for g, img in enumerate(act) for c, v in img.items()}
+                 for act in res.layers[m].act]
+        assert basis == _rref_kernel(rows, offsets[-1]), m
 
 
 def _torus(alg) -> list[list]:
