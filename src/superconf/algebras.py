@@ -509,6 +509,17 @@ class ConformalTypeReport:
     r_symmetry_dim: int
 
 
+def _spans_even(alg: SupertranslationAlgebra) -> bool:
+    """Whether the bracket is surjective: the gamma(e_a, e_b) span the even space."""
+    rows = []
+    for a in range(alg.k):
+        for b in range(a, alg.k):
+            row = {mu: v for mu, v in enumerate(alg.gamma[a][b]) if v}
+            if row:
+                rows.append(row)
+    return sparse_rank(rows) == alg.d
+
+
 def check_conformal_type(
     alg: SupertranslationAlgebra, g0: AutomorphismAlgebra | None = None
 ) -> ConformalTypeReport:
@@ -522,17 +533,7 @@ def check_conformal_type(
     if g0 is None:
         g0 = derivations_deg0(alg)
     k, d = alg.k, alg.d
-    rows = []
-    for a in range(k):
-        for b in range(a, k):
-            row = {}
-            for mu in range(d):
-                v = alg.gamma[a][b][mu]
-                if v:
-                    row[mu] = v
-            if row:
-                rows.append(row)
-    surjective = sparse_rank(rows) == d
+    surjective = _spans_even(alg)
     image_dim = g0.rho2_image_dim()
     expected = d * (d - 1) // 2 + 1
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.

@@ -10,15 +10,20 @@ generators: it runs the same S-pair loop on the generators tagged with
 their own basis vectors, and collects the remainders that are all tag.
 
 The core works on packed int terms and int order keys (see `rings`) with
-integer coefficients.  Every basis element is primitive with positive lead
-coefficient, so reduced bases are canonical and safe to hash for the on-disk
-cache.  Reduction is fraction-free: the working polynomial carries a running
-scale and is rescaled only when a lead coefficient does not divide, and each
-step is recorded as integers (element, quotient, key, factor, scale).  A
-syzygy is built from that record in integers and packed terms, so a frame
-goes from S-pair to the next step's basis without leaving the core.  Tuples
-and `Fraction`s appear only at the public boundary: `elements`,
-`normal_form` and the syzygies of `syzygy_module`.
+integer coefficients.  Lead terms stay packed too: the pair criteria
+(Gebauer-Möller, the product criterion, the lazy chain test), the Schreyer
+quotients and the Hilbert numerator run on the packed divisibility test, the
+fieldwise-max lcm through the guard bits and the coprimality test of `rings`;
+an lcm is unpacked once, for its order key, when its pair is queued or kept.
+Every basis element is primitive with positive lead coefficient, so reduced
+bases are canonical and safe to hash for the on-disk cache.  Reduction is
+fraction-free: the working polynomial carries a running scale and is
+rescaled only when a lead coefficient does not divide, and each step is
+recorded as integers (element, quotient, key, factor, scale).  A syzygy is
+built from that record in integers and packed terms, so a frame goes from
+S-pair to the next step's basis without leaving the core.  Tuples and
+`Fraction`s appear only at the public boundary: `elements`, `lead_terms`,
+`normal_form`, `standard_monomials` and the syzygies of `syzygy_module`.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from typing import Sequence
 
 from .rings import (
     COMP_BITS,
+    FIELD_BITS,
+    FIELD_LIMIT,
+    FIELD_MASK,
     FreeModule,
     GradedRing,
     ModuleElement,
     ModuleOrder,
     MonomialOrder,
-    mon_divides,
-    mon_lcm,
 )
 
 
@@ -61,18 +67,17 @@ class _GbElem:
 
     `lt`, `lc` and `nlt` are the packed lead term, its coefficient and its
     negated order key; `tail` lists the other terms as (term, coefficient,
-    negated key) in descending order; `lead` is the lead as (comp, monomial).
+    negated key) in descending order.
     """
 
-    __slots__ = ("lt", "lc", "nlt", "tail", "lead")
+    __slots__ = ("lt", "lc", "nlt", "tail")
 
-    def __init__(self, ring: GradedRing, rem: list, scale: int):
+    def __init__(self, rem: list, scale: int):
         coeffs = [c * (scale // s) for _, _, c, s in rem]
         content = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
         self.nlt, self.lt = rem[0][:2]
         self.lc = coeffs[0] // content
         self.tail = [(rem[n][1], coeffs[n] // content, rem[n][0]) for n in range(1, len(rem))]
-        self.lead = ring.unpack(self.lt)
 
     def work(self):
         """(work, heap, scale) of this element, for reducing it again."""
@@ -169,44 +174,39 @@ def _spair(gi: _GbElem, gj: _GbElem, lcm_t: int, lcm_nk: int):
     return work, heap, ai * gi.lc
 
 
-def _gm_update(basis: list, t: int, use_product: bool) -> list:
-    """Gebauer-Möller: the new pairs (i, t, (component, lcm monomial)) after appending basis[t].
+def _gm_update(ring: GradedRing, basis: list, t: int, use_product: bool) -> list:
+    """Gebauer-Möller: the new pairs (i, t, lcm) after appending basis[t], the
+    lcm the exponent part of lcm(lt_i, lt_t), one pair per distinct lcm.
 
-    Pairs queued before basis[t] are pruned lazily by the chain test in the S-pair loop.
+    A candidate i of the same component is dropped when another candidate's
+    lcm properly divides its own; among equal lcms the smallest i is kept,
+    and in rank one the group is dropped when one of its leads is coprime to
+    lt_t.  Pairs queued before basis[t] are pruned lazily by the chain test
+    in the S-pair loop.
     """
-    lt_t = basis[t].lead
-    comp_t = lt_t[0]
-    cand = [
-        (i, mon_lcm(basis[i].lead[1], lt_t[1]))
-        for i in range(t)
-        if basis[i].lead[0] == comp_t
-    ]
-    survivors = []
-    for i, lcm_i in cand:
-        dominated = False
-        for j, lcm_j in cand:
-            if j != i and lcm_j != lcm_i and mon_divides(lcm_j, lcm_i):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append((i, lcm_i))
+    guard, cshift, lcm = ring.guard, ring.comp_shift, ring.lcm
+    lt_t = basis[t].lt
+    comp_t = lt_t >> cshift
+    cand = [(i, lcm(basis[i].lt, lt_t)) for i in range(t) if basis[i].lt >> cshift == comp_t]
+    lcms = [m for _, m in cand]
     by_lcm: dict = {}
-    for i, lcm_i in survivors:
-        by_lcm.setdefault(lcm_i, []).append(i)
-    pairs = []
-    for lcm_i, idxs in sorted(by_lcm.items()):
-        if use_product and any(
-            all(min(a, b) == 0 for a, b in zip(basis[i].lead[1], lt_t[1])) for i in idxs
-        ):
-            continue
-        pairs.append((min(idxs), t, (comp_t, lcm_i)))
-    return pairs
+    for i, m in cand:
+        for other in lcms:
+            d = m - other
+            if d > 0 and not d & guard:  # other properly divides m
+                break
+        else:
+            by_lcm.setdefault(m, []).append(i)
+    return [
+        (idxs[0], t, m) for m, idxs in by_lcm.items()
+        if not (use_product and any(ring.coprime(basis[i].lt, lt_t) for i in idxs))
+    ]
 
 
-def _by_comp(elems) -> dict:
+def _by_comp(elems, cshift: int) -> dict:
     out: dict = {}
     for g in elems:
-        out.setdefault(g.lead[0], []).append(g)
+        out.setdefault(g.lt >> cshift, []).append(g)
     return out
 
 
@@ -217,7 +217,7 @@ class GroebnerBasis:
         self.module = module
         self.order = order
         self._internal = internal
-        self._by_comp = _by_comp(internal)
+        self._by_comp = _by_comp(internal, module.ring.comp_shift)
         self._hilbert: dict[int, int] | None = None  # see module_hilbert_numerator
 
     @property
@@ -226,7 +226,8 @@ class GroebnerBasis:
         return [ModuleElement(self.module, g.terms(ring)) for g in self._internal]
 
     def lead_terms(self) -> list:
-        return [g.lead for g in self._internal]
+        """The lead terms as (component, monomial) pairs, in basis order."""
+        return [self.module.ring.unpack(g.lt) for g in self._internal]
 
     def __len__(self):
         return len(self._internal)
@@ -276,23 +277,30 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
     ring = module.ring
     use_product = module.rank == 1
 
+    cshift, guard, exps, lcm = ring.comp_shift, ring.guard, ring.exps, ring.lcm
+    unit = 1 << cshift
     basis: list[_GbElem] = []
     aside: list[_GbElem] = []
     by_comp: dict = {}
     heap: list = []
-    first_tag = tags << ring.comp_shift
+    first_tag = tags << cshift
 
     def push(rem, scale):
-        elem = _GbElem(ring, rem, scale)
+        elem = _GbElem(rem, scale)
         if elem.lt >= first_tag:
             aside.append(elem)
             return
         basis.append(elem)
         t = len(basis) - 1
-        by_comp.setdefault(elem.lead[0], []).append(elem)
-        for i, j, lcm in _gm_update(basis, t, use_product):
-            d = ring.degree(lcm[1]) + module.gen_degrees[lcm[0]]
-            heapq.heappush(heap, (d, order.key(lcm), i, j, lcm))
+        comp = elem.lt >> cshift
+        by_comp.setdefault(comp, []).append(elem)
+        # Heap entries (degree, key, i, j, packed lcm): the order key and the
+        # degree field of an lcm are read once, when its pair is queued.
+        for i, j, m in _gm_update(ring, basis, t, use_product):
+            term = comp, ring.unpack(m)[1]
+            lcm_t = ring.pack(*term)
+            d = ring.term_degree(lcm_t) + module.gen_degrees[comp]
+            heapq.heappush(heap, (d, order.key(term), i, j, lcm_t))
 
     for g in gens:
         if not g.is_homogeneous():
@@ -304,24 +312,24 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
 
     steps = 0
     while heap:
-        _, key, i, j, lcm = heapq.heappop(heap)
-        # Lazy chain criterion against elements added after the pair was queued.
+        _, key, i, j, lcm_t = heapq.heappop(heap)
+        # Lazy chain criterion against elements added after the pair was queued:
+        # lt_t divides the lcm in its component, and neither lcm(lt_i, lt_t)
+        # nor lcm(lt_j, lt_t) is the whole lcm.
+        m, lt_i, lt_j = lcm_t & exps, basis[i].lt, basis[j].lt
         skip = False
         for t in range(j + 1, len(basis)):
-            lt_t = basis[t].lead
-            if lt_t[0] == lcm[0] and mon_divides(lt_t[1], lcm[1]):
-                if (
-                    mon_lcm(basis[i].lead[1], lt_t[1]) != lcm[1]
-                    and mon_lcm(basis[j].lead[1], lt_t[1]) != lcm[1]
-                ):
-                    skip = True
-                    break
+            lt_t = basis[t].lt
+            d = lcm_t - lt_t
+            if 0 <= d < unit and not d & guard and lcm(lt_i, lt_t) != m and lcm(lt_j, lt_t) != m:
+                skip = True
+                break
         if skip:
             continue
         steps += 1
         if step_budget is not None and steps > step_budget:
             raise StepBudgetExceeded(f"S-pair budget {step_budget} exceeded")
-        work, wheap, scale = _spair(basis[i], basis[j], ring.pack(*lcm), -key)
+        work, wheap, scale = _spair(basis[i], basis[j], lcm_t, -key)
         rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
         if rem:
             push(rem, scale)
@@ -346,16 +354,16 @@ def _autoreduce(ring: GradedRing, basis: list) -> list:
     keep.sort(key=lambda g: -g.nlt)
     # Each element is reduced by all the others: take it out of its
     # component's list and put it back at the same place afterwards.
-    by_comp = _by_comp(keep)
+    by_comp = _by_comp(keep, ring.comp_shift)
     final: list = []
     for g in keep:
-        same = by_comp[g.lead[0]]
+        same = by_comp[g.lt >> ring.comp_shift]
         at = same.index(g)
         del same[at]
         work, heap, scale = g.work()
         rem, scale = _reduce_full(work, heap, scale, by_comp, ring)
         same.insert(at, g)
-        final.append(_GbElem(ring, rem, scale))
+        final.append(_GbElem(rem, scale))
     return final
 
 
@@ -406,7 +414,7 @@ def _pair_syzygy(gb: GroebnerBasis, index: dict, i: int, j: int, lcm_t: int, lcm
     for g, d, nk, f, s in steps:
         idx = index[g]
         terms.append(((nk << COMP_BITS) + idx, (idx << cshift) + d, -f, s))
-    return _GbElem(ring, terms, scale)
+    return _GbElem(terms, scale)
 
 
 def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
@@ -415,7 +423,11 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
     In the induced order lower indices win ties, so the S-pair syzygy of
     i < j has lead term (lcm_ij / lt_i) * e_i.  For each i the frame keeps the
     pairs j > i whose quotients lcm_ij / lt_i minimally generate the colon
-    ideal (lt_j : lt_i)_{j>i}, the smallest j among equal quotients.  Their
+    ideal (lt_j : lt_i)_{j>i}, the smallest j among equal quotients.  The
+    quotients are packed exponent parts, taken in ascending order as ints:
+    a proper divisor is a smaller int, so each quotient is tested only
+    against kept ones, and the kept set is the colon ideal's minimal
+    generators whatever the order among incomparable ones.  Their
     lead terms generate the lead module of all syzygies (Schreyer's theorem),
     so the frame is a Gröbner basis for the induced order: minimal, not
     autoreduced, sorted by ascending lead as `buchberger` sorts its output.
@@ -425,32 +437,31 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
     module = gb.module
     order = gb.order
     ring = module.ring
-    guard = ring.guard
+    guard, cshift, lcm = ring.guard, ring.comp_shift, ring.lcm
     syz_module = FreeModule(
-        ring, [ring.degree(g.lead[1]) + module.gen_degrees[g.lead[0]] for g in basis]
+        ring, [ring.term_degree(g.lt) + module.gen_degrees[g.lt >> cshift] for g in basis]
     )
     syz_order = ModuleOrder(
-        order.ring_order, "schreyer", schreyer_leads=[g.lead for g in basis], parent=order
+        order.ring_order, "schreyer", schreyer_leads=gb.lead_terms(), parent=order
     )
     index = {g: n for n, g in enumerate(basis)}
     frame: list[_GbElem] = []
     for i, gi in enumerate(basis):
-        comp, lead = gi.lead
+        lt = gi.lt
+        exps = lt & ring.exps
         quotients: dict = {}
-        for g in gb._by_comp[comp]:
+        for g in gb._by_comp[lt >> cshift]:
             j = index[g]
             if j > i:
-                q = tuple(max(b - a, 0) for a, b in zip(lead, g.lead[1]))
-                quotients.setdefault(q, j)
+                quotients.setdefault(lcm(lt, g.lt) - exps, j)
         kept: list[int] = []
-        for q, j in sorted(quotients.items(), key=lambda e: (ring.degree(e[0]), e[1])):
-            p = ring.pack(0, q)
-            if any(p >= r and not (p - r) & guard for r in kept):
+        for q in sorted(quotients):
+            if any(not (q - r) & guard for r in kept):  # r <= q, so r | q
                 continue
-            kept.append(p)
-            lcm_t = gi.lt + p
-            lcm_nk = -order.key(ring.unpack(lcm_t))
-            frame.append(_pair_syzygy(gb, index, i, j, lcm_t, lcm_nk))
+            kept.append(q)
+            # the key and degree of the lcm come from the order, once per kept pair
+            term = lt >> cshift, ring.unpack(lt + q)[1]
+            frame.append(_pair_syzygy(gb, index, i, quotients[q], ring.pack(*term), -order.key(term)))
     frame.sort(key=lambda z: -z.nlt)
     return GroebnerBasis(syz_module, syz_order, frame), syz_order
 
@@ -556,36 +567,47 @@ class HilbertSeries:
         return f"({terms or '0'}) / prod(1-t^w, w in {self.weights})"
 
 
-def _minimalize_monomials(gens: list) -> list:
+def _minimalize_monomials(gens, guard: int) -> list:
+    """The minimal generators of packed monomials of one component, ascending.
+
+    A proper divisor is a smaller int, so each monomial needs testing only
+    against the kept ones, all at most itself."""
     out: list = []
-    for g in sorted(gens, key=lambda m: (sum(m), m)):
-        if not any(mon_divides(h, g) for h in out):
+    for g in sorted(gens):
+        if not any(not (g - h) & guard for h in out):
             out.append(g)
     return out
 
 
-def _monomial_numerator(gens: tuple, weights: tuple, memo: dict) -> dict[int, int]:
-    """Numerator of Hilb(R / monomial ideal); gens assumed minimal."""
+def _monomial_numerator(gens: tuple, ring: GradedRing, memo: dict) -> dict[int, int]:
+    """Numerator of Hilb(R / monomial ideal), by Bigatti's pivot recursion.
+
+    `gens` are the minimal generators as packed monomials of component 0,
+    ascending (`_minimalize_monomials`), so their degree field is their top
+    field.  The pivot is a variable in the most generators, the first among
+    equals; its count per variable is a sum of the nonzero-field bits.  The
+    colon by the pivot subtracts it from each generator it divides.
+    """
     if not gens:
         return {0: 1}
     hit = memo.get(gens)
     if hit is not None:
         return hit
-    if any(not any(g) for g in gens):
+    if not gens[0]:  # the unit ideal
         memo[gens] = {}
         return {}
-    nvars = len(weights)
+    nvars, guard, low, ones = ring.nvars, ring.guard, ring.low, ring.guard >> FIELD_BITS - 1
     counts = [0] * nvars
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    vmax = max(range(nvars), key=lambda i: counts[i])
+    for at in range(0, len(gens), FIELD_LIMIT):  # a field holds a count below 2**FIELD_BITS
+        total = sum((g + low) >> FIELD_BITS - 1 & ones for g in gens[at:at + FIELD_LIMIT])
+        for i in range(nvars):
+            counts[i] += total >> FIELD_BITS * i & FIELD_MASK
+    vmax = max(range(nvars), key=counts.__getitem__)
     if counts[vmax] <= 1:
         # pairwise disjoint supports: a monomial complete intersection
         num = {0: 1}
         for g in gens:
-            d = sum(e * w for e, w in zip(g, weights))
+            d = g >> ring.deg_shift
             new: dict[int, int] = {}
             for dd, c in num.items():
                 new[dd] = new.get(dd, 0) + c
@@ -593,12 +615,13 @@ def _monomial_numerator(gens: tuple, weights: tuple, memo: dict) -> dict[int, in
             num = {dd: c for dd, c in new.items() if c}
         memo[gens] = num
         return num
-    pivot = tuple(1 if i == vmax else 0 for i in range(nvars))
-    plus = [g for g in gens if g[vmax] == 0] + [pivot]
-    colon = [tuple(max(e - (1 if i == vmax else 0), 0) for i, e in enumerate(g)) for g in gens]
-    n_plus = _monomial_numerator(tuple(_minimalize_monomials(plus)), weights, memo)
-    n_colon = _monomial_numerator(tuple(_minimalize_monomials(colon)), weights, memo)
-    w = weights[vmax]
+    w = ring.weights[vmax]
+    field = FIELD_MASK << FIELD_BITS * vmax
+    pivot = (w << ring.deg_shift) + (1 << FIELD_BITS * vmax)
+    plus = [g for g in gens if not g & field] + [pivot]
+    colon = [g - pivot if g & field else g for g in gens]
+    n_plus = _monomial_numerator(tuple(_minimalize_monomials(plus, guard)), ring, memo)
+    n_colon = _monomial_numerator(tuple(_minimalize_monomials(colon, guard)), ring, memo)
     out = dict(n_plus)
     for d, c in n_colon.items():
         v = out.get(d + w, 0) + c
@@ -627,15 +650,11 @@ def module_hilbert_numerator(gb: GroebnerBasis) -> dict[int, int]:
         return dict(gb._hilbert)
     module = gb.module
     ring = module.ring
-    by_comp: dict[int, list] = {c: [] for c in range(module.rank)}
-    for c, m in gb.lead_terms():
-        by_comp[c].append(m)
     out: dict[int, int] = {}
     memo: dict = {}
     for c in range(module.rank):
-        num = _monomial_numerator(
-            tuple(_minimalize_monomials(by_comp[c])), tuple(ring.weights), memo
-        )
+        leads = (g.lt - (c << ring.comp_shift) for g in gb._by_comp.get(c, ()))
+        num = _monomial_numerator(tuple(_minimalize_monomials(leads, ring.guard)), ring, memo)
         shift = module.gen_degrees[c]
         for d, v in num.items():
             w = out.get(d + shift, 0) + v
@@ -659,16 +678,15 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> list:
     """Monomial basis of (F/submodule) in one degree: (comp, monomial) pairs."""
     module = gb.module
     ring = module.ring
-    by_comp: dict[int, list] = {}
-    for c, m in gb.lead_terms():
-        by_comp.setdefault(c, []).append(m)
+    divides = ring.divides
     out = []
     for c in range(module.rank):
         d = degree - module.gen_degrees[c]
         if d < 0:
             continue
-        lead_list = by_comp.get(c, [])
+        leads = [g.lt for g in gb._by_comp.get(c, ())]
         for mon in ring.monomials_of_degree(d):
-            if not any(mon_divides(lm, mon) for lm in lead_list):
+            t = ring.pack(c, mon)
+            if not any(divides(lt, t) for lt in leads):
                 out.append((c, mon))
     return out

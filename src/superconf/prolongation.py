@@ -22,8 +22,10 @@ from itertools import combinations, product
 
 from .algebras import (
     SupertranslationAlgebra,
+    _Layer,
     _flatten,
     _solve_layer,
+    _spans_even,
     derivations_deg0,
     jacobian,
 )
@@ -67,14 +69,26 @@ def tanaka_prolongation(alg: SupertranslationAlgebra, max_degree: int = 4) -> Pr
     same layer solve.  Stops early once two consecutive positive degrees
     vanish (everything above is then forced to vanish); otherwise reports
     status "capped".
+
+    A degree above a zero one is zero without a solve when the bracket is
+    surjective (decided once, at the first zero degree): for x of degree m,
+    [x, e_a] lies in degree m - 1 = 0 for every odd e_a, so
+    [x, gamma(e_a, e_b)] = [[x, e_a], e_b] + [[x, e_b], e_a] = 0, and x
+    kills every generator.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     layers = derivations_deg0(alg).layers
     dims = {-2: alg.d, -1: alg.k, 0: layers[0].dim}
     status = "capped"
+    surjective = None
     for m in range(1, max_degree + 1):
-        layers[m] = _solve_layer(alg, layers, m)
+        if not dims[m - 1] and surjective is None:
+            surjective = _spans_even(alg)
+        if not dims[m - 1] and surjective:
+            layers[m] = _Layer(0, [], SpanSolver([]))
+        else:
+            layers[m] = _solve_layer(alg, layers, m)
         dims[m] = layers[m].dim
         if m >= 2 and dims[m] == 0 and dims[m - 1] == 0:
             status = "terminated"

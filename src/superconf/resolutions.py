@@ -205,7 +205,8 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
                 break
             chain.append(current)
     gens = [Counter(m.gen_degrees)] + [
-        Counter(ring.degree(mon) + gb.module.gen_degrees[c] for c, mon in gb.lead_terms())
+        Counter(ring.term_degree(g.lt) + gb.module.gen_degrees[g.lt >> ring.comp_shift]
+                for g in gb._internal)
         for gb in chain
     ]
     ranks = [{}] + [

@@ -9,15 +9,31 @@ representation and one code path.
 
 Inside that engine a module term is one packed int (`GradedRing.pack`):
 component | weighted degree | one 16-bit field per exponent, the top bit of
-each field a guard.  Multiplying terms is `+`, and `t - s` has no guard bit
-set exactly when s divides t in the same component.  Every order key is one
-int, affine in the exponents, so key(t*q) = key(t) + key(q) - key(1).
+each field a guard G.  Every exponent is at most FIELD_LIMIT, so the lead-term
+arithmetic runs field by field with no carry or borrow across fields:
+
+- product: `s + t`;
+- divisibility (`GradedRing.divides`): `d = t - s` is the quotient when
+  `d >= 0 and not d & G`, for two terms of one component or two exponent
+  parts (`t & ring.exps`);
+- lcm (`GradedRing.lcm`), the fieldwise max through the guard bits:
+  `fm = ((a | G) - b) & G` has the guard of each field where a >= b, and
+  `fm - (fm >> 15)` widens it to that field's mask, so
+  `b ^ ((a ^ b) & mask)` takes a's field there and b's elsewhere; the
+  result is the exponent part of the lcm, without its degree field;
+- coprimality (`GradedRing.coprime`): with L = G - (G >> 15) a field of
+  `a + L` has its guard set exactly when a's exponent there is nonzero, so
+  a and b share no variable when `(a + L) & (b + L) & G == 0`.
+
+Every order key is one int, affine in the exponents, so
+key(t*q) = key(t) + key(q) - key(1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul
+from struct import Struct
 from typing import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
@@ -25,6 +41,7 @@ ModTerm = tuple  # (component, Monomial)
 
 FIELD_BITS = 16
 FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or weighted degree
+FIELD_MASK = (1 << FIELD_BITS) - 1
 COMP_BITS = 32  # module order keys tell apart components below 2**COMP_BITS
 
 
@@ -44,7 +61,8 @@ def _fields(exps) -> int:
 class GradedRing:
     """The polynomial ring over Q with positive integer weights on the variables."""
 
-    __slots__ = ("names", "weights", "nvars", "comp_shift", "guard")
+    __slots__ = ("names", "weights", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
+                 "words")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
         names = list(names)
@@ -56,23 +74,50 @@ class GradedRing:
         self.names = names
         self.weights = weights
         self.nvars = len(names)
-        self.comp_shift = FIELD_BITS * (self.nvars + 1)
+        self.deg_shift = FIELD_BITS * self.nvars
+        self.comp_shift = self.deg_shift + FIELD_BITS
+        self.exps = (1 << self.deg_shift) - 1  # the exponent fields of a packed term
         self.guard = _fields([1 << FIELD_BITS - 1] * self.nvars)
+        self.low = self.guard - (self.guard >> FIELD_BITS - 1)  # FIELD_LIMIT in each field
+        self.words = Struct(f"<{self.nvars}H")  # the exponent fields as bytes
 
     def pack(self, comp: int, mon: Monomial) -> int:
         """The packed int of term (comp, mon); a ValueError if a field overflows.
 
         Every exponent is at most the weighted degree, so the degree check
         covers each field, and a product that keeps within the degree of a
-        packed term never overflows either.
+        packed term never overflows either.  The exponent fields are the
+        little-endian 16-bit words of `mon`.
         """
         deg = sum(map(mul, mon, self.weights))
         _check_field(deg, "weighted degree")
-        return _fields((comp, deg, *reversed(mon)))
+        exps = int.from_bytes(self.words.pack(*mon), "little")
+        return (comp << self.comp_shift) + (deg << self.deg_shift) + exps
 
     def unpack(self, t: int) -> ModTerm:
-        mask = (1 << FIELD_BITS) - 1
-        return t >> self.comp_shift, tuple(t >> FIELD_BITS * i & mask for i in range(self.nvars))
+        exps = (t & self.exps).to_bytes(2 * self.nvars, "little")
+        return t >> self.comp_shift, self.words.unpack(exps)
+
+    def term_degree(self, t: int) -> int:
+        """The weighted degree of packed term t, read off its degree field."""
+        return t >> self.deg_shift & FIELD_MASK
+
+    def divides(self, s: int, t: int) -> bool:
+        """Whether s divides t: two packed terms of one component, or two exponent parts."""
+        d = t - s
+        return d >= 0 and not d & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The exponent part of the lcm of two packed terms (or exponent parts)."""
+        g = self.guard
+        fm = ((a | g) - b) & g
+        fm -= fm >> FIELD_BITS - 1
+        return (b ^ ((a ^ b) & fm)) & self.exps
+
+    def coprime(self, a: int, b: int) -> bool:
+        """Whether packed terms (or exponent parts) a and b share no variable."""
+        low = self.low
+        return not (a + low) & (b + low) & self.guard
 
     def degree(self, mon: Monomial) -> int:
         return sum(e * w for e, w in zip(mon, self.weights))
@@ -131,14 +176,6 @@ class GradedRing:
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mon_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class MonomialOrder:

@@ -413,10 +413,10 @@ def test_variety_computes_the_hilbert_numerator_once(capsys, monkeypatch, spec_3
     memos = []
     real = groebner._monomial_numerator
 
-    def counted(gens, weights, memo):
+    def counted(gens, ring, memo):
         if not any(memo is seen for seen in memos):
             memos.append(memo)
-        return real(gens, weights, memo)
+        return real(gens, ring, memo)
 
     monkeypatch.setattr(groebner, "_monomial_numerator", counted)
     code, out = run(capsys, ["--json", "variety", spec_3d_n1])

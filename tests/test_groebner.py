@@ -157,6 +157,23 @@ def test_frame_keeps_the_smallest_partner_among_equal_quotients():
     ]
 
 
+def test_lex_schreyer_frames_store_the_order_keys_of_a_weighted_ring():
+    """A fixed lex presentation over weights (1, 2, 1) with frames of 4 and 1
+    elements: every stored lead and tail key is the induced order's, so a key
+    shortcut that holds for one order kind only fails on every run."""
+    R, x, y, z = poly_ring("x", "y", "z", weights=[1, 2, 1])
+    gens = [x * x * z * z - y * z * z, x * y - z * z * z, y * y - x * z * z * z]
+    gb = ideal_gb(R, gens, MonomialOrder("lex"))
+    sizes = []
+    while len(gb):
+        gb, order = schreyer_syzygies(gb)
+        sizes.append(len(gb))
+        for g in gb._internal:
+            for t, nk in [(g.lt, g.nlt), *((t, k) for t, _, k in g.tail)]:
+                assert nk == -order.key(R.unpack(t))
+    assert sizes == [4, 1, 0]
+
+
 def test_hilbert_series_m_squared():
     R = GradedRing(["x", "y"])
     gb = ideal_gb(R, sq(R))

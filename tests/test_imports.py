@@ -13,6 +13,13 @@ reads it as an attribute (`self._name`, `module._name`).  Identifiers count per
 file, so a constant that one module orphans is found even when another module
 defines and reads its own constant of the same name.
 
+A public module-level function of the package is dead unless some file
+under `src/`, `tests/` or `perfbench/` reads it: as an attribute, by an
+import of its name (the re-exports of `__init__.py` do not count), or as a
+loaded name outside its own body in a file with no module-level function of
+that name of its own; a console entry point in `pyproject.toml` counts as a
+read.
+
 A public method of a package class is dead unless some file under `src/`,
 `tests/` or `perfbench/` reads its name as an attribute (`obj.method`).  So
 is a field (an annotated name in the class body, or a `self.x` assigned in
@@ -27,6 +34,7 @@ bodies, docstrings excluded, must not have equal AST dumps.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -104,6 +112,64 @@ def test_scan_finds_a_dead_module_constant():
 
 def test_no_dead_private_helpers():
     assert dead_helpers([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def entry_points(pyproject: str) -> set[str]:
+    """The function names of the `[project.scripts]` table, `name = "module:function"`."""
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    return set(re.findall(r'^\S+\s*=\s*"[\w.]+:(\w+)"', table.group(1), re.M)) if table else set()
+
+
+def dead_functions(package: dict[str, str], readers: dict[str, str], entries: set[str]) -> list[str]:
+    """`file:name` of each public module-level function of the package that no
+    reader reads; `package` and `readers` map file names to sources."""
+    defined: dict[str, list[str]] = {}
+    for path, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                defined.setdefault(node.name, []).append(path)
+    read = set(entries)
+    for path, source in readers.items():
+        tree = ast.parse(source)
+        own, recursive = set(), set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own.add(node.name)
+                recursive.update(id(inner) for inner in ast.walk(node)
+                                 if isinstance(inner, ast.Name) and inner.id == node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
+                read.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in recursive
+                  and (node.id not in own or path in defined.get(node.id, ()))):
+                read.add(node.id)
+    return sorted(f"{path}:{name}" for name, paths in defined.items() if name not in read
+                  for path in paths)
+
+
+def test_scan_finds_a_dead_module_function():
+    package = {
+        "a.py": "def used(): pass\ndef dead(): pass\ndef main(): pass\n"
+                "def loop(n): return loop(n - 1)\ndef shadowed(): pass\n"
+                "def _private(): pass\nclass C:\n    def method(self): pass\n",
+        "__init__.py": "from .a import dead\n",
+    }
+    readers = {**package, "b.py": "from a import used\ndef shadowed(): pass\nshadowed()\n"}
+    pyproject = '[project.scripts]\ntool = "pkg.a:main"\n\n[tool.other]\nx = "pkg.a:loop"\n'
+    assert entry_points(pyproject) == {"main"}
+    assert dead_functions(package, readers, entry_points(pyproject)) == [
+        "a.py:dead", "a.py:loop", "a.py:shadowed"]
+
+
+def test_no_dead_module_functions():
+    def sources(paths):
+        return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+    entries = entry_points((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert dead_functions(sources(PACKAGE), sources(READERS), entries) == []
 
 
 def dead_methods(package: list[str], readers: list[str]) -> list[str]:

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from superconf.algebras import SupertranslationAlgebra, build_standard, derivations_deg0
+from superconf import prolongation
+from superconf.algebras import (
+    SupertranslationAlgebra,
+    _solve_layer,
+    build_standard,
+    derivations_deg0,
+)
 from superconf.linalg import rref
 from superconf.prolongation import (
     ProlongationBrackets,
@@ -177,6 +183,53 @@ def test_formal_line_never_terminates():
         assert res.status == "capped"
         for m in range(1, cap + 1):
             assert res.dims[m] == (1 if m % 2 == 0 else 0)
+
+
+def full_solve(alg, cap):
+    """(dims, status) with every degree up to the cap solved, under the same
+    rule: two consecutive zero positive degrees terminate."""
+    layers = derivations_deg0(alg).layers
+    dims = {-2: alg.d, -1: alg.k, 0: layers[0].dim}
+    for m in range(1, cap + 1):
+        layers[m] = _solve_layer(alg, layers, m)
+        dims[m] = layers[m].dim
+        if m >= 2 and dims[m] == dims[m - 1] == 0:
+            return {m: v for m, v in dims.items() if v or m <= 0}, "terminated"
+    return dims, "capped"
+
+
+def with_extra_even_direction(alg):
+    """The same bracket into one more even direction, which it misses."""
+    gamma = [[list(alg.gamma[a][b]) + [0] for b in range(alg.k)] for a in range(alg.k)]
+    return SupertranslationAlgebra(alg.name + "+v", alg.k, alg.d + 1, gamma)
+
+
+@pytest.mark.parametrize("alg, cap, solved", [
+    (build_standard(10, (1, 0)), 1, [1]),
+    (build_standard(10, (1, 0)), 3, [1]),
+    (build_standard(3, 1), 6, [1, 2, 3]),
+    (abelian(0, 1), 5, [1, 2, 3, 4, 5]),
+    (abelian(0, 2), 3, [1, 2, 3]),
+    (with_extra_even_direction(build_standard(3, 1)), 3, [1, 2, 3]),
+], ids=["10d-n10-cap1", "10d-n10-cap3", "3d-n1-cap6", "formal-line", "formal-plane",
+        "3d-n1-plus-v"])
+def test_degree_above_a_zero_one_is_solved_only_without_surjectivity(monkeypatch, alg, cap,
+                                                                       solved):
+    """Dims and status equal the solve of every degree.  A surjective bracket
+    skips the solve above a zero degree (10d N=(1,0) and 3d N=1); the
+    formal line, the formal plane and 3d N=1 with an even direction outside
+    the bracket's image are not surjective, and every degree is solved: on
+    the formal line the zero odd degrees have nonzero ones above them."""
+    seen = []
+
+    def counted(alg, layers, m):
+        seen.append(m)
+        return _solve_layer(alg, layers, m)
+
+    monkeypatch.setattr(prolongation, "_solve_layer", counted)
+    res = tanaka_prolongation(alg, cap)
+    assert (res.dims, res.status) == full_solve(alg, cap)
+    assert seen == solved
 
 
 def test_1d_n1_contact_algebra_capped():

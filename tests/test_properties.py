@@ -10,6 +10,7 @@ import random
 from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 from math import comb, gcd, lcm
 
 import pytest
@@ -18,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from superconf import algebras
 from superconf.algebras import SupertranslationAlgebra, build_standard
 from superconf.groebner import (
+    _gm_update,
     buchberger,
     hilbert_series,
     ideal_gb,
+    module_hilbert_numerator,
     schreyer_syzygies,
     standard_monomials,
     syzygy_module,
@@ -41,15 +44,25 @@ from superconf.resolutions import (
     resolution_is_complex,
 )
 from superconf.rings import (
+    FIELD_BITS,
     FIELD_LIMIT,
     FreeModule,
     GradedRing,
     ModuleElement,
     ModuleOrder,
     MonomialOrder,
-    mon_divides,
     mon_mul,
 )
+
+
+def mon_divides(a, b):
+    """Tuple reference: monomial a divides monomial b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mon_lcm(a, b):
+    """Tuple reference: the lcm of two monomials, the fieldwise max."""
+    return tuple(map(max, a, b))
 
 
 fractions = st.fractions(
@@ -237,16 +250,17 @@ def _layers_repr(res) -> str:
                  for m in sorted(res.layers)])
 
 
-@pytest.mark.parametrize("key, max_degree, max_rows, digest", [
-    ((6, (2, 0)), 3, 7_400, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
-    ((10, (1, 0)), 2, 4_300, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
+@pytest.mark.parametrize("key, max_degree, solves, max_rows, digest", [
+    ((6, (2, 0)), 3, 4, 7_400, "601d9e56a80323cbad21fce1e5943c8d1ba6bd608893fd2ed5f9ed62a8229e36"),
+    ((10, (1, 0)), 2, 2, 2_800, "06fca772a3bf0dd708c6d6ccec77f19d2a39aa0419ab6441c05822826e2de896"),
 ], ids=["6d-n20", "10d-n10"])
-def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degree, max_rows,
-                                                      digest):
+def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degree, solves,
+                                                      max_rows, digest):
     """Each layer's kernel equals the one from eliminating every row of its
     system, the layer actions hash as before the solve stopped at full rank,
     and the rows pulled stay under a bound (8,546 on 10d N=(1,0) when every
-    row was built and reduced)."""
+    row was built and reduced, 3,976 when its zero degree 1 still had degree 2
+    solved above it)."""
     pulled = []
 
     def counted_kernel(rows, ncols):
@@ -259,7 +273,7 @@ def test_layer_solves_keep_their_bases_and_stop_early(monkeypatch, key, max_degr
     monkeypatch.setattr(algebras, "sparse_kernel", counted_kernel)
     res = tanaka_prolongation(build_standard(*key), max_degree)
     assert hashlib.sha256(_layers_repr(res).encode()).hexdigest() == digest
-    assert len(pulled) == max_degree + 1
+    assert len(pulled) == solves
     assert sum(pulled) <= max_rows
 
 
@@ -966,3 +980,189 @@ def test_syzygy_module_generates_the_syzygies_of_module_elements(gens):
         source = sum(len(ring.monomials_of_degree(j - d)) for d in degrees if d <= j)
         image = sparse_rank(_degree_rows(gens, j, ring))
         assert sparse_rank(_degree_rows(syz, j, ring)) == source - image, j
+
+
+# ---------------------------------------------------------------------------
+# Packed lead-term arithmetic against tuple references
+# ---------------------------------------------------------------------------
+
+_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(FIELD_LIMIT - 2, FIELD_LIMIT),
+                       st.integers(0, FIELD_LIMIT))
+
+
+def _weighted_ring(weights):
+    return GradedRing([f"x{i}" for i in range(len(weights))], weights)
+
+
+def _exponent_part(mon):
+    """The exponent fields of a packed term, the first exponent lowest."""
+    return sum(e << FIELD_BITS * i for i, e in enumerate(mon))
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=6).flatmap(
+    lambda ws: st.tuples(st.just(ws), st.tuples(*[_EXPONENTS] * len(ws)),
+                         st.tuples(*[_EXPONENTS] * len(ws)))), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_packed_lcm_divisibility_and_coprimality_against_tuples(data, comp):
+    """On exponent parts with fields up to FIELD_LIMIT (the guard-bit edge),
+    and on whole packed terms of one component wherever the degree fits."""
+    weights, a, b = data
+    ring = _weighted_ring(weights)
+    lcm_ab = _exponent_part(mon_lcm(a, b))
+    coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+    words = [(_exponent_part(a), _exponent_part(b))]
+    if ring.degree(a) <= FIELD_LIMIT and ring.degree(b) <= FIELD_LIMIT:
+        terms = ring.pack(comp, a), ring.pack(comp, b)
+        assert [ring.unpack(t) for t in terms] == [(comp, a), (comp, b)]
+        assert [ring.term_degree(t) for t in terms] == [ring.degree(a), ring.degree(b)]
+        words.append(terms)
+    for pa, pb in words:
+        assert ring.lcm(pa, pb) == ring.lcm(pb, pa) == lcm_ab
+        assert ring.divides(pa, pb) == mon_divides(a, b)
+        assert ring.divides(pb, pa) == mon_divides(b, a)
+        assert ring.coprime(pa, pb) == coprime
+    assert ring.divides(_exponent_part(a), lcm_ab) and ring.divides(_exponent_part(b), lcm_ab)
+
+
+def _tuple_minimalize(gens):
+    out = []
+    for g in sorted(gens, key=lambda m: (sum(m), m)):
+        if not any(mon_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def _tuple_numerator(gens, weights, memo):
+    """Bigatti's pivot recursion on exponent tuples, as the engine ran it
+    before its monomials were packed."""
+    if not gens:
+        return {0: 1}
+    if gens in memo:
+        return memo[gens]
+    if any(not any(g) for g in gens):
+        memo[gens] = {}
+        return {}
+    nvars = len(weights)
+    counts = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+    vmax = max(range(nvars), key=lambda i: counts[i])
+    if counts[vmax] <= 1:
+        num = {0: 1}
+        for g in gens:
+            d = sum(e * w for e, w in zip(g, weights))
+            new = {}
+            for dd, c in num.items():
+                new[dd] = new.get(dd, 0) + c
+                new[dd + d] = new.get(dd + d, 0) - c
+            num = {dd: c for dd, c in new.items() if c}
+        memo[gens] = num
+        return num
+    pivot = tuple(1 if i == vmax else 0 for i in range(nvars))
+    plus = [g for g in gens if g[vmax] == 0] + [pivot]
+    colon = [tuple(max(e - (i == vmax), 0) for i, e in enumerate(g)) for g in gens]
+    out = dict(_tuple_numerator(tuple(_tuple_minimalize(plus)), weights, memo))
+    for d, c in _tuple_numerator(tuple(_tuple_minimalize(colon)), weights, memo).items():
+        out[d + weights[vmax]] = out.get(d + weights[vmax], 0) + c
+    memo[gens] = out = {d: c for d, c in out.items() if c}
+    return out
+
+
+@st.composite
+def monomial_submodules(draw):
+    """(free module, monomial terms) over a weighted ring in up to 4 variables."""
+    ring = _weighted_ring(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    free = FreeModule(ring, draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3)))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, free.rank - 1),
+                  st.tuples(*[st.integers(0, 3)] * ring.nvars)), min_size=1, max_size=8))
+    return free, terms
+
+
+@given(monomial_submodules())
+@settings(max_examples=80, deadline=None)
+def test_packed_hilbert_numerator_against_tuple_recursion(data):
+    free, terms = data
+    ring = free.ring
+    gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms])
+    expected, memo = {}, {}
+    for c in range(free.rank):
+        gens = tuple(_tuple_minimalize([m for comp, m in terms if comp == c]))
+        for d, v in _tuple_numerator(gens, tuple(ring.weights), memo).items():
+            d += free.gen_degrees[c]
+            expected[d] = expected.get(d, 0) + v
+    assert module_hilbert_numerator(gb) == {d: v for d, v in expected.items() if v}
+
+
+def _tuple_frame_pairs(gb):
+    """The pairs (i, lcm_ij / lt_i, j) a Schreyer frame keeps, by the tuple
+    rule the engine ran before its quotients were packed: per i the quotients
+    of the j > i in its component, the smallest j per quotient, taken by
+    (weighted degree, j), each kept unless a kept one divides it."""
+    ring, leads, out = gb.module.ring, gb.lead_terms(), set()
+    for i, (c, m) in enumerate(leads):
+        quotients = {}
+        for j in range(i + 1, len(leads)):
+            if leads[j][0] == c:
+                quotients.setdefault(tuple(max(b - a, 0) for a, b in zip(m, leads[j][1])), j)
+        kept = []
+        for q, j in sorted(quotients.items(), key=lambda e: (ring.degree(e[0]), e[1])):
+            if not any(mon_divides(r, q) for r in kept):
+                kept.append(q)
+                out.add((i, q, j))
+    return out
+
+
+@given(monomial_submodules(), st.sampled_from(["wgrevlex", "lex"]))
+@settings(max_examples=60, deadline=None)
+def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data, kind):
+    """Each frame element leads with (lcm_ij / lt_i) e_i for a pair of the
+    tuple rule, and carries the term (lcm_ij / lt_j) e_j of its partner."""
+    free, terms = data
+    ring = free.ring
+    gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms],
+                    ModuleOrder(MonomialOrder(kind, ring.weights), "TOP"))
+    while len(gb):
+        pairs = _tuple_frame_pairs(gb)
+        leads = gb.lead_terms()
+        frame, _ = schreyer_syzygies(gb)
+        got = set()
+        for z in frame._internal:
+            i, q = ring.unpack(z.lt)
+            j = next(j for i2, q2, j in pairs if (i2, q2) == (i, q))
+            lcm = mon_mul(q, leads[i][1])
+            assert (j, tuple(a - b for a, b in zip(lcm, leads[j][1]))) in z.terms(ring)
+            got.add((i, q, j))
+        assert got == pairs and len(frame) == len(pairs)
+        gb = frame
+
+
+def _tuple_gm_update(leads, t, use_product):
+    """Gebauer-Möller on (component, monomial) leads, as the engine ran it
+    before its lcms were packed: the set of pairs (i, t, lcm term)."""
+    comp_t, mon_t = leads[t]
+    cand = [(i, mon_lcm(leads[i][1], mon_t)) for i in range(t) if leads[i][0] == comp_t]
+    by_lcm = {}
+    for i, m in cand:
+        if not any(j != i and mj != m and mon_divides(mj, m) for j, mj in cand):
+            by_lcm.setdefault(m, []).append(i)
+    return {
+        (min(idxs), t, (comp_t, m)) for m, idxs in by_lcm.items()
+        if not (use_product and any(all(min(a, b) == 0 for a, b in zip(leads[i][1], mon_t))
+                                    for i in idxs))
+    }
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
+    lambda ws: st.tuples(st.just(ws), st.lists(st.tuples(
+        st.integers(0, 1),
+        st.tuples(*[st.integers(0, 4) | st.integers(1_000, FIELD_LIMIT // 20)] * len(ws))),
+        min_size=1, max_size=8))), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_packed_gm_update_against_tuple_reference(data, use_product):
+    weights, leads = data
+    ring = _weighted_ring(weights)
+    basis = [SimpleNamespace(lt=ring.pack(c, m)) for c, m in leads]
+    for t in range(len(leads)):
+        pairs = _gm_update(ring, basis, t, use_product)
+        assert len(pairs) == len({m for _, _, m in pairs})
+        got = {(i, j, (leads[t][0], ring.unpack(m)[1])) for i, j, m in pairs}
+        assert got == _tuple_gm_update(leads, t, use_product)
