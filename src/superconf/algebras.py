@@ -217,15 +217,16 @@ def standard_11d() -> SupertranslationAlgebra:
 
 
 def _parse_susy(susy) -> tuple:
-    """Normalize a supersymmetry specifier to the catalog key tuple."""
+    """Normalize a supersymmetry specifier to the catalog key tuple, () if malformed."""
     if isinstance(susy, str):
         text = susy.strip().replace(" ", "")
         if text.upper().startswith("N="):
             text = text[2:]
-        if text.startswith("(") and text.endswith(")"):
-            parts = text[1:-1].split(",")
+        parts = text[1:-1].split(",") if text.startswith("(") and text.endswith(")") else [text]
+        try:
             return tuple(int(p) for p in parts)
-        return (int(text),)
+        except ValueError:
+            return ()
     if isinstance(susy, int):
         return (susy,)
     return tuple(int(x) for x in susy)

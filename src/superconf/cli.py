@@ -196,6 +196,8 @@ def cmd_twist(args) -> int:
             q = catalog_twist_vector(alg, args.q)
         except ZeroDivisionError:
             raise ValueError(f"twist vector {args.q!r} has a zero denominator") from None
+    if len(q) != alg.k:
+        raise ValueError(f"--q has {len(q)} components, expected {alg.k}")
     report = twist_pipeline(alg, q, targets=tuple(args.analyses or ()))
     res = report.result
     payload = {
@@ -251,6 +253,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_prolong(args) -> int:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     alg = _load_algebra(args.spec)
     res = tanaka_prolongation(alg, max_degree=args.cap)
     payload = {

@@ -14,7 +14,7 @@ integer coefficients.  Lead terms stay packed too: the pair criteria
 (Gebauer-Möller, the product criterion, the lazy chain test), the Schreyer
 quotients and the Hilbert numerator run on the packed divisibility test, the
 fieldwise-max lcm through the guard bits and the coprimality test of `rings`;
-an lcm is unpacked once, for its order key, when its pair is queued or kept.
+an lcm gets its degree field and key once, when its pair is queued or kept.
 Every basis element is primitive with positive lead coefficient, so reduced
 bases are canonical and safe to hash for the on-disk cache.  Reduction is
 fraction-free: the working polynomial carries a running scale and is
@@ -58,7 +58,7 @@ def _work(ring: GradedRing, order: ModuleOrder, terms: dict):
     for term, c in terms.items():
         t = ring.pack(*term)
         work[t] = c.numerator * (scale // c.denominator)
-        heap.append((-order.key(term), t))
+        heap.append((-order.key(t), t))
     return work, heap, scale
 
 
@@ -241,12 +241,8 @@ class GroebnerBasis:
         return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
 
 
-def default_ring_order(ring: GradedRing) -> MonomialOrder:
-    return MonomialOrder("wgrevlex", ring.weights)
-
-
 def default_module_order(module: FreeModule) -> ModuleOrder:
-    return ModuleOrder(default_ring_order(module.ring), "TOP")
+    return ModuleOrder(MonomialOrder(module.ring), "TOP")
 
 
 def buchberger(
@@ -294,13 +290,12 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
         t = len(basis) - 1
         comp = elem.lt >> cshift
         by_comp.setdefault(comp, []).append(elem)
-        # Heap entries (degree, key, i, j, packed lcm): the order key and the
-        # degree field of an lcm are read once, when its pair is queued.
+        # Heap entries (degree, key, i, j, packed lcm): the degree field and
+        # the order key of an lcm are computed once, when its pair is queued.
         for i, j, m in _gm_update(ring, basis, t, use_product):
-            term = comp, ring.unpack(m)[1]
-            lcm_t = ring.pack(*term)
+            lcm_t = (comp << cshift) + ring.with_degree(m)
             d = ring.term_degree(lcm_t) + module.gen_degrees[comp]
-            heapq.heappush(heap, (d, order.key(term), i, j, lcm_t))
+            heapq.heappush(heap, (d, order.key(lcm_t), i, j, lcm_t))
 
     for g in gens:
         if not g.is_homogeneous():
@@ -375,7 +370,7 @@ def ideal_gb(
 ) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by ring elements `polys`: the
     rank-one case of `buchberger`."""
-    mod_order = ModuleOrder(order or default_ring_order(ring), "TOP")
+    mod_order = ModuleOrder(order or MonomialOrder(ring), "TOP")
     return buchberger(list(polys) or [ring.zero()], mod_order, step_budget=step_budget)
 
 
@@ -442,7 +437,7 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
         ring, [ring.term_degree(g.lt) + module.gen_degrees[g.lt >> cshift] for g in basis]
     )
     syz_order = ModuleOrder(
-        order.ring_order, "schreyer", schreyer_leads=gb.lead_terms(), parent=order
+        order.ring_order, "schreyer", schreyer_leads=[g.lt for g in basis], parent=order
     )
     index = {g: n for n, g in enumerate(basis)}
     frame: list[_GbElem] = []
@@ -459,9 +454,8 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
             if any(not (q - r) & guard for r in kept):  # r <= q, so r | q
                 continue
             kept.append(q)
-            # the key and degree of the lcm come from the order, once per kept pair
-            term = lt >> cshift, ring.unpack(lt + q)[1]
-            frame.append(_pair_syzygy(gb, index, i, quotients[q], ring.pack(*term), -order.key(term)))
+            lcm_t = (lt >> cshift << cshift) + ring.with_degree(exps + q)
+            frame.append(_pair_syzygy(gb, index, i, quotients[q], lcm_t, -order.key(lcm_t)))
     frame.sort(key=lambda z: -z.nlt)
     return GroebnerBasis(syz_module, syz_order, frame), syz_order
 
@@ -501,7 +495,7 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     degrees = [0 if g.is_zero() else g.degree() for g in gens]
     tagged = FreeModule(ring, module.gen_degrees + degrees)
     one = ring.one_monomial()
-    order = ModuleOrder.tagged(ring, default_ring_order(ring), rank, len(gens))
+    order = ModuleOrder.tagged(MonomialOrder(ring), rank, len(gens))
     _, aside = _spair_loop(
         [ModuleElement(tagged, {**g.terms, (rank + s, one): Fraction(1)}) for s, g in enumerate(gens)],
         order, None, rank,
@@ -684,9 +678,9 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> list:
         d = degree - module.gen_degrees[c]
         if d < 0:
             continue
-        leads = [g.lt for g in gb._by_comp.get(c, ())]
-        for mon in ring.monomials_of_degree(d):
-            t = ring.pack(c, mon)
+        leads, base = [g.lt for g in gb._by_comp.get(c, ())], c << ring.comp_shift
+        for t in ring.monomials_of_degree(d):
+            t += base
             if not any(divides(lt, t) for lt in leads):
-                out.append((c, mon))
+                out.append(ring.unpack(t))
     return out

@@ -233,7 +233,7 @@ def _column_index(ring: GradedRing, gen_degrees: Sequence[int], j: int) -> dict[
     its exponents last variable first.
     """
     blocks = {
-        g: sorted(ring.pack(0, mon) for mon in ring.monomials_of_degree(j - g))
+        g: sorted(ring.monomials_of_degree(j - g))
         for g in set(gen_degrees)
     }
     index: dict[int, int] = {}
@@ -272,7 +272,8 @@ def _slice_ranks(
     guard = ring.guard
     images = [(_packed_image(image), deg) for image, deg in columns]
     zeros: list[list[int]] = [[] for _ in images]  # packed m with m*c reducing to zero
-    packed: dict[int, list[int]] = {}  # degree -> its packed monomials, in row order
+    degs = {j - deg for j in degrees for _, deg in images}
+    mons_of = {d: ring.monomials_of_degree(d) for d in degs}  # packed, in row order
     out = {}
     for j in degrees:
         index = _column_index(ring, target.gen_degrees, j)
@@ -280,10 +281,7 @@ def _slice_ranks(
         pivots: dict[int, dict[int, int]] = {}
         counts, src = [], 0
         for (image, deg), zero in zip(images, zeros):
-            d = j - deg
-            mons = packed.get(d)
-            if mons is None:
-                mons = packed[d] = [ring.pack(0, m) for m in ring.monomials_of_degree(d)]
+            mons = mons_of[j - deg]
             src += len(mons)
             before = len(pivots)
             if image and before < full:

@@ -20,13 +20,15 @@ arithmetic runs field by field with no carry or borrow across fields:
   `fm = ((a | G) - b) & G` has the guard of each field where a >= b, and
   `fm - (fm >> 15)` widens it to that field's mask, so
   `b ^ ((a ^ b) & mask)` takes a's field there and b's elsewhere; the
-  result is the exponent part of the lcm, without its degree field;
+  result is the exponent part of the lcm (`GradedRing.with_degree` adds
+  its degree field);
 - coprimality (`GradedRing.coprime`): with L = G - (G >> 15) a field of
   `a + L` has its guard set exactly when a's exponent there is nonzero, so
   a and b share no variable when `(a + L) & (b + L) & G == 0`.
 
-Every order key is one int, affine in the exponents, so
-key(t*q) = key(t) + key(q) - key(1).
+An order is bound to its ring and keys packed terms, each key one int affine
+in the exponents: key(t*q) = key(t) + key(q) - key(1).  `monomials_of_degree`
+enumerates packed terms too, so only the public boundary builds tuples.
 """
 
 from __future__ import annotations
@@ -50,19 +52,11 @@ def _check_field(value: int, what: str) -> None:
         raise ValueError(f"{what} {value} exceeds the packed-field limit {FIELD_LIMIT}")
 
 
-def _fields(exps) -> int:
-    """One FIELD_BITS-wide field per exponent, the first exponent highest."""
-    t = 0
-    for e in exps:
-        t = t << FIELD_BITS | e
-    return t
-
-
 class GradedRing:
     """The polynomial ring over Q with positive integer weights on the variables."""
 
     __slots__ = ("names", "weights", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
-                 "words")
+                 "words", "_by_weight")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
         names = list(names)
@@ -77,9 +71,12 @@ class GradedRing:
         self.deg_shift = FIELD_BITS * self.nvars
         self.comp_shift = self.deg_shift + FIELD_BITS
         self.exps = (1 << self.deg_shift) - 1  # the exponent fields of a packed term
-        self.guard = _fields([1 << FIELD_BITS - 1] * self.nvars)
-        self.low = self.guard - (self.guard >> FIELD_BITS - 1)  # FIELD_LIMIT in each field
+        ones = self.exps // FIELD_MASK  # 1 in each field
+        self.guard = ones << FIELD_BITS - 1
+        self.low = self.guard - ones  # FIELD_LIMIT in each field
         self.words = Struct(f"<{self.nvars}H")  # the exponent fields as bytes
+        self._by_weight = [(w, sum(FIELD_MASK << FIELD_BITS * i for i, v in enumerate(weights)
+                                   if v == w)) for w in set(weights)]  # (w, its fields)
 
     def pack(self, comp: int, mon: Monomial) -> int:
         """The packed int of term (comp, mon); a ValueError if a field overflows.
@@ -97,6 +94,15 @@ class GradedRing:
     def unpack(self, t: int) -> ModTerm:
         exps = (t & self.exps).to_bytes(2 * self.nvars, "little")
         return t >> self.comp_shift, self.words.unpack(exps)
+
+    def with_degree(self, e: int) -> int:
+        """Exponent part e with its weighted-degree field set, or a ValueError.
+        Field nvars - 1 of `(e & fields) * ones` sums e's exponents there, with
+        no carry while such sums are below 2**16, as for an lcm of two terms."""
+        ones, top = self.guard >> FIELD_BITS - 1, FIELD_BITS * (self.nvars - 1)
+        deg = sum(w * ((e & fields) * ones >> top & FIELD_MASK) for w, fields in self._by_weight)
+        _check_field(deg, "weighted degree")
+        return (deg << self.deg_shift) + e
 
     def term_degree(self, t: int) -> int:
         """The weighted degree of packed term t, read off its degree field."""
@@ -139,25 +145,18 @@ class GradedRing:
     def constant(self, c) -> "ModuleElement":
         return self.element({(0, self.one_monomial()): Fraction(c)})
 
-    def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All monomials of weighted degree d, strictly ascending as tuples.
+    def monomials_of_degree(self, d: int) -> list[int]:
+        """Monomials of weighted degree d: packed, component 0, ascending as tuples.
 
         That is lex order, which is multiplicative; `resolutions._slice_ranks`
         relies on it to skip rows known to reduce to zero.
         """
-        out: list[Monomial] = []
-
-        def rec(i: int, rem: int, acc: list[int]):
-            if i == self.nvars:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            w = self.weights[i]
-            for e in range(rem // w + 1):
-                rec(i + 1, rem - e * w, acc + [e])
-
-        rec(0, d, [])
-        return out
+        _check_field(d, "weighted degree")
+        level = [(d << self.deg_shift, d)] if d >= 0 else []  # (term so far, degree left)
+        for i, w in enumerate(self.weights):
+            level = [(t + (e << FIELD_BITS * i), rem - e * w)
+                     for t, rem in level for e in range(rem // w + 1)]
+        return [t for t, rem in level if not rem]
 
     def __eq__(self, other):
         return (
@@ -179,37 +178,40 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class MonomialOrder:
-    """Total order on ring monomials: lex, or grevlex weighted by `weights`.
+    """A ring's monomial order: lex, or grevlex weighted by the ring's weights.
 
-    `key` returns one int, linear in the exponents; larger key means larger
-    monomial.  Grevlex puts the weighted degree above one 16-bit field per
-    exponent, the last variable's negated exponent highest; lex puts the first
-    variable's exponent highest.  Without weights, "wgrevlex" is plain grevlex.
+    `key` takes a packed term, its component ignored, and returns one int,
+    linear in the exponents; larger key means larger monomial.  Weighted
+    grevlex is `e - 2 * (e & ring.exps)` for e the degree and exponent fields:
+    the degree above the negated exponents, the last variable's highest.  Lex
+    is the exponent words in reverse order, the first variable's highest.
     """
 
-    def __init__(self, kind: str = "wgrevlex", weights: Sequence[int] | None = None):
+    def __init__(self, ring: GradedRing, kind: str = "wgrevlex"):
         if kind not in ("lex", "wgrevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
+        self.ring = ring
         self.kind = kind
-        self.weights = list(weights) if weights is not None else None
+        self._fields = (1 << ring.comp_shift) - 1  # the degree and exponent fields
 
-    def key(self, mon: Monomial) -> int:
-        _check_field(max(mon, default=0), "exponent")
+    def key(self, t: int) -> int:
+        ring = self.ring
         if self.kind == "lex":
-            return _fields(mon)
-        deg = sum(mon) if self.weights is None else sum(map(mul, mon, self.weights))
-        return (deg << FIELD_BITS * len(mon)) - _fields(reversed(mon))
+            words = memoryview((t & ring.exps).to_bytes(2 * ring.nvars, "little")).cast("H")
+            return int.from_bytes(words[::-1].tobytes(), "little")
+        e = t & self._fields
+        return e - 2 * (e & ring.exps)
 
     def __repr__(self):
         return f"MonomialOrder({self.kind})"
 
 
 class ModuleOrder:
-    """Order on (component, monomial) pairs, keyed by one int.
+    """Order on packed module terms, keyed by one int.
 
     kind 'TOP': term over position (ring order first, lower component wins ties).
-    kind 'schreyer': induced from lead terms of the previous step's basis;
-    ties broken by lower component.
+    kind 'schreyer': induced from the packed lead terms of the previous step's
+    basis; ties broken by lower component.
 
     Both keys are base[comp] + (ring key << shift): TOP has base -comp and
     shift COMP_BITS; a Schreyer order precomputes, per component, the parent
@@ -221,7 +223,7 @@ class ModuleOrder:
         self,
         ring_order: MonomialOrder,
         kind: str = "TOP",
-        schreyer_leads: Sequence[ModTerm] | None = None,
+        schreyer_leads: Sequence[int] | None = None,
         parent: "ModuleOrder" | None = None,
     ):
         if kind not in ("TOP", "schreyer"):
@@ -232,13 +234,14 @@ class ModuleOrder:
         self.kind = kind
         self.schreyer_leads = list(schreyer_leads) if schreyer_leads else None
         self.parent = parent
+        self._cshift = ring_order.ring.comp_shift
         self._shift = COMP_BITS + (parent._shift if kind == "schreyer" else 0)
         self._base = None if kind == "TOP" else [
             (parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(schreyer_leads)
         ]
 
     @classmethod
-    def tagged(cls, ring: GradedRing, ring_order: MonomialOrder, rank: int, tags: int) -> "ModuleOrder":
+    def tagged(cls, ring_order: MonomialOrder, rank: int, tags: int) -> "ModuleOrder":
         """TOP on F + T, F of the given rank and T of `tags` components after
         it, with every term of F above every term of T.
 
@@ -246,14 +249,14 @@ class ModuleOrder:
         tag component by 2**(comp_shift + COMP_BITS + 1) puts it under all of F.
         """
         order = cls(ring_order)
-        below = 1 << ring.comp_shift + COMP_BITS + 1
+        below = 1 << ring_order.ring.comp_shift + COMP_BITS + 1
         order._base = [-c - (below if c >= rank else 0) for c in range(rank + tags)]
         return order
 
-    def key(self, term: ModTerm) -> int:
-        comp, mon = term
+    def key(self, t: int) -> int:
+        comp = t >> self._cshift
         base = -comp if self._base is None else self._base[comp]
-        return base + (self.ring_order.key(mon) << self._shift)
+        return base + (self.ring_order.key(t) << self._shift)
 
 
 class FreeModule:
@@ -367,9 +370,9 @@ class ModuleElement:
                 if not self.component(i).is_zero()
             ).replace("+ -", "- ")
         ring = self.module.ring
-        key = MonomialOrder("wgrevlex", ring.weights).key
+        key, pack = MonomialOrder(ring).key, ring.pack
         parts = []
-        for t in sorted(self.terms, key=lambda t: key(t[1]), reverse=True):
+        for t in sorted(self.terms, key=lambda t: key(pack(*t)), reverse=True):
             c = self.terms[t]
             factors = [
                 ring.names[i] + (f"^{e}" if e > 1 else "")

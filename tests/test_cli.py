@@ -235,6 +235,41 @@ def test_zero_denominator_in_twist_vector_exits_2(capsys, spec_3d_n1):
     assert captured.err == "error: twist vector '1/0,1' has a zero denominator\n"
 
 
+def test_twist_vector_of_the_wrong_length_exits_2(capsys, tmp_path):
+    path = tmp_path / "4dN2.spec"
+    path.write_text(
+        'algebra "4dN2" { standard { dimension = 4; supersymmetry = "N=2"; } }',
+        encoding="utf-8",
+    )
+    code = main(["--json", "twist", str(path), "--q", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --q has 2 components, expected 8\n"
+
+
+def test_prolong_cap_below_one_exits_2(capsys, spec_3d_n1):
+    code = main(["--json", "prolong", spec_3d_n1, "--cap", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --cap must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("susy", ["N=x", "N=", "N=(1,x)", "N=1.5", "N=-1"])
+def test_malformed_supersymmetry_is_an_unsupported_key(capsys, tmp_path, susy):
+    path = tmp_path / "bad.spec"
+    path.write_text(
+        f'algebra "x" {{ standard {{ dimension = 3; supersymmetry = "{susy}"; }} }}',
+        encoding="utf-8",
+    )
+    code = main(["--json", "info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: unsupported catalog key: dimension 3, susy {susy!r}\n"
+
+
 @pytest.fixture
 def spec_3d_n2(tmp_path):
     path = tmp_path / "3dN2.spec"

@@ -9,7 +9,7 @@ import hashlib
 import random
 from copy import deepcopy
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from types import SimpleNamespace
 from math import comb, gcd, lcm
 
@@ -58,6 +58,13 @@ from superconf.rings import (
 def mon_divides(a, b):
     """Tuple reference: monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def _tuple_monomials(ring, d):
+    """Tuple reference: the exponent tuples of weighted degree d, ascending."""
+    if d < 0:
+        return []
+    return [m for m in product(*(range(d // w + 1) for w in ring.weights)) if ring.degree(m) == d]
 
 
 def mon_lcm(a, b):
@@ -464,7 +471,7 @@ def quadric_sets(draw):
     ring = GradedRing([f"x{i}" for i in range(nvars)])
     npolys = draw(st.integers(1, 3))
     polys = []
-    mons = ring.monomials_of_degree(2)
+    mons = _tuple_monomials(ring, 2)
     for _ in range(npolys):
         terms = {}
         for mon in mons:
@@ -500,14 +507,12 @@ def test_groebner_membership_and_syzygies(data):
 @given(quadric_sets())
 @settings(max_examples=20, deadline=None)
 def test_buchberger_order_independent_membership(data):
-    from superconf.rings import MonomialOrder
-
     ring, polys = data
     nonzero = [p for p in polys if not p.is_zero()]
     if not nonzero:
         return
-    gb1 = ideal_gb(ring, nonzero, MonomialOrder("wgrevlex", ring.weights))
-    gb2 = ideal_gb(ring, nonzero, MonomialOrder("lex"))
+    gb1 = ideal_gb(ring, nonzero, MonomialOrder(ring))
+    gb2 = ideal_gb(ring, nonzero, MonomialOrder(ring, "lex"))
     # each basis reduces to zero against the other
     for src, tgt in ((gb1, gb2), (gb2, gb1)):
         for e in src.elements:
@@ -551,7 +556,7 @@ def presented_modules(draw):
         degree = draw(st.integers(1, 2))
         terms = {}
         for comp, g in enumerate(gen_degrees):
-            for mon in ring.monomials_of_degree(degree - g):
+            for mon in _tuple_monomials(ring, degree - g):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c)
@@ -590,14 +595,14 @@ def test_graded_dim_counts_the_standard_monomials(pm, shift):
         assert m.graded_dim(j) == len(standard_monomials(gb, j)), f"degree {j}"
 
 
-def _block_positions(ring, gen_degrees, j, order_key=None):
+def _block_positions(ring, gen_degrees, j, order=None):
     """{(block, monomial): column} of a degree-j target, each block listed in
-    `monomials_of_degree` order, or sorted descending by `order_key`."""
+    ascending tuple order, or sorted descending by the key of `order`."""
     cols, offset = {}, 0
     for c, g in enumerate(gen_degrees):
-        mons = ring.monomials_of_degree(j - g)
-        if order_key is not None:
-            mons = sorted(mons, key=order_key, reverse=True)
+        mons = _tuple_monomials(ring, j - g)
+        if order is not None:
+            mons = sorted(mons, key=lambda m: order.key(ring.pack(0, m)), reverse=True)
         cols.update({(c, mon): offset + n for n, mon in enumerate(mons)})
         offset += len(mons)
     return cols
@@ -612,7 +617,7 @@ def _lex_reference_rows(columns, target, j):
     return [
         [
             {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in image.terms.items()}
-            for mon in ring.monomials_of_degree(j - deg)
+            for mon in _tuple_monomials(ring, j - deg)
         ]
         for image, deg in columns
     ], len(lex)
@@ -623,7 +628,7 @@ def _builder_rows(columns, target, j):
     ring = target.ring
     index = _column_index(ring, target.gen_degrees, j)
     return [
-        _slice_row(index, _packed_image(image), ring.pack(0, mon))
+        _slice_row(index, _packed_image(image), mon)
         for image, deg in columns
         for mon in ring.monomials_of_degree(j - deg)
     ], len(index)
@@ -635,9 +640,7 @@ def _assert_slice_is_lex_reference_relabelled(columns, target, j):
     position."""
     ring = target.ring
     lex = _block_positions(ring, target.gen_degrees, j)
-    grevlex = _block_positions(
-        ring, target.gen_degrees, j, MonomialOrder("wgrevlex", ring.weights).key
-    )
+    grevlex = _block_positions(ring, target.gen_degrees, j, MonomialOrder(ring))
     relabel = {lex[bm]: grevlex[bm] for bm in lex}
     per_gen, tgt_dim = _lex_reference_rows(columns, target, j)
     expected = []
@@ -677,7 +680,7 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
     """Each row m*f of one polynomial's slice has its minimal column at the
     grevlex leading monomial of m*f, so elimination pivots there."""
     ring, polys = data
-    order = MonomialOrder("wgrevlex", ring.weights)
+    order = MonomialOrder(ring)
     free = FreeModule(ring, [0])
     for f in polys:
         if f.is_zero():
@@ -686,7 +689,7 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
             rows, _ = _builder_rows([(f, 2)], free, j)
             mons = sorted(ring.monomials_of_degree(j), key=order.key, reverse=True)
             for mon, row in zip(ring.monomials_of_degree(j - 2), rows):
-                lead = max((mon_mul(mon, m2) for _, m2 in f.terms), key=order.key)
+                lead = max((mon + ring.pack(*t) for t in f.terms), key=order.key)
                 assert mons[min(row)] == lead
 
 
@@ -702,7 +705,7 @@ def weighted_maps(draw):
         degree = draw(st.integers(1, 3))
         terms = {}
         for comp, g in enumerate(target.gen_degrees):
-            for mon in ring.monomials_of_degree(degree - g):
+            for mon in _tuple_monomials(ring, degree - g):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c, draw(st.integers(1, 3)))
@@ -757,10 +760,15 @@ def test_slice_ranks_on_weighted_maps_match_full_elimination(data, lo):
 @settings(max_examples=40, deadline=None)
 def test_monomials_of_degree_ascend_as_tuples(weights, degree):
     """`_slice_ranks` skips rows on the strength of this order being lex,
-    which is multiplicative; pin it for weighted and unweighted rings."""
+    which is multiplicative; pin it for weighted and unweighted rings.  The
+    packed terms unpack to the `itertools.product` enumeration and are the
+    packs of their monomials, degree field included."""
     for ring in (GradedRing([f"x{i}" for i in range(len(weights))], weights),
                  GradedRing([f"x{i}" for i in range(len(weights))])):
-        mons = ring.monomials_of_degree(degree)
+        packed = ring.monomials_of_degree(degree)
+        mons = [m for _, m in map(ring.unpack, packed)]
+        assert mons == _tuple_monomials(ring, degree)
+        assert packed == [ring.pack(0, m) for m in mons]
         assert all(a < b for a, b in zip(mons, mons[1:]))
         assert all(ring.degree(m) == degree for m in mons)
 
@@ -772,7 +780,7 @@ def _tuple_ring_key(order, mon):
     """The nested-tuple monomial key the int key replaced."""
     if order.kind == "lex":
         return mon
-    weights = order.weights or [1] * len(mon)
+    weights = order.ring.weights
     return (sum(e * w for e, w in zip(mon, weights)), tuple(-e for e in reversed(mon)))
 
 
@@ -781,7 +789,7 @@ def _tuple_module_key(order, term):
     comp, mon = term
     if order.kind == "TOP":
         return (_tuple_ring_key(order.ring_order, mon), -comp)
-    lead_comp, lead_mon = order.schreyer_leads[comp]
+    lead_comp, lead_mon = order.ring_order.ring.unpack(order.schreyer_leads[comp])
     return (_tuple_module_key(order.parent, (lead_comp, mon_mul(mon, lead_mon))), -comp)
 
 
@@ -794,7 +802,7 @@ def _assert_same_order(terms, key, reference):
         lambda ws: st.tuples(
             st.just(ws),
             st.lists(
-                st.tuples(*[st.integers(0, FIELD_LIMIT) for _ in ws]),
+                st.tuples(*[st.integers(0, FIELD_LIMIT // (len(ws) * max(ws))) for _ in ws]),
                 min_size=2,
                 max_size=12,
             ),
@@ -803,19 +811,32 @@ def _assert_same_order(terms, key, reference):
 )
 @settings(max_examples=60, deadline=None)
 def test_int_monomial_keys_order_like_tuple_keys(data):
-    """Lex, grevlex and weighted grevlex, with exponents up to the field limit."""
+    """Lex, grevlex and weighted grevlex on packed terms, with exponents up to
+    the most that keeps every permutation within the packed degree field (the
+    field limit itself in one variable of weight 1); TOP, and the tagged TOP
+    of `syzygy_module`, which puts every term of F above every tag."""
     weights, drawn = data
     # permutations keep the unweighted degree, so the exponent fields decide
     mons = sorted({p for m in drawn for p in permutations(m)})
-    for order in (
-        MonomialOrder("lex"),
-        MonomialOrder("wgrevlex"),
-        MonomialOrder("wgrevlex", weights),
-    ):
-        _assert_same_order(mons, order.key, lambda m: _tuple_ring_key(order, m))
-        top = ModuleOrder(order, "TOP")
-        terms = [(c, m) for m in mons for c in range(3)]
-        _assert_same_order(terms, top.key, lambda t: _tuple_module_key(top, t))
+    names = [f"x{i}" for i in range(len(weights))]
+    for ring in (GradedRing(names), GradedRing(names, weights)):
+        packed = [ring.pack(0, m) for m in mons]
+        for order in (MonomialOrder(ring, "lex"), MonomialOrder(ring)):
+            _assert_same_order(packed, order.key,
+                               lambda t: _tuple_ring_key(order, ring.unpack(t)[1]))
+            top = ModuleOrder(order, "TOP")
+
+            def reference(t):
+                return _tuple_module_key(top, ring.unpack(t))
+
+            terms = [(c << ring.comp_shift) + t for t in packed for c in range(3)]
+            _assert_same_order(terms, top.key, reference)
+            tagged = ModuleOrder.tagged(order, 2, 2)
+            free, tags = ([(c << ring.comp_shift) + t for t in packed for c in cs]
+                          for cs in ((0, 1), (2, 3)))
+            assert min(map(tagged.key, free)) > max(map(tagged.key, tags))
+            _assert_same_order(free, tagged.key, reference)
+            _assert_same_order(tags, tagged.key, reference)
 
 
 @given(presented_modules(), st.sampled_from(["wgrevlex", "lex"]))
@@ -825,16 +846,17 @@ def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
     rels = [r for r in pm.relations if not r.is_zero()]
     if not rels:
         return
-    gb = buchberger(rels, ModuleOrder(MonomialOrder(kind, pm.ring.weights), "TOP"))
+    ring = pm.ring
+    gb = buchberger(rels, ModuleOrder(MonomialOrder(ring, kind), "TOP"))
     orders = [(gb.order, pm.free.rank)]
     while len(gb) and len(orders) < 4:
         rank = len(gb)
         gb, order = schreyer_syzygies(gb)
         orders.append((order, rank))
-    mons = [m for d in range(4) for m in pm.ring.monomials_of_degree(d)]
+    mons = [m for d in range(4) for m in ring.monomials_of_degree(d)]
     for order, rank in orders:
-        terms = [(c, m) for c in range(rank) for m in mons]
-        _assert_same_order(terms, order.key, lambda t: _tuple_module_key(order, t))
+        terms = [(c << ring.comp_shift) + m for c in range(rank) for m in mons]
+        _assert_same_order(terms, order.key, lambda t: _tuple_module_key(order, ring.unpack(t)))
 
 
 @given(presented_modules(), st.sampled_from(["wgrevlex", "lex"]))
@@ -846,14 +868,14 @@ def test_schreyer_frames_are_groebner_bases_with_exact_keys(pm, kind):
     rels = [r for r in pm.relations if not r.is_zero()]
     if not rels:
         return
-    gb = buchberger(rels, ModuleOrder(MonomialOrder(kind, pm.ring.weights), "TOP"))
+    gb = buchberger(rels, ModuleOrder(MonomialOrder(pm.ring, kind), "TOP"))
     while len(gb):
         gb, order = schreyer_syzygies(gb)
         if len(gb):
             assert buchberger(gb.elements, order).lead_terms() == gb.lead_terms()
         for g in gb._internal:
             for t, nk in [(g.lt, g.nlt), *((t, k) for t, _, k in g.tail)]:
-                assert nk == -order.key(pm.ring.unpack(t))
+                assert nk == -order.key(t)
     _, betti = minimal_free_resolution(pm)
     assert betti.entries == koszul_tor(pm, (0, betti.max_degree() + 1)).entries
 
@@ -900,7 +922,7 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
     def key(t):
         return _tuple_module_key(gb.order, t)
 
-    mons = [m for d in (2, 3) for m in ring.monomials_of_degree(d)]
+    mons = [m for d in (2, 3) for m in _tuple_monomials(ring, d)]
     coeffs = draw.draw(
         st.lists(_SCALES | st.just(Fraction(0)), min_size=len(mons), max_size=len(mons))
     )
@@ -935,7 +957,7 @@ def module_generator_lists(draw):
         degree = draw(st.integers(1, 3))
         terms = {}
         for comp, g in enumerate(free.gen_degrees):
-            for mon in ring.monomials_of_degree(degree - g):
+            for mon in _tuple_monomials(ring, degree - g):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c)
@@ -952,7 +974,7 @@ def _degree_rows(elements, degree, ring):
     for e in elements:
         if e.is_zero() or e.degree() > degree:
             continue
-        for mon in ring.monomials_of_degree(degree - e.degree()):
+        for mon in _tuple_monomials(ring, degree - e.degree()):
             rows.append({
                 cols.setdefault((c, mon_mul(m, mon)), len(cols)): v for (c, m), v in e.terms.items()
             })
@@ -1119,7 +1141,7 @@ def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data, kind):
     free, terms = data
     ring = free.ring
     gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms],
-                    ModuleOrder(MonomialOrder(kind, ring.weights), "TOP"))
+                    ModuleOrder(MonomialOrder(ring, kind), "TOP"))
     while len(gb):
         pairs = _tuple_frame_pairs(gb)
         leads = gb.lead_terms()
