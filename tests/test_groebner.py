@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -276,3 +277,65 @@ def test_packed_field_overflow_is_loud():
         R.pack(0, (2**15, 0))
     with pytest.raises(ValueError, match="weighted degree 32768 exceeds .* limit 32767"):
         R.monomials_of_degree(FIELD_LIMIT + 1)
+
+
+def test_non_homogeneous_input_is_rejected():
+    """Over weights (2, 1), x - y^2 is homogeneous of degree 2 and x - y is not."""
+    R, x, y = poly_ring("x", "y", weights=[2, 1])
+    assert len(buchberger([x - y * y])) == 1
+    assert len(ideal_gb(R, [x - y * y])) == 1
+    assert len(syzygy_module([x - y * y])) == 0
+    with pytest.raises(ValueError, match="Buchberger input must be homogeneous"):
+        buchberger([x - y])
+    with pytest.raises(ValueError, match="Buchberger input must be homogeneous"):
+        ideal_gb(R, [x * x, x - y])
+    # syzygy_module reads each generator's degree before the S-pair loop sees it
+    with pytest.raises(ValueError, match="homogeneous"):
+        syzygy_module([x - y])
+
+
+def _key_digest(elem_lists) -> str:
+    """SHA-256 of every stored negated key: each element's lead key, then its tail keys."""
+    text = "|".join(
+        ";".join(",".join(map(str, [g.nlt, *(k for _, _, k in g.tail)])) for g in elems)
+        for elems in elem_lists
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key, digest", [
+    ((4, 2), "5ed19bd25814b081c2d20b9886f9ad602ec0278e13fd78000d72a9df4017d013"),
+    ((6, (1, 0)), "658da8296222ecf4f1818bfaeffeced3227bd20dfb8e83310784f03de8edad76"),
+])
+def test_conf_chain_order_keys_are_pinned(key, digest):
+    """The negated order keys stored along a conf resolution chain: the TOP
+    basis and every Schreyer frame after it."""
+    from superconf.algebras import build_standard
+    from superconf.multiplets import conf_module
+    from superconf.resolutions import minimal_free_resolution
+
+    chain, _ = minimal_free_resolution(conf_module(build_standard(*key)).module)
+    assert len(chain) == 5
+    assert _key_digest([gb._internal for gb in chain]) == digest
+
+
+def test_tagged_syzygy_order_keys_are_pinned(monkeypatch):
+    """The negated keys of the basis and the set-aside elements of both tagged
+    S-pair runs behind the 6d N=(1,0) kaehler module."""
+    from superconf import groebner
+    from superconf.algebras import build_standard
+    from superconf.multiplets import kaehler_module
+
+    runs = []
+    loop = groebner._spair_loop
+
+    def spy(*args, **kwargs):
+        runs.append(loop(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "_spair_loop", spy)
+    kaehler_module(build_standard(6, (1, 0)))
+    assert [(len(basis), len(aside)) for basis, aside in runs] == [(6, 8), (33, 63)]
+    assert _key_digest([elems for run in runs for elems in run]) == (
+        "c89b05f484db8a9435183e15c51af40412e773f2400449a644f00104cddbd968"
+    )
