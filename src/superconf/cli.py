@@ -9,12 +9,13 @@ runs are byte-identical.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import cache as cache_mod
 from .algebras import check_conformal_type, derivations_deg0
-from .fixtures import FIXTURES, verify
+from .fixtures import FIXTURES, sorted_rows, verify
 from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
 from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
@@ -135,15 +136,13 @@ def cmd_multiplet(args) -> int:
         table = component_fields(mod, betti)
         out = {
             "kind": kind,
-            "betti": [[i, j, m] for (i, j), m in sorted(betti.entries.items())],
+            "betti": sorted_rows(betti.entries),
             "complete": betti.complete,
-            "table": [[r, c, v] for (r, c), v in sorted(table.cells.items())],
+            "table": sorted_rows(table.cells),
         }
         if args.window is not None:
             oracle = koszul_tor(mod.module, (0, args.window))
-            out["koszul_betti"] = [
-                [i, j, m] for (i, j), m in sorted(oracle.entries.items())
-            ]
+            out["koszul_betti"] = sorted_rows(oracle.entries)
             out["koszul_agrees"] = oracle.entries == betti.restrict((0, args.window)).entries
         return out
 
@@ -219,8 +218,8 @@ def cmd_twist(args) -> int:
     for name, data in sorted(report.analyses.items()):
         if name in ("conf", "kaehler", "canonical"):
             analyses_payload[name] = {
-                "betti": [[i, j, m] for (i, j), m in sorted(data["betti"].entries.items())],
-                "table": [[r, c, v] for (r, c), v in sorted(data["table"].cells.items())],
+                "betti": sorted_rows(data["betti"].entries),
+                "table": sorted_rows(data["table"].cells),
             }
         elif name == "variety":
             analyses_payload[name] = {
@@ -318,7 +317,9 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (`main` only reads it)."""
     parser = argparse.ArgumentParser(
         prog="superconf",
         description="Exact superspace invariants from a supertranslation algebra",
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="stable JSON output")
     parser.add_argument(
         "--cache-dir",
-        default=cache_mod.default_cache_dir(),
         help="content-addressed cache directory (env SUPERCONF_CACHE_DIR)",
     )
     parser.add_argument(
@@ -382,6 +382,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.cache_dir is None:  # read at call time, not when the parser was built
+        args.cache_dir = cache_mod.default_cache_dir()
     try:
         return args.func(args)
     except SpecError as exc:

@@ -51,12 +51,10 @@ class FixtureOutcome:
     table: MultipletTable | None = field(default=None, repr=False, compare=False)
 
 
-def _betti_sorted(entries: dict) -> list:
-    return [[i, j, entries[(i, j)]] for i, j in sorted(entries)]
-
-
-def _cells_sorted(cells: dict) -> list:
-    return [[r, c, cells[(r, c)]] for r, c in sorted(cells)]
+def sorted_rows(table: dict) -> list:
+    """{(a, b): v} as rows [a, b, v] in key order: the Betti and component-field
+    rows of the fixtures and of the CLI's --json."""
+    return [[*k, v] for k, v in sorted(table.items())]
 
 
 FIXTURES: list[FixtureCase] = [
@@ -196,16 +194,16 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
     elif kind == "conf_betti":
         m = conf_module(alg)
         _, betti = minimal_free_resolution(m.module)
-        got = _betti_sorted(betti.entries)
+        got = sorted_rows(betti.entries)
         window = case.options.get("koszul_window")
         if window and got == expected:
             oracle = koszul_tor(m.module, tuple(window))
             if oracle.entries != betti.restrict(tuple(window)).entries:
-                got = {"resolution": got, "koszul": _betti_sorted(oracle.entries)}
+                got = {"resolution": got, "koszul": sorted_rows(oracle.entries)}
     elif kind == "canonical_betti":
         m = canonical_module(alg)
         _, betti = minimal_free_resolution(m.module)
-        got = _betti_sorted(betti.entries)
+        got = sorted_rows(betti.entries)
     elif kind in ("conf_table", "conf_low_cells"):
         m = conf_module(alg)
         if kind == "conf_table":
@@ -215,8 +213,8 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
             max_j = max(2 * r + c for r, c, _ in expected)
             entries = low_betti(m.module, max_j)
             cells = {(j - i, 2 * i - j): v for (i, j), v in entries.items()}
-        expected = _cells_sorted({(r, c): sum(ms) for r, c, ms in expected})
-        got = _cells_sorted(cells)
+        expected = sorted_rows({(r, c): sum(ms) for r, c, ms in expected})
+        got = sorted_rows(cells)
     elif kind == "universal":
         got = universal_checks(alg).passed
     elif kind == "twist_dims":

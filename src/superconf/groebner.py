@@ -47,7 +47,7 @@ from .rings import (
 
 
 class StepBudgetExceeded(Exception):
-    """Raised when a Gröbner computation exceeds its configured step budget."""
+    """Raised when a computation exceeds its step cap (see `minimal_free_resolution`)."""
 
 
 def _work(ring: GradedRing, order: ModuleOrder, terms: dict):
@@ -241,36 +241,32 @@ class GroebnerBasis:
         return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
 
 
-def default_module_order(module: FreeModule) -> ModuleOrder:
-    return ModuleOrder(MonomialOrder(module.ring), "TOP")
-
-
-def buchberger(
-    gens: Sequence[ModuleElement],
-    order: ModuleOrder | None = None,
-    step_budget: int | None = None,
-) -> GroebnerBasis:
-    """Auto-reduced Gröbner basis of the submodule generated by `gens`."""
+def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder | None = None) -> GroebnerBasis:
+    """Auto-reduced Gröbner basis of the submodule generated by `gens`, by
+    default in the TOP order of the ring's weighted grevlex."""
     if not gens:
         raise ValueError("need at least one generator (possibly zero) to fix the module")
     module = gens[0].module
     if order is None:
-        order = default_module_order(module)
-    basis, _ = _spair_loop(gens, order, step_budget, module.rank)
+        order = ModuleOrder.top(MonomialOrder(module.ring), module.rank)
+    if order.ring_order.ring != module.ring or len(order.base) != module.rank:
+        raise ValueError(f"a module order of rank {len(order.base)} over {order.ring_order.ring} "
+                         f"does not fit rank {module.rank} over {module.ring}")
+    basis, _ = _spair_loop(gens, order, module.rank)
     return GroebnerBasis(module, order, _autoreduce(module.ring, basis))
 
 
-def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: int | None,
-                tags: int) -> tuple[list, list]:
+def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) -> tuple[list, list]:
     """Buchberger's S-pair loop: (basis, set aside), both lists of `_GbElem`.
 
     Each generator and each S-pair is reduced fully against the basis so far.
     A remainder whose lead lies in a component below `tags` joins the basis;
     one whose lead lies in component `tags` or above is set aside and never
-    joins it.  With `tags` the rank of the module nothing is set aside.
+    joins it.  With `tags` the rank of the module nothing is set aside.  A
+    generator's degrees are read off its packed terms.
     """
     module = gens[0].module
-    ring = module.ring
+    ring, gen_degrees = module.ring, module.gen_degrees
     use_product = module.rank == 1
 
     cshift, guard, exps, lcm = ring.comp_shift, ring.guard, ring.exps, ring.lcm
@@ -294,18 +290,17 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
         # the order key of an lcm are computed once, when its pair is queued.
         for i, j, m in _gm_update(ring, basis, t, use_product):
             lcm_t = (comp << cshift) + ring.with_degree(m)
-            d = ring.term_degree(lcm_t) + module.gen_degrees[comp]
+            d = ring.term_degree(lcm_t) + gen_degrees[comp]
             heapq.heappush(heap, (d, order.key(lcm_t), i, j, lcm_t))
 
     for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("Buchberger input must be homogeneous")
         work, wheap, scale = _work(ring, order, g.terms)
+        if len({ring.term_degree(t) + gen_degrees[t >> cshift] for t in work}) > 1:
+            raise ValueError("Buchberger input must be homogeneous")
         rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
         if rem:
             push(rem, scale)
 
-    steps = 0
     while heap:
         _, key, i, j, lcm_t = heapq.heappop(heap)
         # Lazy chain criterion against elements added after the pair was queued:
@@ -321,9 +316,6 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, step_budget: 
                 break
         if skip:
             continue
-        steps += 1
-        if step_budget is not None and steps > step_budget:
-            raise StepBudgetExceeded(f"S-pair budget {step_budget} exceeded")
         work, wheap, scale = _spair(basis[i], basis[j], lcm_t, -key)
         rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
         if rem:
@@ -363,15 +355,11 @@ def _autoreduce(ring: GradedRing, basis: list) -> list:
 
 
 def ideal_gb(
-    ring: GradedRing,
-    polys: Sequence[ModuleElement],
-    order: MonomialOrder | None = None,
-    step_budget: int | None = None,
+    ring: GradedRing, polys: Sequence[ModuleElement], order: MonomialOrder | None = None
 ) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by ring elements `polys`: the
     rank-one case of `buchberger`."""
-    mod_order = ModuleOrder(order or MonomialOrder(ring), "TOP")
-    return buchberger(list(polys) or [ring.zero()], mod_order, step_budget=step_budget)
+    return buchberger(list(polys) or [ring.zero()], ModuleOrder.top(order or MonomialOrder(ring), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +424,7 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
     syz_module = FreeModule(
         ring, [ring.term_degree(g.lt) + module.gen_degrees[g.lt >> cshift] for g in basis]
     )
-    syz_order = ModuleOrder(
-        order.ring_order, "schreyer", schreyer_leads=[g.lt for g in basis], parent=order
-    )
+    syz_order = ModuleOrder.schreyer(order, [g.lt for g in basis])
     index = {g: n for n, g in enumerate(basis)}
     frame: list[_GbElem] = []
     for i, gi in enumerate(basis):
@@ -498,7 +484,7 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     order = ModuleOrder.tagged(MonomialOrder(ring), rank, len(gens))
     _, aside = _spair_loop(
         [ModuleElement(tagged, {**g.terms, (rank + s, one): Fraction(1)}) for s, g in enumerate(gens)],
-        order, None, rank,
+        order, rank,
     )
     tgt = FreeModule(ring, degrees)
     return [

@@ -42,7 +42,6 @@ from .groebner import (
     HilbertSeries,
     StepBudgetExceeded,
     buchberger,
-    default_module_order,
     krull_dim,
     module_hilbert_numerator,
     schreyer_syzygies,
@@ -75,7 +74,7 @@ class PresentedModule:
             gens = [r for r in self.relations if not r.is_zero()]
             if not gens:
                 gens = [self.free.zero()]
-            self._gb = buchberger(gens, default_module_order(self.free))
+            self._gb = buchberger(gens)
         return self._gb
 
     def graded_dim(self, degree: int) -> int:
@@ -189,9 +188,9 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
     computed, a list of Gröbner bases, empty when there are no relations.  A
     chain that does not end within nvars + 4 steps raises StepBudgetExceeded.
     """
-    ring = m.ring
-    max_steps = ring.nvars + 4
+    max_steps = m.ring.nvars + 4
     chain: list[GroebnerBasis] = []
+    gens = [Counter(m.gen_degrees)]  # the generator degrees of F_0, F_1, ...
     if any(not r.is_zero() for r in m.relations):
         current = m.relation_gb()
         chain.append(current)
@@ -201,14 +200,10 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
                     f"resolution did not terminate within {max_steps} steps"
                 )
             current, _ = schreyer_syzygies(current)
+            gens.append(Counter(current.module.gen_degrees))
             if not len(current):
                 break
             chain.append(current)
-    gens = [Counter(m.gen_degrees)] + [
-        Counter(ring.term_degree(g.lt) + gb.module.gen_degrees[g.lt >> ring.comp_shift]
-                for g in gb._internal)
-        for gb in chain
-    ]
     ranks = [{}] + [
         _constant_ranks(gb.module, (g.packed() for g in gb._internal)) for gb in chain
     ] + [{}]
@@ -535,7 +530,7 @@ def koszul_homology_is_zero(
     boundaries = [c for c in next_cols if not c.is_zero()]
     if not boundaries:
         return False
-    gb = buchberger(boundaries, default_module_order(cycles[0].module))
+    gb = buchberger(boundaries)
     return all(gb.normal_form(z).is_zero() for z in cycles)
 
 

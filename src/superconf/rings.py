@@ -27,8 +27,12 @@ arithmetic runs field by field with no carry or borrow across fields:
   a and b share no variable when `(a + L) & (b + L) & G == 0`.
 
 An order is bound to its ring and keys packed terms, each key one int affine
-in the exponents: key(t*q) = key(t) + key(q) - key(1).  `monomials_of_degree`
-enumerates packed terms too, so only the public boundary builds tuples.
+in the exponents: key(t*q) = key(t) + key(q) - key(1).  A module order is
+one formula on top of it, base[comp] + (ring key << shift), with three
+constructors: `ModuleOrder.top` (term over position), `ModuleOrder.schreyer`
+(induced by the lead terms of a basis) and `ModuleOrder.tagged` (the order
+of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too, so
+only the public boundary builds tuples.
 """
 
 from __future__ import annotations
@@ -207,56 +211,48 @@ class MonomialOrder:
 
 
 class ModuleOrder:
-    """Order on packed module terms, keyed by one int.
+    """Order on packed module terms: key(t) = base[comp] + (ring key << shift).
 
-    kind 'TOP': term over position (ring order first, lower component wins ties).
-    kind 'schreyer': induced from the packed lead terms of the previous step's
-    basis; ties broken by lower component.
+    Larger key means larger term, and `base` has one entry per component.
+    Three constructors:
 
-    Both keys are base[comp] + (ring key << shift): TOP has base -comp and
-    shift COMP_BITS; a Schreyer order precomputes, per component, the parent
-    key of that component's lead term shifted up COMP_BITS, minus the
-    component.
+    - `top(ring_order, rank)`: term over position, base -c: the ring order
+      first, the lower component winning ties;
+    - `schreyer(parent, leads)`: the order induced by `parent` from the packed
+      lead terms of the previous step's basis, base
+      (parent.key(lead_c) << COMP_BITS) - c, ties again to the lower component;
+    - `tagged(ring_order, rank, tags)`: TOP on F + T with every term of F
+      above every term of T.
     """
 
-    def __init__(
-        self,
-        ring_order: MonomialOrder,
-        kind: str = "TOP",
-        schreyer_leads: Sequence[int] | None = None,
-        parent: "ModuleOrder" | None = None,
-    ):
-        if kind not in ("TOP", "schreyer"):
-            raise ValueError(f"unknown module order kind {kind!r}")
-        if kind == "schreyer" and (schreyer_leads is None or parent is None):
-            raise ValueError("schreyer order needs the previous leads and parent order")
+    __slots__ = ("ring_order", "base", "shift", "_cshift")
+
+    def __init__(self, ring_order: MonomialOrder, base: list[int], shift: int):
         self.ring_order = ring_order
-        self.kind = kind
-        self.schreyer_leads = list(schreyer_leads) if schreyer_leads else None
-        self.parent = parent
+        self.base = base
+        self.shift = shift
         self._cshift = ring_order.ring.comp_shift
-        self._shift = COMP_BITS + (parent._shift if kind == "schreyer" else 0)
-        self._base = None if kind == "TOP" else [
-            (parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(schreyer_leads)
-        ]
+
+    @classmethod
+    def top(cls, ring_order: MonomialOrder, rank: int) -> "ModuleOrder":
+        return cls(ring_order, [-c for c in range(rank)], COMP_BITS)
+
+    @classmethod
+    def schreyer(cls, parent: "ModuleOrder", leads: Sequence[int]) -> "ModuleOrder":
+        base = [(parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(leads)]
+        return cls(parent.ring_order, base, COMP_BITS + parent.shift)
 
     @classmethod
     def tagged(cls, ring_order: MonomialOrder, rank: int, tags: int) -> "ModuleOrder":
-        """TOP on F + T, F of the given rank and T of `tags` components after
-        it, with every term of F above every term of T.
-
-        A ring key is below 2**ring.comp_shift, so lowering the base of each
-        tag component by 2**(comp_shift + COMP_BITS + 1) puts it under all of F.
-        """
-        order = cls(ring_order)
+        """F of the given rank and T of `tags` components after it.  A ring key
+        is below 2**ring.comp_shift, so lowering the base of each tag component
+        by 2**(comp_shift + COMP_BITS + 1) puts it under all of F."""
         below = 1 << ring_order.ring.comp_shift + COMP_BITS + 1
-        order._base = [-c - (below if c >= rank else 0) for c in range(rank + tags)]
-        return order
+        return cls(ring_order, [-c - (below if c >= rank else 0) for c in range(rank + tags)],
+                   COMP_BITS)
 
     def key(self, t: int) -> int:
-        comp = t >> self._cshift
-        base = -comp if self._base is None else self._base[comp]
-        return base + (self.ring_order.key(t) << self._shift)
+        return self.base[t >> self._cshift] + (self.ring_order.key(t) << self.shift)
 
 
 class FreeModule:

@@ -6,7 +6,6 @@ import pytest
 from superconf.groebner import (
     HilbertSeries,
     buchberger,
-    default_module_order,
     hilbert_series,
     ideal_gb,
     krull_dim,
@@ -20,6 +19,7 @@ from superconf.rings import (
     FreeModule,
     GradedRing,
     ModuleElement,
+    ModuleOrder,
     MonomialOrder,
     poly_ring,
 )
@@ -233,7 +233,7 @@ def test_standard_monomials_and_quotient_dimension():
 def test_module_hilbert_numerator_free():
     R = GradedRing(["x", "y"])
     mod = FreeModule(R, [0, 1])
-    gb = buchberger([mod.zero()], default_module_order(mod))
+    gb = buchberger([mod.zero()])
     assert module_hilbert_numerator(gb) == {0: 1, 1: 1}
 
 
@@ -292,6 +292,20 @@ def test_non_homogeneous_input_is_rejected():
     # syzygy_module reads each generator's degree before the S-pair loop sees it
     with pytest.raises(ValueError, match="homogeneous"):
         syzygy_module([x - y])
+
+
+def test_order_of_another_ring_or_rank_is_rejected():
+    """An order keys packed terms with its own ring's masks and one base entry
+    per component, so an order that does not fit the module raises."""
+    R, x, y, z = poly_ring("x", "y", "z")
+    with pytest.raises(ValueError, match="does not fit rank 1 over GradedRing"):
+        ideal_gb(R, [x * x - y * z, x * y - z * z], MonomialOrder(GradedRing(["a", "b"])))
+    free = FreeModule(R, [0, 0])
+    gens = [free.gen(0) * x - free.gen(1) * y]
+    assert len(buchberger(gens, ModuleOrder.top(MonomialOrder(R), 2))) == 1
+    for rank in (1, 3):
+        with pytest.raises(ValueError, match=f"module order of rank {rank} over"):
+            buchberger(gens, ModuleOrder.top(MonomialOrder(R), rank))
 
 
 def _key_digest(elem_lists) -> str:

@@ -784,13 +784,15 @@ def _tuple_ring_key(order, mon):
     return (sum(e * w for e, w in zip(mon, weights)), tuple(-e for e in reversed(mon)))
 
 
-def _tuple_module_key(order, term):
-    """The recursive nested-tuple module key the int key replaced."""
+def _tuple_module_key(ring_order, chain, term):
+    """The recursive nested-tuple module key the int key replaced: TOP when
+    `chain` is empty, else the Schreyer order induced by the lead terms
+    chain[-1], (component, monomial) pairs, from the order of chain[:-1]."""
     comp, mon = term
-    if order.kind == "TOP":
-        return (_tuple_ring_key(order.ring_order, mon), -comp)
-    lead_comp, lead_mon = order.ring_order.ring.unpack(order.schreyer_leads[comp])
-    return (_tuple_module_key(order.parent, (lead_comp, mon_mul(mon, lead_mon))), -comp)
+    if not chain:
+        return (_tuple_ring_key(ring_order, mon), -comp)
+    lead_comp, lead_mon = chain[-1][comp]
+    return (_tuple_module_key(ring_order, chain[:-1], (lead_comp, mon_mul(mon, lead_mon))), -comp)
 
 
 def _assert_same_order(terms, key, reference):
@@ -824,10 +826,10 @@ def test_int_monomial_keys_order_like_tuple_keys(data):
         for order in (MonomialOrder(ring, "lex"), MonomialOrder(ring)):
             _assert_same_order(packed, order.key,
                                lambda t: _tuple_ring_key(order, ring.unpack(t)[1]))
-            top = ModuleOrder(order, "TOP")
+            top = ModuleOrder.top(order, 3)
 
             def reference(t):
-                return _tuple_module_key(top, ring.unpack(t))
+                return _tuple_module_key(order, [], ring.unpack(t))
 
             terms = [(c << ring.comp_shift) + t for t in packed for c in range(3)]
             _assert_same_order(terms, top.key, reference)
@@ -847,16 +849,19 @@ def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
     if not rels:
         return
     ring = pm.ring
-    gb = buchberger(rels, ModuleOrder(MonomialOrder(ring, kind), "TOP"))
-    orders = [(gb.order, pm.free.rank)]
+    ring_order = MonomialOrder(ring, kind)
+    gb = buchberger(rels, ModuleOrder.top(ring_order, pm.free.rank))
+    orders = [(gb.order, pm.free.rank, [])]  # (order, rank, lead lists it is induced from)
     while len(gb) and len(orders) < 4:
         rank = len(gb)
+        chain = orders[-1][2] + [gb.lead_terms()]
         gb, order = schreyer_syzygies(gb)
-        orders.append((order, rank))
+        orders.append((order, rank, chain))
     mons = [m for d in range(4) for m in ring.monomials_of_degree(d)]
-    for order, rank in orders:
+    for order, rank, chain in orders:
         terms = [(c << ring.comp_shift) + m for c in range(rank) for m in mons]
-        _assert_same_order(terms, order.key, lambda t: _tuple_module_key(order, ring.unpack(t)))
+        _assert_same_order(terms, order.key,
+                           lambda t: _tuple_module_key(ring_order, chain, ring.unpack(t)))
 
 
 @given(presented_modules(), st.sampled_from(["wgrevlex", "lex"]))
@@ -868,7 +873,7 @@ def test_schreyer_frames_are_groebner_bases_with_exact_keys(pm, kind):
     rels = [r for r in pm.relations if not r.is_zero()]
     if not rels:
         return
-    gb = buchberger(rels, ModuleOrder(MonomialOrder(pm.ring, kind), "TOP"))
+    gb = buchberger(rels, ModuleOrder.top(MonomialOrder(pm.ring, kind), pm.free.rank))
     while len(gb):
         gb, order = schreyer_syzygies(gb)
         if len(gb):
@@ -920,7 +925,7 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
     gb = ideal_gb(ring, gens)
 
     def key(t):
-        return _tuple_module_key(gb.order, t)
+        return _tuple_module_key(gb.order.ring_order, [], t)
 
     mons = [m for d in (2, 3) for m in _tuple_monomials(ring, d)]
     coeffs = draw.draw(
@@ -1141,7 +1146,7 @@ def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data, kind):
     free, terms = data
     ring = free.ring
     gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms],
-                    ModuleOrder(MonomialOrder(ring, kind), "TOP"))
+                    ModuleOrder.top(MonomialOrder(ring, kind), free.rank))
     while len(gb):
         pairs = _tuple_frame_pairs(gb)
         leads = gb.lead_terms()
