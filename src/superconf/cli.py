@@ -385,7 +385,8 @@ def main(argv=None) -> int:
     if args.cache_dir is None:  # read at call time, not when the parser was built
         args.cache_dir = cache_mod.default_cache_dir()
     try:
-        return args.func(args)
+        # the command as the module holds it now, not as the cached parser bound it
+        return globals()[args.func.__name__](args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
