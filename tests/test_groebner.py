@@ -270,6 +270,9 @@ def test_packed_field_overflow_is_loud():
     # inputs that fit, whose S-pair lcm x^20000*y^20000 does not
     with pytest.raises(ValueError, match="weighted degree 40000 exceeds .* limit 32767"):
         ideal_gb(R, [mono(20000, 1), mono(1, 20000)])
+    # factors that fit, whose product x^20001*y^20001 does not
+    with pytest.raises(ValueError, match="weighted degree 40002 exceeds"):
+        ideal_gb(R, [mono(20000, 1) * mono(1, 20000)])
     heavy = GradedRing(["x"], weights=[1000])
     with pytest.raises(ValueError, match="weighted degree 33000"):
         ideal_gb(heavy, [heavy.element({(0, (33,)): Fraction(1)})])

@@ -25,3 +25,37 @@ def test_module_elements_times_scalars_and_ring_elements():
     assert (x * y).degree() == 2 and (x * y).module == R.zero().module
     with pytest.raises(ValueError, match="ring element"):
         x * F.gen(0)
+
+
+def test_component_selects_one_coordinate_of_a_rank_two_element():
+    R, x, y = poly_ring("x", "y")
+    F = FreeModule(R, [0, 1])
+    e = F.gen(0) * (x * y - y * y) + F.gen(1) * (3 * x)
+    assert e.component(0) == x * y - y * y
+    assert e.component(1) == 3 * x
+    assert e.component(0).module == R.zero().module
+    assert F.zero().component(1) == R.zero()
+
+
+def test_degree_adds_generator_degrees_over_weighted_rings():
+    R, x, y = poly_ring("x", "y", weights=[1, 3])
+    F = FreeModule(R, [2, 0])
+    e = F.gen(0) * y - F.gen(1) * (x * x * y)
+    assert e.degree() == 5
+    assert (F.gen(1) * x).degree() == 1
+    assert F.zero().degree() == 0
+    assert R.zero().degree() == 0
+
+
+def test_non_homogeneous_elements_and_relations_are_rejected():
+    from superconf.resolutions import PresentedModule
+
+    R, x, y = poly_ring("x", "y", weights=[1, 3])
+    F = FreeModule(R, [2, 0])
+    with pytest.raises(ValueError, match="homogeneous"):
+        (F.gen(0) + F.gen(1)).degree()
+    with pytest.raises(ValueError, match="homogeneous"):
+        (x + y).degree()
+    assert len(PresentedModule(R, [2, 0], [F.gen(0) * x - F.gen(1) * y]).relations) == 1
+    with pytest.raises(ValueError, match="homogeneous"):
+        PresentedModule(R, [2, 0], [F.gen(0) * x - F.gen(1) * x])
