@@ -94,6 +94,7 @@ class SupertranslationAlgebra:
         """The d generators la gamma lb of the nilpotence ideal (zeros kept)."""
         if self._quadrics is None:
             ring = self.ring()
+            var = ring.var_terms
             polys = []
             for mu in range(self.d):
                 terms = {}
@@ -102,11 +103,8 @@ class SupertranslationAlgebra:
                         c = self.gamma[a][b][mu]
                         if not c:
                             continue
-                        mon = tuple(
-                            (2 if i == a else 0) if a == b else (1 if i in (a, b) else 0)
-                            for i in range(self.k)
-                        )
-                        terms[(0, mon)] = terms.get((0, mon), _F0) + (c if a == b else 2 * c)
+                        t = var[a] + var[b]
+                        terms[t] = terms.get(t, _F0) + (c if a == b else 2 * c)
                 polys.append(ring.element(terms))
             self._quadrics = polys
         return self._quadrics
@@ -478,6 +476,7 @@ def jacobian(alg: SupertranslationAlgebra) -> list[list[ModuleElement]]:
     """phi[mu][b] = sum_a 2 gamma[a][b][mu] la, the gradient of q_mu."""
     ring = alg.ring()
     k, d = alg.k, alg.d
+    var = ring.var_terms
     phi = []
     for mu in range(d):
         row = []
@@ -486,8 +485,7 @@ def jacobian(alg: SupertranslationAlgebra) -> list[list[ModuleElement]]:
             for a in range(k):
                 c = alg.gamma[a][b][mu]
                 if c:
-                    mon = tuple(1 if i == a else 0 for i in range(k))
-                    terms[(0, mon)] = terms.get((0, mon), _F0) + 2 * c
+                    terms[var[a]] = terms.get(var[a], _F0) + 2 * c
             row.append(ring.element(terms))
         phi.append(row)
     return phi

@@ -9,21 +9,22 @@ Schreyer frame), with no Buchberger run.  `syzygy_module` needs only
 generators: it runs the same S-pair loop on the generators tagged with
 their own basis vectors, and collects the remainders that are all tag.
 
-The core works on packed int terms and int order keys (see `rings`) with
-integer coefficients.  Lead terms stay packed too: the pair criteria
-(Gebauer-Möller, the product criterion, the lazy chain test), the Schreyer
-quotients and the Hilbert numerator run on the packed divisibility test, the
-fieldwise-max lcm through the guard bits and the coprimality test of `rings`;
-an lcm gets its degree field and key once, when its pair is queued or kept.
+The core works on packed int terms (see `rings`), the layout a
+`ModuleElement` holds too, with int order keys and integer coefficients.  The
+pair criteria (Gebauer-Möller, the product criterion, the lazy chain test),
+the Schreyer quotients and the Hilbert numerator run on the packed
+divisibility test, the fieldwise-max lcm through the guard bits and the
+coprimality test of `rings`; an lcm gets its degree field and key once, when
+its pair is queued or kept.
 Every basis element is primitive with positive lead coefficient, so reduced
 bases are canonical and safe to hash for the on-disk cache.  Reduction is
 fraction-free: the working polynomial carries a running scale and is
 rescaled only when a lead coefficient does not divide, and each step is
 recorded as integers (element, quotient, key, factor, scale).  A syzygy is
 built from that record in integers and packed terms, so a frame goes from
-S-pair to the next step's basis without leaving the core.  Tuples and
-`Fraction`s appear only at the public boundary: `elements`, `lead_terms`,
-`normal_form`, `standard_monomials` and the syzygies of `syzygy_module`.
+S-pair to the next step's basis without leaving the core.  `Fraction`s
+appear only at the public boundary: `elements`, `normal_form` and the
+syzygies of `syzygy_module`.
 """
 
 from __future__ import annotations
@@ -50,16 +51,12 @@ class StepBudgetExceeded(Exception):
     """Raised when a computation exceeds its step cap (see `minimal_free_resolution`)."""
 
 
-def _work(ring: GradedRing, order: ModuleOrder, terms: dict):
-    """(work, heap, scale) of {(comp, mon): Fraction}: the packed integer
-    coefficients work with terms = work / scale, and heap entries (-key, t)."""
+def _work(order: ModuleOrder, terms: dict):
+    """(work, heap, scale) of {packed term: Fraction}: the integer coefficients
+    work with terms = work / scale, and heap entries (-key, t)."""
     scale = int_lcm(*(c.denominator for c in terms.values()))
-    work, heap = {}, []
-    for term, c in terms.items():
-        t = ring.pack(*term)
-        work[t] = c.numerator * (scale // c.denominator)
-        heap.append((-order.key(t), t))
-    return work, heap, scale
+    work = {t: c.numerator * (scale // c.denominator) for t, c in terms.items()}
+    return work, [(-order.key(t), t) for t in work], scale
 
 
 class _GbElem:
@@ -87,9 +84,6 @@ class _GbElem:
     def packed(self) -> list[tuple[int, int]]:
         """(packed term, integer coefficient) pairs, lead first."""
         return [(self.lt, self.lc), *((t, c) for t, c, _ in self.tail)]
-
-    def terms(self, ring: GradedRing) -> dict:
-        return {ring.unpack(t): Fraction(c) for t, c in self.packed()}
 
 
 def _reduce_full(work: dict, heap: list, scale: int, by_comp: dict, ring: GradedRing,
@@ -222,12 +216,12 @@ class GroebnerBasis:
 
     @property
     def elements(self) -> list[ModuleElement]:
-        ring = self.module.ring
-        return [ModuleElement(self.module, g.terms(ring)) for g in self._internal]
+        return [ModuleElement(self.module, {t: Fraction(c) for t, c in g.packed()})
+                for g in self._internal]
 
-    def lead_terms(self) -> list:
-        """The lead terms as (component, monomial) pairs, in basis order."""
-        return [self.module.ring.unpack(g.lt) for g in self._internal]
+    def lead_terms(self) -> list[int]:
+        """The packed lead terms, in basis order."""
+        return [g.lt for g in self._internal]
 
     def __len__(self):
         return len(self._internal)
@@ -235,10 +229,9 @@ class GroebnerBasis:
     def normal_form(self, f: ModuleElement) -> ModuleElement:
         if f.module.ring != self.module.ring or f.module.rank != self.module.rank:
             raise ValueError("element does not live in the basis module")
-        ring = self.module.ring
-        work, heap, scale = _work(ring, self.order, f.terms)
-        rem, _ = _reduce_full(work, heap, scale, self._by_comp, ring)
-        return ModuleElement(self.module, {ring.unpack(t): Fraction(c, s) for _, t, c, s in rem})
+        work, heap, scale = _work(self.order, f.terms)
+        rem, _ = _reduce_full(work, heap, scale, self._by_comp, self.module.ring)
+        return ModuleElement(self.module, {t: Fraction(c, s) for _, t, c, s in rem})
 
 
 def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder | None = None) -> GroebnerBasis:
@@ -294,7 +287,7 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) ->
             heapq.heappush(heap, (d, order.key(lcm_t), i, j, lcm_t))
 
     for g in gens:
-        work, wheap, scale = _work(ring, order, g.terms)
+        work, wheap, scale = _work(order, g.terms)
         if len({ring.term_degree(t) + gen_degrees[t >> cshift] for t in work}) > 1:
             raise ValueError("Buchberger input must be homogeneous")
         rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
@@ -477,20 +470,17 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     """
     module = gens[0].module
     ring = module.ring
-    rank = module.rank
+    rank, cshift = module.rank, ring.comp_shift
     degrees = [0 if g.is_zero() else g.degree() for g in gens]
     tagged = FreeModule(ring, module.gen_degrees + degrees)
-    one = ring.one_monomial()
     order = ModuleOrder.tagged(MonomialOrder(ring), rank, len(gens))
     _, aside = _spair_loop(
-        [ModuleElement(tagged, {**g.terms, (rank + s, one): Fraction(1)}) for s, g in enumerate(gens)],
+        [ModuleElement(tagged, {**g.terms, (rank + s) << cshift: Fraction(1)})
+         for s, g in enumerate(gens)],
         order, rank,
     )
-    tgt = FreeModule(ring, degrees)
-    return [
-        ModuleElement(tgt, {(c - rank, m): v for (c, m), v in z.terms(ring).items()})
-        for z in aside
-    ]
+    tgt, base = FreeModule(ring, degrees), rank << cshift
+    return [ModuleElement(tgt, {t - base: Fraction(c) for t, c in z.packed()}) for z in aside]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +645,7 @@ def krull_dim(gb: GroebnerBasis) -> int:
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> list:
-    """Monomial basis of (F/submodule) in one degree: (comp, monomial) pairs."""
+    """Monomial basis of (F/submodule) in one degree: packed terms, by component."""
     module = gb.module
     ring = module.ring
     divides = ring.divides
@@ -668,5 +658,5 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> list:
         for t in ring.monomials_of_degree(d):
             t += base
             if not any(divides(lt, t) for lt in leads):
-                out.append(ring.unpack(t))
+                out.append(t)
     return out

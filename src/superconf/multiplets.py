@@ -68,11 +68,12 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
     ring = alg.ring()
     d, k = alg.d, alg.k
     free = FreeModule(ring, [0] * d)
+    shift = ring.comp_shift
     phi = jacobian(alg)
     rels = []
     for b in range(k):
         elt = ModuleElement(
-            free, {(mu, m): c for mu in range(d) for (_, m), c in phi[mu][b].terms.items()}
+            free, {(mu << shift) + t: c for mu in range(d) for t, c in phi[mu][b].terms.items()}
         )
         if not elt.is_zero():
             rels.append(elt)
@@ -142,9 +143,10 @@ def _subquotient(alg: SupertranslationAlgebra, kind: str, kernel_gens: list,
     gen_degs = [g.degree() for g in kernel_gens]
     ngen = len(kernel_gens)
     rel_free = FreeModule(ring, gen_degs)
+    end = ngen << ring.comp_shift  # the first term past the kernel part
     rels = []
     for z in syzygy_module(kernel_gens + image):
-        proj = ModuleElement(rel_free, {(c, m): v for (c, m), v in z.terms.items() if c < ngen})
+        proj = ModuleElement(rel_free, {t: v for t, v in z.terms.items() if t < end})
         if not proj.is_zero():
             rels.append(proj)
     return MultipletModule(kind, alg, PresentedModule(ring, gen_degs, rels))

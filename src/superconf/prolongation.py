@@ -218,11 +218,12 @@ class _Sheaf:
         self._nf_cache: dict = {}
 
     def reduce_lambda(self, mon) -> dict:
+        """The normal form of the exponent tuple `mon` as {exponent tuple: coefficient}."""
         hit = self._nf_cache.get(mon)
         if hit is None:
-            elt = ModuleElement(self.gb.module, {(0, mon): _F1})
-            nf = self.gb.normal_form(elt)
-            hit = {m: c for (_, m), c in nf.terms.items()}
+            ring = self.ring
+            nf = self.gb.normal_form(ModuleElement(self.gb.module, {ring.pack(0, mon): _F1}))
+            hit = {ring.unpack(t)[1]: c for t, c in nf.terms.items()}
             self._nf_cache[mon] = hit
         return hit
 
@@ -348,7 +349,7 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
     if deg < 0:
         return []
     phi = jacobian(alg)
-    mons = [m for (_, m) in standard_monomials(sheaf.gb, deg)]
+    mons = [sheaf.ring.unpack(t)[1] for t in standard_monomials(sheaf.gb, deg)]
     if not mons:
         return []
     src = [(c, m) for c in range(k) for m in mons]
@@ -356,7 +357,8 @@ def _ideal_derivation_vectors(sheaf: _Sheaf, weight: int) -> list[dict]:
     for ci, (c, m) in enumerate(src):
         for mu in range(d):
             col: dict = {}
-            for (_, m2), cf in phi[mu][c].terms.items():
+            for t, cf in phi[mu][c].terms.items():
+                m2 = sheaf.ring.unpack(t)[1]
                 _axpy(col, cf, sheaf.reduce_lambda(tuple(a + b for a, b in zip(m, m2))))
             for lm, v in col.items():
                 row_map.setdefault((mu, lm), {})[ci] = v
@@ -405,7 +407,7 @@ def derivation_complex_h0(
     all_th = []
     for size in range(k + 1):
         all_th.extend(combinations(range(k), size))
-    std = {w: [m for (_, m) in standard_monomials(sheaf.gb, w)] for w in (0, 1)}
+    std = {w: [sheaf.ring.unpack(t)[1] for t in standard_monomials(sheaf.gb, w)] for w in (0, 1)}
     zero_l = (0,) * k
 
     def build_basis(weight: int):

@@ -65,8 +65,7 @@ class PresentedModule:
         for rel in self.relations:
             if rel.module.rank != len(self.gen_degrees):
                 raise ValueError("relation lives in a module of the wrong rank")
-            if not rel.is_homogeneous():
-                raise ValueError("relations must be homogeneous")
+            rel.degree()  # a ValueError unless homogeneous
         self._gb: GroebnerBasis | None = None
 
     def relation_gb(self) -> GroebnerBasis:
@@ -241,8 +240,7 @@ def _column_index(ring: GradedRing, gen_degrees: Sequence[int], j: int) -> dict[
 
 def _packed_image(image: ModuleElement) -> list[tuple[int, int]]:
     """The image as (packed term, integer) pairs, its denominators cleared."""
-    pack = image.module.ring.pack
-    return [(pack(*t), v) for t, v in next(_int_rows([image.terms])).items()]
+    return list(next(_int_rows([image.terms])).items())
 
 
 def _slice_row(index: dict[int, int], image: list[tuple[int, int]], mon: int) -> dict[int, int]:
@@ -374,22 +372,24 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
     mult_cache: dict = {}
 
-    def mult(a: int, j: int):
-        key = (a, j)
+    def mult(var: int, j: int):
+        """The normal forms of basis(j) times the packed variable `var`."""
+        key = (var, j)
         hit = mult_cache.get(key)
         if hit is not None:
             return hit
         basis(j + 1)
         tgt = index[j + 1]
         cols = []
-        for (comp, mon) in basis(j):
-            newmon = tuple(e + (1 if i == a else 0) for i, e in enumerate(mon))
-            nf = gb.normal_form(ModuleElement(free, {(comp, newmon): Fraction(1)}))
-            cols.append({tgt[t]: c for t, c in nf.terms.items()})
+        for t in basis(j):
+            nf = gb.normal_form(ModuleElement(free, {t + var: Fraction(1)}))
+            cols.append({tgt[u]: c for u, c in nf.terms.items()})
         mult_cache[key] = cols
         return cols
 
     variables = [ring.variable(a) for a in range(k)]
+    shift = ring.comp_shift
+    mask = (1 << shift) - 1
 
     def differential_rows(i: int, j: int):
         """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}:
@@ -400,9 +400,9 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
         for col in _koszul_step_columns(ring, variables, i)[0]:
             for vi in range(len(basis(j - i))):
                 row: dict[int, Fraction] = {}
-                for (comp, mon), sg in col.terms.items():
-                    for tgt, cf in mult(mon.index(1), j - i)[vi].items():
-                        row[comp * nb_prev + tgt] = sg * cf
+                for t, sg in col.terms.items():
+                    for tgt, cf in mult(t & mask, j - i)[vi].items():
+                        row[(t >> shift) * nb_prev + tgt] = sg * cf
                 rows.append(row)
         return rows
 
@@ -446,14 +446,15 @@ def _koszul_step_columns(
     prev_pos = {s: n for n, s in enumerate(subs_prev)}
     source = FreeModule(ring, [sum(degs[x] for x in s) for s in subs])
     target = FreeModule(ring, [sum(degs[x] for x in s) for s in subs_prev])
+    shift = ring.comp_shift
     cols = []
     for s in subs:
         terms: dict = {}
         for pos, mu in enumerate(s):
             sg = Fraction(-1 if pos % 2 else 1)
-            comp = prev_pos[s[:pos] + s[pos + 1:]]
-            for (_, m2), c2 in elements[mu].terms.items():
-                terms[(comp, m2)] = sg * c2
+            base = prev_pos[s[:pos] + s[pos + 1:]] << shift
+            for t, c2 in elements[mu].terms.items():
+                terms[base + t] = sg * c2
         cols.append(ModuleElement(target, terms))
     return cols, source, target
 
@@ -575,13 +576,14 @@ def syzygetic_defect(
     products = [(quadrics[mu] * quadrics[nu], degs[mu] + degs[nu]) for mu, nu in pair_list]
     # each syzygy z of the generators induces z (x) e_nu in Sym^2 (x) R
     sym2 = FreeModule(ring, [degs[mu] + degs[nu] for mu, nu in pair_list])
+    # moves[nu][mu] takes a term of component mu to the component of the pair {mu, nu}
+    moves = [[(pair_pos[(min(mu, nu), max(mu, nu))] - mu) << ring.comp_shift for mu in range(d)]
+             for nu in range(d)]
     induced = []
     for z in _koszul_cycles(ring, quadrics, 1, degs):
         zdeg = z.degree()
-        for nu in range(d):
-            terms = {
-                (pair_pos[(min(mu, nu), max(mu, nu))], mon): c for (mu, mon), c in z.terms.items()
-            }
+        for nu, move in enumerate(moves):
+            terms = {t + move[t >> ring.comp_shift]: c for t, c in z.terms.items()}
             induced.append((ModuleElement(sym2, terms), zdeg + degs[nu]))
     lo, hi = degree_window
     degrees = range(lo, hi + 1)

@@ -1,18 +1,19 @@
 """Weight-graded polynomial rings, monomial orders, and free modules.
 
-At the public boundary monomials are exponent tuples, module terms are
-(component, monomial) pairs and coefficients are `fractions.Fraction`.  A
-ring element is a `ModuleElement` of the rank-one module `FreeModule(ring,
-[0])`, whose terms are all (0, monomial): there is no separate polynomial
-type, so rings, the Gröbner engine and resolutions share one term
-representation and one code path.
+A module term is one packed int (`GradedRing.pack`): component | weighted
+degree | one 16-bit field per exponent, the top bit of each field a guard G.
+A `ModuleElement` maps packed terms to `fractions.Fraction` coefficients, and
+a ring element is a `ModuleElement` of the rank-one module `FreeModule(ring,
+[0])`, whose terms all have component 0: there is no separate polynomial type
+and no second term layout, so rings, the Gröbner engine and resolutions share
+one representation and one code path.  Exponent tuples are built only to
+print (`GradedRing.unpack`).
 
-Inside that engine a module term is one packed int (`GradedRing.pack`):
-component | weighted degree | one 16-bit field per exponent, the top bit of
-each field a guard G.  Every exponent is at most FIELD_LIMIT, so the lead-term
-arithmetic runs field by field with no carry or borrow across fields:
+Every exponent is at most FIELD_LIMIT, so the term arithmetic runs field by
+field with no carry or borrow across fields:
 
-- product: `s + t`;
+- product: `s + t`, once the sum of the two degree fields is checked
+  (`ModuleElement.__mul__` checks the largest of each factor);
 - divisibility (`GradedRing.divides`): `d = t - s` is the quotient when
   `d >= 0 and not d & G`, for two terms of one component or two exponent
   parts (`t & ring.exps`);
@@ -31,19 +32,15 @@ in the exponents: key(t*q) = key(t) + key(q) - key(1).  A module order is
 one formula on top of it, base[comp] + (ring key << shift), with three
 constructors: `ModuleOrder.top` (term over position), `ModuleOrder.schreyer`
 (induced by the lead terms of a basis) and `ModuleOrder.tagged` (the order
-of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too, so
-only the public boundary builds tuples.
+of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from struct import Struct
 from typing import Mapping, Sequence
-
-Monomial = tuple  # tuple[int, ...]
-ModTerm = tuple  # (component, Monomial)
 
 FIELD_BITS = 16
 FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or weighted degree
@@ -60,7 +57,7 @@ class GradedRing:
     """The polynomial ring over Q with positive integer weights on the variables."""
 
     __slots__ = ("names", "weights", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
-                 "words", "_by_weight")
+                 "words", "var_terms", "_by_weight")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
         names = list(names)
@@ -79,10 +76,12 @@ class GradedRing:
         self.guard = ones << FIELD_BITS - 1
         self.low = self.guard - ones  # FIELD_LIMIT in each field
         self.words = Struct(f"<{self.nvars}H")  # the exponent fields as bytes
+        self.var_terms = [(w << self.deg_shift) + (1 << FIELD_BITS * i)  # x_i, packed
+                          for i, w in enumerate(weights)]
         self._by_weight = [(w, sum(FIELD_MASK << FIELD_BITS * i for i, v in enumerate(weights)
                                    if v == w)) for w in set(weights)]  # (w, its fields)
 
-    def pack(self, comp: int, mon: Monomial) -> int:
+    def pack(self, comp: int, mon: Sequence[int]) -> int:
         """The packed int of term (comp, mon); a ValueError if a field overflows.
 
         Every exponent is at most the weighted degree, so the degree check
@@ -95,7 +94,8 @@ class GradedRing:
         exps = int.from_bytes(self.words.pack(*mon), "little")
         return (comp << self.comp_shift) + (deg << self.deg_shift) + exps
 
-    def unpack(self, t: int) -> ModTerm:
+    def unpack(self, t: int) -> tuple[int, tuple[int, ...]]:
+        """(component, exponent tuple) of packed term t."""
         exps = (t & self.exps).to_bytes(2 * self.nvars, "little")
         return t >> self.comp_shift, self.words.unpack(exps)
 
@@ -129,25 +129,18 @@ class GradedRing:
         low = self.low
         return not (a + low) & (b + low) & self.guard
 
-    def degree(self, mon: Monomial) -> int:
-        return sum(e * w for e, w in zip(mon, self.weights))
-
-    def one_monomial(self) -> Monomial:
-        return (0,) * self.nvars
-
-    def element(self, terms: Mapping[ModTerm, Fraction]) -> "ModuleElement":
-        """The ring element with terms {(0, monomial): coefficient}."""
+    def element(self, terms: Mapping[int, Fraction]) -> "ModuleElement":
+        """The ring element with terms {packed term of component 0: coefficient}."""
         return ModuleElement(FreeModule(self, [0]), terms)
 
     def variable(self, i: int) -> "ModuleElement":
-        mon = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.element({(0, mon): Fraction(1)})
+        return self.element({self.var_terms[i]: Fraction(1)})
 
     def zero(self) -> "ModuleElement":
         return self.element({})
 
     def constant(self, c) -> "ModuleElement":
-        return self.element({(0, self.one_monomial()): Fraction(c)})
+        return self.element({0: Fraction(c)})
 
     def monomials_of_degree(self, d: int) -> list[int]:
         """Monomials of weighted degree d: packed, component 0, ascending as tuples.
@@ -175,10 +168,6 @@ class GradedRing:
     def __repr__(self):
         ws = "" if all(w == 1 for w in self.weights) else f", weights={self.weights}"
         return f"GradedRing({','.join(self.names)}{ws})"
-
-
-def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 class MonomialOrder:
@@ -269,7 +258,7 @@ class FreeModule:
         return ModuleElement(self, {})
 
     def gen(self, i: int) -> "ModuleElement":
-        return ModuleElement(self, {(i, self.ring.one_monomial()): Fraction(1)})
+        return ModuleElement(self, {i << self.ring.comp_shift: Fraction(1)})
 
     def __eq__(self, other):
         return (
@@ -283,11 +272,11 @@ class FreeModule:
 
 
 class ModuleElement:
-    """Element of a FreeModule; terms is a dict (comp, monomial) -> Fraction."""
+    """Element of a FreeModule; terms is a dict packed term -> Fraction."""
 
     __slots__ = ("module", "terms")
 
-    def __init__(self, module: FreeModule, terms: Mapping[ModTerm, Fraction]):
+    def __init__(self, module: FreeModule, terms: Mapping[int, Fraction]):
         self.module = module
         self.terms = {t: c for t, c in terms.items() if c}
 
@@ -295,22 +284,23 @@ class ModuleElement:
         return not self.terms
 
     def degree(self) -> int:
-        """Total degree (generator degree + monomial degree); checks homogeneity."""
-        ring = self.module.ring
-        degs = {ring.degree(m) + self.module.gen_degrees[c] for c, m in self.terms}
+        """Total degree (generator degree + degree field), 0 for zero; checks homogeneity."""
+        ring, gen_degrees = self.module.ring, self.module.gen_degrees
+        degs = {ring.term_degree(t) + gen_degrees[t >> ring.comp_shift] for t in self.terms}
         if len(degs) > 1:
             raise ValueError("module element is not homogeneous")
         return degs.pop() if degs else 0
 
-    def is_homogeneous(self) -> bool:
-        ring = self.module.ring
-        return len({ring.degree(m) + self.module.gen_degrees[c] for c, m in self.terms}) <= 1
-
     def component(self, i: int) -> "ModuleElement":
         """The i-th coordinate, a ring element."""
-        return self.module.ring.element({(0, m): c for (j, m), c in self.terms.items() if j == i})
+        shift = self.module.ring.comp_shift
+        base = i << shift
+        return self.module.ring.element(
+            {t - base: c for t, c in self.terms.items() if t >> shift == i})
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
+        if other.module is not self.module and other.module != self.module:
+            raise ValueError("the summands live in different modules")
         out = dict(self.terms)
         for t, c in other.terms.items():
             v = out.get(t, Fraction(0)) + c
@@ -331,12 +321,16 @@ class ModuleElement:
         if not isinstance(other, ModuleElement):
             c = Fraction(other)
             return ModuleElement(self.module, {t: v * c for t, v in self.terms.items()})
-        if other.module.rank != 1:
-            raise ValueError("the other factor must be a scalar or a ring element")
-        out: dict[ModTerm, Fraction] = {}
-        for (c, m), v in self.terms.items():
-            for (_, m2), c2 in other.terms.items():
-                t = (c, mon_mul(m, m2))
+        ring = self.module.ring
+        if other.module.rank != 1 or other.module.ring is not ring and other.module.ring != ring:
+            raise ValueError("the other factor must be a scalar or a ring element of the same ring")
+        # every field of a product is at most its degree field, so one check covers them
+        top = max(map(ring.term_degree, self.terms), default=0)
+        _check_field(top + max(map(ring.term_degree, other.terms), default=0), "weighted degree")
+        out: dict[int, Fraction] = {}
+        for s, v in self.terms.items():
+            for u, c2 in other.terms.items():
+                t = s + u
                 w = out.get(t)
                 w = v * c2 if w is None else w + v * c2
                 if w:
@@ -366,13 +360,12 @@ class ModuleElement:
                 if not self.component(i).is_zero()
             ).replace("+ -", "- ")
         ring = self.module.ring
-        key, pack = MonomialOrder(ring).key, ring.pack
         parts = []
-        for t in sorted(self.terms, key=lambda t: key(pack(*t)), reverse=True):
+        for t in sorted(self.terms, key=MonomialOrder(ring).key, reverse=True):
             c = self.terms[t]
             factors = [
                 ring.names[i] + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(t[1])
+                for i, e in enumerate(ring.unpack(t)[1])
                 if e
             ]
             body = "*".join(factors) if factors else "1"

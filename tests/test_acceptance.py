@@ -179,10 +179,10 @@ def test_criterion_6_universal_11d_from_low_cells():
     rows = []
     index: dict = {}
     for r in linear_rels:
-        for _, mon in map(ring.unpack, ring.monomials_of_degree(1)):
+        for mon in ring.monomials_of_degree(1):
             row = {}
-            for (c, m2), v in r.terms.items():
-                key = (c, tuple(a + b for a, b in zip(mon, m2)))
+            for t, v in r.terms.items():
+                key = mon + t
                 index.setdefault(key, len(index))
                 row[index[key]] = row.get(index[key], 0) + v
             rows.append(row)

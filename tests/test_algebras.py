@@ -51,7 +51,7 @@ def test_4d_n1_quadrics_are_monomial():
     assert len(qs) == 4
     for q in qs:
         assert len(q.terms) == 1
-        _, mon = next(iter(q.terms))
+        _, mon = alg.ring().unpack(next(iter(q.terms)))
         # one chiral (index < 2) and one antichiral (index >= 2) variable
         support = [i for i, e in enumerate(mon) if e]
         assert len(support) == 2

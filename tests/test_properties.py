@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from types import SimpleNamespace
 from math import comb, gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +52,6 @@ from superconf.rings import (
     ModuleElement,
     ModuleOrder,
     MonomialOrder,
-    mon_mul,
 )
 
 
@@ -64,12 +64,35 @@ def _tuple_monomials(ring, d):
     """Tuple reference: the exponent tuples of weighted degree d, ascending."""
     if d < 0:
         return []
-    return [m for m in product(*(range(d // w + 1) for w in ring.weights)) if ring.degree(m) == d]
+    return [m for m in product(*(range(d // w + 1) for w in ring.weights))
+            if mon_degree(ring, m) == d]
 
 
 def mon_lcm(a, b):
     """Tuple reference: the lcm of two monomials, the fieldwise max."""
     return tuple(map(max, a, b))
+
+
+def mon_mul(a, b):
+    """Tuple reference: the product of two monomials."""
+    return tuple(map(add, a, b))
+
+
+def mon_degree(ring, mon):
+    """Tuple reference: the weighted degree of a monomial."""
+    return sum(e * w for e, w in zip(mon, ring.weights))
+
+
+def tuple_terms(e):
+    """Tuple view of an element: {(component, exponent tuple): coefficient}."""
+    unpack = e.module.ring.unpack
+    return {unpack(t): c for t, c in e.terms.items()}
+
+
+def from_tuples(module, terms):
+    """The element of `module` with terms {(component, exponent tuple): coefficient}."""
+    pack = module.ring.pack
+    return ModuleElement(module, {pack(c, m): v for (c, m), v in terms.items()})
 
 
 fractions = st.fractions(
@@ -478,7 +501,7 @@ def quadric_sets(draw):
             c = draw(st.integers(-2, 2))
             if c and draw(st.booleans()):
                 terms[(0, mon)] = Fraction(c)
-        polys.append(ring.element(terms))
+        polys.append(from_tuples(FreeModule(ring, [0]), terms))
     return ring, polys
 
 
@@ -492,7 +515,7 @@ def test_groebner_membership_and_syzygies(data):
     for p in nonzero:
         assert gb.normal_form(p).is_zero()
     # normal form is a projection
-    probe = ModuleElement(gb.module, {(0, ring.one_monomial()): Fraction(1)})
+    probe = ring.constant(1)
     nf = gb.normal_form(probe)
     assert gb.normal_form(nf) == nf
     # syzygies annihilate the generators
@@ -560,7 +583,7 @@ def presented_modules(draw):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c)
-        relations.append(ModuleElement(free, terms))
+        relations.append(from_tuples(free, terms))
     return PresentedModule(ring, gen_degrees, relations)
 
 
@@ -616,7 +639,7 @@ def _lex_reference_rows(columns, target, j):
     lex = _block_positions(ring, target.gen_degrees, j)
     return [
         [
-            {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in image.terms.items()}
+            {lex[(c, mon_mul(mon, m2))]: v for (c, m2), v in tuple_terms(image).items()}
             for mon in _tuple_monomials(ring, j - deg)
         ]
         for image, deg in columns
@@ -689,7 +712,7 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
             rows, _ = _builder_rows([(f, 2)], free, j)
             mons = sorted(ring.monomials_of_degree(j), key=order.key, reverse=True)
             for mon, row in zip(ring.monomials_of_degree(j - 2), rows):
-                lead = max((mon + ring.pack(*t) for t in f.terms), key=order.key)
+                lead = max((mon + t for t in f.terms), key=order.key)
                 assert mons[min(row)] == lead
 
 
@@ -709,7 +732,7 @@ def weighted_maps(draw):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c, draw(st.integers(1, 3)))
-        columns.append((ModuleElement(target, terms), degree))
+        columns.append((from_tuples(target, terms), degree))
     return columns, target
 
 
@@ -770,7 +793,7 @@ def test_monomials_of_degree_ascend_as_tuples(weights, degree):
         assert mons == _tuple_monomials(ring, degree)
         assert packed == [ring.pack(0, m) for m in mons]
         assert all(a < b for a, b in zip(mons, mons[1:]))
-        assert all(ring.degree(m) == degree for m in mons)
+        assert all(mon_degree(ring, m) == degree for m in mons)
 
 
 # --- packed terms: int order keys and fraction-free reduction ----------------
@@ -854,7 +877,7 @@ def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
     orders = [(gb.order, pm.free.rank, [])]  # (order, rank, lead lists it is induced from)
     while len(gb) and len(orders) < 4:
         rank = len(gb)
-        chain = orders[-1][2] + [gb.lead_terms()]
+        chain = orders[-1][2] + [list(map(ring.unpack, gb.lead_terms()))]
         gb, order = schreyer_syzygies(gb)
         orders.append((order, rank, chain))
     mons = [m for d in range(4) for m in ring.monomials_of_degree(d)]
@@ -890,8 +913,9 @@ _SCALES = st.sampled_from([Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fractio
 
 def _fraction_normal_form(elements, key, f):
     """Full reduction with Fraction coefficients and tuple keys only."""
-    work, rem = dict(f.terms), {}
-    leads = [(max(e.terms, key=key), e) for e in elements]
+    work, rem = tuple_terms(f), {}
+    elements = [tuple_terms(e) for e in elements]
+    leads = [(max(e, key=key), e) for e in elements]
     while work:
         t = max(work, key=key)
         c = work.pop(t)
@@ -903,8 +927,8 @@ def _fraction_normal_form(elements, key, f):
             continue
         lt, e = hit
         q = tuple(a - b for a, b in zip(t[1], lt[1]))
-        factor = c / e.terms[lt]
-        for (comp, m), v in e.terms.items():
+        factor = c / e[lt]
+        for (comp, m), v in e.items():
             s = (comp, mon_mul(m, q))
             if s != t:
                 w = work.get(s, Fraction(0)) - factor * v
@@ -931,9 +955,9 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
     coeffs = draw.draw(
         st.lists(_SCALES | st.just(Fraction(0)), min_size=len(mons), max_size=len(mons))
     )
-    f = ModuleElement(gb.module, {(0, m): c for m, c in zip(mons, coeffs)})
+    f = from_tuples(gb.module, {(0, m): c for m, c in zip(mons, coeffs)})
     nf = gb.normal_form(f)
-    assert nf.terms == _fraction_normal_form(gb.elements, key, f)
+    assert tuple_terms(nf) == _fraction_normal_form(gb.elements, key, f)
     # syzygies of inputs with non-unit leads, from the tagged generators
     syz = syzygy_module(gens)
     for z in syz:
@@ -966,7 +990,7 @@ def module_generator_lists(draw):
                 c = draw(st.integers(-2, 2))
                 if c and draw(st.booleans()):
                     terms[(comp, mon)] = Fraction(c)
-        gens.append(ModuleElement(free, terms))
+        gens.append(from_tuples(free, terms))
     gens.insert(draw(st.integers(0, len(gens))), free.zero())
     gens.insert(draw(st.integers(0, len(gens))), gens[draw(st.integers(0, len(gens) - 1))])
     return gens
@@ -981,7 +1005,8 @@ def _degree_rows(elements, degree, ring):
             continue
         for mon in _tuple_monomials(ring, degree - e.degree()):
             rows.append({
-                cols.setdefault((c, mon_mul(m, mon)), len(cols)): v for (c, m), v in e.terms.items()
+                cols.setdefault((c, mon_mul(m, mon)), len(cols)): v
+                for (c, m), v in tuple_terms(e).items()
             })
     return rows
 
@@ -998,7 +1023,7 @@ def test_syzygy_module_generates_the_syzygies_of_module_elements(gens):
     syz = syzygy_module(gens)
     for z in syz:
         assert z.module.gen_degrees == degrees
-        assert all(0 <= c < len(gens) for c, _ in z.terms)
+        assert all(0 <= c < len(gens) for c, _ in tuple_terms(z))
         acc = free.zero()
         for s, g in enumerate(gens):
             acc = acc + g * z.component(s)
@@ -1038,10 +1063,10 @@ def test_packed_lcm_divisibility_and_coprimality_against_tuples(data, comp):
     lcm_ab = _exponent_part(mon_lcm(a, b))
     coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
     words = [(_exponent_part(a), _exponent_part(b))]
-    if ring.degree(a) <= FIELD_LIMIT and ring.degree(b) <= FIELD_LIMIT:
+    if mon_degree(ring, a) <= FIELD_LIMIT and mon_degree(ring, b) <= FIELD_LIMIT:
         terms = ring.pack(comp, a), ring.pack(comp, b)
         assert [ring.unpack(t) for t in terms] == [(comp, a), (comp, b)]
-        assert [ring.term_degree(t) for t in terms] == [ring.degree(a), ring.degree(b)]
+        assert [ring.term_degree(t) for t in terms] == [mon_degree(ring, a), mon_degree(ring, b)]
         words.append(terms)
     for pa, pb in words:
         assert ring.lcm(pa, pb) == ring.lcm(pb, pa) == lcm_ab
@@ -1109,7 +1134,7 @@ def monomial_submodules(draw):
 def test_packed_hilbert_numerator_against_tuple_recursion(data):
     free, terms = data
     ring = free.ring
-    gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms])
+    gb = buchberger([from_tuples(free, {t: Fraction(1)}) for t in terms])
     expected, memo = {}, {}
     for c in range(free.rank):
         gens = tuple(_tuple_minimalize([m for comp, m in terms if comp == c]))
@@ -1124,14 +1149,15 @@ def _tuple_frame_pairs(gb):
     rule the engine ran before its quotients were packed: per i the quotients
     of the j > i in its component, the smallest j per quotient, taken by
     (weighted degree, j), each kept unless a kept one divides it."""
-    ring, leads, out = gb.module.ring, gb.lead_terms(), set()
+    ring, out = gb.module.ring, set()
+    leads = [ring.unpack(t) for t in gb.lead_terms()]
     for i, (c, m) in enumerate(leads):
         quotients = {}
         for j in range(i + 1, len(leads)):
             if leads[j][0] == c:
                 quotients.setdefault(tuple(max(b - a, 0) for a, b in zip(m, leads[j][1])), j)
         kept = []
-        for q, j in sorted(quotients.items(), key=lambda e: (ring.degree(e[0]), e[1])):
+        for q, j in sorted(quotients.items(), key=lambda e: (mon_degree(ring, e[0]), e[1])):
             if not any(mon_divides(r, q) for r in kept):
                 kept.append(q)
                 out.add((i, q, j))
@@ -1145,18 +1171,19 @@ def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data, kind):
     tuple rule, and carries the term (lcm_ij / lt_j) e_j of its partner."""
     free, terms = data
     ring = free.ring
-    gb = buchberger([ModuleElement(free, {t: Fraction(1)}) for t in terms],
+    gb = buchberger([from_tuples(free, {t: Fraction(1)}) for t in terms],
                     ModuleOrder.top(MonomialOrder(ring, kind), free.rank))
     while len(gb):
         pairs = _tuple_frame_pairs(gb)
-        leads = gb.lead_terms()
+        leads = [ring.unpack(t) for t in gb.lead_terms()]
         frame, _ = schreyer_syzygies(gb)
         got = set()
         for z in frame._internal:
             i, q = ring.unpack(z.lt)
             j = next(j for i2, q2, j in pairs if (i2, q2) == (i, q))
             lcm = mon_mul(q, leads[i][1])
-            assert (j, tuple(a - b for a, b in zip(lcm, leads[j][1]))) in z.terms(ring)
+            assert (j, tuple(a - b for a, b in zip(lcm, leads[j][1]))) in [
+                ring.unpack(t) for t, _ in z.packed()]
             got.add((i, q, j))
         assert got == pairs and len(frame) == len(pairs)
         gb = frame

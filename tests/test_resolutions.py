@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from superconf.algebras import build_standard
@@ -18,7 +16,7 @@ from superconf.resolutions import (
     resolution_is_complex,
     syzygetic_defect,
 )
-from superconf.rings import FreeModule, GradedRing, ModuleElement, poly_ring
+from superconf.rings import FreeModule, GradedRing, poly_ring
 
 
 def m_squared(ring):
@@ -55,7 +53,7 @@ def test_resolution_nonminimal_presentation():
     # add a redundant generator: F0 = R^2 with e1 = x*e0 forced by a unit relation
     R, x, y = poly_ring("x", "y")
     free = FreeModule(R, [0, 1])
-    rel = ModuleElement(free, {(1, (0, 0)): Fraction(1), (0, (1, 0)): Fraction(-1)})
+    rel = free.gen(1) - free.gen(0) * x
     pm = PresentedModule(R, [0, 1], [rel])
     _, betti = minimal_free_resolution(pm)
     assert betti.entries == {(0, 0): 1}

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from superconf.rings import FreeModule, ModuleElement, poly_ring
+from superconf.groebner import ideal_gb
+from superconf.rings import FreeModule, poly_ring
 
 
 def test_printed_forms_pin_signs_fractions_constants_and_weighted_order():
@@ -13,7 +14,7 @@ def test_printed_forms_pin_signs_fractions_constants_and_weighted_order():
     assert str(R.zero()) == "0"
     assert str(R.constant(Fraction(-2, 3))) == "-2/3"
     F = FreeModule(R, [0, 0])
-    e = ModuleElement(F, {(0, (1, 0, 0)): Fraction(1), (1, (0, 0, 1)): Fraction(-1)})
+    e = F.gen(0) * x - F.gen(1) * z
     assert str(e) == "(x)*e0 + (-z)*e1"
 
 
@@ -59,3 +60,22 @@ def test_non_homogeneous_elements_and_relations_are_rejected():
     assert len(PresentedModule(R, [2, 0], [F.gen(0) * x - F.gen(1) * y]).relations) == 1
     with pytest.raises(ValueError, match="homogeneous"):
         PresentedModule(R, [2, 0], [F.gen(0) * x - F.gen(1) * x])
+
+
+def test_arithmetic_across_rings_or_modules_is_rejected():
+    """Terms of two rings, or of two modules, are laid out differently, so a
+    product or a sum across them raises instead of mixing the layouts."""
+    R, x, y = poly_ring("x", "y")
+    _, a, b, _ = poly_ring("a", "b", "c")
+    for product in (lambda: x * a, lambda: a * x, lambda: x * a * b, lambda: ideal_gb(R, [x * a])):
+        with pytest.raises(ValueError, match="ring element"):
+            product()
+    with pytest.raises(ValueError, match="different modules"):
+        FreeModule(R, [0, 0]).gen(1) + FreeModule(R, [0]).gen(0)
+    with pytest.raises(ValueError, match="different modules"):
+        FreeModule(R, [0]).gen(0) - FreeModule(R, [1]).gen(0)
+    with pytest.raises(ValueError, match="different modules"):
+        x + a
+    # an equal ring lays its terms out the same way
+    _, x2, _ = poly_ring("x", "y")
+    assert x * x2 == x * x and x + x2 == 2 * x
