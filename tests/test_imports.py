@@ -31,6 +31,10 @@ function body hides a dependency until the function runs.
 
 No two package functions are copies of each other: their arguments and
 bodies, docstrings excluded, must not have equal AST dumps.
+
+One term layout: a `ModuleElement` holds the packed terms of the engine, so
+outside `rings.py` a `.pack` or `.unpack` attribute appears only in the three
+functions of the derivation-complex oracle, which keeps exponent tuples.
 """
 
 import ast
@@ -290,3 +294,47 @@ def test_scan_finds_a_duplicate_function():
 
 def test_no_duplicate_functions():
     assert duplicate_functions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+LAYOUT_OWNERS = {"_Sheaf.reduce_lambda", "_ideal_derivation_vectors", "derivation_complex_h0"}
+
+
+def layout_conversions(source: str) -> list[tuple[str, int]]:
+    """(owner, line) of each `.pack` or `.unpack` attribute.  The owner is the
+    top-level function or `Class.method` it sits in, nested functions
+    included, or `<module>` outside any."""
+    found = []
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, f"{prefix}{child.name}.")
+            elif owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, prefix)
+            else:
+                if isinstance(child, ast.Attribute) and child.attr in ("pack", "unpack"):
+                    found.append((owner or "<module>", child.lineno))
+                visit(child, owner, prefix)
+
+    visit(ast.parse(source), None, "")
+    return found
+
+
+def test_scan_finds_layout_conversions():
+    source = (
+        "t = ring.pack(0, m)\n"
+        "def f(r):\n    def g():\n        return r.unpack(1)\n    return g\n"
+        "class S:\n    def m(self):\n        unpack = self.ring.unpack\n"
+        "def h(r):\n    return r.packed(), r.words.pack(1)\n"
+    )
+    assert layout_conversions(source) == [("<module>", 1), ("f", 4), ("S.m", 8), ("h", 10)]
+
+
+def test_only_the_oracle_converts_term_layouts():
+    outside = [
+        f"{path.name}:{line} in {owner}"
+        for path in PACKAGE if path.name != "rings.py"
+        for owner, line in layout_conversions(path.read_text(encoding="utf-8"))
+        if owner not in LAYOUT_OWNERS
+    ]
+    assert outside == []
