@@ -63,8 +63,8 @@ class PresentedModule:
     def __post_init__(self):
         self.free = FreeModule(self.ring, self.gen_degrees)
         for rel in self.relations:
-            if rel.module.rank != len(self.gen_degrees):
-                raise ValueError("relation lives in a module of the wrong rank")
+            if rel.module != self.free:
+                raise ValueError("relation lives in another module than the generators'")
             rel.degree()  # a ValueError unless homogeneous
         self._gb: GroebnerBasis | None = None
 

@@ -229,3 +229,13 @@ def test_ce_cohomology_degree_zero_is_structure_sheaf():
     alg = build_standard(3, 1)
     h0 = ce_cohomology(alg, 0, (0, 4))
     assert h0.dims == {0: 1, 1: 2}
+
+
+def test_relations_of_another_module_are_rejected():
+    """Over generators in degrees (0, 1), a relation of rank 2 with generators
+    in degrees (0, 0) used to be accepted and its degrees used silently."""
+    R, x, y = poly_ring("x", "y")
+    assert PresentedModule(R, [0, 1], [FreeModule(R, [0, 1]).gen(0) * x]).graded_dim(1) == 2
+    for free in (FreeModule(R, [0, 0]), FreeModule(R, [0]), FreeModule(GradedRing(["a", "b"]), [0, 1])):
+        with pytest.raises(ValueError, match="another module"):
+            PresentedModule(R, [0, 1], [free.gen(0)])
