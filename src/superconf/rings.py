@@ -6,8 +6,8 @@ A `ModuleElement` maps packed terms to `fractions.Fraction` coefficients, and
 a ring element is a `ModuleElement` of the rank-one module `FreeModule(ring,
 [0])`, whose terms all have component 0: there is no separate polynomial type
 and no second term layout, so rings, the Gröbner engine and resolutions share
-one representation and one code path.  Exponent tuples are built only to
-print (`GradedRing.unpack`).
+one representation and one code path.  Exponent tuples (`GradedRing.unpack`)
+are built only to print and in the derivation-complex oracle.
 
 Every exponent is at most FIELD_LIMIT, so the term arithmetic runs field by
 field with no carry or borrow across fields:
