@@ -386,11 +386,11 @@ def _pair_syzygy(gb: GroebnerBasis, index: dict, i: int, j: int, lcm_t: int, lcm
     rem, scale = _reduce_full(work, heap, scale0, gb._by_comp, ring, steps=steps)
     if rem:
         raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-    terms = []
+    syz = []
     for g, d, nk, f, s in steps:
         idx = index[g]
-        terms.append(((nk << COMP_BITS) + idx, (idx << cshift) + d, -f, s))
-    return _GbElem(terms, scale)
+        syz.append(((nk << COMP_BITS) + idx, (idx << cshift) + d, -f, s))
+    return _GbElem(syz, scale)
 
 
 def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
@@ -645,7 +645,7 @@ def krull_dim(gb: GroebnerBasis) -> int:
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> list:
-    """Monomial basis of (F/submodule) in one degree: packed terms, by component."""
+    """The monomial basis of (F/submodule) in one degree: packed terms, by component."""
     module = gb.module
     ring = module.ring
     divides = ring.divides
