@@ -26,6 +26,18 @@ same combination of their u-multiples, and these are earlier rows too,
 because the generator order is fixed and tuple (lex) order is
 multiplicative.  Once a degree's rank reaches the target dimension, its
 remaining rows are counted without elimination.
+
+A row m*c is not built from the image of c when the reduced row of
+(m/x_v)*c is kept from degree j - 1: it is x_v times that row, its columns
+moved by one shift list per variable and degree (F4's Simplify, Faugère,
+JPAA 139, 1999).  x_v is the last weight-1 variable dividing m whose
+predecessor row is kept; with none (the first degree of the range, a row
+past a full-rank stop, a variable of weight > 1) the row is built from the
+image.  The reuse is exact by the argument of the skip: red((m/x_v)*c) is a
+nonzero multiple of (m/x_v)*c plus earlier rows of degree j - 1, and x_v
+times an earlier row is an earlier row of degree j.  So every prefix of the
+rows spans what it spans without the reuse, and each zero record, pivot
+count and full-rank stop is the same.
 """
 
 from __future__ import annotations
@@ -257,26 +269,33 @@ def _slice_ranks(
     image gives zero rows, which still count toward the source dimension.
     The rows of degree j run over the generators in order, each times
     `monomials_of_degree(j - deg)`, and enter the in-place integer kernel of
-    `linalg` one at a time, skipped as the module docstring says.  Returns,
-    for each j in `degrees`, the number of pivots each generator's rows give
-    (their sum is the rank) and the source dimension.
+    `linalg` one at a time, skipped and built from the reduced rows of degree
+    j - 1 as the module docstring says.  Returns, for each j in `degrees`, the
+    number of pivots each generator's rows give (their sum is the rank) and
+    the source dimension.
     """
     ring = target.ring
     guard = ring.guard
+    # packed x_v of the weight-1 variables, the last first
+    steps = [x for x, w in zip(ring.var_terms, ring.weights) if w == 1][::-1]
     images = [(_packed_image(image), deg) for image, deg in columns]
     zeros: list[list[int]] = [[] for _ in images]  # packed m with m*c reducing to zero
+    kept: list[dict[int, dict[int, int]]] = [{} for _ in images]  # m -> red(m*c), degree j - 1
     degs = {j - deg for j in degrees for _, deg in images}
     mons_of = {d: ring.monomials_of_degree(d) for d in degs}  # packed, in row order
-    out = {}
+    out, prev_index = {}, {}
     for j in degrees:
         index = _column_index(ring, target.gen_degrees, j)
         full = len(index)
+        shifts: dict[int, list[int]] = {}  # x_v -> column of x_v * t, t by column of degree j - 1
         pivots: dict[int, dict[int, int]] = {}
         counts, src = [], 0
-        for (image, deg), zero in zip(images, zeros):
+        kept_next = []
+        for (image, deg), zero, stored in zip(images, zeros, kept):
             mons = mons_of[j - deg]
             src += len(mons)
             before = len(pivots)
+            new: dict[int, dict[int, int]] = {}
             if image and before < full:
                 for mon in mons:
                     for z in zero:
@@ -284,15 +303,27 @@ def _slice_ranks(
                         if q >= 0 and not q & guard:
                             break
                     else:
-                        row = _reduce_row(_slice_row(index, image, mon), pivots)
+                        # a non-divisor x_v leaves a guard bit in mon - x_v, which no key has
+                        for x in steps:
+                            red = stored.get(mon - x)
+                            if red is not None:
+                                shift = shifts.get(x)
+                                if shift is None:
+                                    shift = shifts[x] = [index[t + x] for t in prev_index]
+                                row = {shift[c]: v for c, v in red.items()}
+                                break
+                        else:
+                            row = _slice_row(index, image, mon)
+                        row = _reduce_row(row, pivots)
                         if not row:
                             zero.append(mon)
                         else:
-                            pivots[min(row)] = row
+                            pivots[min(row)] = new[mon] = row
                             if len(pivots) == full:
                                 break
+            kept_next.append(new)
             counts.append(len(pivots) - before)
-        out[j] = counts, src
+        out[j], kept, prev_index = (counts, src), kept_next, index
     return out
 
 

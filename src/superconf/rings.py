@@ -32,7 +32,8 @@ in the exponents: key(t*q) = key(t) + key(q) - key(1).  A module order is
 one formula on top of it, base[comp] + (ring key << shift), with three
 constructors: `ModuleOrder.top` (term over position), `ModuleOrder.schreyer`
 (induced by the lead terms of a basis) and `ModuleOrder.tagged` (the order
-of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too.
+of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too,
+once per ring and degree.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class GradedRing:
     """The polynomial ring over Q with positive integer weights on the variables."""
 
     __slots__ = ("names", "weights", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
-                 "words", "var_terms", "_by_weight")
+                 "words", "var_terms", "_by_weight", "_mons")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
         names = list(names)
@@ -80,6 +81,7 @@ class GradedRing:
                           for i, w in enumerate(weights)]
         self._by_weight = [(w, sum(FIELD_MASK << FIELD_BITS * i for i, v in enumerate(weights)
                                    if v == w)) for w in set(weights)]  # (w, its fields)
+        self._mons: dict[int, list[int]] = {}  # degree -> monomials_of_degree
 
     def pack(self, comp: int, mon: Sequence[int]) -> int:
         """The packed int of term (comp, mon); a ValueError if a field overflows.
@@ -146,14 +148,19 @@ class GradedRing:
         """Monomials of weighted degree d: packed, component 0, ascending as tuples.
 
         That is lex order, which is multiplicative; `resolutions._slice_ranks`
-        relies on it to skip rows known to reduce to zero.
+        relies on it to skip rows known to reduce to zero and to order the
+        row m*c after the row (m/x_v)*c that it is built from.  The list is
+        enumerated once per ring and degree; each call returns a copy.
         """
-        _check_field(d, "weighted degree")
-        level = [(d << self.deg_shift, d)] if d >= 0 else []  # (term so far, degree left)
-        for i, w in enumerate(self.weights):
-            level = [(t + (e << FIELD_BITS * i), rem - e * w)
-                     for t, rem in level for e in range(rem // w + 1)]
-        return [t for t, rem in level if not rem]
+        mons = self._mons.get(d)
+        if mons is None:
+            _check_field(d, "weighted degree")
+            level = [(d << self.deg_shift, d)] if d >= 0 else []  # (term so far, degree left)
+            for i, w in enumerate(self.weights):
+                level = [(t + (e << FIELD_BITS * i), rem - e * w)
+                         for t, rem in level for e in range(rem // w + 1)]
+            mons = self._mons[d] = [t for t, rem in level if not rem]
+        return list(mons)
 
     def __eq__(self, other):
         return (

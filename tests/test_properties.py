@@ -15,7 +15,7 @@ from math import comb, gcd, lcm
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superconf import algebras
 from superconf.algebras import SupertranslationAlgebra, build_standard
@@ -765,6 +765,27 @@ def test_slice_ranks_on_koszul_steps_match_full_elimination(data, lo):
         )
 
 
+def _example_map(weights, target_degrees, columns):
+    """(columns, target) of a map for an `example`: each column is given as
+    ({(component, exponent tuple): coefficient}, degree)."""
+    ring = GradedRing([f"x{i}" for i in range(len(weights))], weights)
+    target = FreeModule(ring, target_degrees)
+    return [(from_tuples(target, terms), deg) for terms, deg in columns], target
+
+
+def _example_module(weights, gen_degrees, relations):
+    """The presentation whose relations `_example_map` builds as columns."""
+    rels, free = _example_map(weights, gen_degrees, relations)
+    return PresentedModule(free.ring, free.gen_degrees, [rel for rel, _ in rels])
+
+
+# The relations start in degree 1 and the range at 3, so its first degree has
+# no reduced rows of the degree before it.
+@example(_example_module([1, 1, 1], [0, 1], [
+    ({(0, (1, 0, 0)): 1, (1, (0, 0, 0)): 1}, 1),
+    ({(0, (0, 1, 0)): 2}, 1),
+    ({(0, (1, 1, 0)): 1, (1, (0, 0, 1)): -1}, 2),
+]), 3)
 @given(presented_modules(), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
@@ -772,6 +793,19 @@ def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
     _assert_slice_ranks_match_full_elimination(rels, pm.free, range(lo, 6))
 
 
+# The target fills in degree 0 on the first generator, so the second, a copy
+# of it, enters degree 1 with no reduced rows; its rows reduce to zero there.
+@example(_example_map([1, 1], [0, 1], [
+    ({(0, (0, 0)): 1}, 0),
+    ({(0, (0, 0)): 1}, 0),
+    ({(1, (0, 0)): 1, (0, (1, 0)): 1}, 1),
+]), 0)
+# x1 has weight 2: the row x1 * c of degree 4 has no weight-1 divisor to be
+# built from, while x0^2 * c is built from x0 * c of degree 3.
+@example(_example_map([1, 2], [0], [
+    ({(0, (2, 0)): 1, (0, (0, 1)): -1}, 2),
+    ({(0, (1, 1)): Fraction(1, 2)}, 3),
+]), 0)
 @given(weighted_maps(), st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
 def test_slice_ranks_on_weighted_maps_match_full_elimination(data, lo):
@@ -782,10 +816,12 @@ def test_slice_ranks_on_weighted_maps_match_full_elimination(data, lo):
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_monomials_of_degree_ascend_as_tuples(weights, degree):
-    """`_slice_ranks` skips rows on the strength of this order being lex,
-    which is multiplicative; pin it for weighted and unweighted rings.  The
-    packed terms unpack to the `itertools.product` enumeration and are the
-    packs of their monomials, degree field included."""
+    """`_slice_ranks` skips rows, and builds the row m*c from the reduced row
+    of (m/x_v)*c, on the strength of this order being lex, which is
+    multiplicative; pin it for weighted and unweighted rings.  The packed
+    terms unpack to the `itertools.product` enumeration and are the packs of
+    their monomials, degree field included.  Both rings are fresh, so this
+    pins the enumeration that a ring keeps for each degree."""
     for ring in (GradedRing([f"x{i}" for i in range(len(weights))], weights),
                  GradedRing([f"x{i}" for i in range(len(weights))])):
         packed = ring.monomials_of_degree(degree)
