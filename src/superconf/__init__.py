@@ -21,6 +21,7 @@ from .resolutions import (
     BettiTable,
     GradedDims,
     PresentedModule,
+    VerificationFailed,
     ce_cohomology,
     is_gorenstein,
     koszul_tor,

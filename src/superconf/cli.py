@@ -2,8 +2,10 @@
 
 Subcommands: info, variety, multiplet, hdim, twist, prolong, verify.  All
 outputs have a --json form with a versioned, fully sorted schema so repeated
-runs are byte-identical.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 resource budget exceeded, 4 internal error.
+runs are byte-identical.  Exit codes: 0 success, 1 verification failure
+(a failed fixture, or a `VerificationFailed` cross-check, printed after the
+payload where the command has one), 2 usage error, 3 resource budget
+exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .fixtures import FIXTURES, sorted_rows, verify
 from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
 from .multiplets import canonical_module, component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
-from .resolutions import is_gorenstein, koszul_tor, minimal_free_resolution
+from .resolutions import VerificationFailed, is_gorenstein, koszul_tor, minimal_free_resolution
 from .specfile import SpecError, _parse_q, _render_q, parse_spec
 from .twisting import catalog_twist_vector, twist_pipeline
 
@@ -167,6 +169,9 @@ def cmd_multiplet(args) -> int:
             print(f"Koszul oracle agrees: {p['koszul_agrees']}")
 
     _emit(payload, args.json, text)
+    if payload.get("koszul_agrees") is False:  # read off the payload, so a cache hit fails too
+        raise VerificationFailed(
+            f"the Koszul oracle disagrees with the Betti table on degrees 0..{args.window}")
     return 0
 
 
@@ -248,6 +253,9 @@ def cmd_twist(args) -> int:
             print(f"[{name}] {json.dumps(data, sort_keys=True)}")
 
     _emit(payload, args.json, text)
+    if not payload["hdim_invariant"]:
+        raise VerificationFailed(f"hdim is not invariant under the twist:"
+                                 f" {payload['hdim_source']} -> {payload['hdim_twisted']}")
     return 0
 
 
@@ -332,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify-cache",
         action="store_true",
-        help="recompute on cache hits and compare byte for byte",
+        help="recompute on cache hits and compare byte for byte; an entry that"
+             " differs is reported on stderr and replaced by the fresh value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -387,6 +396,9 @@ def main(argv=None) -> int:
     try:
         # the command as the module holds it now, not as the cached parser bound it
         return globals()[args.func.__name__](args)
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

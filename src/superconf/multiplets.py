@@ -17,6 +17,7 @@ from .groebner import ideal_gb, krull_dim, syzygy_module
 from .resolutions import (
     BettiTable,
     PresentedModule,
+    VerificationFailed,
     _koszul_cycles,
     _koszul_step_columns,
     koszul_homology_is_zero,
@@ -167,7 +168,8 @@ def multiplet_module(alg: SupertranslationAlgebra, kind: str) -> MultipletModule
 
 def hdim(alg: SupertranslationAlgebra, cross_check: bool = False) -> int:
     """Homological dimension d - k + dim Y, optionally cross-checked against
-    the top nonvanishing Koszul homology of the quadric sequence."""
+    the top nonvanishing Koszul homology of the quadric sequence; a mismatch
+    raises `VerificationFailed`."""
     gb = ideal_gb(alg.ring(), [q for q in alg.quadrics() if not q.is_zero()])
     dim_y = krull_dim(gb)
     value = alg.d - alg.k + dim_y
@@ -180,7 +182,7 @@ def hdim(alg: SupertranslationAlgebra, cross_check: bool = False) -> int:
                 top = kk
                 break
         if top != value:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"hdim mismatch: formula gives {value}, Koszul vanishing gives {top}"
             )
     return value

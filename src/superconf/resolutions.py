@@ -64,6 +64,10 @@ from .linalg import _int_rows, _reduce_row, sparse_rank
 from .rings import FreeModule, GradedRing, ModuleElement
 
 
+class VerificationFailed(Exception):
+    """Raised when two independent paths to one quantity disagree."""
+
+
 @dataclass
 class PresentedModule:
     """Finitely presented graded module: generator degrees plus relations."""

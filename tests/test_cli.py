@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superconf import groebner, linalg
-from superconf.cache import cache_key, cached, load, store
+from superconf.cache import cache_key, cached, canonical_bytes, load, store
 from superconf.cli import main
+from superconf.resolutions import BettiTable
 
 
 CATALOG = 'algebra "3dN1" {{ standard {{ dimension = 3; supersymmetry = "N=1"; }} }}'
@@ -393,6 +394,109 @@ def test_cached_verify_mode(tmp_path, capsys):
     v3 = cached(str(tmp_path), descriptor, compute, verify=True)
     assert v3 == {"n": 7}
     assert len(calls) == 2
+
+
+def _cache_entry(cache_dir):
+    """The path of the one entry in a cache directory."""
+    (path,) = cache_dir.rglob("*.json")
+    return path
+
+
+def test_verify_cache_on_an_agreeing_hit_is_silent(capsys, tmp_path, spec_3d_n1):
+    argv = ["--json", "--cache-dir", str(tmp_path / "cache"), "variety", spec_3d_n1]
+    code, first = run(capsys, argv)
+    assert code == 0
+    code = main(["--verify-cache", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == first
+    assert captured.err == ""
+
+
+def test_verify_cache_replaces_an_altered_entry(capsys, tmp_path, spec_3d_n1):
+    """An entry whose value was altered and its digest rewritten loads as a
+    hit; --verify-cache warns, prints the fresh payload, replaces the entry
+    and exits 0: a stale entry is a cache fault, not a failed check."""
+    cache = tmp_path / "cache"
+    argv = ["--json", "--cache-dir", str(cache), "variety", spec_3d_n1]
+    code, fresh = run(capsys, argv)
+    assert code == 0
+    path = _cache_entry(cache)
+    wrapper = json.loads(path.read_text(encoding="utf-8"))
+    good = dict(wrapper["value"])
+    wrapper["value"]["hdim"] += 1
+    wrapper["digest"] = hashlib.sha256(canonical_bytes(wrapper["value"])).hexdigest()
+    path.write_text(json.dumps(wrapper), encoding="utf-8")
+    code, stale = run(capsys, argv)
+    assert code == 0
+    assert json.loads(stale)["hdim"] == json.loads(fresh)["hdim"] + 1
+    code = main(["--verify-cache", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    key = path.stem
+    assert captured.err == (
+        f"warning: cache entry {key[:12]} disagrees with recomputation; replacing\n")
+    assert json.loads(path.read_text(encoding="utf-8"))["value"] == good
+    assert run(capsys, argv) == (0, fresh)
+
+
+def test_failed_koszul_oracle_exits_1_also_on_a_cache_hit(capsys, monkeypatch, tmp_path,
+                                                          spec_3d_n1):
+    """A window whose Tor table is off by one prints its payload and exits 1;
+    the exit code is read off the payload, so the cached entry exits 1 too."""
+    import superconf.cli
+
+    real = superconf.cli.koszul_tor
+
+    def off_by_one(module, window):
+        table = real(module, window)
+        cell = min(table.entries)
+        return BettiTable({**table.entries, cell: table.entries[cell] + 1})
+
+    monkeypatch.setattr(superconf.cli, "koszul_tor", off_by_one)
+    argv = ["--json", "--cache-dir", str(tmp_path / "cache"),
+            "multiplet", "conf", spec_3d_n1, "--window", "4"]
+    error = "verification failed: the Koszul oracle disagrees with the Betti table on degrees 0..4\n"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["koszul_agrees"] is False
+    assert captured.err == error
+    monkeypatch.undo()
+    code = main(argv)
+    hit = capsys.readouterr()
+    assert code == 1
+    assert (hit.out, hit.err) == (captured.out, error)
+
+
+def test_twist_that_moves_hdim_exits_1(capsys, monkeypatch, spec_3d_n2):
+    import superconf.twisting
+
+    real, shift = superconf.twisting.hdim, iter((0, 1))  # source, then twisted algebra
+    monkeypatch.setattr(superconf.twisting, "hdim", lambda alg: real(alg) + next(shift))
+    code = main(["--json", "twist", spec_3d_n2, "--q", "holomorphic"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 1
+    assert data["hdim_invariant"] is False
+    assert data["hdim_twisted"] == data["hdim_source"] + 1
+    assert captured.err == (f"verification failed: hdim is not invariant under the twist:"
+                            f" {data['hdim_source']} -> {data['hdim_twisted']}\n")
+
+
+def test_hdim_cross_check_mismatch_exits_1(capsys, monkeypatch, spec_3d_n1):
+    """Koszul homology forced to vanish everywhere contradicts hdim = 1; this
+    exited 4 as an AssertionError before the check raised VerificationFailed."""
+    import superconf.multiplets
+
+    monkeypatch.setattr(superconf.multiplets, "koszul_homology_is_zero", lambda *a: True)
+    code = main(["--json", "hdim", "--cross-check", spec_3d_n1])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: hdim mismatch: formula gives 1, Koszul vanishing gives 0\n")
 
 
 def test_verify_single_case(capsys):
