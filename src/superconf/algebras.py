@@ -13,7 +13,7 @@ g0, is solved here and read by the conformal-type report and by twisting;
 `prolongation` extends the same layers to positive degrees.
 
 Conventions fixed here once and for all:
-  * ring variables l1..lk carry weight one, the even space weight two;
+  * ring variables l1..lk have degree one, the even space degree two;
   * the quadric generators are q_mu = sum_{a,b} gamma[a][b][mu] la lb, so a
     catalog bracket without 1/2 factors produces cross terms with integer
     coefficient 2;

@@ -236,7 +236,7 @@ class GroebnerBasis:
 
 def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder | None = None) -> GroebnerBasis:
     """Auto-reduced Gröbner basis of the submodule generated by `gens`, by
-    default in the TOP order of the ring's weighted grevlex."""
+    default in the TOP order of the ring's grevlex."""
     if not gens:
         raise ValueError("need at least one generator (possibly zero) to fix the module")
     module = gens[0].module
@@ -489,11 +489,11 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
 
 
 class HilbertSeries:
-    """Rational function numerator(t) / prod_i (1 - t^{w_i})."""
+    """Rational function numerator(t) / (1 - t)^nvars."""
 
-    def __init__(self, numerator: dict[int, int], weights: Sequence[int]):
+    def __init__(self, numerator: dict[int, int], nvars: int):
         self.numerator = {d: c for d, c in numerator.items() if c}
-        self.weights = list(weights)
+        self.nvars = nvars
 
     def coefficients(self, upto: int) -> list[int]:
         """Coefficients of t^0 .. t^upto, accumulated from the lowest
@@ -503,9 +503,9 @@ class HilbertSeries:
         for d, c in self.numerator.items():
             if d <= upto:
                 series[d - lo] += c
-        for w in self.weights:
-            for i in range(w, len(series)):
-                series[i] += series[i - w]
+        for _ in range(self.nvars):
+            for i in range(1, len(series)):
+                series[i] += series[i - 1]
         return series[-lo:]
 
     def pole_order_at_one(self) -> int:
@@ -521,20 +521,20 @@ class HilbertSeries:
                     q[d] = acc
             num = q
             mult += 1
-        return len(self.weights) - mult
+        return self.nvars - mult
 
     def __eq__(self, other):
         return (
             isinstance(other, HilbertSeries)
             and self.numerator == other.numerator
-            and self.weights == other.weights
+            and self.nvars == other.nvars
         )
 
     def __repr__(self):
         terms = " + ".join(
             f"{c}*t^{d}" if d else f"{c}" for d, c in sorted(self.numerator.items())
         )
-        return f"({terms or '0'}) / prod(1-t^w, w in {self.weights})"
+        return f"({terms or '0'}) / (1-t)^{self.nvars}"
 
 
 def _minimalize_monomials(gens, guard: int) -> list:
@@ -585,20 +585,19 @@ def _monomial_numerator(gens: tuple, ring: GradedRing, memo: dict) -> dict[int, 
             num = {dd: c for dd, c in new.items() if c}
         memo[gens] = num
         return num
-    w = ring.weights[vmax]
     field = FIELD_MASK << FIELD_BITS * vmax
-    pivot = (w << ring.deg_shift) + (1 << FIELD_BITS * vmax)
+    pivot = ring.var_terms[vmax]
     plus = [g for g in gens if not g & field] + [pivot]
     colon = [g - pivot if g & field else g for g in gens]
     n_plus = _monomial_numerator(tuple(_minimalize_monomials(plus, guard)), ring, memo)
     n_colon = _monomial_numerator(tuple(_minimalize_monomials(colon, guard)), ring, memo)
     out = dict(n_plus)
-    for d, c in n_colon.items():
-        v = out.get(d + w, 0) + c
+    for d, c in n_colon.items():  # the colon's numerator times t
+        v = out.get(d + 1, 0) + c
         if v:
-            out[d + w] = v
-        elif d + w in out:
-            del out[d + w]
+            out[d + 1] = v
+        else:
+            out.pop(d + 1, None)
     memo[gens] = out
     return out
 
@@ -607,11 +606,11 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertSeries:
     """Hilbert series of R/I for a rank-one (ideal) Gröbner basis."""
     if gb.module.rank != 1:
         raise ValueError("hilbert_series expects an ideal (rank-one) basis")
-    return HilbertSeries(module_hilbert_numerator(gb), gb.module.ring.weights)
+    return HilbertSeries(module_hilbert_numerator(gb), gb.module.ring.nvars)
 
 
 def module_hilbert_numerator(gb: GroebnerBasis) -> dict[int, int]:
-    """Numerator of Hilb(F / submodule) over prod(1-t^w), from lead terms.
+    """Numerator of Hilb(F / submodule) over (1-t)^nvars, from lead terms.
 
     Computed once per basis, so `hilbert_series`, `krull_dim` and
     `is_gorenstein` on one basis share it; each call returns a fresh dict.

@@ -23,15 +23,13 @@ from .resolutions import (
     koszul_homology_is_zero,
     minimal_free_resolution,
 )
-from .rings import FreeModule, ModuleElement
+from .rings import FreeModule, GradedRing, ModuleElement
 
 
 @dataclass
 class MultipletModule:
     """A multiplet presented over the polynomial ring, killed by the ideal."""
 
-    kind: str
-    algebra: SupertranslationAlgebra
     module: PresentedModule
 
     def betti(self) -> BettiTable:
@@ -84,14 +82,13 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
         for nu in range(d):
             rels.append(free.gen(nu) * q)
     pm = PresentedModule(ring, [0] * d, rels)
-    return MultipletModule("conf", alg, pm)
+    return MultipletModule(pm)
 
 
 def canonical_module(alg: SupertranslationAlgebra) -> MultipletModule:
     """The structure sheaf of the nilpotence variety as a multiplet."""
     rels = [q for q in alg.quadrics() if not q.is_zero()]
-    pm = PresentedModule(alg.ring(), [0], rels)
-    return MultipletModule("canonical", alg, pm)
+    return MultipletModule(PresentedModule(alg.ring(), [0], rels))
 
 
 def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
@@ -113,14 +110,13 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     v_dual = FreeModule(ring, [2] * d)
     kernel_gens = _koszul_cycles(ring, quadrics_all, 1, [2] * d) if quadrics_all else []
     image = [v_dual.gen(mu) * q for q in quadrics for mu in range(d)]
-    return _subquotient(alg, "kaehler", kernel_gens, image)
+    return _subquotient(ring, kernel_gens, image)
 
 
 def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     """The k-th Koszul homology of the bracket quadrics as a multiplet."""
     if k == 0:
-        m = canonical_module(alg)
-        return MultipletModule("form(0)", alg, m.module)
+        return canonical_module(alg)
     ring = alg.ring()
     quadrics = alg.quadrics()
     d = len(quadrics)
@@ -128,19 +124,17 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
         raise ValueError(f"form degree {k} out of range 0..{d}")
     kernel_gens = _koszul_cycles(ring, quadrics, k, [2] * d)
     im_cols, _, _ = _koszul_step_columns(ring, quadrics, k + 1, [2] * d)
-    return _subquotient(alg, f"form({k})", kernel_gens, [c for c in im_cols if not c.is_zero()])
+    return _subquotient(ring, kernel_gens, [c for c in im_cols if not c.is_zero()])
 
 
-def _subquotient(alg: SupertranslationAlgebra, kind: str, kernel_gens: list,
-                 image: list) -> MultipletModule:
+def _subquotient(ring: GradedRing, kernel_gens: list, image: list) -> MultipletModule:
     """The span of `kernel_gens` modulo `image`, presented on the kernel generators.
 
     Both lists live in one free module; the relations are the syzygies of
     kernel_gens + image projected onto the kernel part.
     """
-    ring = alg.ring()
     if not kernel_gens:
-        return MultipletModule(kind, alg, PresentedModule(ring, [], []))
+        return MultipletModule(PresentedModule(ring, [], []))
     gen_degs = [g.degree() for g in kernel_gens]
     ngen = len(kernel_gens)
     rel_free = FreeModule(ring, gen_degs)
@@ -150,7 +144,7 @@ def _subquotient(alg: SupertranslationAlgebra, kind: str, kernel_gens: list,
         proj = ModuleElement(rel_free, {t: v for t, v in z.terms.items() if t < end})
         if not proj.is_zero():
             rels.append(proj)
-    return MultipletModule(kind, alg, PresentedModule(ring, gen_degs, rels))
+    return MultipletModule(PresentedModule(ring, gen_degs, rels))
 
 
 def multiplet_module(alg: SupertranslationAlgebra, kind: str) -> MultipletModule:

@@ -33,14 +33,13 @@ from .groebner import ideal_gb, standard_monomials
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
 from .rings import ModuleElement
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 def _axpy(acc: dict, scalar, vec: dict) -> dict:
     """acc += scalar * vec on sparse dicts, dropping entries that cancel."""
     for key, v in vec.items():
-        w = acc.get(key, _F0) + scalar * v
+        w = acc.get(key, 0) + scalar * v
         if w:
             acc[key] = w
         else:
@@ -125,7 +124,7 @@ class ProlongationBrackets:
         if i + j < -2 or not x or not y:
             return {}
         entries = self._entries(i, j)
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for p, xp in x.items():
             row = entries[p]
             for q, yq in y.items():
@@ -141,7 +140,7 @@ class ProlongationBrackets:
     def _tabulate(self, i: int, j: int) -> list[list[dict]]:
         layers = self.layers
         # [x, y] = sign [y, x], sign = -(-1)^{|x||y|}
-        sign = _F1 if i % 2 and j % 2 else -_F1
+        sign = 1 if i % 2 and j % 2 else -1
         if i > j:
             flip = self._entries(j, i)
             return [[_axpy({}, sign, flip[q][p]) for q in range(layers[j].dim)]
@@ -155,10 +154,10 @@ class ProlongationBrackets:
         shifts = list(enumerate([1] * self.alg.k + [2] * self.alg.d))
         entries = []
         for p in range(layers[i].dim):
-            x = {p: _F1}
+            x = {p: 1}
             row = []
             for q in range(layers[j].dim):
-                y = {q: _F1}
+                y = {q: 1}
                 act = [
                     _axpy(self.bracket(i, x, j - s, layers[j].act[q][g]),
                           sign, self.bracket(j, y, i - s, layers[i].act[p][g]))
@@ -182,7 +181,7 @@ class ProlongationBrackets:
         for m1, m2, m3 in product(degrees, repeat=3):
             sgn = -1 if m1 % 2 and m2 % 2 else 1
             for p, q, r in product(range(dims[m1]), range(dims[m2]), range(dims[m3])):
-                x, y, z = {p: _F1}, {q: _F1}, {r: _F1}
+                x, y, z = {p: 1}, {q: 1}, {r: 1}
                 lhs = self.bracket(m1 + m2, self.bracket(m1, x, m2, y), m3, z)
                 rhs = self.bracket(m1, x, m2 + m3, self.bracket(m2, y, m3, z))
                 _axpy(rhs, -sgn, self.bracket(m2, y, m1 + m3, self.bracket(m1, x, m3, z)))

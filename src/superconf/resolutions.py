@@ -30,14 +30,14 @@ remaining rows are counted without elimination.
 A row m*c is not built from the image of c when the reduced row of
 (m/x_v)*c is kept from degree j - 1: it is x_v times that row, its columns
 moved by one shift list per variable and degree (F4's Simplify, Faugère,
-JPAA 139, 1999).  x_v is the last weight-1 variable dividing m whose
-predecessor row is kept; with none (the first degree of the range, a row
-past a full-rank stop, a variable of weight > 1) the row is built from the
-image.  The reuse is exact by the argument of the skip: red((m/x_v)*c) is a
-nonzero multiple of (m/x_v)*c plus earlier rows of degree j - 1, and x_v
-times an earlier row is an earlier row of degree j.  So every prefix of the
-rows spans what it spans without the reuse, and each zero record, pivot
-count and full-rank stop is the same.
+JPAA 139, 1999).  x_v is the last variable dividing m whose predecessor
+row is kept; with none (the first degree of the range, a row past a
+full-rank stop) the row is built from the image.  The reuse is exact by the
+argument of the skip: red((m/x_v)*c) is a nonzero multiple of (m/x_v)*c
+plus earlier rows of degree j - 1, and x_v times an earlier row is an
+earlier row of degree j.  So every prefix of the rows spans what it spans
+without the reuse, and each zero record, pivot count and full-rank stop is
+the same.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class PresentedModule:
             return 0
         num = module_hilbert_numerator(self.relation_gb())
         return HilbertSeries({d - lo: c for d, c in num.items()},
-                             self.ring.weights).coefficients(degree - lo)[-1]
+                             self.ring.nvars).coefficients(degree - lo)[-1]
 
 
 @dataclass
@@ -280,8 +280,7 @@ def _slice_ranks(
     """
     ring = target.ring
     guard = ring.guard
-    # packed x_v of the weight-1 variables, the last first
-    steps = [x for x, w in zip(ring.var_terms, ring.weights) if w == 1][::-1]
+    steps = ring.var_terms[::-1]  # packed x_v, the last variable first
     images = [(_packed_image(image), deg) for image, deg in columns]
     zeros: list[list[int]] = [[] for _ in images]  # packed m with m*c reducing to zero
     kept: list[dict[int, dict[int, int]]] = [{} for _ in images]  # m -> red(m*c), degree j - 1
@@ -384,12 +383,10 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
     Exact linear algebra degree by degree inside the window; independent of
     the resolution path.  The completeness flag is False because nothing
-    outside the window is examined.  Only for rings whose variables all have
-    weight one: the exterior generators here carry degree one.
+    outside the window is examined.  An exterior generator has the degree of
+    its variable, one.
     """
     ring = m.ring
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("koszul_tor needs a ring with all variable weights 1")
     k = ring.nvars
     lo, hi = degree_window
     gb = m.relation_gb()

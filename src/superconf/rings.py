@@ -1,6 +1,7 @@
-"""Weight-graded polynomial rings, monomial orders, and free modules.
+"""Graded polynomial rings, monomial orders, and free modules.
 
-A module term is one packed int (`GradedRing.pack`): component | weighted
+Every variable has degree one, so the degree of a monomial is the sum of its
+exponents.  A module term is one packed int (`GradedRing.pack`): component |
 degree | one 16-bit field per exponent, the top bit of each field a guard G.
 A `ModuleElement` maps packed terms to `fractions.Fraction` coefficients, and
 a ring element is a `ModuleElement` of the rank-one module `FreeModule(ring,
@@ -39,12 +40,11 @@ once per ring and degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from struct import Struct
 from typing import Mapping, Sequence
 
 FIELD_BITS = 16
-FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or weighted degree
+FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or degree
 FIELD_MASK = (1 << FIELD_BITS) - 1
 COMP_BITS = 32  # module order keys tell apart components below 2**COMP_BITS
 
@@ -55,20 +55,16 @@ def _check_field(value: int, what: str) -> None:
 
 
 class GradedRing:
-    """The polynomial ring over Q with positive integer weights on the variables."""
+    """The polynomial ring over Q on the named variables, each of degree one."""
 
-    __slots__ = ("names", "weights", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
-                 "words", "var_terms", "_by_weight", "_mons")
+    __slots__ = ("names", "nvars", "comp_shift", "deg_shift", "exps", "guard", "low",
+                 "words", "var_terms", "_mons")
 
-    def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None):
+    def __init__(self, names: Sequence[str]):
         names = list(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        weights = [1] * len(names) if weights is None else list(weights)
-        if len(weights) != len(names) or any(w < 1 for w in weights):
-            raise ValueError("weights must be positive, one per variable")
         self.names = names
-        self.weights = weights
         self.nvars = len(names)
         self.deg_shift = FIELD_BITS * self.nvars
         self.comp_shift = self.deg_shift + FIELD_BITS
@@ -77,22 +73,20 @@ class GradedRing:
         self.guard = ones << FIELD_BITS - 1
         self.low = self.guard - ones  # FIELD_LIMIT in each field
         self.words = Struct(f"<{self.nvars}H")  # the exponent fields as bytes
-        self.var_terms = [(w << self.deg_shift) + (1 << FIELD_BITS * i)  # x_i, packed
-                          for i, w in enumerate(weights)]
-        self._by_weight = [(w, sum(FIELD_MASK << FIELD_BITS * i for i, v in enumerate(weights)
-                                   if v == w)) for w in set(weights)]  # (w, its fields)
+        self.var_terms = [(1 << self.deg_shift) + (1 << FIELD_BITS * i)  # x_i, packed
+                          for i in range(self.nvars)]
         self._mons: dict[int, list[int]] = {}  # degree -> monomials_of_degree
 
     def pack(self, comp: int, mon: Sequence[int]) -> int:
         """The packed int of term (comp, mon); a ValueError if a field overflows.
 
-        Every exponent is at most the weighted degree, so the degree check
-        covers each field, and a product that keeps within the degree of a
-        packed term never overflows either.  The exponent fields are the
+        Every exponent is at most the degree, so the degree check covers
+        each field, and a product that keeps within the degree of a packed
+        term never overflows either.  The exponent fields are the
         little-endian 16-bit words of `mon`.
         """
-        deg = sum(map(mul, mon, self.weights))
-        _check_field(deg, "weighted degree")
+        deg = sum(mon)
+        _check_field(deg, "degree")
         exps = int.from_bytes(self.words.pack(*mon), "little")
         return (comp << self.comp_shift) + (deg << self.deg_shift) + exps
 
@@ -102,16 +96,16 @@ class GradedRing:
         return t >> self.comp_shift, self.words.unpack(exps)
 
     def with_degree(self, e: int) -> int:
-        """Exponent part e with its weighted-degree field set, or a ValueError.
-        Field nvars - 1 of `(e & fields) * ones` sums e's exponents there, with
-        no carry while such sums are below 2**16, as for an lcm of two terms."""
+        """Exponent part e with its degree field set, or a ValueError.
+        Field nvars - 1 of `e * ones` sums e's exponents, with no carry while
+        such sums are below 2**16, as for an lcm of two terms."""
         ones, top = self.guard >> FIELD_BITS - 1, FIELD_BITS * (self.nvars - 1)
-        deg = sum(w * ((e & fields) * ones >> top & FIELD_MASK) for w, fields in self._by_weight)
-        _check_field(deg, "weighted degree")
+        deg = e * ones >> top & FIELD_MASK
+        _check_field(deg, "degree")
         return (deg << self.deg_shift) + e
 
     def term_degree(self, t: int) -> int:
-        """The weighted degree of packed term t, read off its degree field."""
+        """The degree of packed term t, read off its degree field."""
         return t >> self.deg_shift & FIELD_MASK
 
     def divides(self, s: int, t: int) -> bool:
@@ -145,7 +139,7 @@ class GradedRing:
         return self.element({0: Fraction(c)})
 
     def monomials_of_degree(self, d: int) -> list[int]:
-        """Monomials of weighted degree d: packed, component 0, ascending as tuples.
+        """Monomials of degree d: packed, component 0, ascending as tuples.
 
         That is lex order, which is multiplicative; `resolutions._slice_ranks`
         relies on it to skip rows known to reduce to zero and to order the
@@ -154,41 +148,36 @@ class GradedRing:
         """
         mons = self._mons.get(d)
         if mons is None:
-            _check_field(d, "weighted degree")
+            _check_field(d, "degree")
             level = [(d << self.deg_shift, d)] if d >= 0 else []  # (term so far, degree left)
-            for i, w in enumerate(self.weights):
-                level = [(t + (e << FIELD_BITS * i), rem - e * w)
-                         for t, rem in level for e in range(rem // w + 1)]
+            for i in range(self.nvars):
+                level = [(t + (e << FIELD_BITS * i), rem - e)
+                         for t, rem in level for e in range(rem + 1)]
             mons = self._mons[d] = [t for t, rem in level if not rem]
         return list(mons)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GradedRing)
-            and self.names == other.names
-            and self.weights == other.weights
-        )
+        return isinstance(other, GradedRing) and self.names == other.names
 
     def __hash__(self):
-        return hash((tuple(self.names), tuple(self.weights)))
+        return hash(tuple(self.names))
 
     def __repr__(self):
-        ws = "" if all(w == 1 for w in self.weights) else f", weights={self.weights}"
-        return f"GradedRing({','.join(self.names)}{ws})"
+        return f"GradedRing({','.join(self.names)})"
 
 
 class MonomialOrder:
-    """A ring's monomial order: lex, or grevlex weighted by the ring's weights.
+    """A ring's monomial order: lex or grevlex.
 
     `key` takes a packed term, its component ignored, and returns one int,
-    linear in the exponents; larger key means larger monomial.  Weighted
-    grevlex is `e - 2 * (e & ring.exps)` for e the degree and exponent fields:
+    linear in the exponents; larger key means larger monomial.  Grevlex is
+    `e - 2 * (e & ring.exps)` for e the degree and exponent fields:
     the degree above the negated exponents, the last variable's highest.  Lex
     is the exponent words in reverse order, the first variable's highest.
     """
 
-    def __init__(self, ring: GradedRing, kind: str = "wgrevlex"):
-        if kind not in ("lex", "wgrevlex"):
+    def __init__(self, ring: GradedRing, kind: str = "grevlex"):
+        if kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.ring = ring
         self.kind = kind
@@ -333,7 +322,7 @@ class ModuleElement:
             raise ValueError("the other factor must be a scalar or a ring element of the same ring")
         # every field of a product is at most its degree field, so one check covers them
         top = max(map(ring.term_degree, self.terms), default=0)
-        _check_field(top + max(map(ring.term_degree, other.terms), default=0), "weighted degree")
+        _check_field(top + max(map(ring.term_degree, other.terms), default=0), "degree")
         out: dict[int, Fraction] = {}
         for s, v in self.terms.items():
             for u, c2 in other.terms.items():
@@ -356,7 +345,7 @@ class ModuleElement:
         )
 
     def __str__(self):
-        """A ring element as a polynomial, terms in descending weighted grevlex;
+        """A ring element as a polynomial, terms in descending grevlex;
         a higher-rank element as (coordinate)*e_i over its nonzero coordinates."""
         if not self.terms:
             return "0"
@@ -388,7 +377,7 @@ class ModuleElement:
     __repr__ = __str__
 
 
-def poly_ring(*names: str, weights: Sequence[int] | None = None) -> tuple:
+def poly_ring(*names: str) -> tuple:
     """Convenience: ring plus its variables, `R, x, y = poly_ring("x", "y")`."""
-    ring = GradedRing(list(names), weights)
+    ring = GradedRing(list(names))
     return (ring, *[ring.variable(i) for i in range(ring.nvars)])

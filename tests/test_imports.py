@@ -35,6 +35,9 @@ bodies, docstrings excluded, must not have equal AST dumps.
 One term layout: a `ModuleElement` holds the packed terms of the engine, so
 outside `rings.py` a `.pack` or `.unpack` attribute appears only in the three
 functions of the derivation-complex oracle, which keeps exponent tuples.
+
+One grading: every ring variable has degree one, so no `weights` attribute,
+parameter, keyword or name appears in the package.
 """
 
 import ast
@@ -338,3 +341,30 @@ def test_only_the_oracle_converts_term_layouts():
         if owner not in LAYOUT_OWNERS
     ]
     assert outside == []
+
+
+def grading_weights(source: str) -> list[int]:
+    """Lines of each `weights` attribute, parameter, keyword or name."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "weights"
+        or isinstance(node, (ast.arg, ast.keyword)) and node.arg == "weights"
+        or isinstance(node, ast.Name) and node.id == "weights"
+    )
+
+
+def test_scan_finds_ring_weights():
+    source = (
+        "def f(ring, weights=None):\n    return ring.weights\n"
+        "g(names, weights=[1, 2])\nweights = [1]\nweight = 1\n"
+    )
+    assert grading_weights(source) == [1, 2, 3, 4]
+
+
+def test_every_ring_variable_has_degree_one():
+    found = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        for line in grading_weights(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -95,17 +95,6 @@ def test_koszul_tor_residue_field():
     assert tor.entries == {(i, i): comb(3, i) for i in range(4)}
 
 
-def test_koszul_tor_rejects_weighted_rings():
-    # M = R/(x, y^2) over weights (2, 1) resolves as {(0,0):1, (1,2):2, (2,4):1};
-    # weight-one exterior generators would give {(1,1):1, (1,2):1, (2,3):1}
-    R, x, y = poly_ring("x", "y", weights=[2, 1])
-    pm = PresentedModule(R, [0], [x, y * y])
-    _, betti = minimal_free_resolution(pm)
-    assert betti.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-    with pytest.raises(ValueError, match="weights"):
-        koszul_tor(pm, (0, 5))
-
-
 def test_euler_characteristic_identity():
     R = GradedRing(["x", "y"])
     pm = PresentedModule(R, [0], m_squared(R))
