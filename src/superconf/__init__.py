@@ -6,7 +6,7 @@ their component fields, homological dimension, Gorenstein flags, square-zero
 twists, and Tanaka prolongations - all over exact rationals.
 """
 
-from .rings import GradedRing, FreeModule, ModuleElement, MonomialOrder, ModuleOrder, poly_ring
+from .rings import GradedRing, FreeModule, ModuleElement, ModuleOrder, poly_ring
 from .groebner import (
     GroebnerBasis,
     HilbertSeries,

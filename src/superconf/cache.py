@@ -61,6 +61,8 @@ def load(cache_dir: str, key: str):
     try:
         with open(path, "rb") as fh:
             wrapper = json.loads(fh.read())
+        if not isinstance(wrapper, dict):
+            raise ValueError("entry is not a JSON object")
         payload = canonical_bytes(wrapper["value"])
         if wrapper.get("key") != key:
             raise ValueError("key mismatch")

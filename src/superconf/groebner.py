@@ -43,7 +43,6 @@ from .rings import (
     GradedRing,
     ModuleElement,
     ModuleOrder,
-    MonomialOrder,
 )
 
 
@@ -236,14 +235,14 @@ class GroebnerBasis:
 
 def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder | None = None) -> GroebnerBasis:
     """Auto-reduced Gröbner basis of the submodule generated by `gens`, by
-    default in the TOP order of the ring's grevlex."""
+    default in the TOP order."""
     if not gens:
         raise ValueError("need at least one generator (possibly zero) to fix the module")
     module = gens[0].module
     if order is None:
-        order = ModuleOrder.top(MonomialOrder(module.ring), module.rank)
-    if order.ring_order.ring != module.ring or len(order.base) != module.rank:
-        raise ValueError(f"a module order of rank {len(order.base)} over {order.ring_order.ring} "
+        order = ModuleOrder.top(module.ring, module.rank)
+    if order.ring != module.ring or len(order.base) != module.rank:
+        raise ValueError(f"a module order of rank {len(order.base)} over {order.ring} "
                          f"does not fit rank {module.rank} over {module.ring}")
     basis, _ = _spair_loop(gens, order, module.rank)
     return GroebnerBasis(module, order, _autoreduce(module.ring, basis))
@@ -347,12 +346,10 @@ def _autoreduce(ring: GradedRing, basis: list) -> list:
     return final
 
 
-def ideal_gb(
-    ring: GradedRing, polys: Sequence[ModuleElement], order: MonomialOrder | None = None
-) -> GroebnerBasis:
+def ideal_gb(ring: GradedRing, polys: Sequence[ModuleElement]) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by ring elements `polys`: the
     rank-one case of `buchberger`."""
-    return buchberger(list(polys) or [ring.zero()], ModuleOrder.top(order or MonomialOrder(ring), 1))
+    return buchberger(list(polys) or [ring.zero()], ModuleOrder.top(ring, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +470,7 @@ def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     rank, cshift = module.rank, ring.comp_shift
     degrees = [0 if g.is_zero() else g.degree() for g in gens]
     tagged = FreeModule(ring, module.gen_degrees + degrees)
-    order = ModuleOrder.tagged(MonomialOrder(ring), rank, len(gens))
+    order = ModuleOrder.tagged(ring, rank, len(gens))
     _, aside = _spair_loop(
         [ModuleElement(tagged, {**g.terms, (rank + s) << cshift: Fraction(1)})
          for s, g in enumerate(gens)],

@@ -171,7 +171,8 @@ class SpanSolver:
         self._support.update(vec)
 
     def solve(self, vec: dict) -> dict | None:
-        """{tag: coordinate} of vec over the basis, or None off the span."""
+        """{tag: coordinate} of vec over the basis, or None off the span; the
+        coordinates are vec's own entries at the first keys, ints kept ints."""
         if any(_reduce_by_leads(dict(vec), self._rows).values()):
             return None
-        return {t: Fraction(vec[lead]) for t, lead in enumerate(self._rows) if vec.get(lead)}
+        return {t: vec[lead] for t, lead in enumerate(self._rows) if vec.get(lead)}

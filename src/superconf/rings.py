@@ -1,4 +1,4 @@
-"""Graded polynomial rings, monomial orders, and free modules.
+"""Graded polynomial rings, their module orders, and free modules.
 
 Every variable has degree one, so the degree of a monomial is the sum of its
 exponents.  A module term is one packed int (`GradedRing.pack`): component |
@@ -28,13 +28,14 @@ field with no carry or borrow across fields:
   `a + L` has its guard set exactly when a's exponent there is nonzero, so
   a and b share no variable when `(a + L) & (b + L) & G == 0`.
 
-An order is bound to its ring and keys packed terms, each key one int affine
-in the exponents: key(t*q) = key(t) + key(q) - key(1).  A module order is
-one formula on top of it, base[comp] + (ring key << shift), with three
-constructors: `ModuleOrder.top` (term over position), `ModuleOrder.schreyer`
-(induced by the lead terms of a basis) and `ModuleOrder.tagged` (the order
-of `syzygy_module`).  `monomials_of_degree` enumerates packed terms too,
-once per ring and degree.
+The one ring order is grevlex: no reported invariant (multiplet, Betti table,
+Hilbert series) depends on a term order.  A module order keys packed terms by
+one formula, base[comp] + (grevlex key << shift), the grevlex key one int
+affine in the exponents, with three constructors: `ModuleOrder.top` (term
+over position), `ModuleOrder.schreyer` (induced by the lead terms of a basis)
+and `ModuleOrder.tagged` (the order of `syzygy_module`).
+`monomials_of_degree` enumerates packed terms too, once per ring and degree,
+in tuple order, a row order of the degree slices and not a term order.
 """
 
 from __future__ import annotations
@@ -166,78 +167,55 @@ class GradedRing:
         return f"GradedRing({','.join(self.names)})"
 
 
-class MonomialOrder:
-    """A ring's monomial order: lex or grevlex.
-
-    `key` takes a packed term, its component ignored, and returns one int,
-    linear in the exponents; larger key means larger monomial.  Grevlex is
-    `e - 2 * (e & ring.exps)` for e the degree and exponent fields:
-    the degree above the negated exponents, the last variable's highest.  Lex
-    is the exponent words in reverse order, the first variable's highest.
-    """
-
-    def __init__(self, ring: GradedRing, kind: str = "grevlex"):
-        if kind not in ("lex", "grevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.ring = ring
-        self.kind = kind
-        self._fields = (1 << ring.comp_shift) - 1  # the degree and exponent fields
-
-    def key(self, t: int) -> int:
-        ring = self.ring
-        if self.kind == "lex":
-            words = memoryview((t & ring.exps).to_bytes(2 * ring.nvars, "little")).cast("H")
-            return int.from_bytes(words[::-1].tobytes(), "little")
-        e = t & self._fields
-        return e - 2 * (e & ring.exps)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind})"
-
-
 class ModuleOrder:
-    """Order on packed module terms: key(t) = base[comp] + (ring key << shift).
+    """Order on packed module terms over grevlex, the one ring order.
 
-    Larger key means larger term, and `base` has one entry per component.
-    Three constructors:
+    key(t) = base[comp] + ((e - 2 * (e & ring.exps)) << shift), e the degree
+    and exponent fields of t: the grevlex key is the degree above the negated
+    exponents, the last variable's highest, one int affine in the exponents,
+    key(t*q) = key(t) + key(q) - key(1).  Larger key means larger term, and
+    `base` has one entry per component.  Three constructors:
 
-    - `top(ring_order, rank)`: term over position, base -c: the ring order
-      first, the lower component winning ties;
+    - `top(ring, rank)`: term over position, base -c: grevlex first, the
+      lower component winning ties;
     - `schreyer(parent, leads)`: the order induced by `parent` from the packed
       lead terms of the previous step's basis, base
       (parent.key(lead_c) << COMP_BITS) - c, ties again to the lower component;
-    - `tagged(ring_order, rank, tags)`: TOP on F + T with every term of F
-      above every term of T.
+    - `tagged(ring, rank, tags)`: TOP on F + T with every term of F above
+      every term of T.
     """
 
-    __slots__ = ("ring_order", "base", "shift", "_cshift")
+    __slots__ = ("ring", "base", "shift", "_cshift", "_fields", "_exps")
 
-    def __init__(self, ring_order: MonomialOrder, base: list[int], shift: int):
-        self.ring_order = ring_order
+    def __init__(self, ring: GradedRing, base: list[int], shift: int):
+        self.ring = ring
         self.base = base
         self.shift = shift
-        self._cshift = ring_order.ring.comp_shift
+        self._cshift = ring.comp_shift
+        self._fields = (1 << ring.comp_shift) - 1  # the degree and exponent fields
+        self._exps = ring.exps
 
     @classmethod
-    def top(cls, ring_order: MonomialOrder, rank: int) -> "ModuleOrder":
-        return cls(ring_order, [-c for c in range(rank)], COMP_BITS)
+    def top(cls, ring: GradedRing, rank: int) -> "ModuleOrder":
+        return cls(ring, [-c for c in range(rank)], COMP_BITS)
 
     @classmethod
     def schreyer(cls, parent: "ModuleOrder", leads: Sequence[int]) -> "ModuleOrder":
         base = [(parent.key(lead) << COMP_BITS) - c for c, lead in enumerate(leads)]
-        return cls(parent.ring_order, base, COMP_BITS + parent.shift)
+        return cls(parent.ring, base, COMP_BITS + parent.shift)
 
     @classmethod
-    def tagged(cls, ring_order: MonomialOrder, rank: int, tags: int) -> "ModuleOrder":
-        """F of the given rank and T of `tags` components after it.  A ring key
-        is below 2**ring.comp_shift, so lowering the base of each tag component
-        by 2**(comp_shift + COMP_BITS + 1) puts it under all of F."""
-        below = 1 << ring_order.ring.comp_shift + COMP_BITS + 1
-        return cls(ring_order, [-c - (below if c >= rank else 0) for c in range(rank + tags)],
+    def tagged(cls, ring: GradedRing, rank: int, tags: int) -> "ModuleOrder":
+        """F of the given rank and T of `tags` components after it.  A grevlex
+        key is below 2**ring.comp_shift, so lowering the base of each tag
+        component by 2**(comp_shift + COMP_BITS + 1) puts it under all of F."""
+        below = 1 << ring.comp_shift + COMP_BITS + 1
+        return cls(ring, [-c - (below if c >= rank else 0) for c in range(rank + tags)],
                    COMP_BITS)
 
     def key(self, t: int) -> int:
-        return self.base[t >> self._cshift] + (self.ring_order.key(t) << self.shift)
+        e = t & self._fields
+        return self.base[t >> self._cshift] + ((e - 2 * (e & self._exps)) << self.shift)
 
 
 class FreeModule:
@@ -357,7 +335,7 @@ class ModuleElement:
             ).replace("+ -", "- ")
         ring = self.module.ring
         parts = []
-        for t in sorted(self.terms, key=MonomialOrder(ring).key, reverse=True):
+        for t in sorted(self.terms, key=ModuleOrder.top(ring, 1).key, reverse=True):
             c = self.terms[t]
             factors = [
                 ring.names[i] + (f"^{e}" if e > 1 else "")

@@ -441,6 +441,27 @@ def test_verify_cache_replaces_an_altered_entry(capsys, tmp_path, spec_3d_n1):
     assert run(capsys, argv) == (0, fresh)
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, tmp_path, spec_3d_n1, text):
+    """An entry that is valid JSON but not a wrapper object is corrupt: the
+    command warns, recomputes, rewrites the entry and exits 0."""
+    cache = tmp_path / "cache"
+    argv = ["--json", "--cache-dir", str(cache), "variety", spec_3d_n1]
+    code, fresh = run(capsys, argv)
+    assert code == 0
+    path = _cache_entry(cache)
+    path.write_text(text, encoding="utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert captured.err == (
+        f"warning: ignoring corrupt cache entry {path.stem[:12]}: entry is not a JSON object\n")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, fresh, "")
+
+
 def test_failed_koszul_oracle_exits_1_also_on_a_cache_hit(capsys, monkeypatch, tmp_path,
                                                           spec_3d_n1):
     """A window whose Tor table is off by one prints its payload and exits 1;

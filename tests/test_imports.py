@@ -38,6 +38,10 @@ functions of the derivation-complex oracle, which keeps exponent tuples.
 
 One grading: every ring variable has degree one, so no `weights` attribute,
 parameter, keyword or name appears in the package.
+
+One monomial order: grevlex is the only ring order, so no `MonomialOrder`
+name, attribute, class or import and no "lex" string constant appears in the
+package; docstrings are not scanned.
 """
 
 import ast
@@ -366,5 +370,44 @@ def test_every_ring_variable_has_degree_one():
         f"{path.name}:{line}"
         for path in PACKAGE
         for line in grading_weights(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def order_kinds(source: str) -> list[int]:
+    """Lines of each `MonomialOrder` name, attribute, class or import, and of
+    each "lex" string constant that is not a docstring."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "MonomialOrder"
+        or isinstance(node, ast.Attribute) and node.attr == "MonomialOrder"
+        or isinstance(node, (ast.ClassDef, ast.alias)) and node.name == "MonomialOrder"
+        or isinstance(node, ast.Constant) and node.value == "lex" and id(node) not in docstrings
+    )
+
+
+def test_scan_finds_monomial_orders_and_lex_kinds():
+    source = (
+        "from .rings import MonomialOrder\n"
+        "class MonomialOrder:\n    \"\"\"lex\"\"\"\n"
+        "o = rings.MonomialOrder(r, \"lex\")\nk = MonomialOrder\n"
+        "g = \"grevlex\"\n"
+        "def f():\n    \"lex\"\n"
+    )
+    assert order_kinds(source) == [1, 2, 4, 4, 5]
+
+
+def test_grevlex_is_the_one_monomial_order():
+    found = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        for line in order_kinds(path.read_text(encoding="utf-8"))
     ]
     assert found == []

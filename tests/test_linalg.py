@@ -84,6 +84,14 @@ def test_solve():
         SpanSolver([basis[0], combine({0: 1, 1: 1}, basis), *basis[2:]])
 
 
+def test_solve_returns_the_entries_of_the_vector_as_they_are():
+    """Coordinates are read off the first keys, so an int entry stays an int."""
+    solver = SpanSolver([{0: 1, 2: 3}, {1: 1, 2: F(-1, 2)}])
+    coords = solver.solve({0: 2, 1: F(5, 3), 2: F(31, 6)})
+    assert coords == {0: 2, 1: F(5, 3)}
+    assert type(coords[0]) is int and type(coords[1]) is Fraction
+
+
 def test_sparse_matches_dense():
     rows = [{0: 1, 2: -2}, {1: 3, 2: 1}, {0: 2, 1: 3, 2: -3}]
     assert sparse_rank(rows) == 2

@@ -51,7 +51,6 @@ from superconf.rings import (
     GradedRing,
     ModuleElement,
     ModuleOrder,
-    MonomialOrder,
 )
 
 
@@ -522,21 +521,6 @@ def test_groebner_membership_and_syzygies(data):
 
 
 @given(quadric_sets())
-@settings(max_examples=20, deadline=None)
-def test_buchberger_order_independent_membership(data):
-    ring, polys = data
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return
-    gb1 = ideal_gb(ring, nonzero, MonomialOrder(ring))
-    gb2 = ideal_gb(ring, nonzero, MonomialOrder(ring, "lex"))
-    # each basis reduces to zero against the other
-    for src, tgt in ((gb1, gb2), (gb2, gb1)):
-        for e in src.elements:
-            assert tgt.normal_form(ModuleElement(tgt.module, e.terms)).is_zero()
-
-
-@given(quadric_sets())
 @settings(max_examples=30, deadline=None)
 def test_koszul_homology_h0_and_euler_characteristic(data):
     """H_0 is R/I, and in each degree the alternating sum of the homology
@@ -612,14 +596,14 @@ def test_graded_dim_counts_the_standard_monomials(pm, shift):
         assert m.graded_dim(j) == len(standard_monomials(gb, j)), f"degree {j}"
 
 
-def _block_positions(ring, gen_degrees, j, order=None):
+def _block_positions(ring, gen_degrees, j, grevlex=False):
     """{(block, monomial): column} of a degree-j target, each block listed in
-    ascending tuple order, or sorted descending by the key of `order`."""
+    ascending tuple order, or in descending grevlex."""
     cols, offset = {}, 0
     for c, g in enumerate(gen_degrees):
         mons = _tuple_monomials(ring, j - g)
-        if order is not None:
-            mons = sorted(mons, key=lambda m: order.key(ring.pack(0, m)), reverse=True)
+        if grevlex:
+            mons = sorted(mons, key=_tuple_ring_key, reverse=True)
         cols.update({(c, mon): offset + n for n, mon in enumerate(mons)})
         offset += len(mons)
     return cols
@@ -657,7 +641,7 @@ def _assert_slice_is_lex_reference_relabelled(columns, target, j):
     position."""
     ring = target.ring
     lex = _block_positions(ring, target.gen_degrees, j)
-    grevlex = _block_positions(ring, target.gen_degrees, j, MonomialOrder(ring))
+    grevlex = _block_positions(ring, target.gen_degrees, j, grevlex=True)
     relabel = {lex[bm]: grevlex[bm] for bm in lex}
     per_gen, tgt_dim = _lex_reference_rows(columns, target, j)
     expected = []
@@ -697,7 +681,7 @@ def test_single_column_slice_pivots_on_the_grevlex_leading_term(data):
     """Each row m*f of one polynomial's slice has its minimal column at the
     grevlex leading monomial of m*f, so elimination pivots there."""
     ring, polys = data
-    order = MonomialOrder(ring)
+    order = ModuleOrder.top(ring, 1)
     free = FreeModule(ring, [0])
     for f in polys:
         if f.is_zero():
@@ -795,7 +779,7 @@ def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
 ]), 0)
 @given(graded_maps(), st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
-def test_slice_ranks_on_weighted_maps_match_full_elimination(data, lo):
+def test_slice_ranks_on_graded_maps_match_full_elimination(data, lo):
     columns, target = data
     _assert_slice_ranks_match_full_elimination(columns, target, range(lo, 7))
 
@@ -821,22 +805,20 @@ def test_monomials_of_degree_ascend_as_tuples(nvars, degree):
 # --- packed terms: int order keys and fraction-free reduction ----------------
 
 
-def _tuple_ring_key(order, mon):
-    """The nested-tuple monomial key the int key replaced."""
-    if order.kind == "lex":
-        return mon
+def _tuple_ring_key(mon):
+    """The nested-tuple grevlex key the int key replaced."""
     return (sum(mon), tuple(-e for e in reversed(mon)))
 
 
-def _tuple_module_key(ring_order, chain, term):
+def _tuple_module_key(chain, term):
     """The recursive nested-tuple module key the int key replaced: TOP when
     `chain` is empty, else the Schreyer order induced by the lead terms
     chain[-1], (component, monomial) pairs, from the order of chain[:-1]."""
     comp, mon = term
     if not chain:
-        return (_tuple_ring_key(ring_order, mon), -comp)
+        return (_tuple_ring_key(mon), -comp)
     lead_comp, lead_mon = chain[-1][comp]
-    return (_tuple_module_key(ring_order, chain[:-1], (lead_comp, mon_mul(mon, lead_mon))), -comp)
+    return (_tuple_module_key(chain[:-1], (lead_comp, mon_mul(mon, lead_mon))), -comp)
 
 
 def _assert_same_order(terms, key, reference):
@@ -854,7 +836,7 @@ def _assert_same_order(terms, key, reference):
 )
 @settings(max_examples=60, deadline=None)
 def test_int_monomial_keys_order_like_tuple_keys(drawn):
-    """Lex and grevlex on packed terms, with exponents up to the most that
+    """Grevlex on packed terms, with exponents up to the most that
     keeps every permutation within the packed degree field (the field limit
     itself in one variable); TOP, and the tagged TOP of `syzygy_module`,
     which puts every term of F above every tag."""
@@ -862,34 +844,32 @@ def test_int_monomial_keys_order_like_tuple_keys(drawn):
     mons = sorted({p for m in drawn for p in permutations(m)})
     ring = GradedRing([f"x{i}" for i in range(len(drawn[0]))])
     packed = [ring.pack(0, m) for m in mons]
-    for order in (MonomialOrder(ring, "lex"), MonomialOrder(ring)):
-        _assert_same_order(packed, order.key,
-                           lambda t: _tuple_ring_key(order, ring.unpack(t)[1]))
-        top = ModuleOrder.top(order, 3)
+    _assert_same_order(packed, ModuleOrder.top(ring, 1).key,
+                       lambda t: _tuple_ring_key(ring.unpack(t)[1]))
+    top = ModuleOrder.top(ring, 3)
 
-        def reference(t):
-            return _tuple_module_key(order, [], ring.unpack(t))
+    def reference(t):
+        return _tuple_module_key([], ring.unpack(t))
 
-        terms = [(c << ring.comp_shift) + t for t in packed for c in range(3)]
-        _assert_same_order(terms, top.key, reference)
-        tagged = ModuleOrder.tagged(order, 2, 2)
-        free, tags = ([(c << ring.comp_shift) + t for t in packed for c in cs]
-                      for cs in ((0, 1), (2, 3)))
-        assert min(map(tagged.key, free)) > max(map(tagged.key, tags))
-        _assert_same_order(free, tagged.key, reference)
-        _assert_same_order(tags, tagged.key, reference)
+    terms = [(c << ring.comp_shift) + t for t in packed for c in range(3)]
+    _assert_same_order(terms, top.key, reference)
+    tagged = ModuleOrder.tagged(ring, 2, 2)
+    free, tags = ([(c << ring.comp_shift) + t for t in packed for c in cs]
+                  for cs in ((0, 1), (2, 3)))
+    assert min(map(tagged.key, free)) > max(map(tagged.key, tags))
+    _assert_same_order(free, tagged.key, reference)
+    _assert_same_order(tags, tagged.key, reference)
 
 
-@given(presented_modules(), st.sampled_from(["grevlex", "lex"]))
+@given(presented_modules())
 @settings(max_examples=25, deadline=None)
-def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
+def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm):
     """TOP and the Schreyer orders one, two and three levels deep of a syzygy chain."""
     rels = [r for r in pm.relations if not r.is_zero()]
     if not rels:
         return
     ring = pm.ring
-    ring_order = MonomialOrder(ring, kind)
-    gb = buchberger(rels, ModuleOrder.top(ring_order, pm.free.rank))
+    gb = buchberger(rels)
     orders = [(gb.order, pm.free.rank, [])]  # (order, rank, lead lists it is induced from)
     while len(gb) and len(orders) < 4:
         rank = len(gb)
@@ -900,19 +880,19 @@ def test_int_schreyer_keys_order_like_recursive_tuple_keys(pm, kind):
     for order, rank, chain in orders:
         terms = [(c << ring.comp_shift) + m for c in range(rank) for m in mons]
         _assert_same_order(terms, order.key,
-                           lambda t: _tuple_module_key(ring_order, chain, ring.unpack(t)))
+                           lambda t: _tuple_module_key(chain, ring.unpack(t)))
 
 
-@given(presented_modules(), st.sampled_from(["grevlex", "lex"]))
+@given(presented_modules())
 @settings(max_examples=25, deadline=None)
-def test_schreyer_frames_are_groebner_bases_with_exact_keys(pm, kind):
+def test_schreyer_frames_are_groebner_bases_with_exact_keys(pm):
     """Along the chain of frames, Buchberger on a frame's elements finds exactly
     its lead terms, and every stored negated key is the induced order's; the
     Betti table read off the frames still equals the Koszul oracle's."""
     rels = [r for r in pm.relations if not r.is_zero()]
     if not rels:
         return
-    gb = buchberger(rels, ModuleOrder.top(MonomialOrder(pm.ring, kind), pm.free.rank))
+    gb = buchberger(rels)
     while len(gb):
         gb, order = schreyer_syzygies(gb)
         if len(gb):
@@ -965,7 +945,7 @@ def test_fraction_free_reduction_against_fraction_reference(data, scales, draw):
     gb = ideal_gb(ring, gens)
 
     def key(t):
-        return _tuple_module_key(gb.order.ring_order, [], t)
+        return _tuple_module_key([], t)
 
     mons = [m for d in (2, 3) for m in _tuple_monomials(ring, d)]
     coeffs = draw.draw(
@@ -1179,15 +1159,14 @@ def _tuple_frame_pairs(gb):
     return out
 
 
-@given(monomial_submodules(), st.sampled_from(["grevlex", "lex"]))
+@given(monomial_submodules())
 @settings(max_examples=60, deadline=None)
-def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data, kind):
+def test_packed_frame_keeps_the_pairs_of_the_tuple_rule(data):
     """Each frame element leads with (lcm_ij / lt_i) e_i for a pair of the
     tuple rule, and carries the term (lcm_ij / lt_j) e_j of its partner."""
     free, terms = data
     ring = free.ring
-    gb = buchberger([from_tuples(free, {t: Fraction(1)}) for t in terms],
-                    ModuleOrder.top(MonomialOrder(ring, kind), free.rank))
+    gb = buchberger([from_tuples(free, {t: Fraction(1)}) for t in terms])
     while len(gb):
         pairs = _tuple_frame_pairs(gb)
         leads = [ring.unpack(t) for t in gb.lead_terms()]

@@ -6,7 +6,7 @@ from superconf.groebner import ideal_gb
 from superconf.rings import FreeModule, poly_ring
 
 
-def test_printed_forms_pin_signs_fractions_constants_and_weighted_order():
+def test_printed_forms_pin_signs_fractions_constants_and_grevlex_order():
     """The printed form feeds every `--json` ideal generator and basis string."""
     R, x, y, z = poly_ring("x", "y", "z")
     f = -(x * x * x) - x * y + Fraction(1, 2) * z * z + R.constant(3)
@@ -38,7 +38,7 @@ def test_component_selects_one_coordinate_of_a_rank_two_element():
     assert F.zero().component(1) == R.zero()
 
 
-def test_degree_adds_generator_degrees_over_weighted_rings():
+def test_degree_adds_generator_degrees_to_term_degrees():
     R, x, y = poly_ring("x", "y")
     F = FreeModule(R, [2, 0])
     e = F.gen(0) * y - F.gen(1) * (x * x * y)
