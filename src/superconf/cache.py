@@ -1,9 +1,9 @@
 """Content-addressed cache for expensive basis and resolution results.
 
 Keys are SHA-256 hashes of a canonical JSON description of the computation;
-values are canonical JSON bytes wrapped with their own digest, so tampered
-or truncated entries are detected, warned about, and recomputed.  Writes go
-through a temp file and an atomic rename.
+values are JSON objects, stored as canonical JSON bytes wrapped with their
+own digest, so tampered, truncated or misshapen entries are detected, warned
+about, and recomputed.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -63,12 +63,14 @@ def load(cache_dir: str, key: str):
             wrapper = json.loads(fh.read())
         if not isinstance(wrapper, dict):
             raise ValueError("entry is not a JSON object")
-        payload = canonical_bytes(wrapper["value"])
+        value = wrapper["value"]
         if wrapper.get("key") != key:
             raise ValueError("key mismatch")
-        if hashlib.sha256(payload).hexdigest() != wrapper.get("digest"):
+        if hashlib.sha256(canonical_bytes(value)).hexdigest() != wrapper.get("digest"):
             raise ValueError("digest mismatch")
-        return wrapper["value"]
+        if not isinstance(value, dict):
+            raise ValueError("value is not a JSON object")
+        return value
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {key[:12]}: {exc}", file=sys.stderr)
         return None

@@ -12,10 +12,11 @@ Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
 a map between graded free modules, eliminated by one routine, `_slice_ranks`,
 from the map's columns, degree by degree, ascending; each Koszul differential
-is built once, as columns, by `_koszul_step_columns`.  Columns are packed
-target terms in ascending order, which is descending grevlex in each block,
-so elimination pivots on grevlex leading terms, which fill in far less than
-lex ones (the column order of Faugère's F4 matrices).
+is built once, as columns, by `_koszul_step_columns`.  The columns of a slice
+are its packed target terms, which ascend as descending grevlex in each
+block, so elimination pivots on grevlex leading terms, which fill in far less
+than lex ones (the column order of Faugère's F4 matrices); a degree's target
+dimension is counted, not enumerated.
 
 Rows run over the source generators in order, each times its monomials in
 ascending tuple order.  A row m*c that reduced to zero is recorded, and no
@@ -27,17 +28,25 @@ because the generator order is fixed and tuple (lex) order is
 multiplicative.  Once a degree's rank reaches the target dimension, its
 remaining rows are counted without elimination.
 
-A row m*c is not built from the image of c when the reduced row of
-(m/x_v)*c is kept from degree j - 1: it is x_v times that row, its columns
-moved by one shift list per variable and degree (F4's Simplify, Faugère,
-JPAA 139, 1999).  x_v is the last variable dividing m whose predecessor
-row is kept; with none (the first degree of the range, a row past a
-full-rank stop) the row is built from the image.  The reuse is exact by the
-argument of the skip: red((m/x_v)*c) is a nonzero multiple of (m/x_v)*c
-plus earlier rows of degree j - 1, and x_v times an earlier row is an
-earlier row of degree j.  So every prefix of the rows spans what it spans
-without the reuse, and each zero record, pivot count and full-rank stop is
-the same.
+A row m*c is x_v times the reduced row of (m/x_v)*c when that row is kept
+from degree j - 1 (F4's Simplify, Faugère, JPAA 139, 1999), x_v the last
+variable dividing m whose predecessor row is kept, and m times the image
+otherwise (the first degree of the range, a row past a full-rank stop).  The
+reuse is exact by the argument of the skip: red((m/x_v)*c) is a nonzero
+multiple of (m/x_v)*c plus earlier rows of degree j - 1, and x_v times an
+earlier row is an earlier row of degree j.  So every prefix of the rows spans
+what it spans without the reuse, and each zero record, pivot count and
+full-rank stop is the same.
+
+A row is a pair (base, shift), the vector {t + shift: v}: base is a
+primitive packed-term dict with a positive lead (the stripped image, or a
+row the kernel reduced), and x_v times the row raises its shift.  Its lead
+is min(base) + shift, as a shift keeps the order of packed terms.  A row
+whose lead is no pivot becomes one as it is, and a row is written out only
+when a pivot subtraction touches it, as the row `linalg._reduce_row`
+reduces or as a pivot it reads (`_Pivots`).  Stripping the image scales a
+row by a positive factor, which the kernel's final strip removes, so every
+pivot is the vector it would be with every row written out.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from .groebner import (
     standard_monomials,
     syzygy_module,
 )
-from .linalg import _int_rows, _reduce_row, sparse_rank
+from .linalg import _int_rows, _reduce_row, _strip, sparse_rank
 from .rings import FreeModule, GradedRing, ModuleElement
 
 
@@ -235,33 +244,25 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
 # ---------------------------------------------------------------------------
 
 
-def _column_index(ring: GradedRing, gen_degrees: Sequence[int], j: int) -> dict[int, int]:
-    """Packed term -> column of the degree-j piece of a free module.
-
-    Columns ascend with the packed terms: the generators' blocks in order,
-    each in descending grevlex order, since a packed term's low fields are
-    its exponents last variable first.
-    """
-    blocks = {
-        g: sorted(ring.monomials_of_degree(j - g))
-        for g in set(gen_degrees)
-    }
-    index: dict[int, int] = {}
-    for c, g in enumerate(gen_degrees):
-        base = c << ring.comp_shift
-        for t in blocks[g]:
-            index[base + t] = len(index)
-    return index
+def _packed_image(image: ModuleElement) -> dict[int, int]:
+    """The image as {packed term: integer}, its denominators cleared."""
+    return next(_int_rows([image.terms]))
 
 
-def _packed_image(image: ModuleElement) -> list[tuple[int, int]]:
-    """The image as (packed term, integer) pairs, its denominators cleared."""
-    return list(next(_int_rows([image.terms])).items())
+def _monomial_count(nvars: int, d: int) -> int:
+    """The number of monomials of degree d in `nvars` variables."""
+    return comb(d + nvars - 1, d) if d >= 0 and nvars else int(d == 0)
 
 
-def _slice_row(index: dict[int, int], image: list[tuple[int, int]], mon: int) -> dict[int, int]:
-    """The row of packed monomial `mon` times a packed image."""
-    return {index[mon + t]: v for t, v in image}
+class _Pivots(dict):
+    """Lead -> pivot row, a dict or a lazy (base, lo, shift) that `get` writes out."""
+
+    def get(self, lead):
+        piv = dict.get(self, lead)
+        if type(piv) is tuple:  # written out once, in place; base is never mutated
+            base, _, shift = piv
+            piv = self[lead] = {t + shift: v for t, v in base.items()} if shift else base
+        return piv
 
 
 def _slice_ranks(
@@ -272,33 +273,30 @@ def _slice_ranks(
     `columns` lists each source generator as (its image, its degree); a zero
     image gives zero rows, which still count toward the source dimension.
     The rows of degree j run over the generators in order, each times
-    `monomials_of_degree(j - deg)`, and enter the in-place integer kernel of
-    `linalg` one at a time, skipped and built from the reduced rows of degree
-    j - 1 as the module docstring says.  Returns, for each j in `degrees`, the
-    number of pivots each generator's rows give (their sum is the rank) and
-    the source dimension.
+    `monomials_of_degree(j - deg)`, skipped, reused and lazy as the module
+    docstring says: a row is (base, lo, shift) with lo = min(base).  Returns,
+    for each j in `degrees`, the number of pivots each generator's rows give
+    (their sum is the rank) and the source dimension.
     """
     ring = target.ring
     guard = ring.guard
     steps = ring.var_terms[::-1]  # packed x_v, the last variable first
-    images = [(_packed_image(image), deg) for image, deg in columns]
+    images = [(_strip(_packed_image(im)) if im.terms else None, deg) for im, deg in columns]
     zeros: list[list[int]] = [[] for _ in images]  # packed m with m*c reducing to zero
-    kept: list[dict[int, dict[int, int]]] = [{} for _ in images]  # m -> red(m*c), degree j - 1
+    kept: list[dict[int, tuple]] = [{} for _ in images]  # m -> the row of m*c, degree j - 1
     degs = {j - deg for j in degrees for _, deg in images}
     mons_of = {d: ring.monomials_of_degree(d) for d in degs}  # packed, in row order
-    out, prev_index = {}, {}
+    out = {}
     for j in degrees:
-        index = _column_index(ring, target.gen_degrees, j)
-        full = len(index)
-        shifts: dict[int, list[int]] = {}  # x_v -> column of x_v * t, t by column of degree j - 1
-        pivots: dict[int, dict[int, int]] = {}
+        full = sum(_monomial_count(ring.nvars, j - g) for g in target.gen_degrees)
+        pivots = _Pivots()
         counts, src = [], 0
-        kept_next = []
-        for (image, deg), zero, stored in zip(images, zeros, kept):
+        for n, (image, deg) in enumerate(images):
+            zero, stored = zeros[n], kept[n]
             mons = mons_of[j - deg]
             src += len(mons)
             before = len(pivots)
-            new: dict[int, dict[int, int]] = {}
+            new: dict[int, tuple] = {}
             if image and before < full:
                 for mon in mons:
                     for z in zero:
@@ -308,25 +306,25 @@ def _slice_ranks(
                     else:
                         # a non-divisor x_v leaves a guard bit in mon - x_v, which no key has
                         for x in steps:
-                            red = stored.get(mon - x)
-                            if red is not None:
-                                shift = shifts.get(x)
-                                if shift is None:
-                                    shift = shifts[x] = [index[t + x] for t in prev_index]
-                                row = {shift[c]: v for c, v in red.items()}
+                            row = stored.get(mon - x)
+                            if row is not None:
+                                base, lo, shift = row
+                                shift += x
                                 break
                         else:
-                            row = _slice_row(index, image, mon)
-                        row = _reduce_row(row, pivots)
-                        if not row:
-                            zero.append(mon)
-                        else:
-                            pivots[min(row)] = new[mon] = row
-                            if len(pivots) == full:
-                                break
-            kept_next.append(new)
+                            base, lo, shift = image, min(image), mon
+                        if lo + shift in pivots:
+                            red = _reduce_row({t + shift: v for t, v in base.items()}, pivots)
+                            if not red:
+                                zero.append(mon)
+                                continue
+                            base, lo, shift = red, min(red), 0
+                        pivots[lo + shift] = new[mon] = base, lo, shift
+                        if len(pivots) == full:
+                            break
+            kept[n] = new
             counts.append(len(pivots) - before)
-        out[j], kept, prev_index = (counts, src), kept_next, index
+        out[j] = counts, src
     return out
 
 
@@ -343,7 +341,7 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
     budget.
     """
     rels = sorted(((r, r.degree()) for r in m.relations if not r.is_zero()), key=lambda c: c[1])
-    cranks = _constant_ranks(m.free, (_packed_image(r) for r, _ in rels))
+    cranks = _constant_ranks(m.free, (_packed_image(r).items() for r, _ in rels))
     entries = {(0, j): n - cranks.get(j, 0) for j, n in Counter(m.gen_degrees).items()}
     if rels:
         ranks = _slice_ranks(rels, m.free, range(rels[0][1], max_degree + 1))
@@ -530,7 +528,7 @@ def koszul_homology_dims(
     out: dict[int, int] = {}
     for j in degrees:
         if down is None:
-            src, rank_d = len(ring.monomials_of_degree(j)), 0
+            src, rank_d = _monomial_count(ring.nvars, j), 0
         else:
             pivots, src = down[j]
             rank_d = sum(pivots)

@@ -41,6 +41,7 @@ in tuple order, a row order of the degree slices and not a term order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from struct import Struct
 from typing import Mapping, Sequence
 
@@ -301,17 +302,18 @@ class ModuleElement:
         # every field of a product is at most its degree field, so one check covers them
         top = max(map(ring.term_degree, self.terms), default=0)
         _check_field(top + max(map(ring.term_degree, other.terms), default=0), "degree")
-        out: dict[int, Fraction] = {}
+        # clear each factor's denominators once, sum int products, divide once per term
+        da = lcm(*(v.denominator for v in self.terms.values()))
+        db = lcm(*(c.denominator for c in other.terms.values()))
+        right = [(u, c.numerator * (db // c.denominator)) for u, c in other.terms.items()]
+        acc: dict[int, int] = {}
         for s, v in self.terms.items():
-            for u, c2 in other.terms.items():
+            n = v.numerator * (da // v.denominator)
+            for u, c in right:
                 t = s + u
-                w = out.get(t)
-                w = v * c2 if w is None else w + v * c2
-                if w:
-                    out[t] = w
-                else:
-                    del out[t]
-        return ModuleElement(self.module, out)
+                acc[t] = acc.get(t, 0) + n * c
+        den = da * db
+        return ModuleElement(self.module, {t: Fraction(n, den) for t, n in acc.items() if n})
 
     __rmul__ = __mul__
 

@@ -462,6 +462,31 @@ def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, tmp_path, spec_
     assert (code, captured.out, captured.err) == (0, fresh, "")
 
 
+@pytest.mark.parametrize("value", [[], "x", 3, None])
+def test_cache_value_that_is_not_an_object_is_recomputed(capsys, tmp_path, spec_3d_n1, value):
+    """A wrapper whose value was replaced together with its digest by JSON
+    that is not an object is corrupt: the command warns, recomputes, rewrites
+    the entry and exits 0."""
+    cache = tmp_path / "cache"
+    argv = ["--json", "--cache-dir", str(cache), "variety", spec_3d_n1]
+    code, fresh = run(capsys, argv)
+    assert code == 0
+    path = _cache_entry(cache)
+    wrapper = json.loads(path.read_text(encoding="utf-8"))
+    good = wrapper["value"]
+    wrapper["value"] = value
+    wrapper["digest"] = hashlib.sha256(canonical_bytes(value)).hexdigest()
+    path.write_text(json.dumps(wrapper), encoding="utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert captured.err == (
+        f"warning: ignoring corrupt cache entry {path.stem[:12]}: value is not a JSON object\n")
+    assert json.loads(path.read_text(encoding="utf-8"))["value"] == good
+    assert run(capsys, argv) == (0, fresh)
+
+
 def test_failed_koszul_oracle_exits_1_also_on_a_cache_hit(capsys, monkeypatch, tmp_path,
                                                           spec_3d_n1):
     """A window whose Tor table is off by one prints its payload and exits 1;

@@ -33,11 +33,9 @@ from superconf.linalg import SpanSolver, _triangularize, rref, sparse_kernel, sp
 from superconf.prolongation import tanaka_prolongation
 from superconf.resolutions import (
     PresentedModule,
-    _column_index,
     _koszul_step_columns,
     _packed_image,
     _slice_ranks,
-    _slice_row,
     koszul_homology_dims,
     koszul_tor,
     low_betti,
@@ -625,11 +623,15 @@ def _lex_reference_rows(columns, target, j):
 
 
 def _builder_rows(columns, target, j):
-    """Rows of the degree-j slice from the row builder, in elimination order."""
+    """Rows of the degree-j slice as `_slice_ranks` forms them, in elimination
+    order: m times the packed image, {m + t: v}, its columns numbered by
+    sorted packed term, the order in which `_slice_ranks` picks pivots."""
     ring = target.ring
-    index = _column_index(ring, target.gen_degrees, j)
+    terms = sorted((c << ring.comp_shift) + t for c, g in enumerate(target.gen_degrees)
+                   for t in ring.monomials_of_degree(j - g))
+    index = {t: n for n, t in enumerate(terms)}
     return [
-        _slice_row(index, _packed_image(image), mon)
+        {index[mon + t]: v for t, v in _packed_image(image).items()}
         for image, deg in columns
         for mon in ring.monomials_of_degree(j - deg)
     ], len(index)
@@ -777,6 +779,19 @@ def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
     ({(0, (0, 0)): 1}, 0),
     ({(1, (0, 0)): 1, (0, (1, 0)): 1}, 1),
 ]), 0)
+# In degree 2 the image row of x0*x1 + x1^2 leads at x0*x1, whose pivot is
+# x1 times the row x0 kept from degree 1, not yet written out.
+@example(_example_map(2, [0], [
+    ({(0, (1, 0)): 1}, 1),
+    ({(0, (1, 1)): 1, (0, (0, 2)): 1}, 2),
+]), 1)
+# The row x2^2 * (x0 + x1) is kept from degree 1 through degree 2 with no
+# subtraction; in degree 3 it meets the pivots x0*x2^2 and x1*x2^2 of the
+# rows of x2^2.
+@example(_example_map(3, [0], [
+    ({(0, (0, 0, 2)): 1}, 2),
+    ({(0, (1, 0, 0)): 1, (0, (0, 1, 0)): 1}, 1),
+]), 1)
 @given(graded_maps(), st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
 def test_slice_ranks_on_graded_maps_match_full_elimination(data, lo):
@@ -1028,6 +1043,52 @@ def test_syzygy_module_generates_the_syzygies_of_module_elements(gens):
         source = sum(len(ring.monomials_of_degree(j - d)) for d in degrees if d <= j)
         image = sparse_rank(_degree_rows(gens, j, ring))
         assert sparse_rank(_degree_rows(syz, j, ring)) == source - image, j
+
+
+def _example_ring_product(f, g):
+    """(f, g) over Q[x0, x1] for an `example`, each given as {exponent tuple: coefficient}."""
+    ring = GradedRing(["x0", "x1"])
+    one = FreeModule(ring, [0])
+    return (from_tuples(one, {(0, m): c for m, c in f.items()}),
+            from_tuples(one, {(0, m): c for m, c in g.items()}))
+
+
+@st.composite
+def ring_products(draw):
+    """(f, g): f in a free module of rank 1 or 2 and g a ring element over
+    up to 3 variables, with Fraction coefficients on few monomials of low
+    degree, so that products of term pairs often fall on one term."""
+    ring = _ring(draw(st.integers(1, 3)))
+    free = FreeModule(ring, [0] * draw(st.integers(1, 2)))
+
+    def terms(rank):
+        mons = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+        return draw(st.dictionaries(st.tuples(st.integers(0, rank - 1), mons),
+                                    fractions, max_size=4))
+
+    return from_tuples(free, terms(free.rank)), from_tuples(FreeModule(ring, [0]), terms(1))
+
+
+def _fraction_product(f, g):
+    """Term-by-term reference: one Fraction product per term pair, zeros dropped."""
+    out = {}
+    for s, v in f.terms.items():
+        for u, c in g.terms.items():
+            out[s + u] = out.get(s + u, Fraction(0)) + Fraction(v) * Fraction(c)
+    return {t: c for t, c in out.items() if c}
+
+
+# (x0 + x1/2)(x0 - x1/2): the two x0*x1 terms cancel
+@example(_example_ring_product({(1, 0): Fraction(1), (0, 1): Fraction(1, 2)},
+                               {(1, 0): Fraction(1), (0, 1): Fraction(-1, 2)}))
+@given(ring_products())
+@settings(max_examples=200, deadline=None)
+def test_ring_product_is_the_fraction_reference(data):
+    f, g = data
+    product = f * g
+    assert product.module is f.module
+    assert product.terms == _fraction_product(f, g)
+    assert all(type(c) is Fraction for c in product.terms.values())
 
 
 # ---------------------------------------------------------------------------
