@@ -39,6 +39,8 @@ def _strip(row: dict) -> dict:
 
 
 def _reduce_row(row: dict, pivots: dict) -> dict:
+    """Reduce `row` in place by {lead: pivot row}, stripping the remainder; the
+    pivots are read only through `pivots.get`, where a lazy map writes them out."""
     while row:
         c = min(row)
         piv = pivots.get(c)
