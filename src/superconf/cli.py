@@ -34,6 +34,20 @@ def _load_algebra(path: str):
     return parse_spec(text).build()
 
 
+def _cached(args, descriptor: dict, keys: set[str], compute) -> dict:
+    """compute() through the cache.  `keys` is the key set that compute()
+    returns for this descriptor, so a hit of another shape is a corrupt
+    entry: it is warned about, recomputed and rewritten."""
+    value = cache_mod.cached(args.cache_dir, descriptor, compute, args.verify_cache)
+    if set(value) != keys:
+        key = cache_mod.cache_key(descriptor)
+        print(f"warning: ignoring corrupt cache entry {key[:12]}: value keys are not"
+              f" {sorted(keys)}", file=sys.stderr)
+        value = compute()
+        cache_mod.store(args.cache_dir, key, value)
+    return value
+
+
 def _emit(payload: dict, as_json: bool, render_text) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -102,8 +116,9 @@ def cmd_variety(args) -> int:
             "gorenstein": gor,
         }
 
-    value = cache_mod.cached(args.cache_dir, descriptor, compute, args.verify_cache)
-    payload = {"schema": SCHEMA, "name": alg.name, **value}
+    keys = {"groebner_basis", "hilbert_numerator", "dim_variety", "hdim", "cohen_macaulay",
+            "gorenstein"}
+    payload = {"schema": SCHEMA, "name": alg.name, **_cached(args, descriptor, keys, compute)}
 
     def text(p):
         print(f"nilpotence variety of {p['name']}")
@@ -148,8 +163,10 @@ def cmd_multiplet(args) -> int:
             out["koszul_agrees"] = oracle.entries == betti.restrict((0, args.window)).entries
         return out
 
-    value = cache_mod.cached(args.cache_dir, descriptor, compute, args.verify_cache)
-    payload = {"schema": SCHEMA, "name": alg.name, **value}
+    keys = {"kind", "betti", "complete", "table"}
+    if args.window is not None:
+        keys |= {"koszul_betti", "koszul_agrees"}
+    payload = {"schema": SCHEMA, "name": alg.name, **_cached(args, descriptor, keys, compute)}
 
     def text(p):
         print(f"{p['kind']} multiplet of {p['name']}")

@@ -407,7 +407,6 @@ def derivation_complex_h0(
     for size in range(k + 1):
         all_th.extend(combinations(range(k), size))
     std = {w: [sheaf.ring.unpack(t)[1] for t in standard_monomials(sheaf.gb, w)] for w in (0, 1)}
-    zero_l = (0,) * k
 
     def build_basis(weight: int):
         """(spec list, index map) for the weight-w part within the cutoff."""
@@ -471,8 +470,8 @@ def derivation_complex_h0(
         return coords
 
     basis0, index0 = build_basis(0)
-    basis1, index1 = build_basis(1)
-    basism1, indexm1 = build_basis(-1)
+    _, index1 = build_basis(1)
+    basism1, _ = build_basis(-1)
 
     def matrix_rows(specs, target_index, target_weight):
         rows = []

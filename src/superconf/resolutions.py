@@ -4,9 +4,10 @@ A free resolution is built as a chain of Schreyer frames, each step's
 syzygies read off the S-pair reductions of the step before as a Gröbner
 basis for the induced order, with no Buchberger run after the relations.  It
 is never minimalized: the minimal Betti numbers are the homology of its
-constant parts, one small rank per (step, degree) block.  The Koszul-complex
-routines are independent of the Gröbner resolution path and serve as the Tor
-oracle demanded by the acceptance suite.
+constant parts, one small rank per (step, degree) block.  `koszul_tor`, the
+Tor oracle of the acceptance suite, shares the relation basis with it (the
+monomial basis of each M_d and its multiplication, by normal forms) and
+nothing else: the Schreyer frames and their constant-part ranks are not used.
 
 Every graded rank system outside `koszul_tor` (the low Betti numbers, the
 Koszul homology of a sequence, the syzygetic defect) is the degree-j piece of
@@ -379,82 +380,50 @@ def resolution_is_complex(chain: Sequence[GroebnerBasis]) -> bool:
 def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable:
     """Graded Betti numbers via the Koszul complex on the ring variables.
 
-    Exact linear algebra degree by degree inside the window; independent of
-    the resolution path.  The completeness flag is False because nothing
-    outside the window is examined.  An exterior generator has the degree of
-    its variable, one.
+    beta_{i,j} = C(k, i) dim M_{j-i} - rank d_i - rank d_{i+1} in degree j,
+    with d_i: Lambda^i (x) M_{j-i} -> Lambda^{i-1} (x) M_{j-i+1} and k the
+    number of variables, each of exterior degree one (Eisenbud, GTM 229).  M_d
+    is read off the relation basis that the resolution starts from: its
+    standard monomials, multiplied by normal forms, one per (monomial,
+    variable).  The Schreyer frames and their constant-part ranks are not
+    used.  The completeness flag is False because nothing outside the window
+    is examined.
     """
     ring = m.ring
     k = ring.nvars
     lo, hi = degree_window
     gb = m.relation_gb()
-    free = gb.module
-
-    bases: dict[int, list] = {}
-    index: dict[int, dict] = {}
-
-    def basis(j: int):
-        if j not in bases:
-            b = standard_monomials(gb, j)
-            bases[j] = b
-            index[j] = {t: i for i, t in enumerate(b)}
-        return bases[j]
-
-    mult_cache: dict = {}
-
-    def mult(var: int, j: int):
-        """The normal forms of basis(j) times the packed variable `var`."""
-        key = (var, j)
-        hit = mult_cache.get(key)
-        if hit is not None:
-            return hit
-        basis(j + 1)
-        tgt = index[j + 1]
-        cols = []
-        for t in basis(j):
-            nf = gb.normal_form(ModuleElement(free, {t + var: Fraction(1)}))
-            cols.append({tgt[u]: c for u, c in nf.terms.items()})
-        mult_cache[key] = cols
-        return cols
-
-    variables = [ring.variable(a) for a in range(k)]
     shift = ring.comp_shift
     mask = (1 << shift) - 1
-
-    def differential_rows(i: int, j: int):
-        """Sparse rows of M_{j-i} (x) Lambda^i -> M_{j-i+1} (x) Lambda^{i-1}:
-        each term sign * x_a of a Koszul column on the variables gives the
-        block of its target subset, and distinct terms have distinct blocks."""
-        nb_prev = len(basis(j - i + 1))
-        rows = []
-        for col in _koszul_step_columns(ring, variables, i)[0]:
-            for vi in range(len(basis(j - i))):
-                row: dict[int, Fraction] = {}
-                for t, sg in col.terms.items():
-                    for tgt, cf in mult(t & mask, j - i)[vi].items():
-                        row[(t >> shift) * nb_prev + tgt] = sg * cf
-                rows.append(row)
-        return rows
-
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank(i: int, j: int) -> int:
-        """Rank of the differential out of homological index i in degree j."""
-        if (i, j) not in ranks:
-            nonzero = 0 < i <= k and basis(j - i) and basis(j - i + 1)
-            ranks[(i, j)] = sparse_rank(differential_rows(i, j)) if nonzero else 0
-        return ranks[(i, j)]
-
-    entries: dict[tuple[int, int], int] = {}
-    for j in range(lo, hi + 1):
-        for i in range(0, k + 1):
-            nb = len(basis(j - i))
-            if nb == 0:
+    bases = {d: standard_monomials(gb, d) for d in range(lo - k, hi + 1)}
+    index = {d: {t: n for n, t in enumerate(b)} for d, b in bases.items()}
+    variables = [ring.variable(a) for a in range(k)]
+    times: dict[tuple[int, int], dict[int, Fraction]] = {}  # (t, x_a) -> nf(x_a t) by position
+    ranks: Counter = Counter()  # (i, j) -> rank of d_i in degree j
+    for i in range(1, k + 1):
+        cols, _, _ = _koszul_step_columns(ring, variables, i, [1] * k)
+        for j in range(lo, hi + 1):
+            src, tgt = bases[j - i], index[j - i + 1]
+            if not (src and tgt):
                 continue
-            beta = nb * comb(k, i) - rank(i, j) - rank(i + 1, j)
-            if beta:
-                entries[(i, j)] = beta
-    return BettiTable(entries, complete=False)
+            rows = []
+            for col in cols:  # a term sign * x_a of a column sits in one target block
+                for t in src:
+                    row: dict[int, Fraction] = {}
+                    for u, sg in col.terms.items():
+                        x = u & mask
+                        if (t, x) not in times:
+                            nf = gb.normal_form(ModuleElement(gb.module, {t + x: Fraction(1)}))
+                            times[t, x] = {tgt[v]: c for v, c in nf.terms.items()}
+                        block = (u >> shift) * len(tgt)
+                        for pos, c in times[t, x].items():
+                            row[block + pos] = sg * c
+                    rows.append(row)
+            ranks[i, j] = sparse_rank(rows)
+    return BettiTable({
+        (i, j): comb(k, i) * len(bases[j - i]) - ranks[i, j] - ranks[i + 1, j]
+        for j in range(lo, hi + 1) for i in range(k + 1)
+    }, complete=False)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +432,12 @@ def koszul_tor(m: PresentedModule, degree_window: tuple[int, int]) -> BettiTable
 
 
 def _koszul_step_columns(
-    ring: GradedRing, elements: Sequence[ModuleElement], i: int,
-    degs: Sequence[int] | None = None,
+    ring: GradedRing, elements: Sequence[ModuleElement], i: int, degs: Sequence[int]
 ) -> tuple[list[ModuleElement], FreeModule, FreeModule]:
     """Columns of the Koszul differential K_i -> K_{i-1} as module elements,
-    with the source and target free modules (one generator per subset)."""
+    with the source and target free modules (one generator per subset, of the
+    summed degrees `degs` of its elements)."""
     d = len(elements)
-    if degs is None:
-        degs = [e.degree() for e in elements]
     subs = list(combinations(range(d), i))
     subs_prev = list(combinations(range(d), i - 1))
     prev_pos = {s: n for n, s in enumerate(subs_prev)}
@@ -490,7 +457,7 @@ def _koszul_step_columns(
 
 
 def _koszul_cycles(
-    ring: GradedRing, elements: Sequence[ModuleElement], k: int, degs: Sequence[int] | None
+    ring: GradedRing, elements: Sequence[ModuleElement], k: int, degs: Sequence[int]
 ) -> list[ModuleElement]:
     """Generators of ker(d_k), 1 <= k <= len(elements): the syzygies of d_k's
     columns, re-keyed into d_k's source module, so that the degrees `degs`
@@ -504,14 +471,13 @@ def koszul_homology_dims(
     elements: Sequence[ModuleElement],
     k: int,
     degree_window: tuple[int, int],
-    element_degrees: Sequence[int] | None = None,
+    element_degrees: Sequence[int],
 ) -> GradedDims:
     """Degreewise dimensions of H_k of the Koszul complex on `elements`.
 
     Zero elements are legal members of the sequence; their exterior degree
-    cannot be read off, so callers with degenerate input pass
-    `element_degrees` explicitly.  Each differential is built once and sliced
-    degree by degree.
+    cannot be read off, so every caller passes `element_degrees`.  Each
+    differential is built once and sliced degree by degree.
     """
     d = len(elements)
     if k < 0 or k > d:
@@ -540,8 +506,7 @@ def koszul_homology_dims(
 
 
 def koszul_homology_is_zero(
-    ring: GradedRing, elements: Sequence[ModuleElement], k: int,
-    element_degrees: Sequence[int] | None = None,
+    ring: GradedRing, elements: Sequence[ModuleElement], k: int, element_degrees: Sequence[int]
 ) -> bool:
     """Certified vanishing of H_k, window-free.
 

@@ -487,6 +487,42 @@ def test_cache_value_that_is_not_an_object_is_recomputed(capsys, tmp_path, spec_
     assert run(capsys, argv) == (0, fresh)
 
 
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("command, reshape", [
+    (["variety", "{spec}"], lambda value: {"x": 1}),
+    (["multiplet", "conf", "{spec}", "--window", "5"],
+     lambda value: {k: v for k, v in value.items() if k != "koszul_agrees"}),
+], ids=["variety-x", "multiplet-without-verdict"])
+def test_cache_value_of_another_shape_is_recomputed(capsys, tmp_path, spec_3d_n1, command,
+                                                    reshape, as_json):
+    """A wrapper whose value was replaced together with its digest by an
+    object with another key set than the command computes is corrupt: the
+    command warns, recomputes, rewrites the entry and exits 0.  Read as a hit,
+    `{"x": 1}` printed a payload without fields or failed on a missing key,
+    and a window entry without `koszul_agrees` dropped the oracle's verdict."""
+    cache = tmp_path / "cache"
+    argv = [*(["--json"] if as_json else []), "--cache-dir", str(cache),
+            *(a.format(spec=spec_3d_n1) for a in command)]
+    code, fresh = run(capsys, argv)
+    assert code == 0
+    path = _cache_entry(cache)
+    wrapper = json.loads(path.read_text(encoding="utf-8"))
+    good = wrapper["value"]
+    wrapper["value"] = reshape(good)
+    wrapper["digest"] = hashlib.sha256(canonical_bytes(wrapper["value"])).hexdigest()
+    path.write_text(json.dumps(wrapper), encoding="utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert captured.err.startswith(
+        f"warning: ignoring corrupt cache entry {path.stem[:12]}: value keys are not [")
+    assert json.loads(path.read_text(encoding="utf-8"))["value"] == good
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, fresh, "")
+
+
 def test_failed_koszul_oracle_exits_1_also_on_a_cache_hit(capsys, monkeypatch, tmp_path,
                                                           spec_3d_n1):
     """A window whose Tor table is off by one prints its payload and exits 1;

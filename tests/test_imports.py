@@ -42,6 +42,11 @@ parameter, keyword or name appears in the package.
 One monomial order: grevlex is the only ring order, so no `MonomialOrder`
 name, attribute, class or import and no "lex" string constant appears in the
 package; docstrings are not scanned.
+
+No dead local: a name that a package function assigns (an `ast.Name` store,
+tuple targets included) is loaded somewhere in that function, nested
+functions included.  Names that start with `_` are exempt, so an unused half
+of an unpacking is written `_`.
 """
 
 import ast
@@ -409,5 +414,36 @@ def test_grevlex_is_the_one_monomial_order():
         f"{path.name}:{line}"
         for path in PACKAGE
         for line in order_kinds(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def dead_locals(source: str) -> list[tuple[str, str]]:
+    """(function, name) of each name a function stores and never loads,
+    nested functions included in both; names starting with `_` are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+            loaded = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+            found += [(fn.name, n) for n in sorted(stored - loaded) if not n.startswith("_")]
+    return found
+
+
+def test_scan_finds_dead_locals():
+    source = (
+        "def f(xs):\n    a, (b, _c) = xs\n    d = e = 1\n    for i in xs:\n        pass\n"
+        "    def g():\n        return a + h\n    h = 2\n    return g, e\n"
+        "class C:\n    def m(self):\n        n = 0\n        n += 1\n"
+    )
+    assert dead_locals(source) == [("f", "b"), ("f", "d"), ("f", "i"), ("m", "n")]
+
+
+def test_no_dead_locals():
+    found = [
+        f"{path.name}: {fn}.{name}"
+        for path in PACKAGE
+        for fn, name in dead_locals(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -95,6 +95,33 @@ def test_koszul_tor_residue_field():
     assert tor.entries == {(i, i): comb(3, i) for i in range(4)}
 
 
+def _edge_module(name):
+    """A module over Q[x, y]: zero, free, a residue field with its generator
+    in degree 0 or -1, or a cyclic module generated in degree 3."""
+    R, x, y = poly_ring("x", "y")
+    gen_degrees = {"zero": [], "R": [0], "R(-1)+R(2)": [1, -2], "k": [0], "k(1)": [-1],
+                   "R(-3)/(x^2)": [3]}[name]
+    polys = {"k": [x, y], "k(1)": [x, y], "R(-3)/(x^2)": [x * x]}.get(name, [])
+    return PresentedModule(R, gen_degrees, [FreeModule(R, gen_degrees).gen(0) * f for f in polys])
+
+
+@pytest.mark.parametrize("window", [(0, 5), (2, 4), (-3, 3)], ids=str)
+@pytest.mark.parametrize("name", ["zero", "R", "R(-1)+R(2)", "k", "k(1)", "R(-3)/(x^2)"])
+def test_koszul_tor_at_the_edges_is_the_resolution_table(name, window):
+    # negative generator degrees, and windows that start away from 0 or below it
+    pm = _edge_module(name)
+    _, betti = minimal_free_resolution(pm)
+    assert koszul_tor(pm, window) == betti.restrict(window)
+
+
+def test_koszul_homology_places_a_zero_element_at_its_given_degree():
+    # H_1 of (x^2, 0) is R/(x^2) on the exterior generator of the zero
+    # element, which sits in the degree passed for it
+    R, x, y = poly_ring("x", "y")
+    assert koszul_homology_dims(R, [x * x, R.zero()], 1, (0, 4), [2, 2]).dims == {
+        2: 1, 3: 2, 4: 2}
+
+
 def test_euler_characteristic_identity():
     R = GradedRing(["x", "y"])
     pm = PresentedModule(R, [0], m_squared(R))
@@ -107,27 +134,27 @@ def test_complete_intersection_koszul_homology_vanishes():
     R, x, y = poly_ring("x", "y")
     quadrics = [x * x, y * y]
     for k in (1, 2):
-        assert koszul_homology_is_zero(R, quadrics, k)
-    dims = koszul_homology_dims(R, quadrics, 1, (0, 8))
+        assert koszul_homology_is_zero(R, quadrics, k, [2, 2])
+    dims = koszul_homology_dims(R, quadrics, 1, (0, 8), [2, 2])
     assert dims.is_zero()
 
 
 def test_koszul_homology_nonvanishing_m_squared():
     R, x, y = poly_ring("x", "y")
     quadrics = m_squared(R)
-    assert not koszul_homology_is_zero(R, quadrics, 1)
-    h1 = koszul_homology_dims(R, quadrics, 1, (0, 8))
+    assert not koszul_homology_is_zero(R, quadrics, 1, [2, 2, 2])
+    h1 = koszul_homology_dims(R, quadrics, 1, (0, 8), [2, 2, 2])
     assert not h1.is_zero()
     # H_0 in degree 0 and 1: dims of R/I
-    h0 = koszul_homology_dims(R, quadrics, 0, (0, 4))
+    h0 = koszul_homology_dims(R, quadrics, 0, (0, 4), [2, 2, 2])
     assert h0.dims == {0: 1, 1: 2}
 
 
 def test_koszul_homology_abelian_case():
     R, x, y = poly_ring("x", "y")
     zero = [R.zero(), R.zero()]
-    assert not koszul_homology_is_zero(R, zero, 1)
-    assert not koszul_homology_is_zero(R, zero, 2)
+    assert not koszul_homology_is_zero(R, zero, 1, [2, 2])
+    assert not koszul_homology_is_zero(R, zero, 2, [2, 2])
 
 
 def test_gorenstein_complete_intersection():
@@ -161,7 +188,7 @@ def test_syzygetic_defect_and_h1_of_m_squared():
     # the two linear syzygies in degree 3 plus that defect class
     R, x, y = poly_ring("x", "y")
     assert syzygetic_defect(R, m_squared(R), (0, 8)).dims == {4: 1}
-    assert koszul_homology_dims(R, m_squared(R), 1, (0, 8)).dims == {3: 2, 4: 1}
+    assert koszul_homology_dims(R, m_squared(R), 1, (0, 8), [2, 2, 2]).dims == {3: 2, 4: 1}
 
 
 def test_graded_dims_container():
