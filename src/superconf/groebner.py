@@ -6,8 +6,10 @@ product criterion is applied only in rank one.  `schreyer_syzygies` reads the
 syzygies of a finished basis off the reductions of the pairs of Schreyer's
 theorem, so they already form a Gröbner basis for the induced order (the
 Schreyer frame), with no Buchberger run.  `syzygy_module` needs only
-generators: it runs the same S-pair loop on the generators tagged with
-their own basis vectors, and collects the remainders that are all tag.
+generators and, optionally, the reduced basis of a submodule N to work
+modulo: it runs the same S-pair loop on the basis of N, taken as known, and
+the generators tagged with their own basis vectors, and collects the
+remainders that are all tag.
 
 The core works on packed int terms (see `rings`), the layout a
 `ModuleElement` holds too, with int order keys and integer coefficients.  The
@@ -248,7 +250,8 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder | None = None) 
     return GroebnerBasis(module, order, _autoreduce(module.ring, basis))
 
 
-def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) -> tuple[list, list]:
+def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int,
+                known: int = 0) -> tuple[list, list]:
     """Buchberger's S-pair loop: (basis, set aside), both lists of `_GbElem`.
 
     Each generator and each S-pair is reduced fully against the basis so far.
@@ -256,6 +259,13 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) ->
     one whose lead lies in component `tags` or above is set aside and never
     joins it.  With `tags` the rank of the module nothing is set aside.  A
     generator's degrees are read off its packed terms.
+
+    The first `known` generators are a reduced Gröbner basis, below `tags`.
+    Each must come out of its reduction against the ones before it unchanged,
+    or `ValueError` is raised; that catches a prefix that is not reduced, but
+    does not certify that it is a Gröbner basis.  They join the basis as they
+    are and no pair of two of them is queued; their pairs with later elements
+    are queued as usual.
     """
     module = gens[0].module
     ring, gen_degrees = module.ring, module.gen_degrees
@@ -278,6 +288,8 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) ->
         t = len(basis) - 1
         comp = elem.lt >> cshift
         by_comp.setdefault(comp, []).append(elem)
+        if t < known:
+            return
         # Heap entries (degree, key, i, j, packed lcm): the degree field and
         # the order key of an lcm are computed once, when its pair is queued.
         for i, j, m in _gm_update(ring, basis, t, use_product):
@@ -285,11 +297,14 @@ def _spair_loop(gens: Sequence[ModuleElement], order: ModuleOrder, tags: int) ->
             d = ring.term_degree(lcm_t) + gen_degrees[comp]
             heapq.heappush(heap, (d, order.key(lcm_t), i, j, lcm_t))
 
-    for g in gens:
+    for n, g in enumerate(gens):
         work, wheap, scale = _work(order, g.terms)
         if len({ring.term_degree(t) + gen_degrees[t >> cshift] for t in work}) > 1:
             raise ValueError("Buchberger input must be homogeneous")
-        rem, scale = _reduce_full(work, wheap, scale, by_comp, ring)
+        steps: list | None = [] if n < known else None
+        rem, scale = _reduce_full(work, wheap, scale, by_comp, ring, steps)
+        if n < known and (steps or not rem):
+            raise ValueError("modulo is not a reduced Gröbner basis")
         if rem:
             push(rem, scale)
 
@@ -436,45 +451,69 @@ def schreyer_syzygies(gb: GroebnerBasis) -> tuple[GroebnerBasis, ModuleOrder]:
     return GroebnerBasis(syz_module, syz_order, frame), syz_order
 
 
-def syzygy_module(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
-    """Generators of the first syzygy module of `gens`, in the free module with
-    one basis vector e_s of degree deg g_s per generator (degree 0 if zero).
+def syzygy_module(gens: Sequence[ModuleElement],
+                  modulo: Sequence[ModuleElement] = ()) -> list[ModuleElement]:
+    """Generators of {a : sum a_s g_s in N}, in the free module with one basis
+    vector e_s of degree deg g_s per generator (degree 0 if zero), where N is
+    the submodule with reduced TOP basis `modulo` (Singular's `modulo`).  With
+    no `modulo`, N is zero and these are the first syzygies of `gens`.
 
     Each generator g_s in F is tagged as g_s + e_s in F + T, ordered by TOP on
     each part with every term of F above every tag, and one run of the S-pair
-    loop of `buchberger` sets aside each remainder whose lead is a tag.  Such
-    a remainder has no F part, and every element of the tagged module is
-    f + sum a_s e_s with f = sum a_s g_s, so its tags are a syzygy.  They
-    generate all syzygies, by three facts:
+    loop of `buchberger`, with the `modulo` elements untagged in front, sets
+    aside each remainder whose lead is a tag.  Such a remainder has no F part,
+    and every element of the tagged module is f + sum a_s e_s with
+    f - sum a_s g_s in N, so its tags lie in the output module.  They generate
+    it, by three facts:
 
     1. Every basis element h = f + tau has F lead, and the F parts reduce as
-       in an untagged run, so they form a Gröbner basis of the module of the
-       g_s.  The pairs that survive the Gebauer-Möller criteria have standard
-       representations whose syzygies generate the syzygies of those F parts
-       (Schreyer); the product criterion is off, since F + T has rank at
-       least 2, so the Koszul syzygies of coprime pairs are among them.
+       in an untagged run, so they form a Gröbner basis of N plus the module
+       of the g_s.  The pairs that survive the Gebauer-Möller criteria have
+       standard representations whose syzygies generate the syzygies of those
+       F parts (Schreyer); the product criterion is off, since F + T has rank
+       at least 2, so the Koszul syzygies of coprime pairs are among them.
     2. A pair's standard representation, applied to the tagged elements,
        gives its remainder: zero, a set-aside element, or a new basis
        element h.  In the last case the representation with -h added maps
-       to zero in Syz(g_1, ..., g_n), because h's tag is exactly h's
-       expression in the g_s.
+       to zero in the output module, because h's tag is exactly h's
+       expression in the g_s, modulo N.
     3. A generator that reduces to zero gives e_s minus its own expression;
        a zero generator enters as e_s itself.
 
-    So a syzygy a gives sum a_s (g_s + e_s) = sum a_s e_s, which is a
-    combination of basis elements and set-aside ones; its basis part has zero
-    F part, so by 1 and 2 it is a combination of set-aside ones too.
+    The loop queues no pair of two `modulo` elements, and the skip is exact:
+    every such pair has a standard representation over the `modulo` elements,
+    since they are a Gröbner basis; the Gebauer-Möller and chain criteria need
+    only that the pairs they lean on have standard representations; and such
+    a pair's syzygy touches only untagged elements, so its image in the tags
+    is zero.  TOP on F is the restriction of the tagged order, so a reduced
+    TOP basis of N is a reduced basis there, as GB(I)·e_mu is for I·F.
+
+    So an a in the output module, with sum a_s g_s = n in N, gives
+    sum a_s (g_s + e_s) - n = sum a_s e_s, an element of the tagged module,
+    which is a combination of basis elements and set-aside ones; its basis
+    part has zero F part, so by 1 and 2 it is a combination of set-aside
+    ones too.
+
+    `ValueError` is raised when the generators and `modulo` do not live in
+    one module, and when reducing a `modulo` element against the ones before
+    it changes it: a cheap check that catches a `modulo` that is not reduced,
+    but does not certify that it is a Gröbner basis.
     """
+    if not gens:
+        raise ValueError("need at least one generator (possibly zero) to fix the module")
     module = gens[0].module
+    if any(g.module != module for g in (*gens, *modulo)):
+        raise ValueError("generators and modulo must live in one module")
     ring = module.ring
     rank, cshift = module.rank, ring.comp_shift
     degrees = [0 if g.is_zero() else g.degree() for g in gens]
     tagged = FreeModule(ring, module.gen_degrees + degrees)
     order = ModuleOrder.tagged(ring, rank, len(gens))
     _, aside = _spair_loop(
-        [ModuleElement(tagged, {**g.terms, (rank + s) << cshift: Fraction(1)})
-         for s, g in enumerate(gens)],
-        order, rank,
+        [*(ModuleElement(tagged, m.terms) for m in modulo),
+         *(ModuleElement(tagged, {**g.terms, (rank + s) << cshift: Fraction(1)})
+           for s, g in enumerate(gens))],
+        order, rank, known=len(modulo),
     )
     tgt, base = FreeModule(ring, degrees), rank << cshift
     return [ModuleElement(tgt, {t - base: Fraction(c) for t, c in z.packed()}) for z in aside]

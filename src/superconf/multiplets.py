@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebras import SupertranslationAlgebra, derivations_deg0, jacobian
 from .groebner import ideal_gb, krull_dim, syzygy_module
@@ -101,7 +102,9 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     whose dimensions complete the comparison sequence against the first
     Koszul homology and the syzygetic defect.  In degrees where the conormal
     map fails to inject this is strictly smaller than the literal kernel of
-    the transposed Jacobian on quotient coefficients.
+    the transposed Jacobian on quotient coefficients.  The relations are
+    found modulo I times the ambient module, whose reduced basis GB(I)·e_mu
+    comes from the ideal's basis with no S-pair of its own.
     """
     ring = alg.ring()
     d = alg.d
@@ -109,8 +112,8 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     quadrics = [q for q in quadrics_all if not q.is_zero()]
     v_dual = FreeModule(ring, [2] * d)
     kernel_gens = _koszul_cycles(ring, quadrics_all, 1, [2] * d) if quadrics_all else []
-    image = [v_dual.gen(mu) * q for q in quadrics for mu in range(d)]
-    return _subquotient(ring, kernel_gens, image)
+    modulo = [v_dual.gen(mu) * g for g in ideal_gb(ring, quadrics).elements for mu in range(d)]
+    return _subquotient(ring, kernel_gens, [], modulo)
 
 
 def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
@@ -127,11 +130,14 @@ def form_module(alg: SupertranslationAlgebra, k: int) -> MultipletModule:
     return _subquotient(ring, kernel_gens, [c for c in im_cols if not c.is_zero()])
 
 
-def _subquotient(ring: GradedRing, kernel_gens: list, image: list) -> MultipletModule:
-    """The span of `kernel_gens` modulo `image`, presented on the kernel generators.
+def _subquotient(ring: GradedRing, kernel_gens: list, image: list,
+                 modulo: Sequence[ModuleElement] = ()) -> MultipletModule:
+    """The span of `kernel_gens` modulo `image` and the submodule N with
+    reduced TOP basis `modulo`, presented on the kernel generators.
 
-    Both lists live in one free module; the relations are the syzygies of
-    kernel_gens + image projected onto the kernel part.
+    All lists live in one free module; the relations are the syzygies of
+    kernel_gens + image modulo N (`syzygy_module`), projected onto the kernel
+    part.
     """
     if not kernel_gens:
         return MultipletModule(PresentedModule(ring, [], []))
@@ -140,7 +146,7 @@ def _subquotient(ring: GradedRing, kernel_gens: list, image: list) -> MultipletM
     rel_free = FreeModule(ring, gen_degs)
     end = ngen << ring.comp_shift  # the first term past the kernel part
     rels = []
-    for z in syzygy_module(kernel_gens + image):
+    for z in syzygy_module(kernel_gens + image, modulo):
         proj = ModuleElement(rel_free, {t: v for t, v in z.terms.items() if t < end})
         if not proj.is_zero():
             rels.append(proj)

@@ -42,6 +42,7 @@ def test_hdim_json(capsys, spec_3d_n1):
 
 def test_info_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "info", spec_3d_n1])
+    assert code == 0
     data = json.loads(out)
     assert data["g0_dim"] == 4
     assert data["conformal_type"]["conformal"] is True
@@ -148,6 +149,7 @@ def test_eliminations_see_only_ints_and_fractions(capsys, monkeypatch, tmp_path,
 
 def test_variety_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "variety", spec_3d_n1])
+    assert code == 0
     data = json.loads(out)
     assert data["dim_variety"] == 0
     assert data["gorenstein"] is False
@@ -156,6 +158,7 @@ def test_variety_command(capsys, spec_3d_n1):
 
 def test_multiplet_command_json_betti(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "multiplet", "conf", spec_3d_n1])
+    assert code == 0
     data = json.loads(out)
     assert data["betti"] == [[0, 0, 3], [1, 1, 2], [1, 2, 5], [2, 3, 4]]
     assert data["table"] == [[0, 0, 3], [0, 1, 2], [1, 0, 5], [1, 1, 4]]
@@ -163,6 +166,7 @@ def test_multiplet_command_json_betti(capsys, spec_3d_n1):
 
 def test_multiplet_with_oracle_window(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "multiplet", "conf", spec_3d_n1, "--window", "5"])
+    assert code == 0
     data = json.loads(out)
     assert data["koszul_agrees"] is True
 
@@ -318,6 +322,7 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch, spec_3d_n1):
 
 def test_prolong_command(capsys, spec_3d_n1):
     code, out = run(capsys, ["--json", "prolong", spec_3d_n1, "--cap", "6"])
+    assert code == 0
     data = json.loads(out)
     assert data["dims"] == [[-2, 3], [-1, 2], [0, 4], [1, 2], [2, 3]]
     assert data["status"] == "terminated"

@@ -44,14 +44,14 @@ def test_principal_ideal():
 
 
 def test_normal_form_membership():
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     gb = ideal_gb(R, sq(R))
     assert gb.normal_form(x * x * x).is_zero()
     assert gb.normal_form(x) == x
 
 
 def test_normal_form_linearity():
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     gb = ideal_gb(R, sq(R))
     nf = gb.normal_form(x * x + x)
     assert nf == x
@@ -83,7 +83,7 @@ def test_syzygy_regular_sequence_is_koszul():
 
 
 def test_syzygy_single_generator_over_domain():
-    R, x, y = poly_ring("x", "y")
+    _R, x, y = poly_ring("x", "y")
     assert syzygy_module([x * y]) == []
 
 
@@ -114,7 +114,7 @@ def test_syzygies_when_a_tag_ties_a_module_term_in_degree():
 
 
 def test_schreyer_syzygies_of_gb():
-    R, x, y = poly_ring("x", "y")
+    R, _x, _y = poly_ring("x", "y")
     gb = ideal_gb(R, sq(R))
     frame, _ = schreyer_syzygies(gb)
     # relations among x^2, xy, y^2: two linear syzygies
@@ -173,7 +173,7 @@ def test_hilbert_series_full_ring():
 
 
 def test_hilbert_series_hyperplane():
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     gb = ideal_gb(R, [x])
     hs = hilbert_series(gb)
     assert hs.coefficients(5) == [1, 1, 1, 1, 1, 1]
@@ -189,7 +189,7 @@ def test_hilbert_coefficients_count_negative_numerator_degrees():
 def test_krull_dim():
     R = GradedRing(["x", "y"])
     assert krull_dim(ideal_gb(R, sq(R))) == 0
-    x, y = R.variable(0), R.variable(1)
+    x, _y = R.variable(0), R.variable(1)
     assert krull_dim(ideal_gb(R, [x])) == 1
     assert krull_dim(ideal_gb(R, [])) == 2
     assert krull_dim(ideal_gb(R, [R.constant(1)])) == -1
@@ -247,6 +247,42 @@ def test_packed_field_overflow_is_loud():
         R.monomials_of_degree(FIELD_LIMIT + 1)
 
 
+def test_syzygies_modulo_a_submodule():
+    """{a : a_0 x + a_1 y in (xy)} is generated by y*e0 and x*e1, which the
+    Koszul syzygy y*e0 - x*e1 alone does not reach."""
+    R, x, y = poly_ring("x", "y")
+    F = FreeModule(R, [1, 1])
+    expected = buchberger([F.gen(0) * y, F.gen(1) * x])
+    got = buchberger(syzygy_module([x, y], modulo=[x * y]))
+    assert [g.terms for g in got.elements] == [g.terms for g in expected.elements]
+    assert syzygy_module([x, y], modulo=[]) == syzygy_module([x, y])
+
+
+def test_modulo_that_is_not_a_reduced_basis_is_rejected():
+    """x^2*e0 reduces by x*e0, so [x*e0, x^2*e0] is not a reduced basis, and
+    zero is in no reduced basis; a modulus of another module is rejected too."""
+    R, x, y = poly_ring("x", "y")
+    F = FreeModule(R, [0, 0])
+    gens = [F.gen(0) * y, F.gen(1) * y]
+    with pytest.raises(ValueError, match="modulo is not a reduced Gröbner basis"):
+        syzygy_module(gens, modulo=[F.gen(0) * x, F.gen(0) * x * x])
+    with pytest.raises(ValueError, match="modulo is not a reduced Gröbner basis"):
+        syzygy_module(gens, modulo=[F.zero()])
+    with pytest.raises(ValueError, match="must live in one module"):
+        syzygy_module(gens, modulo=[x])
+
+
+def test_syzygy_module_of_no_or_mixed_generators_is_rejected():
+    """x and a share their packed layout, so without a check that the rings
+    agree e0 - e1 would come out as a syzygy of x in Q[x, y] and a in Q[a, b]."""
+    _R, x, _y = poly_ring("x", "y")
+    _S, a, _b = poly_ring("a", "b")
+    with pytest.raises(ValueError, match="need at least one generator"):
+        syzygy_module([])
+    with pytest.raises(ValueError, match="must live in one module"):
+        syzygy_module([x, a])
+
+
 def test_non_homogeneous_input_is_rejected():
     """x^2 - y^2 is homogeneous of degree 2 and x - y^2 is not."""
     R, x, y = poly_ring("x", "y")
@@ -302,8 +338,10 @@ def test_conf_chain_order_keys_are_pinned(key, digest):
 
 
 def test_tagged_syzygy_order_keys_are_pinned(monkeypatch):
-    """The negated keys of the basis and the set-aside elements of both tagged
-    S-pair runs behind the 6d N=(1,0) kaehler module."""
+    """The negated keys of the basis and the set-aside elements of the three
+    S-pair runs behind the 6d N=(1,0) kaehler module: the tagged run of the
+    Koszul cycles, the ideal's basis, and the tagged run modulo GB(I)·V*,
+    whose basis starts with the 6 * 6 known elements."""
     from superconf import groebner
     from superconf.algebras import build_standard
     from superconf.multiplets import kaehler_module
@@ -317,7 +355,20 @@ def test_tagged_syzygy_order_keys_are_pinned(monkeypatch):
 
     monkeypatch.setattr(groebner, "_spair_loop", spy)
     kaehler_module(build_standard(6, (1, 0)))
-    assert [(len(basis), len(aside)) for basis, aside in runs] == [(6, 8), (33, 63)]
+    assert [(len(basis), len(aside)) for basis, aside in runs] == [(6, 8), (6, 0), (44, 27)]
     assert _key_digest([elems for run in runs for elems in run]) == (
-        "c89b05f484db8a9435183e15c51af40412e773f2400449a644f00104cddbd968"
+        "539dfa54e72ce99d94ba5e3c7b5f6a00e082baa4f9dc1e2999f672f74189d9e8"
     )
+
+
+@pytest.mark.parametrize("key, digest", [
+    ((4, 2), "4bf7dae523d8feef873050dc86beab4dc39988f989cefc8784323bce65ba8fc5"),
+    ((6, (1, 0)), "ac303b58ae168b5372fac235d90aee452dd6504983baebf8ca04946ca6577465"),
+])
+def test_kaehler_relation_basis_keys_are_pinned(key, digest):
+    """The reduced relation basis of the kaehler module: it depends only on
+    the relation submodule, not on the relations that generate it."""
+    from superconf.algebras import build_standard
+    from superconf.multiplets import kaehler_module
+
+    assert _key_digest([kaehler_module(build_standard(*key)).module.relation_gb()._internal]) == digest

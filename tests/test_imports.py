@@ -43,9 +43,9 @@ One monomial order: grevlex is the only ring order, so no `MonomialOrder`
 name, attribute, class or import and no "lex" string constant appears in the
 package; docstrings are not scanned.
 
-No dead local: a name that a package function assigns (an `ast.Name` store,
-tuple targets included) is loaded somewhere in that function, nested
-functions included.  Names that start with `_` are exempt, so an unused half
+No dead local: a name that a function of the package or of the tests
+assigns (an `ast.Name` store, tuple targets included) is loaded somewhere in
+that function, nested functions included.  Names that start with `_` are exempt, so an unused half
 of an unpacking is written `_`.
 """
 
@@ -443,7 +443,7 @@ def test_scan_finds_dead_locals():
 def test_no_dead_locals():
     found = [
         f"{path.name}: {fn}.{name}"
-        for path in PACKAGE
+        for path in PACKAGE + sorted((ROOT / "tests").glob("*.py"))
         for fn, name in dead_locals(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -1045,6 +1045,44 @@ def test_syzygy_module_generates_the_syzygies_of_module_elements(gens):
         assert sparse_rank(_degree_rows(syz, j, ring)) == source - image, j
 
 
+@st.composite
+def ideal_generators(draw):
+    """One or two homogeneous elements of Q[x,y,z] in degree 1 or 2, possibly zero."""
+    ring = GradedRing(["x", "y", "z"])
+    one = FreeModule(ring, [0])
+    out = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = {}
+        for mon in _tuple_monomials(ring, draw(st.integers(1, 2))):
+            c = draw(st.integers(-2, 2))
+            if c and draw(st.booleans()):
+                terms[(0, mon)] = Fraction(c)
+        out.append(from_tuples(one, terms))
+    return out
+
+
+@given(module_generator_lists(), ideal_generators())
+@settings(max_examples=25, deadline=None)
+def test_syzygies_modulo_a_known_basis_match_the_tagged_image(gens, ideal):
+    """{a : sum a_s g_s in J·F} two ways: modulo the known basis GB(J)·F, and
+    as the projection onto the g_s part of the syzygies of the g_s and the
+    products f·e_c, f in J, tagged as generators.  Both generate the same
+    module, so their reduced bases agree."""
+    free = gens[0].module
+    ring = free.ring
+    modulo = [free.gen(c) * g for g in ideal_gb(ring, ideal).elements for c in range(free.rank)]
+    image = [free.gen(c) * f for f in ideal if not f.is_zero() for c in range(free.rank)]
+    target = FreeModule(ring, [0 if g.is_zero() else g.degree() for g in gens])
+    end = len(gens) << ring.comp_shift
+    projected = [ModuleElement(target, {t: v for t, v in z.terms.items() if t < end})
+                 for z in syzygy_module(gens + image)]
+
+    def reduced(elems):
+        return [g.terms for g in buchberger(elems or [target.zero()]).elements]
+
+    assert reduced(syzygy_module(gens, modulo=modulo)) == reduced(projected)
+
+
 def _example_ring_product(f, g):
     """(f, g) over Q[x0, x1] for an `example`, each given as {exponent tuple: coefficient}."""
     ring = GradedRing(["x0", "x1"])

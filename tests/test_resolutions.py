@@ -51,7 +51,7 @@ def test_resolution_m_squared():
 
 def test_resolution_nonminimal_presentation():
     # add a redundant generator: F0 = R^2 with e1 = x*e0 forced by a unit relation
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     free = FreeModule(R, [0, 1])
     rel = free.gen(1) - free.gen(0) * x
     pm = PresentedModule(R, [0, 1], [rel])
@@ -117,7 +117,7 @@ def test_koszul_tor_at_the_edges_is_the_resolution_table(name, window):
 def test_koszul_homology_places_a_zero_element_at_its_given_degree():
     # H_1 of (x^2, 0) is R/(x^2) on the exterior generator of the zero
     # element, which sits in the degree passed for it
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     assert koszul_homology_dims(R, [x * x, R.zero()], 1, (0, 4), [2, 2]).dims == {
         2: 1, 3: 2, 4: 2}
 
@@ -140,7 +140,7 @@ def test_complete_intersection_koszul_homology_vanishes():
 
 
 def test_koszul_homology_nonvanishing_m_squared():
-    R, x, y = poly_ring("x", "y")
+    R, _x, _y = poly_ring("x", "y")
     quadrics = m_squared(R)
     assert not koszul_homology_is_zero(R, quadrics, 1, [2, 2, 2])
     h1 = koszul_homology_dims(R, quadrics, 1, (0, 8), [2, 2, 2])
@@ -151,7 +151,7 @@ def test_koszul_homology_nonvanishing_m_squared():
 
 
 def test_koszul_homology_abelian_case():
-    R, x, y = poly_ring("x", "y")
+    R, _x, _y = poly_ring("x", "y")
     zero = [R.zero(), R.zero()]
     assert not koszul_homology_is_zero(R, zero, 1, [2, 2])
     assert not koszul_homology_is_zero(R, zero, 2, [2, 2])
@@ -186,7 +186,7 @@ def test_syzygetic_defect_and_h1_of_m_squared():
     # I = (x^2, xy, y^2): x^2 (x) y^2 - xy (x) xy spans the degree-4 kernel of
     # Sym^2 I -> I^2 and no syzygy induces it (those start in degree 5); H_1 is
     # the two linear syzygies in degree 3 plus that defect class
-    R, x, y = poly_ring("x", "y")
+    R, _x, _y = poly_ring("x", "y")
     assert syzygetic_defect(R, m_squared(R), (0, 8)).dims == {4: 1}
     assert koszul_homology_dims(R, m_squared(R), 1, (0, 8), [2, 2, 2]).dims == {3: 2, 4: 1}
 
@@ -250,7 +250,7 @@ def test_ce_cohomology_degree_zero_is_structure_sheaf():
 def test_relations_of_another_module_are_rejected():
     """Over generators in degrees (0, 1), a relation of rank 2 with generators
     in degrees (0, 0) used to be accepted and its degrees used silently."""
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     assert PresentedModule(R, [0, 1], [FreeModule(R, [0, 1]).gen(0) * x]).graded_dim(1) == 2
     for free in (FreeModule(R, [0, 0]), FreeModule(R, [0]), FreeModule(GradedRing(["a", "b"]), [0, 1])):
         with pytest.raises(ValueError, match="another module"):

@@ -65,7 +65,7 @@ def test_non_homogeneous_elements_and_relations_are_rejected():
 def test_arithmetic_across_rings_or_modules_is_rejected():
     """Terms of two rings, or of two modules, are laid out differently, so a
     product or a sum across them raises instead of mixing the layouts."""
-    R, x, y = poly_ring("x", "y")
+    R, x, _y = poly_ring("x", "y")
     _, a, b, _ = poly_ring("a", "b", "c")
     for product in (lambda: x * a, lambda: a * x, lambda: x * a * b, lambda: ideal_gb(R, [x * a])):
         with pytest.raises(ValueError, match="ring element"):

@@ -63,7 +63,7 @@ def test_6d_n20_twisted_conf_degree_zero_dims():
     m = conf_module(res.twisted)
     # fiber dimensions of the three summands: 3 + 2*3 + 3 = 12 in degree 0..
     table = component_fields(m)
-    row0 = sum(v for (r, c), v in table.cells.items() if r == 0)
+    row0 = sum(v for (r, _c), v in table.cells.items() if r == 0)
     assert table.cells[(0, 0)] == 3
     assert row0 == 12
 
