@@ -1,9 +1,12 @@
 """Supertranslation algebras: catalog, derivation layers, Jacobians.
 
 An algebra is an odd space of dimension k, an even space of dimension d, and
-a symmetric bracket tensor gamma[a][b][mu].  The catalog realizes the
-standard physical algebras over Q in split/Weyl-type bases so that several
-defining ideals come out monomial or binomial.
+a symmetric bracket gamma: Sym^2(odd) -> even, stored by its nonzero entries
+only: `entries[(a, b)][mu]` is gamma(e_a, e_b)_mu for a <= b, and every
+reader walks those entries.  The catalog realizes the standard physical
+algebras over Q in split/Weyl-type bases so that several defining ideals
+come out monomial or binomial, and their brackets are mostly zeros: in
+eleven dimensions 192 of the 11,264 slots gamma[a][b][mu] are nonzero.
 
 The derivations are graded in layers.  Layers -2 and -1 are the even and odd
 spaces; each element of a layer m >= 0 is stored as its action on the
@@ -33,33 +36,43 @@ from typing import Sequence
 
 from . import clifford
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
-from .rings import GradedRing, ModuleElement
+from .rings import GradedRing, ModuleElement, rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 class SupertranslationAlgebra:
-    """Two-step graded super Lie algebra: odd space, even space, symmetric bracket."""
+    """Two-step graded super Lie algebra: odd space, even space, symmetric bracket.
 
-    def __init__(self, name: str, odd_dim: int, even_dim: int, gamma):
+    `entries` maps (a, b) with 0 <= a <= b < odd_dim to {mu: value} with
+    0 <= mu < even_dim: gamma(e_a, e_b)_mu, which is also gamma(e_b, e_a)_mu.
+    Values are exact rationals (`rings.rational`, TypeError otherwise); a
+    zero value is dropped, and an index that is not an int in its range is a
+    ValueError.  The stored `entries` hold Fractions, keys and even indices
+    ascending.
+    """
+
+    def __init__(self, name: str, odd_dim: int, even_dim: int, entries):
         self.name = name
         self.k = odd_dim
         self.d = even_dim
-        g = tuple(
-            tuple(
-                tuple(x if isinstance(x, Fraction) else Fraction(x) for x in gamma[a][b])
-                for b in range(odd_dim)
-            )
-            for a in range(odd_dim)
-        )
-        for a in range(odd_dim):
-            for b in range(odd_dim):
-                if len(g[a][b]) != even_dim:
-                    raise ValueError("gamma entry has wrong even dimension")
-                if g[a][b] != g[b][a]:
-                    raise ValueError("gamma must be symmetric in its odd indices")
-        self.gamma = g
+        table = {}
+        for (a, b), row in sorted(entries.items()):
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a <= b < odd_dim):
+                raise ValueError(f"bracket key ({a!r}, {b!r}) is not a pair a <= b of ints"
+                                 f" in range({odd_dim})")
+            values = {}
+            for mu, v in sorted(row.items()):
+                if not (isinstance(mu, int) and 0 <= mu < even_dim):
+                    raise ValueError(f"even index {mu!r} of bracket key ({a}, {b}) is not"
+                                     f" an int in range({even_dim})")
+                v = rational(v)
+                if v:
+                    values[mu] = v
+            if values:
+                table[a, b] = values
+        self.entries = table
         # (dimension, susy tuple) when the algebra is a catalog entry
         self.catalog_key: tuple | None = None
         self._ring: GradedRing | None = None
@@ -76,18 +89,11 @@ class SupertranslationAlgebra:
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         """gamma(u, v) in even-space coordinates."""
         out = [_F0] * self.d
-        for a in range(self.k):
-            ua = u[a]
-            if not ua:
-                continue
-            for b in range(self.k):
-                vb = v[b]
-                if not vb:
-                    continue
-                gab = self.gamma[a][b]
-                for mu in range(self.d):
-                    if gab[mu]:
-                        out[mu] += gab[mu] * ua * vb
+        for (a, b), row in self.entries.items():
+            c = u[a] * v[b] + u[b] * v[a] if a != b else u[a] * v[a]
+            if c:
+                for mu, g in row.items():
+                    out[mu] += g * c
         return out
 
     def quadrics(self) -> list[ModuleElement]:
@@ -95,18 +101,12 @@ class SupertranslationAlgebra:
         if self._quadrics is None:
             ring = self.ring()
             var = ring.var_terms
-            polys = []
-            for mu in range(self.d):
-                terms = {}
-                for a in range(self.k):
-                    for b in range(a, self.k):
-                        c = self.gamma[a][b][mu]
-                        if not c:
-                            continue
-                        t = var[a] + var[b]
-                        terms[t] = terms.get(t, _F0) + (c if a == b else 2 * c)
-                polys.append(ring.element(terms))
-            self._quadrics = polys
+            polys: list[dict] = [{} for _ in range(self.d)]
+            for (a, b), row in self.entries.items():
+                t = var[a] + var[b]
+                for mu, c in row.items():
+                    polys[mu][t] = c if a == b else 2 * c
+            self._quadrics = [ring.element(terms) for terms in polys]
         return self._quadrics
 
 
@@ -133,41 +133,35 @@ def _symplectic_form(n: int) -> list[list[int]]:
     return w
 
 
-def _zeros(k: int, d: int):
-    return [[[_F0] * d for _ in range(k)] for _ in range(k)]
+def _tensor(name: str, form, pairing: list[dict], s: int) -> SupertranslationAlgebra:
+    """The bracket form (x) pairing on the odd space U (x) S, s = dim S.
 
-
-def _tensor(name: str, form, pairing) -> SupertranslationAlgebra:
-    """The bracket form (x) pairing on the odd space U (x) S.
-
-    gamma[i*s + a][j*s + b][mu] = form[i][j] * pairing[mu][a][b] with
-    s = dim S; each slot receives exactly one product.
+    pairing[mu] maps (a, b) to the nonzero value of the mu-th bilinear on S,
+    both orders listed; gamma[i*s + a][j*s + b][mu] = form[i][j] *
+    pairing[mu][a, b], each slot receiving exactly one product, and the
+    entries keep the slots with i*s + a <= j*s + b.
     """
-    n, d, s = len(form), len(pairing), len(pairing[0])
-    entries = [(a, b, mu, v) for mu, m in enumerate(pairing)
-               for a, row in enumerate(m) for b, v in enumerate(row) if v]
-    gamma = _zeros(n * s, d)
+    entries: dict = {}
     for i, row in enumerate(form):
         for j, f in enumerate(row):
             if f:
-                for a, b, mu, v in entries:
-                    gamma[i * s + a][j * s + b][mu] = Fraction(f * v)
-    return SupertranslationAlgebra(name, n * s, d, gamma)
+                for mu, m in enumerate(pairing):
+                    for (a, b), v in m.items():
+                        x, y = i * s + a, j * s + b
+                        if x <= y:
+                            entries.setdefault((x, y), {})[mu] = f * v
+    return SupertranslationAlgebra(name, len(form) * s, len(pairing), entries)
 
 
 def standard_1d(n: int) -> SupertranslationAlgebra:
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return _tensor(f"1d N={n}", identity, [[[1]]])
+    return _tensor(f"1d N={n}", identity, [{(0, 0): 1}], 1)
 
 
 def standard_2d(nl: int, nr: int) -> SupertranslationAlgebra:
     k = nl + nr
-    gamma = _zeros(k, 2)
-    for a in range(nl):
-        gamma[a][a][0] = Fraction(1)
-    for a in range(nl, k):
-        gamma[a][a][1] = Fraction(1)
-    return SupertranslationAlgebra(f"2d N=({nl},{nr})", k, 2, gamma)
+    entries = {(a, a): {int(a >= nl): 1} for a in range(k)}
+    return SupertranslationAlgebra(f"2d N=({nl},{nr})", k, 2, entries)
 
 
 def _sym2_index(a: int, b: int, n: int) -> int:
@@ -177,41 +171,31 @@ def _sym2_index(a: int, b: int, n: int) -> int:
 
 
 def standard_3d(n: int) -> SupertranslationAlgebra:
-    sym2 = [[[int(_sym2_index(a, b, 2) == mu) for b in range(2)] for a in range(2)]
+    sym2 = [{(a, b): 1 for a in range(2) for b in range(2) if _sym2_index(a, b, 2) == mu}
             for mu in range(3)]
-    return _tensor(f"3d N={n}", _orthogonal_form(n), sym2)
+    return _tensor(f"3d N={n}", _orthogonal_form(n), sym2, 2)
 
 
 def standard_4d(n: int) -> SupertranslationAlgebra:
     # odd space: chiral block (i*2 + alpha), then antichiral block offset 2n
-    k = 4 * n
-    gamma = _zeros(k, 4)
-    for i in range(n):
-        for alpha in range(2):
-            for beta in range(2):
-                x = i * 2 + alpha
-                y = 2 * n + i * 2 + beta
-                mu = alpha * 2 + beta
-                gamma[x][y][mu] += Fraction(1)
-                gamma[y][x][mu] += Fraction(1)
-    return SupertranslationAlgebra(f"4d N={n}", k, 4, gamma)
+    entries = {(i * 2 + alpha, 2 * n + i * 2 + beta): {alpha * 2 + beta: 1}
+               for i, alpha, beta in product(range(n), range(2), range(2))}
+    return SupertranslationAlgebra(f"4d N={n}", 4 * n, 4, entries)
 
 
 def standard_6d(n: int) -> SupertranslationAlgebra:
-    wedge2 = [[[0] * 4 for _ in range(4)] for _ in range(6)]
-    for mu, (a, b) in enumerate(combinations(range(4), 2)):
-        wedge2[mu][a][b], wedge2[mu][b][a] = 1, -1
-    return _tensor(f"6d N=({n},0)", _symplectic_form(2 * n), wedge2)
+    wedge2 = [{(a, b): 1, (b, a): -1} for a, b in combinations(range(4), 2)]
+    return _tensor(f"6d N=({n},0)", _symplectic_form(2 * n), wedge2, 4)
 
 
 def standard_10d(n: int) -> SupertranslationAlgebra:
     if n not in (1, 2):
         raise ValueError("ten dimensions supports N=(1,0) and N=(2,0)")
-    return _tensor(f"10d N=({n},0)", _orthogonal_form(n), clifford.gamma_10d_chiral())
+    return _tensor(f"10d N=({n},0)", _orthogonal_form(n), clifford.gamma_10d_chiral(), 16)
 
 
 def standard_11d() -> SupertranslationAlgebra:
-    return _tensor("11d N=1", _orthogonal_form(1), clifford.gamma_11d())
+    return _tensor("11d N=1", _orthogonal_form(1), clifford.gamma_11d(), 32)
 
 
 def _parse_susy(susy) -> tuple:
@@ -314,14 +298,11 @@ def _exact(v):
 
 def _negative_layers(alg: SupertranslationAlgebra) -> dict:
     k, d = alg.k, alg.d
-    return {
-        -2: _Layer(d, [[{} for _ in range(k + d)] for _ in range(d)]),
-        -1: _Layer(
-            k,
-            [[{mu: _exact(g) for mu, g in enumerate(alg.gamma[a][b]) if g} for b in range(k)]
-             + [{} for _ in range(d)] for a in range(k)],
-        ),
-    }
+    odd = [[{} for _ in range(k + d)] for _ in range(k)]
+    for (a, b), row in alg.entries.items():
+        odd[a][b] = {mu: _exact(g) for mu, g in row.items()}
+        odd[b][a] = dict(odd[a][b])
+    return {-2: _Layer(d, [[{} for _ in range(k + d)] for _ in range(d)]), -1: _Layer(k, odd)}
 
 
 def _solve_layer(alg: SupertranslationAlgebra, layers: dict, m: int) -> _Layer:
@@ -434,26 +415,42 @@ class AutomorphismAlgebra:
     def verify_derivations(self) -> bool:
         """Recheck B gamma(s,t) = gamma(As,t) + gamma(s,At) on every basis pair.
 
-        Reads the stored actions against gamma, independently of the solve.
+        Reads the stored actions against the bracket entries, independently of
+        the solve.  Both sides are summed over the nonzero entries into
+        {(s, t): {c: value}} for s <= t and compared with zeros dropped, so a
+        pair where both sides vanish costs nothing.
         """
-        gamma = self.algebra.gamma
-        k, d = self.algebra.k, self.algebra.d
-        layer = self.layers[0]
-        for act in layer.act:
-            for a in range(k):
-                for b in range(a, k):
-                    lhs = [_F0] * d
-                    for mu, g in enumerate(gamma[a][b]):
-                        for c, v in act[k + mu].items():
-                            lhs[c] += g * v
-                    rhs = [_F0] * d
-                    for s, t in ((a, b), (b, a)):
-                        for c, v in act[s].items():
-                            for mu, g in enumerate(gamma[c][t]):
-                                rhs[mu] += v * g
-                    if lhs != rhs:
-                        return False
+        entries, k = self.algebra.entries, self.algebra.k
+        touching: list[list] = [[] for _ in range(k)]  # [(t, gamma(e_c, e_t))] at c
+        for (a, b), row in entries.items():
+            touching[a].append((b, row))
+            if a != b:
+                touching[b].append((a, row))
+        for act in self.layers[0].act:
+            lhs: dict = {}
+            for key, row in entries.items():
+                out = lhs.setdefault(key, {})
+                for mu, g in row.items():
+                    for c, v in act[k + mu].items():
+                        out[c] = out.get(c, 0) + g * v
+            rhs: dict = {}
+            for s in range(k):
+                for c, v in act[s].items():  # A e_s has v at e_c
+                    for t, row in touching[c]:
+                        # gamma(A e_s, e_t) lands on {s, t}; twice when s = t
+                        out = rhs.setdefault((s, t) if s <= t else (t, s), {})
+                        w = 2 * v if s == t else v
+                        for mu, g in row.items():
+                            out[mu] = out.get(mu, 0) + w * g
+            if _nonzero(lhs) != _nonzero(rhs):
+                return False
         return True
+
+
+def _nonzero(sums: dict) -> dict:
+    """{key: {i: v}} with the zero values and then the empty rows dropped."""
+    rows = ((key, {i: v for i, v in row.items() if v}) for key, row in sums.items())
+    return {key: row for key, row in rows if row}
 
 
 def derivations_deg0(alg: SupertranslationAlgebra) -> AutomorphismAlgebra:
@@ -475,24 +472,16 @@ def derivations_deg0(alg: SupertranslationAlgebra) -> AutomorphismAlgebra:
 def jacobian(alg: SupertranslationAlgebra) -> list[list[ModuleElement]]:
     """phi[mu][b] = sum_a 2 gamma[a][b][mu] la, the gradient of q_mu."""
     ring = alg.ring()
-    k, d = alg.k, alg.d
     var = ring.var_terms
-    phi = []
-    for mu in range(d):
-        row = []
-        for b in range(k):
-            terms = {}
-            for a in range(k):
-                c = alg.gamma[a][b][mu]
-                if c:
-                    terms[var[a]] = terms.get(var[a], _F0) + 2 * c
-            row.append(ring.element(terms))
-        phi.append(row)
-    return phi
+    phi: list[list[dict]] = [[{} for _ in range(alg.k)] for _ in range(alg.d)]
+    for (a, b), row in alg.entries.items():
+        for mu, c in row.items():
+            phi[mu][b][var[a]] = phi[mu][a][var[b]] = 2 * c
+    return [[ring.element(terms) for terms in row] for row in phi]
 
 
 def is_square_zero(alg: SupertranslationAlgebra, q: Sequence) -> bool:
-    vec = [Fraction(x) for x in q]
+    vec = [rational(x) for x in q]
     if len(vec) != alg.k:
         raise ValueError("point has wrong odd dimension")
     return all(not v for v in alg.bracket(vec, vec))
@@ -510,13 +499,7 @@ class ConformalTypeReport:
 
 def _spans_even(alg: SupertranslationAlgebra) -> bool:
     """Whether the bracket is surjective: the gamma(e_a, e_b) span the even space."""
-    rows = []
-    for a in range(alg.k):
-        for b in range(a, alg.k):
-            row = {mu: v for mu, v in enumerate(alg.gamma[a][b]) if v}
-            if row:
-                rows.append(row)
-    return sparse_rank(rows) == alg.d
+    return sparse_rank(alg.entries.values()) == alg.d
 
 
 def check_conformal_type(
@@ -536,28 +519,24 @@ def check_conformal_type(
     image_dim = g0.rho2_image_dim()
     expected = d * (d - 1) // 2 + 1
     # Solve B^T h + h B = (2 tr B / d) h for symmetric h, over all basis B.
+    # Equation (r, c), r <= c, scaled by d to integers (for an integral B):
+    # sum_m d B[m][r] h[m][c] + d B[m][c] h[r][m] - 2 tr B h[r][c] = 0, read
+    # off the nonzero entries of columns r and c of B, in (r, c) order.
+    sym = [[_sym2_index(r, c, d) for c in range(d)] for r in range(d)]
     h_rows = []
     for even in (act[k:] for act in g0.layers[0].act):
-        shift = Fraction(-2 * sum(even[i].get(i, 0) for i in range(d)), d) if d else _F0
+        cols = [[(m, v * d) for m, v in col.items()] for col in even]
+        shift = -2 * sum(even[i].get(i, 0) for i in range(d))
         for r in range(d):
             for c in range(r, d):
-                row: dict[int, Fraction] = {}
-
-                def bump(i, j, val):
-                    if not val:
-                        return
-                    key = _sym2_index(i, j, d)
-                    w = row.get(key, _F0) + val
-                    if w:
-                        row[key] = w
-                    elif key in row:
-                        del row[key]
-
-                for m, v in even[r].items():
-                    bump(m, c, v)
-                for m, v in even[c].items():
-                    bump(r, m, v)
-                bump(r, c, shift)
+                row = {sym[r][c]: shift} if shift else {}
+                for m, v in cols[r]:
+                    j = sym[m][c]
+                    row[j] = row.get(j, 0) + v
+                for m, v in cols[c]:
+                    j = sym[r][m]
+                    row[j] = row.get(j, 0) + v
+                row = {j: v for j, v in row.items() if v}
                 if row:
                     h_rows.append(row)
     has_metric = _has_invariant_metric(sparse_kernel(h_rows, d * (d + 1) // 2), d)

@@ -34,6 +34,16 @@ def _load_algebra(path: str):
     return parse_spec(text).build()
 
 
+def _gamma_descriptor(alg) -> list[list[str]]:
+    """The bracket as the cache descriptors list it: for a, then b, in range(k),
+    the d rendered values of gamma(e_a, e_b), "0" at each zero."""
+    zero = ["0"] * alg.d
+    rendered = {key: [_render_q(row[mu]) if mu in row else "0" for mu in range(alg.d)]
+                for key, row in alg.entries.items()}
+    return [rendered.get((a, b) if a <= b else (b, a), zero)
+            for a in range(alg.k) for b in range(alg.k)]
+
+
 def _cached(args, descriptor: dict, keys: set[str], compute) -> dict:
     """compute() through the cache.  `keys` is the key set that compute()
     returns for this descriptor, so a hit of another shape is a corrupt
@@ -97,7 +107,7 @@ def cmd_variety(args) -> int:
     descriptor = {
         "analysis": "variety",
         "schema": SCHEMA,
-        "gamma": [[_render_q(x) for x in row] for a in alg.gamma for row in a],
+        "gamma": _gamma_descriptor(alg),
         "dims": [alg.k, alg.d],
     }
 
@@ -142,7 +152,7 @@ def cmd_multiplet(args) -> int:
     descriptor = {
         "analysis": f"multiplet:{kind}",
         "schema": SCHEMA,
-        "gamma": [[_render_q(x) for x in row] for a in alg.gamma for row in a],
+        "gamma": _gamma_descriptor(alg),
         "dims": [alg.k, alg.d],
         "window": args.window,
     }

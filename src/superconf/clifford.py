@@ -5,8 +5,13 @@ dimension); spinors are the exterior algebra of W with wedge/contraction as
 Clifford multiplication.  The invariant spinor pairing is the top-wedge
 pairing twisted by (-1)^{r(r+1)/2} on r-forms: of the sign twists that
 depend on form degree alone, it is the one that makes every vector-valued
-bilinear symmetric in both ten and eleven dimensions, and `_gamma_matrices`
-checks that it does.  All entries land in {0, +1, -1}.
+bilinear symmetric in both ten and eleven dimensions, and `_bilinears`
+checks that it does.
+
+The pairing of s and t is nonzero only when s is the complement of t, so
+each even direction mu and basis element e_b give at most one nonzero entry,
+at the complement of the Clifford image of e_b: a bilinear is built in O(k)
+as {(a, b): +-1}, and the bracket in O(k d), with no k x k scan.
 """
 
 from __future__ import annotations
@@ -64,37 +69,38 @@ def _clifford_action(mu: int, s: tuple, n: int) -> tuple[int, tuple] | None:
     return (-1 if len(s) % 2 else 1), s
 
 
-def _gamma_matrices(basis: list[tuple], d: int, n: int) -> list[list[list[int]]]:
-    """Vector-valued bilinears on the span of `basis`: the twisted top-wedge
-    pairing against each Clifford action, checked nonzero and symmetric."""
-    k = len(basis)
+def _bilinears(basis: list[tuple], d: int, n: int) -> list[dict[tuple[int, int], int]]:
+    """Vector-valued bilinears on the span of `basis`, one {(a, b): +-1} per
+    even direction, both orders listed: the twisted top-wedge pairing of e_a
+    against the Clifford action on e_b, checked nonzero and symmetric."""
+    index = {s: a for a, s in enumerate(basis)}
+    letters = set(range(n))
     mats = []
     for mu in range(d):
-        m = [[0] * k for _ in range(k)]
+        m = {}
         for b, sb in enumerate(basis):
             act = _clifford_action(mu, sb, n)
             if act is None:
                 continue
             sign, sb2 = act
-            for a, sa in enumerate(basis):
-                v = _pairing(sa, sb2, n)
-                if v:
-                    m[a][b] = sign * v
-        if not any(any(row) for row in m) or any(
-            m[a][b] != m[b][a] for a in range(k) for b in range(a + 1, k)
-        ):
+            complement = tuple(sorted(letters.difference(sb2)))
+            a = index.get(complement)
+            if a is not None:
+                m[a, b] = sign * _pairing(complement, sb2, n)
+        if not m or any(m.get((b, a)) != v for (a, b), v in m.items()):
             raise AssertionError("the twisted pairing gives a zero or nonsymmetric bilinear")
         mats.append(m)
     return mats
 
 
-def gamma_10d_chiral() -> list[list[list[int]]]:
-    """gamma[mu][a][b] for the 16-dimensional chiral spinor of ten dimensions."""
+def gamma_10d_chiral() -> list[dict[tuple[int, int], int]]:
+    """{(a, b): gamma[mu][a][b]} per mu, nonzero entries only, for the
+    16-dimensional chiral spinor of ten dimensions."""
     basis = [s for s in _subsets(N_SPLIT) if len(s) % 2 == 0]
-    return _gamma_matrices(basis, 2 * N_SPLIT, N_SPLIT)
+    return _bilinears(basis, 2 * N_SPLIT, N_SPLIT)
 
 
-def gamma_11d() -> list[list[list[int]]]:
-    """gamma[mu][a][b] for the 32-dimensional spinor of eleven dimensions."""
-    basis = _subsets(N_SPLIT)
-    return _gamma_matrices(basis, 2 * N_SPLIT + 1, N_SPLIT)
+def gamma_11d() -> list[dict[tuple[int, int], int]]:
+    """{(a, b): gamma[mu][a][b]} per mu, nonzero entries only, for the
+    32-dimensional spinor of eleven dimensions."""
+    return _bilinears(_subsets(N_SPLIT), 2 * N_SPLIT + 1, N_SPLIT)

@@ -318,15 +318,16 @@ def _d0_derivation(sheaf: _Sheaf) -> _Derivation:
     alg = sheaf.alg
     k, d = alg.k, alg.d
     zero_x = (0,) * d
+    ordered: list[list] = [[] for _ in range(d)]  # (a, b, gamma(e_a, e_b)_mu), both orders
+    for (a, b), row in alg.entries.items():
+        for mu, g in row.items():
+            ordered[mu] += [(a, b, g), (b, a, g)] if a != b else [(a, b, g)]
     x_img = {}
     for mu in range(d):
         elt: dict = {}
-        for a in range(k):
-            for b in range(k):
-                g = alg.gamma[a][b][mu]
-                if g:
-                    lam = tuple(1 if i == a else 0 for i in range(k))
-                    _axpy(elt, -g, sheaf.monomial(zero_x, (b,), lam))
+        for a, b, g in sorted(ordered[mu]):
+            lam = tuple(1 if i == a else 0 for i in range(k))
+            _axpy(elt, -g, sheaf.monomial(zero_x, (b,), lam))
         if elt:
             x_img[mu] = elt
     th_img = {}

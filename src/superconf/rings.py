@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from struct import Struct
 from typing import Mapping, Sequence
 
@@ -49,6 +50,17 @@ FIELD_BITS = 16
 FIELD_LIMIT = (1 << FIELD_BITS - 1) - 1  # largest exponent or degree
 FIELD_MASK = (1 << FIELD_BITS) - 1
 COMP_BITS = 32  # module order keys tell apart components below 2**COMP_BITS
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction when it is an exact rational (an int, a bool or a
+    Fraction: any `numbers.Rational`); TypeError naming x otherwise, a float
+    included, as the engine computes over Q only."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational (int or Fraction), got {x!r}")
 
 
 def _check_field(value: int, what: str) -> None:
@@ -138,7 +150,7 @@ class GradedRing:
         return self.element({})
 
     def constant(self, c) -> "ModuleElement":
-        return self.element({0: Fraction(c)})
+        return self.element({0: rational(c)})
 
     def monomials_of_degree(self, d: int) -> list[int]:
         """Monomials of degree d: packed, component 0, ascending as tuples.
@@ -294,7 +306,7 @@ class ModuleElement:
     def __mul__(self, other) -> "ModuleElement":
         """This element times a scalar or a ring element (a rank-one element)."""
         if not isinstance(other, ModuleElement):
-            c = Fraction(other)
+            c = rational(other)
             return ModuleElement(self.module, {t: v * c for t, v in self.terms.items()})
         ring = self.module.ring
         if other.module.rank != 1 or other.module.ring is not ring and other.module.ring != ring:

@@ -44,11 +44,9 @@ class AlgebraSpec:
             alg = build_standard(self.standard[0], self.standard[1])
             alg.name = self.name or alg.name
             return alg
-        k, d = self.odd_dim, self.even_dim
-        gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
-        for (a, b), vec in self.gamma.items():
-            gamma[a - 1][b - 1] = gamma[b - 1][a - 1] = vec
-        return SupertranslationAlgebra(self.name, k, d, gamma)
+        entries = {(min(a, b) - 1, max(a, b) - 1): dict(enumerate(vec))
+                   for (a, b), vec in self.gamma.items()}
+        return SupertranslationAlgebra(self.name, self.odd_dim, self.even_dim, entries)
 
     def render(self) -> str:
         if self.standard is not None:

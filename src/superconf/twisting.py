@@ -21,6 +21,7 @@ from .algebras import (
 from .groebner import hilbert_series, ideal_gb
 from .linalg import SpanSolver, _reduce_by_leads, rref, sparse_kernel
 from .multiplets import component_fields, hdim, multiplet_module
+from .rings import rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -35,10 +36,6 @@ class TwistResult:
     source: SupertranslationAlgebra
     q: list
     twisted: SupertranslationAlgebra
-
-
-def _sparse(vec) -> dict[int, Fraction]:
-    return {i: x for i, x in enumerate(vec) if x}
 
 
 def _dense(row: dict, n: int) -> list[Fraction]:
@@ -63,16 +60,23 @@ def _quotient_data(ambient_dim: int, sub_rows):
 
 def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
     """Twisted supertranslation algebra for a square-zero odd element."""
-    qv = [Fraction(x) for x in q]
+    qv = [rational(x) for x in q]
     if not is_square_zero(alg, qv):
         raise NotSquareZeroError("the chosen odd element does not square to zero")
     k, d = alg.k, alg.d
-    # gamma(q, -): odd -> even; row b is gamma(q, e_b)
-    gamma_q = [
-        [sum(alg.gamma[a][b][mu] * qv[a] for a in range(k)) for mu in range(d)]
-        for b in range(k)
-    ]
-    ker_rows = [{b: gamma_q[b][mu] for b in range(k) if gamma_q[b][mu]} for mu in range(d)]
+    # gamma(q, -): odd -> even; row b is gamma(q, e_b), sparse
+    sums: list[dict] = [{} for _ in range(k)]
+    for (a, b), row in alg.entries.items():
+        for s, t in ((a, b), (b, a)) if a != b else ((a, b),):
+            if qv[s]:
+                out = sums[t]
+                for mu, g in row.items():
+                    out[mu] = out.get(mu, 0) + g * qv[s]
+    gamma_q = [{mu: v for mu, v in row.items() if v} for row in sums]
+    ker_rows: list[dict] = [{} for _ in range(d)]
+    for b, row in enumerate(gamma_q):
+        for mu, v in row.items():
+            ker_rows[mu][b] = v
     ker_vecs = sparse_kernel(ker_rows, k)
     # odd part of the twist: kernel modulo orbit, in kernel coordinates; the
     # orbit lies inside the kernel as a consequence of q^2 = 0
@@ -84,18 +88,14 @@ def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
             raise AssertionError("orbit vector not in kernel span")
         orbit_in_ker.append(coords)
     reps_odd, _ = _quotient_data(len(ker_vecs), orbit_in_ker)
-    reps_even, project_even = _quotient_data(d, map(_sparse, gamma_q))
+    reps_even, project_even = _quotient_data(d, gamma_q)
     k_new = len(reps_odd)
     d_new = len(reps_even)
     # twisted bracket on representatives
     rep_vectors = [_dense(ker_vecs[i], k) for i in reps_odd]
-    gamma_new = [
-        [project_even(alg.bracket(rep_vectors[i], rep_vectors[j])) for j in range(k_new)]
-        for i in range(k_new)
-    ]
-    twisted = SupertranslationAlgebra(
-        f"{alg.name} twisted", k_new, d_new, gamma_new
-    )
+    entries = {(i, j): dict(enumerate(project_even(alg.bracket(rep_vectors[i], rep_vectors[j]))))
+               for i in range(k_new) for j in range(i, k_new)}
+    twisted = SupertranslationAlgebra(f"{alg.name} twisted", k_new, d_new, entries)
     return TwistResult(source=alg, q=qv, twisted=twisted)
 
 

@@ -217,16 +217,15 @@ def test_criterion_8_prolongation_1d_capped_with_oracle():
 def _random_algebra(rng: random.Random, tag: int) -> SupertranslationAlgebra:
     k = rng.randint(1, 4)
     d = rng.randint(1, 4)
-    gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
+    entries: dict = {}
     for a in range(k):
         for b in range(a, k):
             for mu in range(d):
                 if rng.random() < 0.35:
                     num = rng.choice([1, -1, 2, -2, 3])
                     den = rng.choice([1, 1, 1, 2])
-                    gamma[a][b][mu] = Fraction(num, den)
-                    gamma[b][a][mu] = Fraction(num, den)
-    return SupertranslationAlgebra(f"random-{tag}", k, d, gamma)
+                    entries.setdefault((a, b), {})[mu] = Fraction(num, den)
+    return SupertranslationAlgebra(f"random-{tag}", k, d, entries)
 
 
 def test_criterion_9_cross_oracle_random_suite():

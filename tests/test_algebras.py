@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superconf import clifford
 from superconf.algebras import (
     SupertranslationAlgebra,
     _has_invariant_metric,
@@ -17,17 +18,97 @@ from superconf.algebras import (
 from superconf.groebner import ideal_gb, krull_dim
 from superconf.linalg import sparse_kernel, sparse_rank
 from superconf.prolongation import ProlongationBrackets, tanaka_prolongation
+from superconf.rings import GradedRing
+from superconf.specfile import AlgebraSpec
+from superconf.twisting import twist
 
 
 def abelian(k, d):
-    gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
-    return SupertranslationAlgebra("abelian", k, d, gamma)
+    return SupertranslationAlgebra("abelian", k, d, {})
+
+
+def dense_gamma(alg):
+    """gamma[a][b][mu] for all a, b < k and mu < d, zeros included, read off
+    the nonzero entries of the bracket."""
+    return [[[alg.entries.get((min(a, b), max(a, b)), {}).get(mu, Fraction(0))
+              for mu in range(alg.d)] for b in range(alg.k)] for a in range(alg.k)]
 
 
 def test_gamma_symmetry_enforced():
-    bad = [[[Fraction(0)], [Fraction(1)]], [[Fraction(0)], [Fraction(0)]]]
-    with pytest.raises(ValueError):
-        SupertranslationAlgebra("bad", 2, 1, bad)
+    """A bracket is symmetric by construction: the key (b, a) with b > a,
+    which could disagree with (a, b), is rejected."""
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        SupertranslationAlgebra("bad", 2, 1, {(1, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 2): {0: 1}}, r"\(0, 2\) is not a pair"),
+    ({(-1, 0): {0: 1}}, r"\(-1, 0\) is not a pair"),
+    ({(0, 1): {1: 1}}, "even index 1"),
+    ({(0, 0): {-1: 1}}, "even index -1"),
+    ({(0, 0): {0.0: 1}}, "even index 0.0"),
+], ids=["odd index too large", "negative odd index", "mu = d", "negative mu", "float mu"])
+def test_bracket_keys_out_of_range_are_rejected(entries, message):
+    with pytest.raises(ValueError, match=message):
+        SupertranslationAlgebra("bad", 2, 1, entries)
+
+
+def test_zero_bracket_values_are_dropped():
+    alg = SupertranslationAlgebra("x", 2, 2, {(1, 1): {1: 0, 0: 3}, (0, 1): {0: Fraction(0)}})
+    assert alg.entries == {(1, 1): {0: Fraction(3)}}
+    assert all(type(v) is Fraction for row in alg.entries.values() for v in row.values())
+
+
+def test_a_spec_builds_the_same_entries_from_either_key_order():
+    lower = AlgebraSpec("x", odd_dim=2, even_dim=2, gamma={(1, 2): (1, 0), (2, 2): (0, 2)})
+    upper = AlgebraSpec("x", odd_dim=2, even_dim=2, gamma={(2, 1): (1, 0), (2, 2): (0, 2)})
+    assert lower.build().entries == upper.build().entries == {(0, 1): {0: 1}, (1, 1): {1: 2}}
+
+
+_ALG_4D = build_standard(4, 1)
+_RING = GradedRing(["x"])
+_EXACT_ENTRY_POINTS = {
+    "bracket entry": lambda v: SupertranslationAlgebra("x", 1, 1, {(0, 0): {0: v}}),
+    "is_square_zero": lambda v: is_square_zero(_ALG_4D, [v] + [0] * (_ALG_4D.k - 1)),
+    "twist": lambda v: twist(_ALG_4D, [v] + [0] * (_ALG_4D.k - 1)),
+    "GradedRing.constant": _RING.constant,
+    "ModuleElement * scalar": lambda v: _RING.variable(0) * v,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRY_POINTS))
+def test_floats_are_refused_at_the_exact_entry_points(entry):
+    """Each entry point takes ints, bools and Fractions, and raises TypeError
+    naming a float instead of storing its binary expansion as a Fraction."""
+    call = _EXACT_ENTRY_POINTS[entry]
+    for exact in (3, True, Fraction(1, 2)):
+        call(exact)
+    with pytest.raises(TypeError, match=r"got 0\.1$"):
+        call(0.1)
+
+
+def _reference_bilinears(basis, d, n):
+    """gamma[mu][a][b] by the definition: the twisted pairing of e_a against
+    the Clifford action on e_b, over all k^2 pairs per mu."""
+    mats = []
+    for mu in range(d):
+        m = {}
+        for b, sb in enumerate(basis):
+            act = clifford._clifford_action(mu, sb, n)
+            for a, sa in enumerate(basis):
+                v = act[0] * clifford._pairing(sa, act[1], n) if act else 0
+                if v:
+                    m[a, b] = v
+        mats.append(m)
+    return mats
+
+
+def test_spinor_brackets_match_the_quadratic_reference():
+    n = clifford.N_SPLIT
+    subsets = clifford._subsets(n)
+    even = [s for s in subsets if len(s) % 2 == 0]
+    assert clifford.gamma_10d_chiral() == _reference_bilinears(even, 2 * n, n)
+    assert clifford.gamma_11d() == _reference_bilinears(subsets, 2 * n + 1, n)
 
 
 def test_1d_catalog_quadric():
@@ -86,13 +167,13 @@ def test_catalog_brackets_are_pinned():
     """Every catalog bracket, entry by entry, against one SHA-256.
 
     The digest covers name, odd and even dimension and every gamma entry,
-    so it pins rows that no fixture reaches (1d N=4, 3d N=3/4, 6d N=(3,0)).
+    zeros included, so it pins rows that no fixture reaches (1d N=4, 3d N=3/4,
+    6d N=(3,0)).
     """
     table = {}
     for dim, susy in CATALOG_KEYS:
         alg = build_standard(dim, susy)
-        gamma = [[[str(x) for x in alg.gamma[a][b]] for b in range(alg.k)]
-                 for a in range(alg.k)]
+        gamma = [[[str(x) for x in vec] for vec in row] for row in dense_gamma(alg)]
         table[f"{dim} {susy}"] = [alg.name, alg.k, alg.d, gamma]
     text = json.dumps(table, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -240,18 +321,19 @@ def reference_derivations(alg):
     B gamma(e_a, e_b) = gamma(A e_a, e_b) + gamma(e_a, A e_b) for a <= b.
     """
     k, d = alg.k, alg.d
+    gamma = dense_gamma(alg)
     rows = []
     for a in range(k):
         for b in range(a, k):
             for mu in range(d):
                 row = {}
                 for c in range(k):
-                    for idx, v in ((c * k + a, alg.gamma[c][b][mu]),
-                                   (c * k + b, alg.gamma[a][c][mu])):
+                    for idx, v in ((c * k + a, gamma[c][b][mu]),
+                                   (c * k + b, gamma[a][c][mu])):
                         row[idx] = row.get(idx, 0) + v
                 for nu in range(d):
                     idx = k * k + mu * d + nu
-                    row[idx] = row.get(idx, 0) - alg.gamma[a][b][nu]
+                    row[idx] = row.get(idx, 0) - gamma[a][b][nu]
                 rows.append({i: v for i, v in row.items() if v})
     return sparse_kernel(rows, k * k + d * d)
 
@@ -289,12 +371,12 @@ def test_layer_zero_spans_the_reference_derivations(key):
 def symmetric_brackets(draw):
     k = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
-    gamma = [[None] * k for _ in range(k)]
+    entries = {}
     for a in range(k):
         for b in range(a, k):
-            gamma[a][b] = gamma[b][a] = draw(
-                st.lists(st.integers(-2, 2), min_size=d, max_size=d))
-    return SupertranslationAlgebra("drawn", k, d, gamma)
+            entries[a, b] = dict(enumerate(draw(
+                st.lists(st.integers(-2, 2), min_size=d, max_size=d))))
+    return SupertranslationAlgebra("drawn", k, d, entries)
 
 
 @given(symmetric_brackets())

@@ -728,3 +728,35 @@ def test_twist_analyses_payload(capsys, tmp_path):
         "kaehler": {"betti": [[0, 2, 1]], "table": [[2, -2, 1]]},
         "variety": {"gb_size": 0, "hilbert_numerator": [[0, 1]]},
     }
+
+
+class _Descriptor(BaseException):
+    """Carries a command's cache descriptor out of `main`, past its handlers."""
+
+
+@pytest.mark.parametrize("dimension, susy, variety_key, conf_key", [
+    (4, "N=1", "a5a38907ea56c329c72fe218d9566f4fce45db08041b1f14a43fce12c23a93e6",
+     "1e124678fd9d3db677903494a3d3f2ef61c469f561a7f11f2d63ac33634835c2"),
+    (6, "N=(2,0)", "cd5cffccc0d1f2f0c975058b522b9cdba84f245120e99de66f346e08f387666f",
+     "dac37d750bbb35bc21ae8f788e53558b58e4d2f2893aeb6d83842a624523f9f1"),
+    (11, "N=1", "73e47216e072692cff2deed712520566c5558c4442ed7ef8e9f45bf82b64beee",
+     "f863786653368d1a71450557f3349106d8400f800f945726f7a5fba3c1ec597d"),
+])
+def test_cache_keys_are_pinned(monkeypatch, tmp_path, dimension, susy, variety_key, conf_key):
+    """The `variety` and `multiplet conf` cache keys of three catalog rows, as
+    the dense bracket table gave them, so entries written by it still hit."""
+    import superconf.cli
+
+    def capture(cache_dir, descriptor, compute, verify=False):
+        raise _Descriptor(cache_key(descriptor))
+
+    monkeypatch.setattr(superconf.cli.cache_mod, "cached", capture)
+    path = tmp_path / "alg.spec"
+    path.write_text(f'algebra "a" {{ standard {{ dimension = {dimension}; '
+                    f'supersymmetry = "{susy}"; }} }}', encoding="utf-8")
+    keys = []
+    for argv in (["variety", str(path)], ["multiplet", "conf", str(path)]):
+        with pytest.raises(_Descriptor) as caught:
+            main(argv)
+        keys.append(caught.value.args[0])
+    assert keys == [variety_key, conf_key]

@@ -43,6 +43,11 @@ One monomial order: grevlex is the only ring order, so no `MonomialOrder`
 name, attribute, class or import and no "lex" string constant appears in the
 package; docstrings are not scanned.
 
+One bracket format: an algebra stores its bracket by the nonzero entries,
+so no triple subscript of a `.gamma` attribute (`alg.gamma[a][b][mu]`, the
+dense table) and no `_zeros` name, attribute, definition or import (its
+builder) appears in the package or the tests.
+
 No dead local: a name that a function of the package or of the tests
 assigns (an `ast.Name` store, tuple targets included) is loaded somewhere in
 that function, nested functions included.  Names that start with `_` are exempt, so an unused half
@@ -414,6 +419,41 @@ def test_grevlex_is_the_one_monomial_order():
         f"{path.name}:{line}"
         for path in PACKAGE
         for line in order_kinds(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def dense_brackets(source: str) -> list[int]:
+    """Lines of each `.gamma[...][...][...]` and of each `_zeros` name,
+    attribute, definition or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        inner = node
+        for _ in range(3):
+            inner = inner.value if isinstance(inner, ast.Subscript) else None
+        if (isinstance(inner, ast.Attribute) and inner.attr == "gamma"
+                or isinstance(node, ast.Name) and node.id == "_zeros"
+                or isinstance(node, ast.Attribute) and node.attr == "_zeros"
+                or isinstance(node, (ast.FunctionDef, ast.alias)) and node.name == "_zeros"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scan_finds_dense_brackets():
+    source = (
+        "from .algebras import _zeros\n"
+        "def _zeros(k, d):\n    return []\n"
+        "g = alg.gamma[a][b][mu] + algebras._zeros(1, 1)\n"
+        "row = alg.gamma[a][b]\nv = gamma[a][b][mu]\nw = alg.entries[a, b][mu]\n"
+    )
+    assert dense_brackets(source) == [1, 2, 4, 4]
+
+
+def test_the_bracket_is_stored_by_its_nonzero_entries():
+    found = [
+        f"{path.name}:{line}"
+        for path in PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+        for line in dense_brackets(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 

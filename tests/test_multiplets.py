@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from superconf.algebras import SupertranslationAlgebra, build_standard
@@ -22,8 +20,7 @@ from superconf.resolutions import (
 
 
 def abelian(k, d):
-    gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
-    return SupertranslationAlgebra("abelian", k, d, gamma)
+    return SupertranslationAlgebra("abelian", k, d, {})
 
 
 def test_conf_1d_n2_is_residue_field():

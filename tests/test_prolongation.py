@@ -19,8 +19,7 @@ from superconf.prolongation import (
 
 
 def abelian(k, d):
-    gamma = [[[Fraction(0)] * d for _ in range(k)] for _ in range(k)]
-    return SupertranslationAlgebra("abelian", k, d, gamma)
+    return SupertranslationAlgebra("abelian", k, d, {})
 
 
 def nonzero(vec):
@@ -200,8 +199,7 @@ def full_solve(alg, cap):
 
 def with_extra_even_direction(alg):
     """The same bracket into one more even direction, which it misses."""
-    gamma = [[list(alg.gamma[a][b]) + [0] for b in range(alg.k)] for a in range(alg.k)]
-    return SupertranslationAlgebra(alg.name + "+v", alg.k, alg.d + 1, gamma)
+    return SupertranslationAlgebra(alg.name + "+v", alg.k, alg.d + 1, alg.entries)
 
 
 @pytest.mark.parametrize("alg, cap, solved", [

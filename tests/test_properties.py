@@ -331,14 +331,14 @@ def _fraction_bracket(seed: int) -> SupertranslationAlgebra:
     rng = random.Random(seed)
     k, d = rng.randint(1, 4), rng.randint(1, 3)
     entries = [0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
-    gamma = [[None] * k for _ in range(k)]
+    gamma = {}
     for a in range(k):
         for b in range(a, k):
-            gamma[a][b] = gamma[b][a] = [rng.choice(entries) for _ in range(d)]
+            gamma[a, b] = [rng.choice(entries) for _ in range(d)]
     a, b = sorted(rng.sample(range(k), 2)) if k > 1 else (0, 0)
-    gamma[a][b][rng.randrange(d)] = Fraction(1, 2)
-    gamma[b][a] = gamma[a][b]
-    return SupertranslationAlgebra(f"fraction-{seed}", k, d, gamma)
+    gamma[a, b][rng.randrange(d)] = Fraction(1, 2)
+    return SupertranslationAlgebra(f"fraction-{seed}", k, d,
+                                   {key: dict(enumerate(vec)) for key, vec in gamma.items()})
 
 
 def _scattered_layer_rows(alg, layers: dict, m: int) -> tuple[list, list]:
@@ -363,8 +363,8 @@ def _scattered_layer_rows(alg, layers: dict, m: int) -> tuple[list, list]:
                     row[col] = row.get(col, 0) + sign * v
 
             if h < k:
-                for mu, v in enumerate(alg.gamma[g][h]):
-                    for p in range(layers[m - 2].dim if v else 0):
+                for mu, v in alg.entries.get((g, h), {}).items():
+                    for p in range(layers[m - 2].dim):
                         scatter(offsets[k + mu] + p, {p: v}, -1)
             for s, t, sign in ((g, h, 1), (h, g, 1 if h < k else -1)):
                 for p, y in enumerate(layers[m - degree[s]].act):
@@ -392,14 +392,12 @@ def _torus(alg) -> list[list]:
     even mu at k + mu, with w_a + w_b = w_mu wherever gamma_ab^mu != 0."""
     k, d = alg.k, alg.d
     rows = []
-    for a in range(k):
-        for b in range(a, k):
-            for mu, g in enumerate(alg.gamma[a][b]):
-                if g:
-                    row = {k + mu: -1}
-                    row[a] = row.get(a, 0) + 1
-                    row[b] = row.get(b, 0) + 1
-                    rows.append(row)
+    for (a, b), vec in alg.entries.items():
+        for mu in vec:
+            row = {k + mu: -1}
+            row[a] = row.get(a, 0) + 1
+            row[b] = row.get(b, 0) + 1
+            rows.append(row)
     return [[w.get(i, 0) for i in range(k + d)] for w in sparse_kernel(rows, k + d)]
 
 

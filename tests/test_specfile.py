@@ -70,7 +70,7 @@ def test_round_trip():
 def test_rationals_in_gamma():
     text = 'algebra "half" { odd_dim = 1; even_dim = 1; gamma { (1,1) -> [1/2]; } }'
     alg = parse_spec(text).build()
-    assert alg.gamma[0][0][0] == Fraction(1, 2)
+    assert alg.entries == {(0, 0): {0: Fraction(1, 2)}}
 
 
 @pytest.mark.parametrize("text, message", [

@@ -137,13 +137,13 @@ def _change_basis(alg, seed):
                 for i in range(n)]
 
     p, q = unitriangular(alg.k), unitriangular(alg.d)
-    gamma = [[None] * alg.k for _ in range(alg.k)]
+    entries = {}
     for a in range(alg.k):
         for b in range(a, alg.k):
             v = alg.bracket(p[a], p[b])
-            gamma[a][b] = gamma[b][a] = [sum(q[mu][nu] * v[nu] for nu in range(alg.d))
-                                         for mu in range(alg.d)]
-    return SupertranslationAlgebra(f"{alg.name} rebased", alg.k, alg.d, gamma), p
+            entries[a, b] = {mu: sum(q[mu][nu] * v[nu] for nu in range(alg.d))
+                             for mu in range(alg.d)}
+    return SupertranslationAlgebra(f"{alg.name} rebased", alg.k, alg.d, entries), p
 
 
 @pytest.mark.parametrize("dimension, susy, name", [
