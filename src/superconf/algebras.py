@@ -58,12 +58,12 @@ class SupertranslationAlgebra:
         self.k = odd_dim
         self.d = even_dim
         table = {}
-        for (a, b), row in sorted(entries.items()):
+        for (a, b), row in entries.items():
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a <= b < odd_dim):
                 raise ValueError(f"bracket key ({a!r}, {b!r}) is not a pair a <= b of ints"
                                  f" in range({odd_dim})")
             values = {}
-            for mu, v in sorted(row.items()):
+            for mu, v in row.items():
                 if not (isinstance(mu, int) and 0 <= mu < even_dim):
                     raise ValueError(f"even index {mu!r} of bracket key ({a}, {b}) is not"
                                      f" an int in range({even_dim})")
@@ -71,8 +71,9 @@ class SupertranslationAlgebra:
                 if v:
                     values[mu] = v
             if values:
-                table[a, b] = values
-        self.entries = table
+                table[a, b] = dict(sorted(values.items()))
+        # sorted only after every index is checked, so a stray type is a ValueError
+        self.entries = dict(sorted(table.items()))
         # (dimension, susy tuple) when the algebra is a catalog entry
         self.catalog_key: tuple | None = None
         self._ring: GradedRing | None = None

@@ -47,7 +47,10 @@ def test_gamma_symmetry_enforced():
     ({(0, 1): {1: 1}}, "even index 1"),
     ({(0, 0): {-1: 1}}, "even index -1"),
     ({(0, 0): {0.0: 1}}, "even index 0.0"),
-], ids=["odd index too large", "negative odd index", "mu = d", "negative mu", "float mu"])
+    ({(0, 0): {0: 1, "0": 1}}, "even index '0'"),
+    ({(0, 0): {0: 1}, (0, "1"): {0: 1}}, r"\(0, '1'\) is not a pair"),
+], ids=["odd index too large", "negative odd index", "mu = d", "negative mu", "float mu",
+        "str mu beside an int", "str odd index beside an int"])
 def test_bracket_keys_out_of_range_are_rejected(entries, message):
     with pytest.raises(ValueError, match=message):
         SupertranslationAlgebra("bad", 2, 1, entries)
