@@ -29,6 +29,7 @@ Conventions fixed here once and for all:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, combinations_with_replacement, product
@@ -36,6 +37,7 @@ from typing import Sequence
 
 from . import clifford
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
+from .resolutions import PresentedModule
 from .rings import GradedRing, ModuleElement, rational
 
 _F0 = Fraction(0)
@@ -78,6 +80,7 @@ class SupertranslationAlgebra:
         self.catalog_key: tuple | None = None
         self._ring: GradedRing | None = None
         self._quadrics: list[ModuleElement] | None = None
+        self._coordinate_ring: PresentedModule | None = None
 
     def __repr__(self):
         return f"SupertranslationAlgebra({self.name}: {self.d}|{self.k})"
@@ -109,6 +112,15 @@ class SupertranslationAlgebra:
                     polys[mu][t] = c if a == b else 2 * c
             self._quadrics = [ring.element(terms) for terms in polys]
         return self._quadrics
+
+    def coordinate_ring(self) -> PresentedModule:
+        """R/I, the coordinate ring of the nilpotence variety: one generator in
+        degree zero, presented by the nonzero quadrics in order.  Its lazy
+        `relation_gb()` is the one reduced basis of I that every reader shares."""
+        if self._coordinate_ring is None:
+            rels = [q for q in self.quadrics() if not q.is_zero()]
+            self._coordinate_ring = PresentedModule(self.ring(), [0], rels)
+        return self._coordinate_ring
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +222,11 @@ def _parse_susy(susy) -> tuple:
             return tuple(int(p) for p in parts)
         except ValueError:
             return ()
-    if isinstance(susy, int):
-        return (susy,)
-    return tuple(int(x) for x in susy)
+    counts = (susy,) if isinstance(susy, int) else susy
+    # an int or a list of them; a float or a bool is no count, not one to truncate
+    if isinstance(counts, (tuple, list)) and all(type(n) is int for n in counts):
+        return tuple(counts)
+    return ()
 
 
 def build_standard(dimension: int, susy) -> SupertranslationAlgebra:
@@ -562,16 +576,20 @@ def _has_invariant_metric(sols: list[dict[int, Fraction]], d: int) -> bool:
     <= d, so iff it vanishes at the lattice points t in N^s with sum t_i = d
     (the principal lattice of a simplex is unisolvent for that degree).  Each
     such point is a multiset of d basis indices, C(s + d - 1, d) of them,
-    where the full grid {0, ..., d}^s would have (d + 1)^s.
+    where the full grid {0, ..., d}^s would have (d + 1)^s; its form is
+    sum m_i h_i over the multiplicities m_i of the multiset.
     """
+    cells = [(r, c) for r in range(d) for c in range(r, d)]  # the _sym2_index layout
     for picks in combinations_with_replacement(range(len(sols)), d):
+        form: dict[int, Fraction] = {}
+        for i, m in Counter(picks).items():
+            for key, v in sols[i].items():
+                form[key] = form.get(key, 0) + m * v
         h: list[dict[int, Fraction]] = [{} for _ in range(d)]
-        for r in range(d):
-            for c in range(r, d):
-                key = _sym2_index(r, c, d)
-                v = sum(sols[i].get(key, _F0) for i in picks)
-                if v:
-                    h[r][c] = h[c][r] = v
+        for key, v in form.items():
+            if v:
+                r, c = cells[key]
+                h[r][c] = h[c][r] = v
         if sparse_rank(h) == d:
             return True
     return False

@@ -19,7 +19,7 @@ from . import cache as cache_mod
 from .algebras import check_conformal_type, derivations_deg0
 from .fixtures import FIXTURES, sorted_rows, verify
 from .groebner import StepBudgetExceeded, hilbert_series, krull_dim
-from .multiplets import canonical_module, component_fields, hdim, multiplet_module
+from .multiplets import component_fields, hdim, multiplet_module
 from .prolongation import tanaka_prolongation
 from .resolutions import VerificationFailed, is_gorenstein, koszul_tor, minimal_free_resolution
 from .specfile import SpecError, _parse_q, _render_q, parse_spec
@@ -83,7 +83,7 @@ def cmd_info(args) -> int:
             "has_invariant_metric": report.has_invariant_metric,
             "conformal": report.conformal,
         },
-        "ideal_generators": sorted(str(q) for q in alg.quadrics() if not q.is_zero()),
+        "ideal_generators": sorted(str(q) for q in alg.coordinate_ring().relations),
     }
 
     def text(p):
@@ -112,7 +112,7 @@ def cmd_variety(args) -> int:
     }
 
     def compute():
-        pm = canonical_module(alg).module
+        pm = alg.coordinate_ring()
         gb = pm.relation_gb()
         hs = hilbert_series(gb)
         dim_y = krull_dim(gb)
@@ -121,7 +121,7 @@ def cmd_variety(args) -> int:
             "groebner_basis": sorted(str(p) for p in gb.elements),
             "hilbert_numerator": [[d, c] for d, c in sorted(hs.numerator.items())],
             "dim_variety": dim_y,
-            "hdim": alg.d - alg.k + dim_y,
+            "hdim": hdim(alg),
             "cohen_macaulay": cm,
             "gorenstein": gor,
         }
@@ -238,9 +238,7 @@ def cmd_twist(args) -> int:
         "twisted": {
             "odd_dim": res.twisted.k,
             "even_dim": res.twisted.d,
-            "ideal_generators": sorted(
-                str(p) for p in res.twisted.quadrics() if not p.is_zero()
-            ),
+            "ideal_generators": sorted(str(p) for p in res.twisted.coordinate_ring().relations),
         },
         "hdim_source": report.hdim_source,
         "hdim_twisted": report.hdim_twisted,

@@ -224,7 +224,7 @@ def run_fixture(case: FixtureCase) -> FixtureOutcome:
     elif kind == "twist_segre":
         q = catalog_twist_vector(alg, case.options["vector"])
         res = twist(alg, q)
-        tw_gb = ideal_gb(res.twisted.ring(), res.twisted.quadrics())
+        tw_gb = res.twisted.coordinate_ring().relation_gb()
         ring = GradedRing([f"x{i}" for i in range(6)])
         x = [ring.variable(i) for i in range(6)]
         minors = [

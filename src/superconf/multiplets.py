@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import SupertranslationAlgebra, derivations_deg0, jacobian
-from .groebner import ideal_gb, krull_dim, syzygy_module
+from .groebner import krull_dim, syzygy_module
 from .resolutions import (
     BettiTable,
     PresentedModule,
@@ -77,9 +77,7 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
         )
         if not elt.is_zero():
             rels.append(elt)
-    for q in alg.quadrics():
-        if q.is_zero():
-            continue
+    for q in alg.coordinate_ring().relations:
         for nu in range(d):
             rels.append(free.gen(nu) * q)
     pm = PresentedModule(ring, [0] * d, rels)
@@ -87,9 +85,9 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
 
 
 def canonical_module(alg: SupertranslationAlgebra) -> MultipletModule:
-    """The structure sheaf of the nilpotence variety as a multiplet."""
-    rels = [q for q in alg.quadrics() if not q.is_zero()]
-    return MultipletModule(PresentedModule(alg.ring(), [0], rels))
+    """The structure sheaf of the nilpotence variety as a multiplet: the
+    algebra's own R/I, so it shares the one basis of I."""
+    return MultipletModule(alg.coordinate_ring())
 
 
 def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
@@ -104,15 +102,15 @@ def kaehler_module(alg: SupertranslationAlgebra) -> MultipletModule:
     map fails to inject this is strictly smaller than the literal kernel of
     the transposed Jacobian on quotient coefficients.  The relations are
     found modulo I times the ambient module, whose reduced basis GB(I)·e_mu
-    comes from the ideal's basis with no S-pair of its own.
+    comes from the algebra's basis of I with no S-pair of its own.
     """
     ring = alg.ring()
     d = alg.d
-    quadrics_all = alg.quadrics()
-    quadrics = [q for q in quadrics_all if not q.is_zero()]
+    quadrics = alg.quadrics()
     v_dual = FreeModule(ring, [2] * d)
-    kernel_gens = _koszul_cycles(ring, quadrics_all, 1, [2] * d) if quadrics_all else []
-    modulo = [v_dual.gen(mu) * g for g in ideal_gb(ring, quadrics).elements for mu in range(d)]
+    kernel_gens = _koszul_cycles(ring, quadrics, 1, [2] * d) if quadrics else []
+    gb = alg.coordinate_ring().relation_gb()
+    modulo = [v_dual.gen(mu) * g for g in gb.elements for mu in range(d)]
     return _subquotient(ring, kernel_gens, [], modulo)
 
 
@@ -170,8 +168,7 @@ def hdim(alg: SupertranslationAlgebra, cross_check: bool = False) -> int:
     """Homological dimension d - k + dim Y, optionally cross-checked against
     the top nonvanishing Koszul homology of the quadric sequence; a mismatch
     raises `VerificationFailed`."""
-    gb = ideal_gb(alg.ring(), [q for q in alg.quadrics() if not q.is_zero()])
-    dim_y = krull_dim(gb)
+    dim_y = krull_dim(alg.coordinate_ring().relation_gb())
     value = alg.d - alg.k + dim_y
     if cross_check:
         ring = alg.ring()

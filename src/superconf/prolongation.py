@@ -29,7 +29,7 @@ from .algebras import (
     derivations_deg0,
     jacobian,
 )
-from .groebner import ideal_gb, standard_monomials
+from .groebner import standard_monomials
 from .linalg import SpanSolver, sparse_kernel, sparse_rank
 from .rings import ModuleElement
 
@@ -213,7 +213,7 @@ class _Sheaf:
     def __init__(self, alg: SupertranslationAlgebra):
         self.alg = alg
         self.ring = alg.ring()
-        self.gb = ideal_gb(self.ring, [q for q in alg.quadrics() if not q.is_zero()])
+        self.gb = alg.coordinate_ring().relation_gb()
         self._nf_cache: dict = {}
 
     def reduce_lambda(self, mon) -> dict:

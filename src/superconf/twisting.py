@@ -18,7 +18,7 @@ from .algebras import (
     derivations_deg0,
     is_square_zero,
 )
-from .groebner import hilbert_series, ideal_gb
+from .groebner import hilbert_series
 from .linalg import SpanSolver, _reduce_by_leads, rref, sparse_kernel
 from .multiplets import component_fields, hdim, multiplet_module
 from .rings import rational
@@ -105,65 +105,38 @@ def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
 
 
 def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fraction]:
-    """Named square-zero elements for the standard algebras.
+    """Named square-zero elements for the standard algebras, as slots that hold 1.
 
-    'holomorphic' is the minimal rank-one element built from highest-weight
-    vectors; 'maximal' picks a point on a stratum of maximal dimension (the
-    Kapustin-type combination in four dimensions, rank-two combinations in
-    six/ten/eleven).  All vectors are verified square-zero on return; a row
+    'holomorphic' (or 'minimal') is slot 0, a rank-one highest-weight element,
+    in dimensions 3, 4, 6 and 10.  The maximal names pick a point on a stratum
+    of maximal dimension: in four dimensions with N = n, chiral copy 0 plus
+    antichiral copy 1 (slots 0 and 2n + 2) on 4d N=2, and under 'kapustin'
+    for every n > 1; the Kapustin-Witten slots 0, 3, 2n + 4, 2n + 7 on 4d
+    N=4; two orthogonal spinor copies on 6d and 10d N=(2,0); slot 0 in three
+    and eleven dimensions.  Every vector is verified square-zero; a row
     without one (3d N=1 has no nonzero square-zero element) raises
-    ValueError.  Dispatch is on the algebra's catalog key, not on its
-    display name.
+    ValueError.  Dispatch is on the catalog key, not on the display name.
     """
-    label = alg.name
     key = alg.catalog_key
     dim = key[0] if key else None
-    k = alg.k
-    q = [_F0] * k
-
-    def set_one(idx):
-        q[idx] = _F1
-
+    n = alg.k // 4
     if name in ("holomorphic", "minimal"):
-        if dim == 3:
-            # u (x) v with v the first hyperbolic basis vector: flat index i*2+a
-            set_one(0)
-        elif dim == 4:
-            set_one(0)  # chiral highest weight: first chiral slot
-        elif dim == 6:
-            set_one(0)  # u (x) first symplectic basis vector
-        elif dim == 10:
-            set_one(0)  # scalar component of the even exterior algebra
-        else:
-            raise ValueError(f"no {name} twist vector cataloged for {label}")
+        slots = [0] if dim in (3, 4, 6, 10) else None
     elif name in ("kapustin", "maximal", "nonminimal", "kapustin_witten"):
-        if key == (4, (2,)) or (dim == 4 and name == "kapustin" and 2 * (k // 4) + 2 < k):
-            # rank-one chiral plus a compatible antichiral: maximal stratum;
-            # 4d N=1 has no antichiral copy 1
-            set_one(0)  # e_+ (x) v1  (chiral block, copy 0)
-            n = alg.k // 4
-            set_one(2 * n + 2 + 0)  # e_- (x) v2^dual (antichiral block, copy 1)
+        if dim == 4 and (n == 2 or name == "kapustin" and n > 1):
+            slots = [0, 2 * n + 2]
         elif key == (4, (4,)) and name in ("kapustin_witten", "maximal"):
-            n = 4
-            set_one(0)  # e_+ (x) v1
-            set_one(2 + 1)  # f_+ (x) v2
-            set_one(2 * n + 2 * 2)  # e_- (x) v3^dual
-            set_one(2 * n + 2 * 3 + 1)  # f_- (x) v4^dual
-        elif key == (6, (2, 0)):
-            set_one(0)  # u (x) v1
-            set_one(2 * 4 + 1)  # second spinor direction, omega-orthogonal copy
-        elif key == (10, (2, 0)):
-            set_one(0)  # scalar spinor (x) first hyperbolic vector
-            # a generic second spinor in the other isotropic copy, orthogonal to the first
-            q[16 + 1] = _F1
-        elif dim in (11, 3):
-            set_one(0)
+            slots = [0, 3, 2 * n + 4, 2 * n + 7]
         else:
-            raise ValueError(f"no {name} twist vector cataloged for {label}")
+            slots = {(6, (2, 0)): [0, 9], (10, (2, 0)): [0, 17]}.get(
+                key, [0] if dim in (3, 11) else None)
     else:
         raise ValueError(f"unknown twist name {name!r}")
-    if not is_square_zero(alg, q):
-        raise ValueError(f"no {name} twist vector cataloged for {label}")
+    q = [_F0] * alg.k
+    for i in slots or ():
+        q[i] = _F1
+    if slots is None or not is_square_zero(alg, q):
+        raise ValueError(f"no {name} twist vector cataloged for {alg.name}")
     return q
 
 
@@ -200,7 +173,7 @@ def twist_pipeline(
                 "table": component_fields(mod, betti),
             }
         elif target == "variety":
-            gb = ideal_gb(result.twisted.ring(), result.twisted.quadrics())
+            gb = result.twisted.coordinate_ring().relation_gb()
             analyses[target] = {"hilbert": hilbert_series(gb), "gb_size": len(gb)}
         elif target == "conformal_type":
             analyses[target] = check_conformal_type(result.twisted)

@@ -68,6 +68,29 @@ def test_a_spec_builds_the_same_entries_from_either_key_order():
     assert lower.build().entries == upper.build().entries == {(0, 1): {0: 1}, (1, 1): {1: 2}}
 
 
+@pytest.mark.parametrize("dimension, susy, name", [
+    (4, 1, "4d N=1"),
+    (4, "N=1", "4d N=1"),
+    (6, (1, 0), "6d N=(1,0)"),
+    (6, "N=(2,0)", "6d N=(2,0)"),
+    (4, [2], "4d N=2"),
+    (4, (1.9,), None),
+    (6, [2.0], None),
+    (4, 1.5, None),
+    (4, True, None),
+    (4, (True,), None),
+    (4, None, None),
+], ids=str)
+def test_supersymmetry_is_an_int_or_a_sequence_of_ints(dimension, susy, name):
+    """A float or a bool is no supersymmetry count: it is an unsupported
+    catalog key, not truncated to an int or read as 1."""
+    if name is None:
+        with pytest.raises(ValueError, match="unsupported catalog key"):
+            build_standard(dimension, susy)
+    else:
+        assert build_standard(dimension, susy).name == name
+
+
 _ALG_4D = build_standard(4, 1)
 _RING = GradedRing(["x"])
 _EXACT_ENTRY_POINTS = {

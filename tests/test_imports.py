@@ -48,6 +48,12 @@ so no triple subscript of a `.gamma` attribute (`alg.gamma[a][b][mu]`, the
 dense table) and no `_zeros` name, attribute, definition or import (its
 builder) appears in the package or the tests.
 
+One owner for the nilpotence ideal: `SupertranslationAlgebra.coordinate_ring`
+presents I by the nonzero quadrics, so no other package file filters
+`.quadrics()` by `.is_zero()`, in a comprehension condition or in an
+`if ...: continue` of a `for` loop, over the call itself or over a name
+assigned from it in the same file.
+
 No dead local: a name that a function of the package or of the tests
 assigns (an `ast.Name` store, tuple targets included) is loaded somewhere in
 that function, nested functions included.  Names that start with `_` are exempt, so an unused half
@@ -485,5 +491,55 @@ def test_no_dead_locals():
         f"{path.name}: {fn}.{name}"
         for path in PACKAGE + sorted((ROOT / "tests").glob("*.py"))
         for fn, name in dead_locals(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def quadric_filters(source: str) -> list[int]:
+    """Lines of each comprehension or `for` loop over `.quadrics()`, or over a
+    name assigned from it, that filters by `.is_zero()`: a comprehension
+    condition, or an `if` that `continue`s in the loop body."""
+    tree = ast.parse(source)
+
+    def calls(node, name):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == name for n in ast.walk(node))
+
+    bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and calls(node.value, "quadrics")
+             for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.comprehension):
+            tests = node.ifs
+        elif isinstance(node, ast.For):
+            tests = [s.test for s in node.body if isinstance(s, ast.If)
+                     and any(isinstance(c, ast.Continue) for c in s.body)]
+        else:
+            continue
+        over = node.iter
+        if ((calls(over, "quadrics") or isinstance(over, ast.Name) and over.id in bound)
+                and any(calls(t, "is_zero") for t in tests)):
+            found.append(over.lineno)
+    return sorted(found)
+
+
+def test_scan_finds_quadric_filters():
+    source = (
+        "rels = [q for q in alg.quadrics() if not q.is_zero()]\n"
+        "for q in self.quadrics():\n    if q.is_zero():\n        continue\n    use(q)\n"
+        "quadrics = alg.quadrics()\nnz = [q for q in quadrics if not q.is_zero()]\n"
+        "ok = [q for q in alg.quadrics() if q.degree() == 2]\n"
+        "for q in alg.quadrics():\n    if q.is_zero():\n        break\n"
+        "cols = [c for c in columns if not c.is_zero()]\n"
+    )
+    assert quadric_filters(source) == [1, 2, 7]
+
+
+def test_one_owner_presents_the_nilpotence_ideal():
+    found = [
+        f"{path.name}:{line}"
+        for path in PACKAGE if path.name != "algebras.py"
+        for line in quadric_filters(path.read_text(encoding="utf-8"))
     ]
     assert found == []

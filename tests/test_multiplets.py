@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from superconf import groebner, resolutions
 from superconf.algebras import SupertranslationAlgebra, build_standard
+from superconf.groebner import ideal_gb
 from superconf.multiplets import (
     canonical_module,
     component_fields,
@@ -17,6 +22,7 @@ from superconf.resolutions import (
     minimal_free_resolution,
     syzygetic_defect,
 )
+from superconf.twisting import catalog_twist_vector, twist_pipeline
 
 
 def abelian(k, d):
@@ -163,3 +169,53 @@ def test_conf_module_annihilated_by_ideal():
         for c in range(m.module.free.rank):
             elt = m.module.free.gen(c) * q
             assert gb.normal_form(elt).is_zero()
+
+
+def test_canonical_module_is_the_algebras_coordinate_ring():
+    alg = build_standard(3, 2)
+    assert canonical_module(alg).module is alg.coordinate_ring()
+    assert alg.coordinate_ring().relations == [q for q in alg.quadrics() if not q.is_zero()]
+
+
+def test_one_basis_of_the_ideal_per_algebra(monkeypatch):
+    """Every reader of I shares the coordinate ring's basis: one rank-one
+    Buchberger run for the source algebra and one for the twisted one."""
+    runs = []
+
+    def counted(real):
+        def wrapper(gens, *args, **kwargs):
+            if gens[0].module.rank == 1:
+                runs.append(gens[0].module.ring)
+            return real(gens, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groebner, "buchberger", counted(groebner.buchberger))
+    monkeypatch.setattr(resolutions, "buchberger", counted(resolutions.buchberger))
+    alg = build_standard(4, 2)
+    hdim(alg)
+    kaehler_module(alg)
+    conf_module(alg)
+    canonical_module(alg).module.relation_gb()
+    report = twist_pipeline(alg, catalog_twist_vector(alg, "holomorphic"), ("variety",))
+    assert runs == [alg.ring(), report.result.twisted.ring()]
+
+
+def _random_bracket(rng: random.Random, tag: int) -> SupertranslationAlgebra:
+    k, d = rng.randint(1, 5), rng.randint(1, 4)
+    entries = {(a, b): {mu: Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+                        for mu in range(d) if rng.random() < 0.35}
+               for a in range(k) for b in range(a, k)}
+    return SupertranslationAlgebra(f"random-{tag}", k, d, entries)
+
+
+_FAST_ROWS = [(1, 2), (2, (1, 1)), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
+              (6, (1, 0)), (6, (2, 0)), (10, (1, 0))]
+
+
+@pytest.mark.parametrize("alg", [build_standard(*key) for key in _FAST_ROWS]
+                         + [_random_bracket(random.Random(31), i) for i in range(12)],
+                         ids=lambda alg: alg.name)
+def test_the_coordinate_ring_basis_is_the_ideal_basis(alg):
+    nonzero = [q for q in alg.quadrics() if not q.is_zero()]
+    assert (alg.coordinate_ring().relation_gb().elements
+            == ideal_gb(alg.ring(), nonzero).elements)

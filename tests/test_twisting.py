@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,46 @@ def test_twist_after_a_change_of_basis(dimension, susy, name):
         return hilbert_series(ideal_gb(twisted.ring(), twisted.quadrics())).numerator
 
     assert numerator(got) == numerator(expected)
+
+
+TWIST_NAMES = ("holomorphic", "minimal", "kapustin", "maximal", "nonminimal", "kapustin_witten")
+# catalog key -> the slots holding 1 for each name of TWIST_NAMES, None where
+# no vector is cataloged; recorded from the branch-by-branch dispatch
+_NONE = (None,) * 6
+_TWIST_SLOTS = {
+    (1, 1): _NONE,
+    (1, 2): _NONE,
+    (2, (1, 1)): _NONE,
+    (2, (2, 0)): _NONE,
+    (3, 1): _NONE,
+    (3, 2): ([0],) * 6,
+    (3, 3): ([0],) * 6,
+    (4, 1): ([0], [0], None, None, None, None),
+    (4, 2): ([0], [0]) + ([0, 6],) * 4,
+    (4, 3): ([0], [0], [0, 8], None, None, None),
+    (4, 4): ([0], [0], [0, 10], [0, 3, 12, 15], None, [0, 3, 12, 15]),
+    (4, 5): ([0], [0], [0, 12], None, None, None),
+    (6, (1, 0)): ([0], [0], None, None, None, None),
+    (6, (2, 0)): ([0], [0]) + ([0, 9],) * 4,
+    (6, (3, 0)): ([0], [0], None, None, None, None),
+    (10, (1, 0)): ([0], [0], None, None, None, None),
+    (10, (2, 0)): ([0], [0]) + ([0, 17],) * 4,
+    (11, 1): (None, None) + ([0],) * 4,
+}
+
+
+@pytest.mark.parametrize("name", TWIST_NAMES + ("bogus",))
+@pytest.mark.parametrize("key", list(_TWIST_SLOTS), ids=str)
+def test_catalog_twist_vectors_are_pinned(key, name):
+    alg = build_standard(*key)
+    if name == "bogus":
+        with pytest.raises(ValueError, match="^unknown twist name 'bogus'$"):
+            catalog_twist_vector(alg, name)
+        return
+    slots = _TWIST_SLOTS[key][TWIST_NAMES.index(name)]
+    if slots is None:
+        message = f"^no {name} twist vector cataloged for {re.escape(alg.name)}$"
+        with pytest.raises(ValueError, match=message):
+            catalog_twist_vector(alg, name)
+    else:
+        assert catalog_twist_vector(alg, name) == [Fraction(int(i in slots)) for i in range(alg.k)]
