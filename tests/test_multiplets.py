@@ -200,12 +200,17 @@ def test_one_basis_of_the_ideal_per_algebra(monkeypatch):
     assert runs == [alg.ring(), report.result.twisted.ring()]
 
 
-def _random_bracket(rng: random.Random, tag: int) -> SupertranslationAlgebra:
-    k, d = rng.randint(1, 5), rng.randint(1, 4)
-    entries = {(a, b): {mu: Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
-                        for mu in range(d) if rng.random() < 0.35}
-               for a in range(k) for b in range(a, k)}
-    return SupertranslationAlgebra(f"random-{tag}", k, d, entries)
+def _random_brackets(seed: int, n: int) -> list[SupertranslationAlgebra]:
+    """n brackets with k <= 5 and d <= 4, about a third of the entries nonzero."""
+    rng = random.Random(seed)
+    algs = []
+    for tag in range(n):
+        k, d = rng.randint(1, 5), rng.randint(1, 4)
+        entries = {(a, b): {mu: Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+                            for mu in range(d) if rng.random() < 0.35}
+                   for a in range(k) for b in range(a, k)}
+        algs.append(SupertranslationAlgebra(f"random-{tag}", k, d, entries))
+    return algs
 
 
 _FAST_ROWS = [(1, 2), (2, (1, 1)), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
@@ -213,7 +218,7 @@ _FAST_ROWS = [(1, 2), (2, (1, 1)), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3
 
 
 @pytest.mark.parametrize("alg", [build_standard(*key) for key in _FAST_ROWS]
-                         + [_random_bracket(random.Random(31), i) for i in range(12)],
+                         + _random_brackets(31, 12),
                          ids=lambda alg: alg.name)
 def test_the_coordinate_ring_basis_is_the_ideal_basis(alg):
     nonzero = [q for q in alg.quadrics() if not q.is_zero()]
