@@ -19,7 +19,6 @@ from .groebner import (
 )
 from .resolutions import (
     BettiTable,
-    GradedDims,
     PresentedModule,
     VerificationFailed,
     ce_cohomology,
@@ -39,7 +38,6 @@ from .algebras import (
 )
 from .multiplets import (
     MultipletModule,
-    MultipletTable,
     canonical_module,
     component_fields,
     conf_module,
@@ -49,7 +47,7 @@ from .multiplets import (
     multiplet_module,
     universal_checks,
 )
-from .twisting import TwistResult, catalog_twist_vector, twist, twist_pipeline
+from .twisting import catalog_twist_vector, twist, twist_pipeline
 from .prolongation import (
     ProlongationBrackets,
     ProlongationResult,

@@ -118,8 +118,7 @@ class SupertranslationAlgebra:
         degree zero, presented by the nonzero quadrics in order.  Its lazy
         `relation_gb()` is the one reduced basis of I that every reader shares."""
         if self._coordinate_ring is None:
-            rels = [q for q in self.quadrics() if not q.is_zero()]
-            self._coordinate_ring = PresentedModule(self.ring(), [0], rels)
+            self._coordinate_ring = PresentedModule(self.ring(), [0], self.quadrics())
         return self._coordinate_ring
 
 
@@ -218,10 +217,9 @@ def _parse_susy(susy) -> tuple:
         if text.upper().startswith("N="):
             text = text[2:]
         parts = text[1:-1].split(",") if text.startswith("(") and text.endswith(")") else [text]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            return ()
+        # ASCII digits only: int() would also take other scripts' digits, "0_2" and "+2"
+        ok = all(p.isascii() and p.isdigit() for p in parts)
+        return tuple(int(p) for p in parts) if ok else ()
     counts = (susy,) if isinstance(susy, int) else susy
     # an int or a list of them; a float or a bool is no count, not one to truncate
     if isinstance(counts, (tuple, list)) and all(type(n) is int for n in counts):

@@ -1,9 +1,10 @@
 """Content-addressed cache for expensive basis and resolution results.
 
 Keys are SHA-256 hashes of a canonical JSON description of the computation;
-values are JSON objects, stored as canonical JSON bytes wrapped with their
-own digest, so tampered, truncated or misshapen entries are detected, warned
-about, and recomputed.  Writes go through a temp file and an atomic rename.
+values are JSON objects with the key set the computation returns, stored as
+canonical JSON bytes wrapped with their own digest, so tampered, truncated or
+misshapen entries are detected, warned about, and recomputed.  Writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ def store(cache_dir: str, key: str, value) -> None:
         raise
 
 
-def load(cache_dir: str, key: str):
-    """Value for the key, or None on miss/corruption (with a warning)."""
+def load(cache_dir: str, key: str, keys: set[str]):
+    """Value for the key, or None on miss/corruption (with a warning).  A
+    value that is not a JSON object with exactly the key set `keys` is
+    corrupt."""
     path = _path(cache_dir, key)
     if not os.path.exists(path):
         return None
@@ -70,14 +73,17 @@ def load(cache_dir: str, key: str):
             raise ValueError("digest mismatch")
         if not isinstance(value, dict):
             raise ValueError("value is not a JSON object")
+        if set(value) != keys:
+            raise ValueError(f"value keys are not {sorted(keys)}")
         return value
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {key[:12]}: {exc}", file=sys.stderr)
         return None
 
 
-def cached(cache_dir: str | None, descriptor, compute, verify: bool = False):
-    """Return compute() through the cache.
+def cached(cache_dir: str | None, descriptor, compute, keys: set[str], verify: bool = False):
+    """Return compute() through the cache; `keys` is the key set of compute()'s
+    value, so a hit of another shape is corrupt (`load`).
 
     With verify=True a hit is recomputed anyway and compared byte for byte; a
     mismatch warns and the fresh value wins.  A value that cannot be stored
@@ -86,7 +92,7 @@ def cached(cache_dir: str | None, descriptor, compute, verify: bool = False):
     if cache_dir is None:
         return compute()
     key = cache_key(descriptor)
-    hit = load(cache_dir, key)
+    hit = load(cache_dir, key, keys)
     if hit is not None and not verify:
         return hit
     value = compute()

@@ -44,20 +44,6 @@ def _gamma_descriptor(alg) -> list[list[str]]:
             for a in range(alg.k) for b in range(alg.k)]
 
 
-def _cached(args, descriptor: dict, keys: set[str], compute) -> dict:
-    """compute() through the cache.  `keys` is the key set that compute()
-    returns for this descriptor, so a hit of another shape is a corrupt
-    entry: it is warned about, recomputed and rewritten."""
-    value = cache_mod.cached(args.cache_dir, descriptor, compute, args.verify_cache)
-    if set(value) != keys:
-        key = cache_mod.cache_key(descriptor)
-        print(f"warning: ignoring corrupt cache entry {key[:12]}: value keys are not"
-              f" {sorted(keys)}", file=sys.stderr)
-        value = compute()
-        cache_mod.store(args.cache_dir, key, value)
-    return value
-
-
 def _emit(payload: dict, as_json: bool, render_text) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -128,7 +114,8 @@ def cmd_variety(args) -> int:
 
     keys = {"groebner_basis", "hilbert_numerator", "dim_variety", "hdim", "cohen_macaulay",
             "gorenstein"}
-    payload = {"schema": SCHEMA, "name": alg.name, **_cached(args, descriptor, keys, compute)}
+    value = cache_mod.cached(args.cache_dir, descriptor, compute, keys, args.verify_cache)
+    payload = {"schema": SCHEMA, "name": alg.name, **value}
 
     def text(p):
         print(f"nilpotence variety of {p['name']}")
@@ -160,12 +147,11 @@ def cmd_multiplet(args) -> int:
     def compute():
         mod = multiplet_module(alg, kind)
         _, betti = minimal_free_resolution(mod.module)
-        table = component_fields(mod, betti)
         out = {
             "kind": kind,
             "betti": sorted_rows(betti.entries),
             "complete": betti.complete,
-            "table": sorted_rows(table.cells),
+            "table": sorted_rows(component_fields(betti)),
         }
         if args.window is not None:
             oracle = koszul_tor(mod.module, (0, args.window))
@@ -176,7 +162,8 @@ def cmd_multiplet(args) -> int:
     keys = {"kind", "betti", "complete", "table"}
     if args.window is not None:
         keys |= {"koszul_betti", "koszul_agrees"}
-    payload = {"schema": SCHEMA, "name": alg.name, **_cached(args, descriptor, keys, compute)}
+    value = cache_mod.cached(args.cache_dir, descriptor, compute, keys, args.verify_cache)
+    payload = {"schema": SCHEMA, "name": alg.name, **value}
 
     def text(p):
         print(f"{p['kind']} multiplet of {p['name']}")
@@ -230,15 +217,15 @@ def cmd_twist(args) -> int:
     if len(q) != alg.k:
         raise ValueError(f"--q has {len(q)} components, expected {alg.k}")
     report = twist_pipeline(alg, q, targets=tuple(args.analyses or ()))
-    res = report.result
+    tw = report.result
     payload = {
         "schema": SCHEMA,
         "name": alg.name,
-        "q": [_render_q(x) for x in res.q],
+        "q": [_render_q(x) for x in q],
         "twisted": {
-            "odd_dim": res.twisted.k,
-            "even_dim": res.twisted.d,
-            "ideal_generators": sorted(str(p) for p in res.twisted.coordinate_ring().relations),
+            "odd_dim": tw.k,
+            "even_dim": tw.d,
+            "ideal_generators": sorted(str(p) for p in tw.coordinate_ring().relations),
         },
         "hdim_source": report.hdim_source,
         "hdim_twisted": report.hdim_twisted,
@@ -249,7 +236,7 @@ def cmd_twist(args) -> int:
         if name in ("conf", "kaehler", "canonical"):
             analyses_payload[name] = {
                 "betti": sorted_rows(data["betti"].entries),
-                "table": sorted_rows(data["table"].cells),
+                "table": sorted_rows(data["table"]),
             }
         elif name == "variety":
             analyses_payload[name] = {

@@ -4,7 +4,10 @@ Every multiplet is packaged as a module over the polynomial ring with the
 nilpotence-ideal relations appended, so resolutions and the Koszul oracle
 apply directly.  Component fields are read off the Betti table through the
 fixed coordinate rule (row, col) = (j - i, 2i - j), calibrated so the minimal
-three-dimensional example lands in the familiar table layout.
+three-dimensional example lands in the familiar table layout: `component_fields`
+maps a complete Betti table to the plain dict {(row, col): dimension}, and
+`universal_checks` returns its identities as a list of (name, cell, forced
+value) triples.
 """
 
 from __future__ import annotations
@@ -33,26 +36,8 @@ class MultipletModule:
 
     module: PresentedModule
 
-    def betti(self) -> BettiTable:
-        _, betti = minimal_free_resolution(self.module)
-        return betti
-
     def graded_dim(self, degree: int) -> int:
         return self.module.graded_dim(degree)
-
-
-@dataclass
-class MultipletTable:
-    """(row, col) -> total field dimension, plus the Betti table it came from."""
-
-    cells: dict[tuple[int, int], int]
-    source: BettiTable
-
-    def total(self) -> int:
-        return sum(self.cells.values())
-
-    def __eq__(self, other):
-        return isinstance(other, MultipletTable) and self.cells == other.cells
 
 
 class IncompleteResolutionError(RuntimeError):
@@ -70,13 +55,9 @@ def conf_module(alg: SupertranslationAlgebra) -> MultipletModule:
     free = FreeModule(ring, [0] * d)
     shift = ring.comp_shift
     phi = jacobian(alg)
-    rels = []
-    for b in range(k):
-        elt = ModuleElement(
-            free, {(mu << shift) + t: c for mu in range(d) for t, c in phi[mu][b].terms.items()}
-        )
-        if not elt.is_zero():
-            rels.append(elt)
+    rels = [ModuleElement(free, {(mu << shift) + t: c
+                                 for mu in range(d) for t, c in phi[mu][b].terms.items()})
+            for b in range(k)]
     for q in alg.coordinate_ring().relations:
         for nu in range(d):
             rels.append(free.gen(nu) * q)
@@ -143,11 +124,8 @@ def _subquotient(ring: GradedRing, kernel_gens: list, image: list,
     ngen = len(kernel_gens)
     rel_free = FreeModule(ring, gen_degs)
     end = ngen << ring.comp_shift  # the first term past the kernel part
-    rels = []
-    for z in syzygy_module(kernel_gens + image, modulo):
-        proj = ModuleElement(rel_free, {t: v for t, v in z.terms.items() if t < end})
-        if not proj.is_zero():
-            rels.append(proj)
+    rels = [ModuleElement(rel_free, {t: v for t, v in z.terms.items() if t < end})
+            for z in syzygy_module(kernel_gens + image, modulo)]
     return MultipletModule(PresentedModule(ring, gen_degs, rels))
 
 
@@ -185,10 +163,9 @@ def hdim(alg: SupertranslationAlgebra, cross_check: bool = False) -> int:
     return value
 
 
-def component_fields(m: MultipletModule, betti: BettiTable | None = None) -> MultipletTable:
-    """Betti entry (i, j) becomes the table cell (j - i, 2i - j)."""
-    if betti is None:
-        _, betti = minimal_free_resolution(m.module)
+def component_fields(betti: BettiTable) -> dict[tuple[int, int], int]:
+    """The component-field cells {(row, col): dimension}: Betti entry (i, j)
+    becomes the cell (j - i, 2i - j)."""
     if not betti.complete:
         raise IncompleteResolutionError("component fields need a complete resolution")
     cells: dict[tuple[int, int], int] = {}
@@ -197,40 +174,26 @@ def component_fields(m: MultipletModule, betti: BettiTable | None = None) -> Mul
         if key in cells:
             raise AssertionError("coordinate rule collision")
         cells[key] = mult
-    return MultipletTable(cells, betti)
-
-
-@dataclass
-class UniversalCheckReport:
-    checks: list  # (name, lhs, rhs)
-    @property
-    def passed(self) -> bool:
-        return all(lhs == rhs for _, lhs, rhs in self.checks)
-
-    def failures(self):
-        return [(n, l, r) for n, l, r in self.checks if l != r]
+    return cells
 
 
 def universal_checks(
     alg: SupertranslationAlgebra,
-    table: MultipletTable | None = None,
-) -> UniversalCheckReport:
-    """Exact integer identities tying the low cells to the algebra data:
-    smooth vector fields, local supersymmetries, R-symmetry, and the metric
-    fluctuations all show up with forced dimensions."""
+    table: dict[tuple[int, int], int] | None = None,
+) -> list[tuple[str, int, int]]:
+    """Exact integer identities tying the low cells of the conf component
+    table to the algebra data: smooth vector fields, local supersymmetries,
+    R-symmetry, and the metric fluctuations all show up with forced
+    dimensions.  Returns every check as (name, cell, forced value)."""
     if table is None:
-        table = component_fields(conf_module(alg))
+        _, betti = minimal_free_resolution(conf_module(alg).module)
+        table = component_fields(betti)
     g0 = derivations_deg0(alg)
     im_rho2 = g0.rho2_image_dim()
     ker_rho2 = g0.dim - im_rho2
-    checks = [
-        ("cell (0,0) = even dimension", table.cells.get((0, 0), 0), alg.d),
-        ("cell (0,1) = odd dimension", table.cells.get((0, 1), 0), alg.k),
-        ("cell (0,2) = R-symmetry dimension", table.cells.get((0, 2), 0), ker_rho2),
-        (
-            "cell (1,0) = metric fluctuations",
-            table.cells.get((1, 0), 0),
-            alg.d * alg.d - im_rho2,
-        ),
+    return [
+        ("cell (0,0) = even dimension", table.get((0, 0), 0), alg.d),
+        ("cell (0,1) = odd dimension", table.get((0, 1), 0), alg.k),
+        ("cell (0,2) = R-symmetry dimension", table.get((0, 2), 0), ker_rho2),
+        ("cell (1,0) = metric fluctuations", table.get((1, 0), 0), alg.d * alg.d - im_rho2),
     ]
-    return UniversalCheckReport(checks)

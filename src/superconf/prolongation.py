@@ -115,7 +115,6 @@ class ProlongationBrackets:
 
     def __init__(self, alg: SupertranslationAlgebra, result: ProlongationResult):
         self.alg = alg
-        self.result = result
         self.layers = result.layers
         self.table: dict[tuple[int, int], list[list[dict]]] = {}
 

@@ -80,7 +80,7 @@ class VerificationFailed(Exception):
 
 @dataclass
 class PresentedModule:
-    """Finitely presented graded module: generator degrees plus relations."""
+    """Finitely presented graded module: generator degrees plus the nonzero relations."""
 
     ring: GradedRing
     gen_degrees: list[int]
@@ -92,14 +92,12 @@ class PresentedModule:
             if rel.module != self.free:
                 raise ValueError("relation lives in another module than the generators'")
             rel.degree()  # a ValueError unless homogeneous
+        self.relations = [r for r in self.relations if not r.is_zero()]
         self._gb: GroebnerBasis | None = None
 
     def relation_gb(self) -> GroebnerBasis:
         if self._gb is None:
-            gens = [r for r in self.relations if not r.is_zero()]
-            if not gens:
-                gens = [self.free.zero()]
-            self._gb = buchberger(gens)
+            self._gb = buchberger(self.relations or [self.free.zero()])
         return self._gb
 
     def graded_dim(self, degree: int) -> int:
@@ -144,28 +142,6 @@ class BettiTable:
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
-
-
-@dataclass
-class GradedDims:
-    """Internal degree -> dimension, zero entries omitted."""
-
-    dims: dict[int, int]
-
-    def __post_init__(self):
-        self.dims = {d: v for d, v in self.dims.items() if v}
-
-    def __getitem__(self, d: int) -> int:
-        return self.dims.get(d, 0)
-
-    def total(self) -> int:
-        return sum(self.dims.values())
-
-    def is_zero(self) -> bool:
-        return not self.dims
-
-    def __eq__(self, other):
-        return isinstance(other, GradedDims) and self.dims == other.dims
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +192,7 @@ def minimal_free_resolution(m: PresentedModule) -> tuple[list[GroebnerBasis], Be
     max_steps = m.ring.nvars + 4
     chain: list[GroebnerBasis] = []
     gens = [Counter(m.gen_degrees)]  # the generator degrees of F_0, F_1, ...
-    if any(not r.is_zero() for r in m.relations):
+    if m.relations:
         current = m.relation_gb()
         chain.append(current)
         while True:
@@ -341,7 +317,7 @@ def low_betti(m: PresentedModule, max_degree: int) -> dict[tuple[int, int], int]
     by one sparse elimination pass.  Useful when the full resolution is out of
     budget.
     """
-    rels = sorted(((r, r.degree()) for r in m.relations if not r.is_zero()), key=lambda c: c[1])
+    rels = sorted(((r, r.degree()) for r in m.relations), key=lambda c: c[1])
     cranks = _constant_ranks(m.free, (_packed_image(r).items() for r, _ in rels))
     entries = {(0, j): n - cranks.get(j, 0) for j, n in Counter(m.gen_degrees).items()}
     if rels:
@@ -472,8 +448,9 @@ def koszul_homology_dims(
     k: int,
     degree_window: tuple[int, int],
     element_degrees: Sequence[int],
-) -> GradedDims:
-    """Degreewise dimensions of H_k of the Koszul complex on `elements`.
+) -> Counter:
+    """Degreewise dimensions of H_k of the Koszul complex on `elements`, a
+    Counter over the degrees where H_k is nonzero.
 
     Zero elements are legal members of the sequence; their exterior degree
     cannot be read off, so every caller passes `element_degrees`.  Each
@@ -481,7 +458,7 @@ def koszul_homology_dims(
     """
     d = len(elements)
     if k < 0 or k > d:
-        return GradedDims({})
+        return Counter()
 
     def ranks(i: int):
         cols, source, target = _koszul_step_columns(ring, elements, i, element_degrees)
@@ -491,7 +468,7 @@ def koszul_homology_dims(
     degrees = range(lo, hi + 1)
     down = ranks(k) if k else None
     up = ranks(k + 1) if k < d else None
-    out: dict[int, int] = {}
+    out: Counter = Counter()
     for j in degrees:
         if down is None:
             src, rank_d = _monomial_count(ring.nvars, j), 0
@@ -502,7 +479,7 @@ def koszul_homology_dims(
         val = src - rank_d - rank_up
         if val:
             out[j] = val
-    return GradedDims(out)
+    return out
 
 
 def koszul_homology_is_zero(
@@ -530,7 +507,7 @@ def koszul_homology_is_zero(
     return all(gb.normal_form(z).is_zero() for z in cycles)
 
 
-def ce_cohomology(alg, k: int, degree_window: tuple[int, int]) -> GradedDims:
+def ce_cohomology(alg, k: int, degree_window: tuple[int, int]) -> Counter:
     """Weight-graded dimensions of the k-th Koszul homology of the bracket
     quadrics; k = 0 gives the coordinate ring of the nilpotence variety."""
     quadrics = alg.quadrics()
@@ -556,8 +533,9 @@ def is_gorenstein(pm: PresentedModule) -> tuple[bool, bool]:
 
 def syzygetic_defect(
     ring: GradedRing, quadrics: Sequence[ModuleElement], degree_window: tuple[int, int]
-) -> GradedDims:
-    """Degreewise dimensions of ker(Sym^2 I -> I^2).
+) -> Counter:
+    """Degreewise dimensions of ker(Sym^2 I -> I^2), a Counter over the
+    degrees where it is nonzero.
 
     The kernel of multiplication Sym^2(generator space) (x) R -> I^2 is cut
     down by the relations induced by syzygies of the generators; what is left
@@ -584,10 +562,10 @@ def syzygetic_defect(
     degrees = range(lo, hi + 1)
     mult = _slice_ranks(products, FreeModule(ring, [0]), degrees)
     rels = _slice_ranks(induced, sym2, degrees)
-    out: dict[int, int] = {}
+    out: Counter = Counter()
     for j in degrees:
         pivots, src_dim = mult[j]
         val = src_dim - sum(pivots) - sum(rels[j][0])
         if val:
             out[j] = val
-    return GradedDims(out)
+    return out

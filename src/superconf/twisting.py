@@ -5,6 +5,8 @@ complex g0 -> odd -> even with differential bracket-by-q: its odd part is
 ker(gamma(q,-)) modulo the g0-orbit of q, its even part is the quotient of
 the even space by gamma(q, odd).  Quotients and kernels are realized by
 explicit echelonized rational bases so results are reproducible run to run.
+`twist` returns the twisted algebra itself, a `SupertranslationAlgebra`, so
+every analysis of an algebra runs on it unchanged.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .algebras import (
 from .groebner import hilbert_series
 from .linalg import SpanSolver, _reduce_by_leads, rref, sparse_kernel
 from .multiplets import component_fields, hdim, multiplet_module
+from .resolutions import minimal_free_resolution
 from .rings import rational
 
 _F0 = Fraction(0)
@@ -29,13 +32,6 @@ _F1 = Fraction(1)
 
 class NotSquareZeroError(ValueError):
     pass
-
-
-@dataclass
-class TwistResult:
-    source: SupertranslationAlgebra
-    q: list
-    twisted: SupertranslationAlgebra
 
 
 def _dense(row: dict, n: int) -> list[Fraction]:
@@ -58,7 +54,7 @@ def _quotient_data(ambient_dim: int, sub_rows):
     return reps, project
 
 
-def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
+def twist(alg: SupertranslationAlgebra, q) -> SupertranslationAlgebra:
     """Twisted supertranslation algebra for a square-zero odd element."""
     qv = [rational(x) for x in q]
     if not is_square_zero(alg, qv):
@@ -95,8 +91,7 @@ def twist(alg: SupertranslationAlgebra, q) -> TwistResult:
     rep_vectors = [_dense(ker_vecs[i], k) for i in reps_odd]
     entries = {(i, j): dict(enumerate(project_even(alg.bracket(rep_vectors[i], rep_vectors[j]))))
                for i in range(k_new) for j in range(i, k_new)}
-    twisted = SupertranslationAlgebra(f"{alg.name} twisted", k_new, d_new, entries)
-    return TwistResult(source=alg, q=qv, twisted=twisted)
+    return SupertranslationAlgebra(f"{alg.name} twisted", k_new, d_new, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def catalog_twist_vector(alg: SupertranslationAlgebra, name: str) -> list[Fracti
 
 @dataclass
 class TwistPipelineReport:
-    result: TwistResult
+    result: SupertranslationAlgebra  # the twisted algebra
     hdim_source: int
     hdim_twisted: int
     analyses: dict
@@ -166,22 +161,18 @@ def twist_pipeline(
     analyses: dict = {}
     for target in targets:
         if target in ("conf", "kaehler", "canonical"):
-            mod = multiplet_module(result.twisted, target)
-            betti = mod.betti()
-            analyses[target] = {
-                "betti": betti,
-                "table": component_fields(mod, betti),
-            }
+            _, betti = minimal_free_resolution(multiplet_module(result, target).module)
+            analyses[target] = {"betti": betti, "table": component_fields(betti)}
         elif target == "variety":
-            gb = result.twisted.coordinate_ring().relation_gb()
+            gb = result.coordinate_ring().relation_gb()
             analyses[target] = {"hilbert": hilbert_series(gb), "gb_size": len(gb)}
         elif target == "conformal_type":
-            analyses[target] = check_conformal_type(result.twisted)
+            analyses[target] = check_conformal_type(result)
         else:
             raise ValueError(f"unknown twist analysis {target!r}")
     return TwistPipelineReport(
         result=result,
         hdim_source=hdim(alg),
-        hdim_twisted=hdim(result.twisted),
+        hdim_twisted=hdim(result),
         analyses=analyses,
     )

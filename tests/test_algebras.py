@@ -80,10 +80,16 @@ def test_a_spec_builds_the_same_entries_from_either_key_order():
     (4, True, None),
     (4, (True,), None),
     (4, None, None),
+    # ASCII digits only, as in the spec reader's numbers
+    (4, "N=\u0662", None),
+    (4, "N=0_2", None),
+    (4, "+2", None),
 ], ids=str)
 def test_supersymmetry_is_an_int_or_a_sequence_of_ints(dimension, susy, name):
     """A float or a bool is no supersymmetry count: it is an unsupported
-    catalog key, not truncated to an int or read as 1."""
+    catalog key, not truncated to an int or read as 1.  A string count is
+    ASCII digits: another script's digit, an underscore or a sign is
+    unsupported too."""
     if name is None:
         with pytest.raises(ValueError, match="unsupported catalog key"):
             build_standard(dimension, susy)

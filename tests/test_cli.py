@@ -261,7 +261,8 @@ def test_prolong_cap_below_one_exits_2(capsys, spec_3d_n1):
     assert captured.err == "error: --cap must be at least 1, got 0\n"
 
 
-@pytest.mark.parametrize("susy", ["N=x", "N=", "N=(1,x)", "N=1.5", "N=-1"])
+@pytest.mark.parametrize("susy", ["N=x", "N=", "N=(1,x)", "N=1.5", "N=-1",
+                                  "N=\u0662", "N=0_2", "+2"])
 def test_malformed_supersymmetry_is_an_unsupported_key(capsys, tmp_path, susy):
     path = tmp_path / "bad.spec"
     path.write_text(
@@ -350,7 +351,7 @@ def test_directory_as_spec_path_exits_2(capsys, tmp_path):
 def test_cache_roundtrip(tmp_path):
     key = cache_key({"a": 1})
     store(str(tmp_path), key, {"value": [1, 2, 3]})
-    assert load(str(tmp_path), key) == {"value": [1, 2, 3]}
+    assert load(str(tmp_path), key, {"value"}) == {"value": [1, 2, 3]}
 
 
 def test_cache_detects_tampering(tmp_path, capsys):
@@ -358,7 +359,7 @@ def test_cache_detects_tampering(tmp_path, capsys):
     store(str(tmp_path), key, {"v": 1})
     path = tmp_path / key[:2] / (key + ".json")
     path.write_text(path.read_text().replace('"v":1', '"v":2'), encoding="utf-8")
-    assert load(str(tmp_path), key) is None
+    assert load(str(tmp_path), key, {"v"}) is None
 
 
 def test_cache_key_sensitivity():
@@ -392,11 +393,11 @@ def test_cached_verify_mode(tmp_path, capsys):
         return {"n": 7}
 
     descriptor = {"what": "test"}
-    v1 = cached(str(tmp_path), descriptor, compute)
-    v2 = cached(str(tmp_path), descriptor, compute)
+    v1 = cached(str(tmp_path), descriptor, compute, {"n"})
+    v2 = cached(str(tmp_path), descriptor, compute, {"n"})
     assert v1 == v2 == {"n": 7}
     assert len(calls) == 1
-    v3 = cached(str(tmp_path), descriptor, compute, verify=True)
+    v3 = cached(str(tmp_path), descriptor, compute, {"n"}, verify=True)
     assert v3 == {"n": 7}
     assert len(calls) == 2
 
@@ -526,6 +527,29 @@ def test_cache_value_of_another_shape_is_recomputed(capsys, tmp_path, spec_3d_n1
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, fresh, "")
+
+
+def test_verify_cache_warns_about_a_misshapen_entry_as_corrupt(capsys, tmp_path, spec_3d_n1):
+    """Under --verify-cache an entry of another key set is rejected by the
+    cache's own check, as without the flag: it warns as corrupt, never as a
+    disagreement with the recomputation, and is rewritten."""
+    cache = tmp_path / "cache"
+    argv = ["--json", "--cache-dir", str(cache), "variety", spec_3d_n1]
+    code, fresh = run(capsys, argv)
+    assert code == 0
+    path = _cache_entry(cache)
+    wrapper = json.loads(path.read_text(encoding="utf-8"))
+    good = wrapper["value"]
+    wrapper["value"] = {"x": 1}
+    wrapper["digest"] = hashlib.sha256(canonical_bytes(wrapper["value"])).hexdigest()
+    path.write_text(json.dumps(wrapper), encoding="utf-8")
+    code = main(["--verify-cache", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, fresh)
+    assert captured.err == (
+        f"warning: ignoring corrupt cache entry {path.stem[:12]}: value keys are not"
+        f" {sorted(good)}\n")
+    assert json.loads(path.read_text(encoding="utf-8"))["value"] == good
 
 
 def test_failed_koszul_oracle_exits_1_also_on_a_cache_hit(capsys, monkeypatch, tmp_path,
@@ -747,7 +771,7 @@ def test_cache_keys_are_pinned(monkeypatch, tmp_path, dimension, susy, variety_k
     the dense bracket table gave them, so entries written by it still hit."""
     import superconf.cli
 
-    def capture(cache_dir, descriptor, compute, verify=False):
+    def capture(cache_dir, descriptor, compute, keys, verify=False):
         raise _Descriptor(cache_key(descriptor))
 
     monkeypatch.setattr(superconf.cli.cache_mod, "cached", capture)

@@ -54,6 +54,12 @@ presents I by the nonzero quadrics, so no other package file filters
 `if ...: continue` of a `for` loop, over the call itself or over a name
 assigned from it in the same file.
 
+No wrapper result types: an analysis returns its plain value (graded
+dimensions a `Counter`, component fields a dict, a twist the twisted algebra,
+the universal checks a list), so no `GradedDims`, `MultipletTable`,
+`TwistResult` or `UniversalCheckReport` name, attribute, class or import
+appears in the package or the tests.
+
 No dead local: a name that a function of the package or of the tests
 assigns (an `ast.Name` store, tuple targets included) is loaded somewhere in
 that function, nested functions included.  Names that start with `_` are exempt, so an unused half
@@ -541,5 +547,39 @@ def test_one_owner_presents_the_nilpotence_ideal():
         f"{path.name}:{line}"
         for path in PACKAGE if path.name != "algebras.py"
         for line in quadric_filters(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+WRAPPERS = {"GradedDims", "MultipletTable", "TwistResult", "UniversalCheckReport"}
+
+
+def wrapper_types(source: str) -> list[int]:
+    """Lines of each name, attribute, class definition or import of a deleted
+    wrapper result type."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id in WRAPPERS
+        or isinstance(node, ast.Attribute) and node.attr in WRAPPERS
+        or isinstance(node, (ast.ClassDef, ast.alias)) and node.name in WRAPPERS
+    )
+
+
+def test_scan_finds_wrapper_types():
+    source = (
+        "from .resolutions import GradedDims\n"
+        "class TwistResult:\n    twisted: int\n"
+        "t = multiplets.MultipletTable(cells, betti)\n"
+        "def f(r: UniversalCheckReport):\n    return r.passed\n"
+        "dims = Counter()\nname = \"GradedDims\"\n"
+    )
+    assert wrapper_types(source) == [1, 2, 4, 5]
+
+
+def test_analyses_return_plain_values():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+        for line in wrapper_types(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -7,6 +7,7 @@ from superconf import groebner, resolutions
 from superconf.algebras import SupertranslationAlgebra, build_standard
 from superconf.groebner import ideal_gb
 from superconf.multiplets import (
+    IncompleteResolutionError,
     canonical_module,
     component_fields,
     conf_module,
@@ -133,30 +134,39 @@ def test_hdim_fixtures_fast():
 
 def test_component_fields_coordinate_rule():
     alg = build_standard(3, 1)
-    table = component_fields(conf_module(alg))
-    assert table.cells == {(0, 0): 3, (0, 1): 2, (1, 0): 5, (1, 1): 4}
+    _, betti = minimal_free_resolution(conf_module(alg).module)
+    assert component_fields(betti) == {(0, 0): 3, (0, 1): 2, (1, 0): 5, (1, 1): 4}
 
 
 def test_component_fields_free_rank_one():
     alg = abelian(1, 1)
-    table = component_fields(canonical_module(alg))
+    _, betti = minimal_free_resolution(canonical_module(alg).module)
     # R/I for the rank-one abelian algebra: single quadric zero, so R itself
-    assert table.cells == {(0, 0): 1}
+    assert component_fields(betti) == {(0, 0): 1}
+
+
+def test_component_fields_need_a_complete_table():
+    # the Koszul oracle sees only its window, so its table is not complete
+    alg = build_standard(3, 1)
+    oracle = koszul_tor(conf_module(alg).module, (0, 4))
+    assert not oracle.complete
+    with pytest.raises(IncompleteResolutionError, match="complete resolution"):
+        component_fields(oracle)
 
 
 def test_universal_checks_3d_n1():
     alg = build_standard(3, 1)
-    report = universal_checks(alg)
-    assert report.passed
-    named = {name: (lhs, rhs) for name, lhs, rhs in report.checks}
+    checks = universal_checks(alg)
+    assert all(lhs == rhs for _, lhs, rhs in checks)
+    named = {name: (lhs, rhs) for name, lhs, rhs in checks}
     assert named["cell (1,0) = metric fluctuations"] == (5, 5)  # 9 - 4
 
 
 def test_universal_checks_4d_n1():
     alg = build_standard(4, 1)
-    report = universal_checks(alg)
-    assert report.passed
-    named = {name: (lhs, rhs) for name, lhs, rhs in report.checks}
+    checks = universal_checks(alg)
+    assert all(lhs == rhs for _, lhs, rhs in checks)
+    named = {name: (lhs, rhs) for name, lhs, rhs in checks}
     assert named["cell (1,0) = metric fluctuations"] == (9, 9)  # 16 - 7
     assert named["cell (0,2) = R-symmetry dimension"] == (1, 1)
 
@@ -197,7 +207,7 @@ def test_one_basis_of_the_ideal_per_algebra(monkeypatch):
     conf_module(alg)
     canonical_module(alg).module.relation_gb()
     report = twist_pipeline(alg, catalog_twist_vector(alg, "holomorphic"), ("variety",))
-    assert runs == [alg.ring(), report.result.twisted.ring()]
+    assert runs == [alg.ring(), report.result.ring()]
 
 
 def _random_brackets(seed: int, n: int) -> list[SupertranslationAlgebra]:

@@ -766,7 +766,7 @@ def _example_module(nvars, gen_degrees, relations):
 @given(presented_modules(), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_slice_ranks_on_relations_match_full_elimination(pm, lo):
-    rels = [(r, r.degree()) for r in pm.relations]  # zero relations kept
+    rels = [(r, r.degree()) for r in pm.relations]  # nonzero; `graded_maps` draws zero images
     _assert_slice_ranks_match_full_elimination(rels, pm.free, range(lo, 6))
 
 

@@ -6,7 +6,6 @@ from superconf.groebner import hilbert_series, ideal_gb
 from superconf.multiplets import conf_module
 from superconf.resolutions import (
     _constant_ranks,
-    GradedDims,
     PresentedModule,
     is_gorenstein,
     koszul_homology_dims,
@@ -118,7 +117,7 @@ def test_koszul_homology_places_a_zero_element_at_its_given_degree():
     # H_1 of (x^2, 0) is R/(x^2) on the exterior generator of the zero
     # element, which sits in the degree passed for it
     R, x, _y = poly_ring("x", "y")
-    assert koszul_homology_dims(R, [x * x, R.zero()], 1, (0, 4), [2, 2]).dims == {
+    assert koszul_homology_dims(R, [x * x, R.zero()], 1, (0, 4), [2, 2]) == {
         2: 1, 3: 2, 4: 2}
 
 
@@ -136,7 +135,7 @@ def test_complete_intersection_koszul_homology_vanishes():
     for k in (1, 2):
         assert koszul_homology_is_zero(R, quadrics, k, [2, 2])
     dims = koszul_homology_dims(R, quadrics, 1, (0, 8), [2, 2])
-    assert dims.is_zero()
+    assert not dims
 
 
 def test_koszul_homology_nonvanishing_m_squared():
@@ -144,10 +143,10 @@ def test_koszul_homology_nonvanishing_m_squared():
     quadrics = m_squared(R)
     assert not koszul_homology_is_zero(R, quadrics, 1, [2, 2, 2])
     h1 = koszul_homology_dims(R, quadrics, 1, (0, 8), [2, 2, 2])
-    assert not h1.is_zero()
+    assert h1
     # H_0 in degree 0 and 1: dims of R/I
     h0 = koszul_homology_dims(R, quadrics, 0, (0, 4), [2, 2, 2])
-    assert h0.dims == {0: 1, 1: 2}
+    assert h0 == {0: 1, 1: 2}
 
 
 def test_koszul_homology_abelian_case():
@@ -173,13 +172,13 @@ def test_gorenstein_m_squared_is_cm_not_gorenstein():
 def test_syzygetic_defect_principal():
     R, x, y = poly_ring("x", "y")
     d = syzygetic_defect(R, [x * x + y * y], (0, 8))
-    assert d.is_zero()
+    assert not d
 
 
 def test_syzygetic_defect_complete_intersection():
     R, x, y = poly_ring("x", "y")
     d = syzygetic_defect(R, [x * x, y * y], (0, 8))
-    assert d.is_zero()
+    assert not d
 
 
 def test_syzygetic_defect_and_h1_of_m_squared():
@@ -187,14 +186,18 @@ def test_syzygetic_defect_and_h1_of_m_squared():
     # Sym^2 I -> I^2 and no syzygy induces it (those start in degree 5); H_1 is
     # the two linear syzygies in degree 3 plus that defect class
     R, _x, _y = poly_ring("x", "y")
-    assert syzygetic_defect(R, m_squared(R), (0, 8)).dims == {4: 1}
-    assert koszul_homology_dims(R, m_squared(R), 1, (0, 8), [2, 2, 2]).dims == {3: 2, 4: 1}
+    assert syzygetic_defect(R, m_squared(R), (0, 8)) == {4: 1}
+    assert koszul_homology_dims(R, m_squared(R), 1, (0, 8), [2, 2, 2]) == {3: 2, 4: 1}
 
 
 def test_graded_dims_container():
-    g = GradedDims({0: 1, 2: 0, 3: 4})
-    assert g[0] == 1 and g[2] == 0 and g[3] == 4
-    assert g.total() == 5
+    # a Counter over the nonzero degrees: a degree off its support reads 0
+    # (as the benchmark's h1[j] and defect[j] read a whole window) and is not
+    # stored by the read
+    R, _x, _y = poly_ring("x", "y")
+    g = koszul_homology_dims(R, m_squared(R), 1, (0, 8), [2, 2, 2])
+    assert g[2] == 0 and g[3] == 2 and g[4] == 1 and g[9] == 0
+    assert sorted(g) == [3, 4] and sum(g.values()) == 3
 
 
 def test_ce_cohomology_3d_n1_vanishing_pattern():
@@ -202,9 +205,9 @@ def test_ce_cohomology_3d_n1_vanishing_pattern():
     from superconf.resolutions import ce_cohomology
 
     alg = build_standard(3, 1)
-    assert not ce_cohomology(alg, 1, (0, 8)).is_zero()
-    assert ce_cohomology(alg, 2, (0, 10)).is_zero()
-    assert ce_cohomology(alg, 3, (0, 10)).is_zero()
+    assert ce_cohomology(alg, 1, (0, 8))
+    assert not ce_cohomology(alg, 2, (0, 10))
+    assert not ce_cohomology(alg, 3, (0, 10))
 
 
 def test_koszul_homology_and_defect_pinned_on_catalog_quadrics():
@@ -232,10 +235,10 @@ def test_koszul_homology_and_defect_pinned_on_catalog_quadrics():
         alg = build_standard(dim, n)
         ring, quadrics = alg.ring(), alg.quadrics()
         degrees = [2] * len(quadrics)
-        got = [koszul_homology_dims(ring, quadrics, k, (0, 8), degrees).dims
+        got = [koszul_homology_dims(ring, quadrics, k, (0, 8), degrees)
                for k in range(len(quadrics) + 1)]
         assert got == homology
-        assert syzygetic_defect(ring, quadrics, (0, 8)).dims == defect
+        assert syzygetic_defect(ring, quadrics, (0, 8)) == defect
 
 
 def test_ce_cohomology_degree_zero_is_structure_sheaf():
@@ -244,7 +247,7 @@ def test_ce_cohomology_degree_zero_is_structure_sheaf():
 
     alg = build_standard(3, 1)
     h0 = ce_cohomology(alg, 0, (0, 4))
-    assert h0.dims == {0: 1, 1: 2}
+    assert h0 == {0: 1, 1: 2}
 
 
 def test_relations_of_another_module_are_rejected():

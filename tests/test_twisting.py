@@ -7,6 +7,7 @@ import pytest
 from superconf.algebras import SupertranslationAlgebra, build_standard, is_square_zero
 from superconf.groebner import hilbert_series, ideal_gb
 from superconf.multiplets import component_fields, conf_module, hdim
+from superconf.resolutions import minimal_free_resolution
 from superconf.twisting import (
     NotSquareZeroError,
     catalog_twist_vector,
@@ -17,12 +18,12 @@ from superconf.twisting import (
 
 def test_twist_by_zero_is_identity():
     alg = build_standard(3, 2)
-    res = twist(alg, [0] * alg.k)
-    assert res.twisted.k == alg.k
-    assert res.twisted.d == alg.d
+    tw = twist(alg, [0] * alg.k)
+    assert tw.k == alg.k
+    assert tw.d == alg.d
     # same ideal up to the recorded (identity) basis
     q0 = sorted(str(p) for p in alg.quadrics())
-    q1 = sorted(str(p) for p in res.twisted.quadrics())
+    q1 = sorted(str(p) for p in tw.quadrics())
     assert q0 == q1
 
 
@@ -43,29 +44,29 @@ def test_hdim_invariance_on_twist_fixtures():
     ]
     for alg, name in cases:
         q = catalog_twist_vector(alg, name)
-        res = twist(alg, q)
-        assert hdim(alg) == hdim(res.twisted), (alg.name, name)
+        tw = twist(alg, q)
+        assert hdim(alg) == hdim(tw), (alg.name, name)
 
 
 def test_4d_n2_holomorphic_twist_dims_and_hdim():
     alg = build_standard(4, 2)
     q = catalog_twist_vector(alg, "holomorphic")
-    res = twist(alg, q)
+    tw = twist(alg, q)
     # residual superspace of the holomorphic twist: 2 even, 3 odd directions
-    assert res.twisted.d == 2
-    assert res.twisted.k == 3
-    assert hdim(res.twisted) == 1
+    assert tw.d == 2
+    assert tw.k == 3
+    assert hdim(tw) == 1
 
 
 def test_6d_n20_twisted_conf_degree_zero_dims():
     alg = build_standard(6, (2, 0))
     q = catalog_twist_vector(alg, "holomorphic")
-    res = twist(alg, q)
-    m = conf_module(res.twisted)
+    tw = twist(alg, q)
+    _, betti = minimal_free_resolution(conf_module(tw).module)
     # fiber dimensions of the three summands: 3 + 2*3 + 3 = 12 in degree 0..
-    table = component_fields(m)
-    row0 = sum(v for (r, _c), v in table.cells.items() if r == 0)
-    assert table.cells[(0, 0)] == 3
+    table = component_fields(betti)
+    row0 = sum(v for (r, _c), v in table.items() if r == 0)
+    assert table[(0, 0)] == 3
     assert row0 == 12
 
 
@@ -95,8 +96,8 @@ def test_twisted_6d_n20_not_conformal_type():
     from superconf.algebras import check_conformal_type
 
     alg = build_standard(6, (2, 0))
-    res = twist(alg, catalog_twist_vector(alg, "holomorphic"))
-    report = check_conformal_type(res.twisted)
+    tw = twist(alg, catalog_twist_vector(alg, "holomorphic"))
+    report = check_conformal_type(tw)
     assert report.surjective
     assert not report.conformal
 
@@ -122,8 +123,8 @@ def test_random_points_on_varieties_preserve_hdim():
             if not any(q) or not is_square_zero(alg, q):
                 continue
             found += 1
-            res = twist(alg, q)
-            assert hdim(res.twisted) == base, (key, q)
+            tw = twist(alg, q)
+            assert hdim(tw) == base, (key, q)
         assert found >= 1, f"no rational points found on {key}"
 
 
@@ -164,7 +165,7 @@ def test_twist_after_a_change_of_basis(dimension, susy, name):
     q_new = list(q)
     for i in reversed(range(alg.k)):
         q_new[i] = q[i] - sum(p[j][i] * q_new[j] for j in range(i + 1, alg.k))
-    expected, got = twist(alg, q).twisted, twist(rebased, q_new).twisted
+    expected, got = twist(alg, q), twist(rebased, q_new)
     assert (got.k, got.d) == (expected.k, expected.d)
 
     def numerator(twisted):
