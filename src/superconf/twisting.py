@@ -157,22 +157,22 @@ def twist_pipeline(
     The homological-dimension invariance check always runs.  `targets` may
     contain 'conf', 'kaehler', 'canonical', 'variety', 'conformal_type'.
     """
-    result = twist(alg, q)
+    twisted = twist(alg, q)
     analyses: dict = {}
     for target in targets:
         if target in ("conf", "kaehler", "canonical"):
-            _, betti = minimal_free_resolution(multiplet_module(result, target).module)
+            _, betti = minimal_free_resolution(multiplet_module(twisted, target).module)
             analyses[target] = {"betti": betti, "table": component_fields(betti)}
         elif target == "variety":
-            gb = result.coordinate_ring().relation_gb()
+            gb = twisted.coordinate_ring().relation_gb()
             analyses[target] = {"hilbert": hilbert_series(gb), "gb_size": len(gb)}
         elif target == "conformal_type":
-            analyses[target] = check_conformal_type(result)
+            analyses[target] = check_conformal_type(twisted)
         else:
             raise ValueError(f"unknown twist analysis {target!r}")
     return TwistPipelineReport(
-        result=result,
+        result=twisted,
         hdim_source=hdim(alg),
-        hdim_twisted=hdim(result),
+        hdim_twisted=hdim(twisted),
         analyses=analyses,
     )
